@@ -1,6 +1,6 @@
 """Abraham and Minkowski electromagnetic momentum in isotropic media.
 
-A small numpy/scipy toolkit: instantaneous 3+1 field quantities and force
+A small numpy toolkit: instantaneous 3+1 field quantities and force
 densities (:mod:`abmink.core`), the four-tensor formalism with its
 conservation and classification checks (:mod:`abmink.covariant`), desk-scale
 predictions for eight radiation-pressure experiments

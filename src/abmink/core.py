@@ -57,7 +57,10 @@ class MomentumTag(enum.Enum):
 
 
 def _vec3(x) -> np.ndarray:
-    v = np.array(x, dtype=float).reshape(3)
+    """Read-only 3-vector, or an (..., 3) stack that cross products broadcast over."""
+    v = np.array(x, dtype=float)
+    if v.shape[-1:] != (3,):
+        v = v.reshape(3)
     v.flags.writeable = False
     return v
 
@@ -138,7 +141,10 @@ def _require_nonmagnetic(medium: Medium, what: str):
 
 @dataclass(frozen=True)
 class FieldPoint:
-    """The four real field vectors (E, D, H, B) at one point and instant."""
+    """The four real field vectors (E, D, H, B) at one point and instant.
+
+    Each may also be an (m, 3) stack holding m field points.
+    """
 
     E: np.ndarray
     D: np.ndarray

@@ -33,6 +33,7 @@ from .core import (
     Medium,
     MomentumTag,
     RegimeError,
+    interface_pressure,
     mechanical_momentum_density,
     momentum_density,
 )
@@ -40,6 +41,7 @@ from .core import (
 __all__ = [
     "SCENARIO_NAMES",
     "DEFAULT_TOL",
+    "MAX_SWEEP_COUNT",
     "ConfigError",
     "SweepSpec",
     "ScenarioRequest",
@@ -52,6 +54,10 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-6
+
+# Largest sweep count a config may ask for: it bounds the arrays a sweep
+# allocates (the mirror evaluates all of its points in one batch).
+MAX_SWEEP_COUNT = 100_000
 
 SCENARIO_NAMES = (
     "mirror",
@@ -125,6 +131,9 @@ _SCHEMAS: dict[str, dict[str, object]] = {
     },
 }
 
+# parameters that must be > 0; finiteness is required of every number
+_POSITIVE = ("guard_k_over_alpha", "quadrature_tol")
+
 _PROVENANCE = {
     "mirror": ("sigma_x = (n/c)(1+R) S_i with R = 1 - 2 k/alpha; "
                "Lorentz route (mu0 sigma/2) Re int E_y H_z* dx; "
@@ -193,9 +202,12 @@ _SWEEP_RE = re.compile(
 
 def _parse_float(key: str, raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"value for '{key}' is not a number: {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"value for '{key}' must be finite, got {raw!r}")
+    return value
 
 
 def parse_config(text: str) -> ScenarioRequest:
@@ -258,9 +270,13 @@ def parse_config(text: str) -> ScenarioRequest:
             )
         lo = _parse_float("sweep lo", m.group(2))
         hi = _parse_float("sweep hi", m.group(3))
-        count = int(_parse_float("sweep count", m.group(4)))
-        if count < 2:
-            raise ConfigError(f"sweep count must be >= 2, got {count}")
+        raw_count = m.group(4).strip()
+        if (re.fullmatch(r"[0-9]+", raw_count) is None
+                or not 2 <= int(raw_count) <= MAX_SWEEP_COUNT):
+            raise ConfigError(
+                f"sweep count must be an integer >= 2 and <= {MAX_SWEEP_COUNT}, "
+                f"got {raw_count!r}")
+        count = int(raw_count)
         if scenario == "covariant-checks":
             raise ConfigError("scenario 'covariant-checks' does not support sweeps")
         sweep = SweepSpec(param=param, lo=lo, hi=hi, count=count)
@@ -285,6 +301,12 @@ def parse_config(text: str) -> ScenarioRequest:
             )
         params[key] = float(default)  # type: ignore[arg-type]
 
+    swept = {} if sweep is None else {sweep.param: min(sweep.lo, sweep.hi)}
+    for key in _POSITIVE:
+        value = min(params.get(key, math.inf), swept.get(key, math.inf))
+        if not value > 0.0:
+            raise ConfigError(f"'{key}' must be > 0, got {value!r}")
+
     return ScenarioRequest(scenario=scenario, params=params, tag=tag, sweep=sweep)
 
 
@@ -296,30 +318,6 @@ def _tags(tag: MomentumTag | None):
     if tag is None:
         return (MomentumTag.MINKOWSKI, MomentumTag.ABRAHAM)
     return (tag,)
-
-
-def _point_mirror(p, tag):
-    cfg = scenarios.MirrorConfig(
-        medium=Medium.from_index(p["n"]),
-        E0=p["E0_V_per_m"], omega=p["omega_rad_per_s"],
-        conductivity=p["sigma_S_per_m"], guard=p["guard_k_over_alpha"])
-    flux = scenarios.mirror_pressure_flux(cfg)
-    p2 = scenarios.mirror_pressure_lorentz(cfg, p["quadrature_tol"])
-    p3 = scenarios.mirror_pressure_divergence(cfg)
-    vals = (flux.pressure, p2, p3)
-    spread = (max(vals) - min(vals)) / max(abs(v) for v in vals)
-    return {
-        "n": p["n"],
-        "sigma_S_per_m": p["sigma_S_per_m"],
-        "omega_rad_per_s": p["omega_rad_per_s"],
-        "reflectance": flux.reflectance,
-        "phase_rad": flux.phase,
-        "incident_flux_W_per_m2": scenarios.incident_flux(cfg),
-        "pressure_flux_Pa": flux.pressure,
-        "pressure_lorentz_Pa": p2,
-        "pressure_divergence_Pa": p3,
-        "max_rel_diff": spread,
-    }
 
 
 def _point_drag(p, tag):
@@ -386,7 +384,6 @@ def _point_bec(p, tag):
 
 
 def _point_interface(p, tag):
-    from .core import interface_pressure
     return {"E_t_V_per_m": p["E_t_V_per_m"], "n_from": p["n_from"],
             "n_to": p["n_to"],
             "pressure_Pa": interface_pressure(p["E_t_V_per_m"], p["n_from"],
@@ -446,14 +443,65 @@ def _covariant_check_rows(n: float, mu_r: float, grid_step: float):
     return rows, residuals
 
 
-_RUNNERS = {
-    "mirror": _point_mirror,
-    "drag": _point_drag,
-    "wgm": _point_wgm,
-    "sphere-kick": _point_sphere,
-    "fiber": _point_fiber,
-    "bec": _point_bec,
-    "interface": _point_interface,
+def _where(sweep: SweepSpec | None, value) -> str:
+    return "" if sweep is None else f"{sweep.param}={value:g}: "
+
+
+def _sweep_values(sweep: SweepSpec | None):
+    return [None] if sweep is None else np.linspace(sweep.lo, sweep.hi,
+                                                    sweep.count)
+
+
+def _per_point(point):
+    """Evaluator running a scenario's per-point body at each sweep value."""
+    def evaluate(request: ScenarioRequest):
+        columns, rows, errors = [], [], []
+        for value in _sweep_values(request.sweep):
+            params = dict(request.params)
+            if value is not None:
+                params[request.sweep.param] = float(value)
+            try:
+                row = point(params, request.tag)
+            except (RegimeError, ValueError) as exc:
+                errors.append(f"{_where(request.sweep, value)}{exc}")
+                continue
+            columns = columns or list(row)
+            rows.append(list(row.values()))
+        return columns, rows, {}, errors
+    return evaluate
+
+
+def _evaluate_mirror(request: ScenarioRequest):
+    """All sweep points in one batch; the three-way spread is the residual."""
+    sweep, values = request.sweep, _sweep_values(request.sweep)
+    p = dict(request.params, **({} if sweep is None else {sweep.param: values}))
+    b = scenarios.mirror_batch(p["n"], p["E0_V_per_m"], p["omega_rad_per_s"],
+                               p["sigma_S_per_m"], p["guard_k_over_alpha"],
+                               p["quadrature_tol"])
+    ok = [i for i, exc in enumerate(b.errors) if exc is None]
+    rows = np.column_stack(list(b.columns.values()))[ok].tolist()
+    errors = [f"{_where(sweep, value)}{exc}"
+              for value, exc in zip(values, b.errors) if exc is not None]
+    residuals = {} if b.spread is None else {"three_way_max_rel_diff": b.spread}
+    return list(b.columns) if rows else [], rows, residuals, errors
+
+
+def _evaluate_covariant(request: ScenarioRequest):
+    p = request.params
+    rows, residuals = _covariant_check_rows(p["n"], p["mu_r"], p["grid_step"])
+    return list(rows[0]), [list(r.values()) for r in rows], residuals, []
+
+
+# scenario -> evaluator(request) -> (columns, rows, residuals, errors)
+_EVALUATORS = {
+    "mirror": _evaluate_mirror,
+    "drag": _per_point(_point_drag),
+    "wgm": _per_point(_point_wgm),
+    "sphere-kick": _per_point(_point_sphere),
+    "fiber": _per_point(_point_fiber),
+    "bec": _per_point(_point_bec),
+    "interface": _per_point(_point_interface),
+    "covariant-checks": _evaluate_covariant,
 }
 
 
@@ -465,7 +513,8 @@ def run(request: ScenarioRequest) -> ScenarioReport:
     violated bound and the supplied value; in-regime points still produce
     rows.
     """
-    report = ScenarioReport(
+    columns, rows, residuals, errors = _EVALUATORS[request.scenario](request)
+    return ScenarioReport(
         scenario=request.scenario,
         params=dict(request.params),
         tag="both" if request.tag is None else request.tag.value,
@@ -473,43 +522,7 @@ def run(request: ScenarioRequest) -> ScenarioReport:
             "param": request.sweep.param, "lo": request.sweep.lo,
             "hi": request.sweep.hi, "count": request.sweep.count},
         provenance=_PROVENANCE[request.scenario],
-        columns=[], rows=[])
-
-    if request.scenario == "covariant-checks":
-        p = request.params
-        rows, residuals = _covariant_check_rows(p["n"], p["mu_r"],
-                                                p["grid_step"])
-        report.columns = list(rows[0])
-        report.rows = [list(r.values()) for r in rows]
-        report.residuals = residuals
-        return report
-
-    runner = _RUNNERS[request.scenario]
-    if request.sweep is None:
-        points = [None]
-    else:
-        points = np.linspace(request.sweep.lo, request.sweep.hi,
-                             request.sweep.count)
-
-    for value in points:
-        params = dict(request.params)
-        if value is not None:
-            params[request.sweep.param] = float(value)
-        try:
-            row = runner(params, request.tag)
-        except (RegimeError, ValueError) as exc:
-            where = "" if value is None else f"{request.sweep.param}={value:g}: "
-            report.errors.append(f"{where}{exc}")
-            continue
-        if not report.columns:
-            report.columns = list(row)
-        report.rows.append(list(row.values()))
-
-    if request.scenario == "mirror" and report.rows:
-        idx = report.columns.index("max_rel_diff")
-        report.residuals["three_way_max_rel_diff"] = max(
-            r[idx] for r in report.rows)
-    return report
+        columns=columns, rows=rows, residuals=residuals, errors=errors)
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +548,7 @@ def emit(report: ScenarioReport, fmt: str = "table") -> bytes:
             "residuals": report.residuals,
             "errors": report.errors,
         }
-        return (json.dumps(payload, indent=2) + "\n").encode()
+        return (json.dumps(payload, indent=2, allow_nan=False) + "\n").encode()
 
     if fmt == "csv":
         lines = [",".join(report.columns)]
@@ -590,15 +603,10 @@ def check_suite(tol: float = DEFAULT_TOL) -> list[CheckResult]:
         residual=max(pt["max_rel_diff"] for pt in sweep),
         bound=tol))
 
-    sampler = covariant.plane_wave_sampler(n=1.5, mu_r=1.0,
-                                           omega=2.0 * math.pi, E0=1.0)
-    x = np.array([0.123, 0.0, 0.0])
-    res = [np.linalg.norm(covariant.divergence_residual(sampler, x, 0.077, h))
-           for h in (1e-3, 5e-4, 2.5e-4)]
-    ratio_err = max(abs(res[0] / res[1] / 4.0 - 1.0),
-                    abs(res[1] / res[2] / 4.0 - 1.0))
+    _, residuals = _covariant_check_rows(n=1.5, mu_r=1.0, grid_step=1e-3)
     results.append(CheckResult(name="divergence-convergence",
-                               residual=ratio_err, bound=0.2))
+                               residual=residuals["divergence_ratio_err"],
+                               bound=0.2))
 
     rng = np.random.default_rng(7)
     worst = 0.0

@@ -16,19 +16,19 @@ bookkeeping:
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
+from numpy.polynomial.laguerre import laggauss
 
 from .core import (
     SI,
+    FieldPoint,
     Medium,
     MomentumTag,
     PhysicalConstants,
-    PlaneWave,
     RegimeError,
     momentum_density,
     poynting,
@@ -38,6 +38,7 @@ __all__ = [
     "MirrorConfig",
     "MetalFieldSample",
     "MirrorPressure",
+    "MirrorBatch",
     "DragConfig",
     "TorqueConfig",
     "WgmTorque",
@@ -49,6 +50,7 @@ __all__ = [
     "metal_fields",
     "mirror_pressure_lorentz",
     "mirror_pressure_divergence",
+    "mirror_batch",
     "mirror_three_way_sweep",
     "photon_drag_field",
     "bec_recoil",
@@ -70,10 +72,10 @@ __all__ = [
 class MirrorConfig:
     """Normally incident wave in a liquid, reflecting off a metal wall.
 
-    ``conductivity`` is the metal's; the liquid is the lossless ``medium``.
-    The good-conductor approximation needs the wavenumber in the liquid to be
-    small against the metal's attenuation constant alpha = sqrt(mu0 sigma
-    omega / 2); construction rejects k/alpha >= ``guard``.
+    ``conductivity`` is the metal's; the liquid is the lossless, nonmagnetic
+    ``medium``.  The good-conductor approximation needs the wavenumber in the
+    liquid to be small against the metal's attenuation constant alpha =
+    sqrt(mu0 sigma omega / 2); construction rejects k/alpha >= ``guard``.
     """
 
     medium: Medium
@@ -84,6 +86,9 @@ class MirrorConfig:
     constants: PhysicalConstants = SI
 
     def __post_init__(self):
+        if not self.medium.nonmagnetic:
+            raise RegimeError("the mirror routes are derived for a nonmagnetic "
+                              f"liquid; got mu_r={self.medium.mu_r}")
         if self.E0 < 0.0:
             raise ValueError(f"E0 must be >= 0, got {self.E0}")
         if self.omega <= 0.0 or self.conductivity <= 0.0:
@@ -124,16 +129,133 @@ class MirrorPressure:
     phase: float
 
 
+class MirrorBatch(NamedTuple):
+    """The mirror scenario's report columns at m points, as (m,) arrays.
+
+    ``errors[i]`` is None or the ValueError that rejects point i (a
+    RegimeError for the good-conductor guard); the columns hold no
+    meaningful value there.  ``spread`` is the largest three-way
+    disagreement over the accepted points, None when there are none.
+    """
+
+    columns: dict[str, np.ndarray]
+    errors: tuple[ValueError | None, ...]
+    spread: float | None
+
+
+def _laguerre(order: int):
+    s, w = laggauss(order)
+    return s, w * np.exp(s)
+
+
+# Gauss-Laguerre rules for integral_0^inf e^-s f(s) ds with e^s folded into
+# the weights, so they apply to the integrand itself.  The 32-node rule gives
+# the value and its difference from the 16-node rule the error estimate; both
+# share one field evaluation on the joined nodes.
+(_S16, _W16), (_S32, _W32) = _laguerre(16), _laguerre(32)
+_NODES = np.concatenate([_S16, _S32])
+
+
+def _metal_fields(E0, omega, k, alpha, x, constants):
+    envelope = np.exp((-1.0 + 1.0j) * alpha * x)
+    E_y = (k * E0 / alpha) * (1.0 - 1.0j) * envelope
+    H_z = (k * E0 / (constants.mu0 * omega)) \
+        * (2.0 + (1.0j - 1.0) * (k / alpha)) * envelope
+    return E_y, H_z
+
+
+def mirror_batch(n, E0, omega, conductivity, guard=0.2, quadrature_tol=1e-8,
+                 constants: PhysicalConstants = SI) -> MirrorBatch:
+    """Evaluate the three independent pressure routes at every point at once.
+
+    The arguments broadcast against each other and are flattened to m
+    points.  Each route keeps its own physics, so their agreement is a check:
+    1. momentum flux (n/c)(1 + R) S_i with R = 1 - 2 k/alpha;
+    2. Lorentz force (mu0 sigma / 2) Re integral of E_y H_z* over the metal
+       depth, sampled through the skin fields at Gauss-Laguerre nodes after
+       s = 2 alpha x; a point whose two-order error estimate exceeds
+       10 quadrature_tol times the value is rejected;
+    3. momentum transport: c g_x / n with the Minkowski momentum density of
+       the incident plane wave, plus n R S_i / c for the reflected wave.
+    """
+    cst = constants
+    n, E0, omega, sigma, guard, tol = (a.ravel() for a in np.broadcast_arrays(
+        *(np.asarray(v, dtype=float)
+          for v in (n, E0, omega, conductivity, guard, quadrature_tol))))
+    with np.errstate(all="ignore"):  # rejected points may hold anything
+        k = n * omega / cst.c
+        alpha = np.sqrt(cst.mu0 * sigma * omega / 2.0)
+        r = k / alpha
+        R, phase = 1.0 - 2.0 * r, np.arctan(-r)
+        flux = n * E0**2 / (2.0 * cst.mu0 * cst.c)
+
+        a = alpha[:, None]
+        E_y, H_z = _metal_fields(E0[:, None], omega[:, None], k[:, None], a,
+                                 _NODES / (2.0 * a), cst)
+        f = (E_y * H_z.conj()).real
+        low = np.sum(f[:, :_S16.size] * _W16, axis=1)
+        high = np.sum(f[:, _S16.size:] * _W32, axis=1)
+        lorentz = 0.5 * cst.mu0 * sigma / (2.0 * alpha)
+        p2, err = lorentz * high, np.abs(lorentz * (high - low))
+
+        E, H = np.zeros((n.size, 3)), np.zeros((n.size, 3))
+        E[:, 1] = E0  # polarization y, propagation x, t = 0 at the origin
+        H[:, 2] = n * E0 / (cst.mu0 * cst.c)
+        fp = FieldPoint(E=E, D=(cst.eps0 * (n * n))[:, None] * E, H=H,
+                        B=cst.mu0 * H)
+        # peak fields carry twice the time-averaged quadratic quantities
+        g_x = momentum_density(fp, MomentumTag.MINKOWSKI, cst)[:, 0] / 2.0
+        S_i = poynting(fp)[:, 0] / 2.0
+
+        routes = np.stack([pressure_from_reflectance(n, R, flux, cst), p2,
+                           cst.c * g_x / n + n * R * S_i / cst.c])
+        scale = np.abs(routes).max(axis=0)
+        spread = np.divide(np.ptp(routes, axis=0), scale,
+                           out=np.zeros_like(scale), where=scale != 0.0)
+        # points MirrorConfig might reject; it alone decides and words that
+        unsure = ~((n >= 1.0) & (E0 >= 0.0) & (omega > 0.0) & (sigma > 0.0)
+                   & (r < guard)
+                   & np.isfinite([n, E0, omega, sigma]).all(axis=0))
+    errors: list[ValueError | None] = [None] * n.size
+    for i in np.flatnonzero(unsure):
+        try:
+            MirrorConfig(Medium.from_index(float(n[i])), float(E0[i]),
+                         float(omega[i]), float(sigma[i]), float(guard[i]), cst)
+        except ValueError as exc:
+            errors[i] = exc
+    for i in np.flatnonzero((p2 != 0.0) & (err > 10.0 * tol * np.abs(p2))):
+        if errors[i] is None:
+            errors[i] = ValueError(
+                f"quadrature did not reach quadrature_tol = {tol[i]:g}: "
+                f"estimated error {err[i]:.3g} on value {p2[i]:.6g}")
+    ok = [i for i, e in enumerate(errors) if e is None]
+    columns = {"n": n, "sigma_S_per_m": sigma, "omega_rad_per_s": omega,
+               "reflectance": R, "phase_rad": phase,
+               "incident_flux_W_per_m2": flux, "pressure_flux_Pa": routes[0],
+               "pressure_lorentz_Pa": p2, "pressure_divergence_Pa": routes[2],
+               "max_rel_diff": spread}
+    return MirrorBatch(columns, tuple(errors),
+                       float(spread[ok].max()) if ok else None)
+
+
+def _single(cfg: MirrorConfig, quadrature_tol: float = 1e-8) -> dict[str, float]:
+    """The columns of :func:`mirror_batch` at a single configuration."""
+    b = mirror_batch(cfg.medium.n, cfg.E0, cfg.omega, cfg.conductivity,
+                     cfg.guard, quadrature_tol, cfg.constants)
+    if b.errors[0] is not None:
+        raise b.errors[0]
+    return {name: float(v[0]) for name, v in b.columns.items()}
+
+
 def incident_flux(cfg: MirrorConfig) -> float:
     """Time-averaged incident Poynting flux n E0^2 / (2 mu0 c) [W/m^2]."""
-    cst = cfg.constants
-    return cfg.medium.n * cfg.E0**2 / (2.0 * cst.mu0 * cst.c)
+    return _single(cfg)["incident_flux_W_per_m2"]
 
 
 def reflectance(cfg: MirrorConfig) -> tuple[float, float]:
     """Good-conductor (R, delta): R = 1 - 2 k/alpha, tan(delta) = -k/alpha."""
-    r = cfg.k_over_alpha
-    return 1.0 - 2.0 * r, math.atan(-r)
+    point = _single(cfg)
+    return point["reflectance"], point["phase_rad"]
 
 
 def pressure_from_reflectance(n: float, R: float, flux: float,
@@ -148,51 +270,34 @@ def pressure_from_reflectance(n: float, R: float, flux: float,
 
 def mirror_pressure_flux(cfg: MirrorConfig) -> MirrorPressure:
     """Route 1: read the pressure off the momentum-flux tensor component."""
-    R, delta = reflectance(cfg)
-    p = pressure_from_reflectance(cfg.medium.n, R, incident_flux(cfg), cfg.constants)
-    return MirrorPressure(pressure=p, reflectance=R, phase=delta)
+    point = _single(cfg)
+    return MirrorPressure(pressure=point["pressure_flux_Pa"],
+                          reflectance=point["reflectance"],
+                          phase=point["phase_rad"])
 
 
-def metal_fields(cfg: MirrorConfig, x: float) -> MetalFieldSample:
+def metal_fields(cfg: MirrorConfig, x) -> MetalFieldSample:
     """Transmitted fields at depth x >= 0 in the metal, at the t = 0 phase.
 
     Both components decay as exp(-alpha x) while advancing in phase as
-    exp(i alpha x).
+    exp(i alpha x).  ``x`` may be an array of depths.
     """
-    if x < 0.0:
+    if np.any(np.asarray(x) < 0.0):
         raise ValueError(f"depth x must be >= 0, got {x}")
-    cst = cfg.constants
-    k, alpha = cfg.k, cfg.alpha
-    envelope = cmath.exp((-1.0 + 1.0j) * alpha * x)
-    E_y = (k * cfg.E0 / alpha) * (1.0 - 1.0j) * envelope
-    H_z = (k * cfg.E0 / (cst.mu0 * cfg.omega)) \
-        * (2.0 + (1.0j - 1.0) * cfg.k_over_alpha) * envelope
+    E_y, H_z = _metal_fields(cfg.E0, cfg.omega, cfg.k, cfg.alpha, x,
+                             cfg.constants)
     return MetalFieldSample(E_y=E_y, H_z=H_z, x=x)
 
 
 def mirror_pressure_lorentz(cfg: MirrorConfig, quadrature_tol: float = 1e-8) -> float:
     """Route 2: integrate the Lorentz force on the conduction currents.
 
-    (mu0 sigma / 2) Re integral of E_y H_z* over the metal depth, evaluated
-    by adaptive quadrature after substituting u = alpha x so the integrand
-    decays on an O(1) scale.
+    (mu0 sigma / 2) Re integral of E_y H_z* over the metal depth, by
+    fixed-order Gauss-Laguerre quadrature after substituting s = 2 alpha x.
+    Raises ValueError when the two orders differ by more than 10
+    quadrature_tol times the value.
     """
-    cst = cfg.constants
-    alpha = cfg.alpha
-    prefactor = 0.5 * cst.mu0 * cfg.conductivity
-
-    def integrand(u: float) -> float:
-        s = metal_fields(cfg, u / alpha)
-        return prefactor * (s.E_y * s.H_z.conjugate()).real / alpha
-
-    value, abserr = quad(integrand, 0.0, np.inf,
-                         epsabs=0.0, epsrel=quadrature_tol, limit=200)
-    if value != 0.0 and abserr > 10.0 * quadrature_tol * abs(value):
-        raise RegimeError(
-            f"quadrature did not converge: estimated error {abserr:.3g} "
-            f"on value {value:.6g}"
-        )
-    return value
+    return _single(cfg, quadrature_tol)["pressure_lorentz_Pa"]
 
 
 def mirror_pressure_divergence(cfg: MirrorConfig) -> float:
@@ -202,16 +307,7 @@ def mirror_pressure_divergence(cfg: MirrorConfig) -> float:
     normal stress equals c g_x / n with the Minkowski momentum density; the
     reflected wave adds n R S_i / c.
     """
-    wave = PlaneWave(E0=cfg.E0, omega=cfg.omega,
-                     direction=(1.0, 0.0, 0.0), polarization=(0.0, 1.0, 0.0),
-                     medium=cfg.medium, constants=cfg.constants)
-    # peak fields carry twice the time-averaged quadratic quantities
-    g_x = momentum_density(wave.field_at(), MomentumTag.MINKOWSKI,
-                           cfg.constants)[0] / 2.0
-    S_i = poynting(wave.field_at())[0] / 2.0
-    R, _ = reflectance(cfg)
-    cst = cfg.constants
-    return cst.c * g_x / cfg.medium.n + cfg.medium.n * R * S_i / cst.c
+    return _single(cfg)["pressure_divergence_Pa"]
 
 
 def mirror_three_way_sweep(n_values, sigma_values, omega_values,
@@ -220,30 +316,24 @@ def mirror_three_way_sweep(n_values, sigma_values, omega_values,
                            constants: PhysicalConstants = SI):
     """Evaluate all three pressure routes over a parameter grid.
 
-    Grid points outside the good-conductor regime are skipped.  Returns a
-    list of dicts with the three pressures and their maximum pairwise
-    relative disagreement.
+    Grid points outside the good-conductor regime are skipped; any other
+    rejection is raised.  Returns a list of dicts with the three pressures
+    and their maximum pairwise relative disagreement.
     """
+    n, sigma, omega = np.meshgrid(n_values, sigma_values, omega_values,
+                                  indexing="ij")
+    b = mirror_batch(n, E0, omega, sigma, guard, quadrature_tol, constants)
+    names = {"n": "n", "sigma": "sigma_S_per_m", "omega": "omega_rad_per_s",
+             "pressure_flux": "pressure_flux_Pa",
+             "pressure_lorentz": "pressure_lorentz_Pa",
+             "pressure_divergence": "pressure_divergence_Pa",
+             "max_rel_diff": "max_rel_diff"}
     out = []
-    for n in n_values:
-        for sigma in sigma_values:
-            for omega in omega_values:
-                try:
-                    cfg = MirrorConfig(medium=Medium.from_index(float(n)),
-                                       E0=E0, omega=float(omega),
-                                       conductivity=float(sigma),
-                                       guard=guard, constants=constants)
-                except RegimeError:
-                    continue
-                p1 = mirror_pressure_flux(cfg).pressure
-                p2 = mirror_pressure_lorentz(cfg, quadrature_tol)
-                p3 = mirror_pressure_divergence(cfg)
-                scale = max(abs(p1), abs(p2), abs(p3))
-                spread = (max(p1, p2, p3) - min(p1, p2, p3)) / scale
-                out.append({"n": float(n), "sigma": float(sigma),
-                            "omega": float(omega), "pressure_flux": p1,
-                            "pressure_lorentz": p2, "pressure_divergence": p3,
-                            "max_rel_diff": spread})
+    for i, exc in enumerate(b.errors):
+        if exc is None:
+            out.append({k: float(b.columns[c][i]) for k, c in names.items()})
+        elif not isinstance(exc, RegimeError):
+            raise exc
     return out
 
 

@@ -115,6 +115,22 @@ def test_momentum_ratio_is_n_squared():
     np.testing.assert_allclose(g_m, 2.25 * g_a, rtol=1e-12)
 
 
+def test_stacked_field_points_match_one_by_one():
+    rng = np.random.default_rng(3)
+    medium = Medium.from_index(1.4)
+    E, H = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
+    stack = FieldPoint.from_EH(medium, E, H)
+    assert stack.D.shape == (5, 3) and not stack.B.flags.writeable
+    for i in range(5):
+        fp = FieldPoint.from_EH(medium, E[i], H[i])
+        np.testing.assert_array_equal(poynting(stack)[i], poynting(fp))
+        for tag in MomentumTag:
+            np.testing.assert_array_equal(momentum_density(stack, tag)[i],
+                                          momentum_density(fp, tag))
+    with pytest.raises(ValueError):
+        FieldPoint.from_EH(medium, np.zeros((2, 2)), np.zeros((2, 2)))
+
+
 def test_abraham_momentum_hand_value():
     # E = x_hat V/m, H = y_hat A/m in vacuum: g_A = z_hat / c^2
     fp = FieldPoint.from_EH(VACUUM, [1, 0, 0], [0, 1, 0])

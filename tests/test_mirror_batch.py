@@ -1,0 +1,191 @@
+"""Differential tests of the batched immersed-mirror evaluator.
+
+The reference for the Lorentz route is the adaptive-quadrature integral the
+scenario used before it moved to fixed-order Gauss-Laguerre, with its own
+copy of the metal-skin field formulas.
+"""
+
+import cmath
+import math
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+from scipy.integrate import quad
+
+from abmink import SI, Medium, RegimeError
+from abmink.runner import parse_config, run
+from abmink.scenarios import (
+    MirrorConfig,
+    incident_flux,
+    mirror_batch,
+    mirror_pressure_divergence,
+    mirror_pressure_flux,
+    mirror_pressure_lorentz,
+    mirror_three_way_sweep,
+    reflectance,
+)
+
+
+def lorentz_oracle(n, E0, omega, sigma, tol=1e-10):
+    """(mu0 sigma / 2) Re int_0^inf E_y H_z* dx by scipy's adaptive quad."""
+    k = n * omega / SI.c
+    alpha = math.sqrt(SI.mu0 * sigma * omega / 2.0)
+    prefactor = 0.5 * SI.mu0 * sigma
+
+    def integrand(u):
+        envelope = cmath.exp((-1.0 + 1.0j) * alpha * (u / alpha))
+        E_y = (k * E0 / alpha) * (1.0 - 1.0j) * envelope
+        H_z = (k * E0 / (SI.mu0 * omega)) \
+            * (2.0 + (1.0j - 1.0) * (k / alpha)) * envelope
+        return prefactor * (E_y * H_z.conjugate()).real / alpha
+
+    value, _ = quad(integrand, 0.0, np.inf, epsabs=0.0, epsrel=tol, limit=200)
+    return value
+
+
+def sigma_for_ratio(n, omega, k_over_alpha):
+    alpha = n * omega / SI.c / k_over_alpha
+    return 2.0 * alpha**2 / (SI.mu0 * omega)
+
+
+def test_lorentz_route_matches_quad_oracle():
+    rng = np.random.default_rng(20261017)
+    m = 60
+    n = rng.uniform(1.0, 2.5, m)
+    omega = rng.uniform(1e15, 5e15, m)
+    ratio = rng.uniform(1e-3, 0.2, m)
+    ratio[:10] = 0.2 * (1.0 - 10.0 ** -rng.uniform(3.0, 12.0, 10))  # near the guard
+    E0 = 10.0 ** rng.uniform(0.0, 5.0, m)
+    E0[-1] = 0.0
+    sigma = sigma_for_ratio(n, omega, ratio)
+    batch = mirror_batch(n, E0, omega, sigma)
+    assert batch.errors == (None,) * m
+    got = batch.columns["pressure_lorentz_Pa"]
+    for i in range(m - 1):
+        want = lorentz_oracle(n[i], E0[i], omega[i], sigma[i])
+        assert abs(got[i] - want) <= 1e-13 * abs(want)
+    assert got[-1] == 0.0
+    assert lorentz_oracle(n[-1], 0.0, omega[-1], sigma[-1]) == 0.0
+
+
+def test_zero_amplitude_point_reports_zero_pressures():
+    # all three routes are exactly zero, so they agree with zero spread
+    report = run(parse_config("scenario = mirror\nn = 1.33\nE0_V_per_m = 0\n"
+                              "omega_rad_per_s = 3e15\nsigma_S_per_m = 5e7\n"))
+    assert report.errors == []
+    row = dict(zip(report.columns, report.rows[0]))
+    for col in ("pressure_flux_Pa", "pressure_lorentz_Pa",
+                "pressure_divergence_Pa", "max_rel_diff"):
+        assert row[col] == 0.0
+    assert report.residuals == {"three_way_max_rel_diff": 0.0}
+
+
+@pytest.mark.parametrize("sweep", [
+    "n:[1.0, 2.4, 29]",
+    "sigma_S_per_m:[1.0e5, 1.0e8, 31]",
+    "omega_rad_per_s:[1.0e15, 9.0e15, 17]",
+])
+def test_sweep_rows_equal_scalar_api(sweep):
+    text = ("scenario = mirror\nn = 1.33\nE0_V_per_m = 2.5e3\n"
+            "omega_rad_per_s = 3.0e15\nsigma_S_per_m = 5.0e7\n"
+            "quadrature_tol = 1e-9\n" f"sweep = {sweep}\n")
+    report = run(parse_config(text))
+    assert report.rows
+    for values in report.rows:
+        row = dict(zip(report.columns, values))
+        cfg = MirrorConfig(Medium.from_index(row["n"]), E0=2.5e3,
+                           omega=row["omega_rad_per_s"],
+                           conductivity=row["sigma_S_per_m"])
+        flux = mirror_pressure_flux(cfg)
+        assert (row["reflectance"], row["phase_rad"]) == reflectance(cfg)
+        assert row["incident_flux_W_per_m2"] == incident_flux(cfg)
+        assert row["pressure_flux_Pa"] == flux.pressure
+        assert row["pressure_lorentz_Pa"] == mirror_pressure_lorentz(cfg, 1e-9)
+        assert row["pressure_divergence_Pa"] == mirror_pressure_divergence(cfg)
+
+
+@pytest.mark.parametrize("base, sweep", [
+    ("", "sigma_S_per_m:[1.0e5, 1.0e8, 12]"),
+    ("", "n:[0.5, 3.0, 11]"),
+    ("", "guard_k_over_alpha:[0.01, 0.3, 9]"),
+    ("E0_V_per_m = -1\n", "n:[1.0, 1.6, 4]"),
+])
+def test_sweep_errors_keep_the_per_point_form(base, sweep):
+    params = {"n": 1.33, "E0_V_per_m": 1.0e3, "omega_rad_per_s": 3.0e15,
+              "sigma_S_per_m": 5.0e7, "guard_k_over_alpha": 0.2}
+    text = "scenario = mirror\n" + "".join(
+        f"{k} = {v!r}\n" for k, v in params.items()
+        if not base.startswith(k)) + base + f"sweep = {sweep}\n"
+    request = parse_config(text)
+    p, s = request.params, request.sweep
+    expected = []
+    for value in np.linspace(s.lo, s.hi, s.count):
+        point = {**p, s.param: float(value)}
+        try:
+            MirrorConfig(Medium.from_index(point["n"]), point["E0_V_per_m"],
+                         point["omega_rad_per_s"], point["sigma_S_per_m"],
+                         point["guard_k_over_alpha"])
+        except ValueError as exc:
+            expected.append(f"{s.param}={value:g}: {exc}")
+    report = run(request)
+    assert expected
+    assert report.errors == expected
+    assert len(report.rows) + len(report.errors) == s.count
+
+
+@pytest.mark.parametrize("n, E0, omega, sigma, guard", [
+    (1.0 - 2.0**-53, 1e3, 3e15, 5e7, 0.2),
+    (1.0, 1e3, 3e15, 5e7, 0.2),
+    (0.0, 1e3, 3e15, 5e7, 0.2),
+    (-1.5, 1e3, 3e15, 5e7, 0.2),
+    (1.33, -1e-300, 3e15, 5e7, 0.2),
+    (1.33, 0.0, 3e15, 5e7, 0.2),
+    (1.33, 1e3, 0.0, 5e7, 0.2),
+    (1.33, 1e3, 3e15, -5e7, 0.2),
+    (1.33, 1e3, 3e15, 1e5, 0.2),
+    (1.33, 1e3, 3e15, 5e7, 0.0),
+    (1e200, 1e3, 3e15, 5e7, 0.2),
+    (math.nan, 1e3, 3e15, 5e7, 0.2),
+    (1.33, math.inf, 3e15, 5e7, 0.2),
+])
+def test_batch_rejects_exactly_what_the_config_rejects(n, E0, omega, sigma, guard):
+    try:
+        MirrorConfig(Medium.from_index(n), E0, omega, sigma, guard)
+        want = None
+    except ValueError as exc:
+        want = (type(exc), str(exc))
+    got = mirror_batch(n, E0, omega, sigma, guard).errors[0]
+    assert (None if got is None else (type(got), str(got))) == want
+
+
+def test_unreachable_tolerance_is_a_point_error():
+    n = np.linspace(1.0, 1.6, 13)
+    batch = mirror_batch(n, 1e3, 3e15, 5e7, quadrature_tol=1e-300)
+    failed = [i for i, e in enumerate(batch.errors) if e is not None]
+    assert failed
+    assert all("quadrature_tol" in str(batch.errors[i]) for i in failed)
+    cfg = MirrorConfig(Medium.from_index(n[failed[0]]), 1e3, 3e15, 5e7)
+    with pytest.raises(ValueError, match="quadrature_tol"):
+        mirror_pressure_lorentz(cfg, quadrature_tol=1e-300)
+
+
+def test_three_way_sweep_raises_rejections_other_than_the_guard():
+    with pytest.raises(ValueError, match="eps_r") as err:
+        mirror_three_way_sweep(n_values=[0.5], sigma_values=[1e8],
+                               omega_values=[3e15])
+    assert not isinstance(err.value, RegimeError)
+
+
+def test_magnetic_liquid_is_rejected():
+    with pytest.raises(RegimeError, match="nonmagnetic"):
+        MirrorConfig(Medium.from_index(1.5, mu_r=1.2), 1e3, 3e15, 5e7)
+
+
+def test_import_loads_no_scipy():
+    code = ("import sys, abmink; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "[]"

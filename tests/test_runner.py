@@ -1,11 +1,14 @@
 """Tests for config parsing, scenario dispatch and report emission."""
 
 import json
+import math
+import warnings
 
 import pytest
 
 from abmink import MomentumTag
 from abmink.runner import (
+    MAX_SWEEP_COUNT,
     SCENARIO_NAMES,
     ConfigError,
     check_suite,
@@ -75,10 +78,29 @@ def test_parse_tag():
     (WGM_CFG + "P0_W = 5\n", "duplicate"),
     ("scenario = covariant-checks\nsweep = n:[1.0,1.6,5]\n",
      "does not support sweeps"),
+    (MIRROR_CFG.replace("n = 1.33", "n = nan"), "'n' must be finite"),
+    ("scenario = interface\nE_t_V_per_m = inf\nn_from = 1\nn_to = 1.33\n",
+     "'E_t_V_per_m' must be finite"),
+    (MIRROR_CFG + "sweep = n:[1, nan, 5]\n", "'sweep hi' must be finite"),
+    (MIRROR_CFG + "sweep = n:[-inf, 1, 5]\n", "'sweep lo' must be finite"),
+    (MIRROR_CFG + "quadrature_tol = 0\n", "'quadrature_tol' must be > 0"),
+    (MIRROR_CFG + "quadrature_tol = -1e-8\n", "'quadrature_tol' must be > 0"),
+    (MIRROR_CFG + "guard_k_over_alpha = 0\n", "'guard_k_over_alpha' must be > 0"),
+    (MIRROR_CFG + "guard_k_over_alpha = inf\n", "'guard_k_over_alpha' must be finite"),
+    (MIRROR_CFG + "sweep = guard_k_over_alpha:[-0.1, 0.2, 4]\n",
+     "'guard_k_over_alpha' must be > 0"),
+    (MIRROR_CFG + "sweep = n:[1,2,2.7]\n", "sweep count"),
+    (MIRROR_CFG + "sweep = n:[1,2,1e3]\n", "sweep count"),
+    (MIRROR_CFG + "sweep = n:[1,2,100001]\n", "sweep count"),
 ])
 def test_parse_errors_name_the_offender(snippet, needle):
     with pytest.raises(ConfigError, match=needle):
         parse_config(snippet)
+
+
+def test_parse_sweep_count_up_to_the_bound():
+    req = parse_config(MIRROR_CFG + f"sweep = n:[1, 2, {MAX_SWEEP_COUNT}]\n")
+    assert req.sweep.count == MAX_SWEEP_COUNT
 
 
 def test_parse_missing_P0_names_the_key():
@@ -173,6 +195,18 @@ def test_run_sweep_collects_valid_points_and_errors():
     assert len(report.errors) >= 1
 
 
+def test_run_unreachable_quadrature_tol_names_the_key(capfd):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run(parse_config(MIRROR_CFG + "quadrature_tol = 1e-300\n"
+                                  + "sweep = n:[1.0, 1.6, 13]\n"))
+    assert report.errors
+    assert all(e.startswith("n=") and "quadrature_tol" in e
+               for e in report.errors)
+    assert len(report.rows) + len(report.errors) == 13
+    assert capfd.readouterr().err == ""
+
+
 def test_run_covariant_checks():
     report = run(parse_config("scenario = covariant-checks\n"))
     rows = {row[0]: row[1] for row in report.rows}
@@ -222,6 +256,13 @@ def test_emit_json_mirrors_report_fields():
     assert payload["scenario"] == "wgm"
     assert payload["sweep"] is None
     assert payload["rows"] == report.rows
+
+
+def test_emit_json_refuses_non_finite_values():
+    report = run(parse_config(MIRROR_CFG))
+    report.rows[0][-1] = math.nan
+    with pytest.raises(ValueError):
+        emit(report, "json")
 
 
 def test_emit_json_echoes_sweep():
