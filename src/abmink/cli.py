@@ -6,7 +6,8 @@
 
 ``check`` runs the built-in cross-check suite and exits nonzero if any
 residual exceeds its bound; the relative tolerance defaults to 1e-6 and can
-be overridden with --tol or the ABMINK_TOL environment variable.
+be overridden with --tol or the ABMINK_TOL environment variable.  It must be
+a finite number > 0; any other value exits with status 2.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .runner import (
     check_suite,
     emit,
     parse_config,
+    parse_tolerance,
     run,
 )
 
@@ -60,9 +62,15 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    tol = args.tol
-    if tol is None:
-        tol = float(os.environ.get("ABMINK_TOL", DEFAULT_TOL))
+    if args.tol is not None:
+        source, raw = "--tol", args.tol
+    else:
+        source, raw = "ABMINK_TOL", os.environ.get("ABMINK_TOL", DEFAULT_TOL)
+    try:
+        tol = parse_tolerance(raw)
+    except ValueError as exc:
+        print(f"error: {source}: {exc}", file=sys.stderr)
+        return 2
     results = check_suite(tol)
     ok = True
     for res in results:

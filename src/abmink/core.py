@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 _REL_TOL = 1e-12
+_ndarray = np.ndarray  # one global lookup on the scalar Medium path
 
 
 class RegimeError(ValueError):
@@ -63,6 +64,11 @@ def _vec3(x) -> np.ndarray:
         v = v.reshape(3)
     v.flags.writeable = False
     return v
+
+
+def _per_row(x):
+    """A scalar as is; an (m,) array as (m, 1), scaling the rows of an (m, 3) stack."""
+    return x[..., None] if isinstance(x, _ndarray) else x
 
 
 @dataclass(frozen=True)
@@ -97,35 +103,61 @@ class Medium:
     ``mu_r`` is the relative magnetic permeability; ``viscosity`` is the
     dynamic viscosity of a fluid medium (a different physical mu, kept as a
     separate field to avoid the symbol clash).
+
+    ``eps_r`` and ``n`` may also be (m,) arrays describing m media that
+    share the other fields; each row is validated as a scalar Medium would
+    be, and the first rejected row raises that Medium's error.
     """
 
-    eps_r: float
+    eps_r: float | np.ndarray
     mu_r: float = 1.0
-    n: float = 0.0  # filled from sqrt(eps_r * mu_r) when left at 0
+    n: float | np.ndarray = 0.0  # filled from sqrt(eps_r * mu_r) when left at 0
     conductivity: float = 0.0
     viscosity: float | None = None
 
     def __post_init__(self):
-        if self.n == 0.0:
-            object.__setattr__(self, "n", math.sqrt(self.eps_r * self.mu_r))
-        if self.eps_r < 1.0:
-            raise ValueError(f"eps_r must be >= 1, got {self.eps_r}")
+        # the scalar path stays free of numpy calls: scenarios build a
+        # scalar Medium per point
+        if isinstance(self.eps_r, _ndarray) or isinstance(self.n, _ndarray):
+            eps_r, n, expect = self._stack_row_to_check()
+        else:
+            if self.n == 0.0:
+                object.__setattr__(self, "n", math.sqrt(self.eps_r * self.mu_r))
+            eps_r, n = self.eps_r, self.n
+            expect = math.sqrt(eps_r * self.mu_r)
+        if eps_r < 1.0:
+            raise ValueError(f"eps_r must be >= 1, got {eps_r}")
         if self.mu_r <= 0.0:
             raise ValueError(f"mu_r must be > 0, got {self.mu_r}")
         if self.conductivity < 0.0:
             raise ValueError(f"conductivity must be >= 0, got {self.conductivity}")
         if self.viscosity is not None and self.viscosity <= 0.0:
             raise ValueError(f"viscosity must be > 0, got {self.viscosity}")
-        expect = math.sqrt(self.eps_r * self.mu_r)
-        if abs(self.n - expect) > _REL_TOL * expect:
+        if abs(n - expect) > _REL_TOL * expect:
             raise ValueError(
-                f"n={self.n} inconsistent with sqrt(eps_r*mu_r)={expect}"
+                f"n={n} inconsistent with sqrt(eps_r*mu_r)={expect}"
             )
+
+    def _stack_row_to_check(self) -> tuple[float, float, float]:
+        """Freeze eps_r and n as read-only arrays and return (eps_r, n,
+        sqrt(eps_r mu_r)) at the first row the scalar rules reject, or at
+        row 0 when every row passes."""
+        eps_r = np.array(self.eps_r, dtype=float)
+        n = (np.sqrt(eps_r * self.mu_r)
+             if not isinstance(self.n, _ndarray) and self.n == 0.0
+             else np.array(self.n, dtype=float))
+        eps_r, n = np.broadcast_arrays(eps_r, n)
+        eps_r.flags.writeable = n.flags.writeable = False
+        object.__setattr__(self, "eps_r", eps_r)
+        object.__setattr__(self, "n", n)
+        expect = np.sqrt(eps_r * self.mu_r)
+        i = int(np.argmax((eps_r < 1.0) | (np.abs(n - expect) > _REL_TOL * expect)))
+        return float(eps_r.flat[i]), float(n.flat[i]), float(expect.flat[i])
 
     @classmethod
     def from_index(cls, n: float, mu_r: float = 1.0, **kw) -> "Medium":
         """Medium of refractive index n, nonmagnetic unless mu_r is given."""
-        return cls(eps_r=n * n / mu_r, mu_r=mu_r, n=n, **kw)
+        return cls(n * n / mu_r, mu_r, n, **kw)
 
     @property
     def nonmagnetic(self) -> bool:
@@ -157,10 +189,14 @@ class FieldPoint:
 
     @classmethod
     def from_EH(cls, medium: Medium, E, H, constants: PhysicalConstants = SI) -> "FieldPoint":
-        """Build D and B from E and H through the linear constitutive relations."""
+        """Build D and B from E and H through the linear constitutive relations.
+
+        With (m, 3) stacks of E and H the medium may hold (m,) arrays, one
+        row per point.
+        """
         E = _vec3(E)
         H = _vec3(H)
-        return cls(E=E, D=constants.eps0 * medium.eps_r * E,
+        return cls(E=E, D=_per_row(constants.eps0 * medium.eps_r) * E,
                    H=H, B=constants.mu0 * medium.mu_r * H)
 
     @classmethod
@@ -292,7 +328,11 @@ def mechanical_momentum_density(medium: Medium, fp: FieldPoint,
     see.
     """
     _require_nonmagnetic(medium, "the accompanying mechanical momentum")
-    return (medium.n**2 - 1.0) / constants.c**2 * np.cross(fp.E, fp.H)
+    # float_power is the C pow behind a Python float's ** 2, so a stacked row
+    # equals the scalar call; numpy's ** 2 multiplies, which rounds n^2 to
+    # the other neighbour now and then
+    n2 = np.float_power(medium.n, 2)
+    return _per_row((n2 - 1.0) / constants.c**2) * np.cross(fp.E, fp.H)
 
 
 def time_average(samples, period: float):

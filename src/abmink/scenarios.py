@@ -133,9 +133,10 @@ class MirrorBatch(NamedTuple):
     """The mirror scenario's report columns at m points, as (m,) arrays.
 
     ``errors[i]`` is None or the ValueError that rejects point i (a
-    RegimeError for the good-conductor guard); the columns hold no
-    meaningful value there.  ``spread`` is the largest three-way
-    disagreement over the accepted points, None when there are none.
+    RegimeError for the good-conductor guard, or a non-finite result); the
+    columns hold no meaningful value there.  ``spread`` is the largest
+    three-way disagreement over the accepted points, None when there are
+    none.
     """
 
     columns: dict[str, np.ndarray]
@@ -154,6 +155,11 @@ def _laguerre(order: int):
 # share one field evaluation on the joined nodes.
 (_S16, _W16), (_S32, _W32) = _laguerre(16), _laguerre(32)
 _NODES = np.concatenate([_S16, _S32])
+
+# Points per block of the Lorentz route, whose complex field samples take
+# 16 bytes per node and point: a block bounds them to a few MB whatever the
+# sweep size.
+_BLOCK = 4096
 
 
 def _metal_fields(E0, omega, k, alpha, x, constants):
@@ -189,12 +195,15 @@ def mirror_batch(n, E0, omega, conductivity, guard=0.2, quadrature_tol=1e-8,
         R, phase = 1.0 - 2.0 * r, np.arctan(-r)
         flux = n * E0**2 / (2.0 * cst.mu0 * cst.c)
 
-        a = alpha[:, None]
-        E_y, H_z = _metal_fields(E0[:, None], omega[:, None], k[:, None], a,
-                                 _NODES / (2.0 * a), cst)
-        f = (E_y * H_z.conj()).real
-        low = np.sum(f[:, :_S16.size] * _W16, axis=1)
-        high = np.sum(f[:, _S16.size:] * _W32, axis=1)
+        low, high = np.empty(n.size), np.empty(n.size)
+        for b in range(0, n.size, _BLOCK):
+            i = slice(b, b + _BLOCK)
+            a = alpha[i, None]
+            E_y, H_z = _metal_fields(E0[i, None], omega[i, None], k[i, None],
+                                     a, _NODES / (2.0 * a), cst)
+            f = (E_y * H_z.conj()).real
+            low[i] = np.sum(f[:, :_S16.size] * _W16, axis=1)
+            high[i] = np.sum(f[:, _S16.size:] * _W32, axis=1)
         lorentz = 0.5 * cst.mu0 * sigma / (2.0 * alpha)
         p2, err = lorentz * high, np.abs(lorentz * (high - low))
 
@@ -228,12 +237,19 @@ def mirror_batch(n, E0, omega, conductivity, guard=0.2, quadrature_tol=1e-8,
             errors[i] = ValueError(
                 f"quadrature did not reach quadrature_tol = {tol[i]:g}: "
                 f"estimated error {err[i]:.3g} on value {p2[i]:.6g}")
-    ok = [i for i, e in enumerate(errors) if e is None]
     columns = {"n": n, "sigma_S_per_m": sigma, "omega_rad_per_s": omega,
                "reflectance": R, "phase_rad": phase,
                "incident_flux_W_per_m2": flux, "pressure_flux_Pa": routes[0],
                "pressure_lorentz_Pa": p2, "pressure_divergence_Pa": routes[2],
                "max_rel_diff": spread}
+    # finite inputs can still overflow (E0^2 beyond the double range)
+    finite = np.isfinite(np.stack(list(columns.values())))
+    for i in np.flatnonzero(~finite.all(axis=0)):
+        if errors[i] is None:
+            name = list(columns)[np.argmin(finite[:, i])]
+            errors[i] = ValueError(f"result '{name}' is not finite: "
+                                   f"{float(columns[name][i])}")
+    ok = [i for i, e in enumerate(errors) if e is None]
     return MirrorBatch(columns, tuple(errors),
                        float(spread[ok].max()) if ok else None)
 

@@ -86,3 +86,48 @@ def test_check_respects_tolerance_env(tmp_path):
     proc = run_cli("check", env=env)
     assert proc.returncode == 1
     assert "FAIL" in proc.stdout.decode()
+
+
+@pytest.mark.parametrize("text", [
+    MIRROR_CFG.replace("E0_V_per_m = 1.0e3", "E0_V_per_m = 1e200"),
+    "scenario = interface\nE_t_V_per_m = 1e200\nn_from = 1\nn_to = 1.33\n",
+])
+def test_overflowing_point_exits_one_with_valid_output(tmp_path, text):
+    path = tmp_path / "overflow.cfg"
+    path.write_text(text)
+    for fmt in ("csv", "json", "table"):
+        proc = run_cli("run", str(path), "--format", fmt)
+        assert proc.returncode == 1, proc.stderr
+        err = proc.stderr.decode()
+        assert "Traceback" not in err and err.startswith("error: ")
+        message = err[len("error: "):].strip()
+        out = proc.stdout.decode()
+        if fmt == "json":  # strict: NaN or Infinity would fail to parse
+            payload = json.loads(out, parse_constant=pytest.fail)
+            assert payload["rows"] == [] and payload["errors"] == [message]
+        elif fmt == "csv":
+            assert out == "\n"
+        else:
+            assert out.endswith(f"# error: {message}\n")
+
+
+@pytest.mark.parametrize("args, env_tol, source", [
+    (["--tol", "nan"], None, "--tol"),
+    (["--tol", "-1"], None, "--tol"),
+    (["--tol", "0"], None, "--tol"),
+    (["--tol", "inf"], None, "--tol"),
+    ([], "abc", "ABMINK_TOL"),
+    ([], "nan", "ABMINK_TOL"),
+    ([], "-1e-6", "ABMINK_TOL"),
+])
+def test_check_rejects_a_bad_tolerance_naming_its_source(args, env_tol, source):
+    import os
+    env = dict(os.environ)
+    env.pop("ABMINK_TOL", None)
+    if env_tol is not None:
+        env["ABMINK_TOL"] = env_tol
+    proc = run_cli("check", *args, env=env)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    err = proc.stderr.decode()
+    assert err.startswith(f"error: {source}: ") and "Traceback" not in err

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from abmink import SI, Medium, RegimeError
+from abmink import SI, Medium, RegimeError, scenarios
 from abmink.runner import parse_config, run
 from abmink.scenarios import (
     MirrorConfig,
@@ -108,7 +108,7 @@ def test_sweep_rows_equal_scalar_api(sweep):
 
 @pytest.mark.parametrize("base, sweep", [
     ("", "sigma_S_per_m:[1.0e5, 1.0e8, 12]"),
-    ("", "n:[0.5, 3.0, 11]"),
+    ("", "n:[1.0, 8.0, 11]"),
     ("", "guard_k_over_alpha:[0.01, 0.3, 9]"),
     ("E0_V_per_m = -1\n", "n:[1.0, 1.6, 4]"),
 ])
@@ -135,6 +135,23 @@ def test_sweep_errors_keep_the_per_point_form(base, sweep):
     assert len(report.rows) + len(report.errors) == s.count
 
 
+def test_sweep_over_several_blocks_matches_per_point_batches():
+    count = scenarios._BLOCK + 37  # one full Lorentz-route block and a part
+    report = run(parse_config(
+        "scenario = mirror\nE0_V_per_m = 2.5e3\nomega_rad_per_s = 3e15\n"
+        f"sigma_S_per_m = 5e7\nsweep = n:[8.0, 1.0, {count}]\n"))
+    rows, errors = [], []  # in regime from n = 6.1 down, so across the seam
+    for value in np.linspace(8.0, 1.0, count):
+        b = mirror_batch(float(value), 2.5e3, 3e15, 5e7)
+        if b.errors[0] is None:
+            rows.append([float(c[0]) for c in b.columns.values()])
+        else:
+            errors.append(f"n={value:g}: {b.errors[0]}")
+    assert errors and rows
+    assert report.rows == rows
+    assert report.errors == errors
+
+
 @pytest.mark.parametrize("n, E0, omega, sigma, guard", [
     (1.0 - 2.0**-53, 1e3, 3e15, 5e7, 0.2),
     (1.0, 1e3, 3e15, 5e7, 0.2),
@@ -156,8 +173,13 @@ def test_batch_rejects_exactly_what_the_config_rejects(n, E0, omega, sigma, guar
         want = None
     except ValueError as exc:
         want = (type(exc), str(exc))
-    got = mirror_batch(n, E0, omega, sigma, guard).errors[0]
-    assert (None if got is None else (type(got), str(got))) == want
+    batch = mirror_batch(n, E0, omega, sigma, guard)
+    got = batch.errors[0]
+    if want is None and not all(math.isfinite(c[0]) for c in batch.columns.values()):
+        # beyond the config's rules the batch rejects only non-finite results
+        assert type(got) is ValueError and "is not finite" in str(got)
+    else:
+        assert (None if got is None else (type(got), str(got))) == want
 
 
 def test_unreachable_tolerance_is_a_point_error():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import warnings
 
 import pytest
@@ -31,6 +32,17 @@ scenario = wgm
 a_m = 100e-6
 P0_W = 100
 omega0_rad_per_s = 1000
+"""
+
+SPHERE_CFG = """
+scenario = sphere-kick
+M_kg = 1.0e-10
+a_m = 25e-6
+deltaG_kg_m_per_s = 8.1e-12
+pulse_energy_J = 5.9e-6
+n = 1.33
+viscosity_Pa_s = 1.0e-3
+L0_m = 300e-6
 """
 
 
@@ -92,6 +104,18 @@ def test_parse_tag():
     (MIRROR_CFG + "sweep = n:[1,2,2.7]\n", "sweep count"),
     (MIRROR_CFG + "sweep = n:[1,2,1e3]\n", "sweep count"),
     (MIRROR_CFG + "sweep = n:[1,2,100001]\n", "sweep count"),
+    ("scenario = fiber\npulse_energy_J = 1e-3\nn = 0.5\n", "'n' must be >= 1"),
+    ("scenario = bec\nn = -2\nomega_rad_per_s = 3e15\n", "'n' must be >= 1"),
+    ("scenario = interface\nE_t_V_per_m = 1\nn_from = 0.9\nn_to = 1.3\n",
+     "'n_from' must be >= 1"),
+    ("scenario = interface\nE_t_V_per_m = 1\nn_from = 1\nn_to = 0\n",
+     "'n_to' must be >= 1"),
+    (SPHERE_CFG + "n0 = 0.99\n", "'n0' must be >= 1"),
+    (MIRROR_CFG + "sweep = n:[0.5, 3.0, 11]\n", "'n' must be >= 1, got 0.5"),
+    ("scenario = fiber\npulse_energy_J = 1e-3\nsweep = n:[1.5, 0.8, 4]\n",
+     "'n' must be >= 1, got 0.8"),
+    ("scenario = wgm\na_m = 1e-4\nP0_W = 1\nomega0_rad_per_s = 1e3\nn = 0.7\n",
+     "'n' must be >= 1"),
 ])
 def test_parse_errors_name_the_offender(snippet, needle):
     with pytest.raises(ConfigError, match=needle):
@@ -205,6 +229,51 @@ def test_run_unreachable_quadrature_tol_names_the_key(capfd):
                for e in report.errors)
     assert len(report.rows) + len(report.errors) == 13
     assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("text, needle", [
+    (MIRROR_CFG.replace("E0_V_per_m = 1.0e3", "E0_V_per_m = 1e200"),
+     "result 'incident_flux_W_per_m2' is not finite: inf"),
+    ("scenario = interface\nE_t_V_per_m = 1e200\nn_from = 1\nn_to = 1.33\n",
+     "numerical overflow"),
+    ("scenario = drag\nintensity_W_per_m2 = 1e300\nsigma_a_m2 = 1e10\n"
+     "omega_rad_per_s = 1e13\nn = 1.5\n",
+     "result 'field_minkowski_V_per_m' is not finite: inf"),
+])
+def test_run_non_finite_point_is_an_error_and_output_stays_valid(text, needle):
+    report = run(parse_config(text))
+    assert report.rows == [] and len(report.errors) == 1
+    assert needle in report.errors[0]
+    assert json.loads(emit(report, "json"))["errors"] == report.errors
+    assert emit(report, "csv") == b"\n"
+    assert f"# error: {report.errors[0]}" in emit(report, "table").decode()
+
+
+def test_finite_row_whose_sum_overflows_is_kept():
+    report = run(parse_config(
+        "scenario = drag\nintensity_W_per_m2 = 1e308\nsigma_a_m2 = 1e-300\n"
+        "omega_rad_per_s = 1e308\nn = 1.5\n"))
+    assert report.errors == [] and len(report.rows) == 1
+    assert math.isinf(sum(report.rows[0]))
+
+
+@pytest.mark.parametrize("text, finite", [
+    (MIRROR_CFG + "sweep = E0_V_per_m:[1e3, 2e154, 5]\n", 3),
+    ("scenario = interface\nn_from = 1\nn_to = 1.33\n"
+     "sweep = E_t_V_per_m:[1e150, 1e160, 5]\n", 1),
+])
+def test_sweep_into_overflow_keeps_its_finite_rows(text, finite):
+    report = run(parse_config(text))
+    assert len(report.rows) == finite
+    assert len(report.errors) == 5 - finite
+    assert all(re.match(r"\w+=[0-9.e+]+: ", e) for e in report.errors)
+    assert all(math.isfinite(v) for row in report.rows for v in row)
+    residual = report.residuals.get("three_way_max_rel_diff", 0.0)
+    assert math.isfinite(residual) and residual <= 1e-9
+    payload = json.loads(emit(report, "json"))
+    assert payload["rows"] == report.rows
+    csv_rows = emit(report, "csv").decode().strip().splitlines()[1:]
+    assert [[float(c) for c in line.split(",")] for line in csv_rows] == report.rows
 
 
 def test_run_covariant_checks():
@@ -321,6 +390,12 @@ def test_check_suite_passes_at_default_tolerance():
                                          "divergence-convergence",
                                          "momentum-ledger"]
     assert all(r.passed for r in results)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, 0.0, "abc"])
+def test_check_suite_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
+    with pytest.raises(ValueError, match="tolerance must be a finite number > 0"):
+        check_suite(tol)
 
 
 def test_check_suite_fails_at_absurd_tolerance():
