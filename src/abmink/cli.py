@@ -13,6 +13,7 @@ a finite number > 0; any other value exits with status 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -81,7 +82,10 @@ def _cmd_check(args) -> int:
     return 0 if ok else 1
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept: parse_args returns
+    a fresh namespace each call, so no option carries over."""
     parser = argparse.ArgumentParser(
         prog="abmink",
         description=("Abraham/Minkowski electromagnetic momentum toolkit: "
@@ -102,8 +106,11 @@ def main(argv=None) -> int:
     p_check.add_argument("--tol", type=float, default=None,
                          help="relative tolerance (default ABMINK_TOL or 1e-6)")
     p_check.set_defaults(fn=_cmd_check)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     return args.fn(args)
 
 

@@ -125,15 +125,16 @@ class Medium:
                 object.__setattr__(self, "n", math.sqrt(self.eps_r * self.mu_r))
             eps_r, n = self.eps_r, self.n
             expect = math.sqrt(eps_r * self.mu_r)
-        if eps_r < 1.0:
+        # each rule is written so that NaN fails it
+        if not eps_r >= 1.0:
             raise ValueError(f"eps_r must be >= 1, got {eps_r}")
-        if self.mu_r <= 0.0:
+        if not self.mu_r > 0.0:
             raise ValueError(f"mu_r must be > 0, got {self.mu_r}")
-        if self.conductivity < 0.0:
+        if not self.conductivity >= 0.0:
             raise ValueError(f"conductivity must be >= 0, got {self.conductivity}")
-        if self.viscosity is not None and self.viscosity <= 0.0:
+        if self.viscosity is not None and not self.viscosity > 0.0:
             raise ValueError(f"viscosity must be > 0, got {self.viscosity}")
-        if abs(n - expect) > _REL_TOL * expect:
+        if not abs(n - expect) <= _REL_TOL * expect:
             raise ValueError(
                 f"n={n} inconsistent with sqrt(eps_r*mu_r)={expect}"
             )
@@ -151,7 +152,7 @@ class Medium:
         object.__setattr__(self, "eps_r", eps_r)
         object.__setattr__(self, "n", n)
         expect = np.sqrt(eps_r * self.mu_r)
-        i = int(np.argmax((eps_r < 1.0) | (np.abs(n - expect) > _REL_TOL * expect)))
+        i = int(np.argmax(~((eps_r >= 1.0) & (np.abs(n - expect) <= _REL_TOL * expect))))
         return float(eps_r.flat[i]), float(n.flat[i]), float(expect.flat[i])
 
     @classmethod
@@ -379,9 +380,12 @@ def interface_pressure(E_t: float, n_from: float, n_to: float,
     giving (eps0/2) E_t^2 (n_from^2 - n_to^2) [Pa].  The result does not
     depend on the smoothing profile.  Positive sign means the surface is
     pushed toward the ``n_to`` side; light entering a denser medium pulls the
-    interface back toward the rarer side.
+    interface back toward the rarer side.  The arguments may be arrays; a
+    field beyond the double range gives an infinite pressure.
     """
-    return 0.5 * constants.eps0 * E_t**2 * (n_from**2 - n_to**2)
+    # float_power: C pow, as a Python float's ** (see mechanical_momentum_density)
+    return 0.5 * constants.eps0 * np.float_power(E_t, 2) \
+        * (np.float_power(n_from, 2) - np.float_power(n_to, 2))
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,8 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
+from itertools import chain
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -331,74 +333,135 @@ def _tags(tag: MomentumTag | None):
     return (tag,)
 
 
-def _point_drag(p, tag):
-    cfg = scenarios.DragConfig(intensity=p["intensity_W_per_m2"],
-                               sigma_a=p["sigma_a_m2"],
-                               omega=p["omega_rad_per_s"], n=p["n"])
-    row = {
-        "n": p["n"],
-        "intensity_W_per_m2": p["intensity_W_per_m2"],
-        "sigma_a_m2": p["sigma_a_m2"],
-        "omega_rad_per_s": p["omega_rad_per_s"],
-    }
+def _checked(cls, **fields):
+    return cls(**fields)
+
+
+def _unchecked(cls, **fields):
+    """A ``cls`` holding ``fields`` as given, without its checks.
+
+    The closed-form functions only read a config's fields, so one config
+    whose fields are (m,) arrays evaluates m points; each row has passed the
+    checks of a scalar ``cls`` before.
+    """
+    config = object.__new__(cls)
+    config.__dict__.update(fields)
+    return config
+
+
+# A scenario's config from its parameters, through make = _checked (one
+# point, raising the config's rejection message) or _unchecked (arrays).
+
+def _drag_config(p, make=_checked):
+    return make(scenarios.DragConfig, intensity=p["intensity_W_per_m2"],
+                sigma_a=p["sigma_a_m2"], omega=p["omega_rad_per_s"], n=p["n"])
+
+
+def _wgm_config(p, make=_checked):
+    return make(scenarios.TorqueConfig, n=p["n"], a=p["a_m"], P0=p["P0_W"],
+                omega0=p["omega0_rad_per_s"])
+
+
+def _sphere_config(p, make=_checked):
+    # the two fluids are Medium.from_index(n, viscosity=...)
+    return make(scenarios.SphereKickConfig, M=p["M_kg"], a=p["a_m"],
+                deltaG=p["deltaG_kg_m_per_s"], pulse_energy=p["pulse_energy_J"],
+                fluid=make(Medium, eps_r=p["n"] * p["n"], n=p["n"],
+                           viscosity=p["viscosity_Pa_s"]),
+                L0=p["L0_m"],
+                reference_fluid=make(Medium, eps_r=p["n0"] * p["n0"], n=p["n0"],
+                                     viscosity=p["viscosity0_Pa_s"]))
+
+
+def _sphere_check(p):
+    # displacement_ratio holds the check on L0
+    scenarios.displacement_ratio(_sphere_config(p), MomentumTag.MINKOWSKI)
+
+
+def _drag_columns(p, tag):
+    cfg = _drag_config(p, _unchecked)
+    cols = {key: p[key] for key in ("n", "intensity_W_per_m2", "sigma_a_m2",
+                                    "omega_rad_per_s")}
     for t in _tags(tag):
-        row[f"field_{t.value}_V_per_m"] = scenarios.photon_drag_field(cfg, t)
+        cols[f"field_{t.value}_V_per_m"] = scenarios.photon_drag_field(cfg, t)
     if tag is None:
-        row["minkowski_to_abraham_ratio"] = (
-            row["field_minkowski_V_per_m"] / row["field_abraham_V_per_m"])
-    return row
+        cols["minkowski_to_abraham_ratio"] = (
+            cols["field_minkowski_V_per_m"] / cols["field_abraham_V_per_m"])
+    return cols
 
 
-def _point_wgm(p, tag):
-    cfg = scenarios.TorqueConfig(n=p["n"], a=p["a_m"], P0=p["P0_W"],
-                                 omega0=p["omega0_rad_per_s"])
-    row = {"n": p["n"], "a_m": p["a_m"], "P0_W": p["P0_W"],
-           "omega0_rad_per_s": p["omega0_rad_per_s"], "t_s": p["t_s"]}
+def _wgm_columns(p, tag):
+    cfg = _wgm_config(p, _unchecked)
+    cols = {key: p[key] for key in ("n", "a_m", "P0_W", "omega0_rad_per_s", "t_s")}
     for t in _tags(tag):
         res = scenarios.wgm_torque(cfg, p["t_s"], t)
-        row[f"torque_{t.value}_N_m"] = res.torque
-        row[f"amplitude_{t.value}_N_m"] = res.amplitude
-    return row
+        cols[f"torque_{t.value}_N_m"] = res.torque
+        cols[f"amplitude_{t.value}_N_m"] = res.amplitude
+    return cols
 
 
-def _point_sphere(p, tag):
-    cfg = scenarios.SphereKickConfig(
-        M=p["M_kg"], a=p["a_m"], deltaG=p["deltaG_kg_m_per_s"],
-        pulse_energy=p["pulse_energy_J"],
-        fluid=Medium.from_index(p["n"], viscosity=p["viscosity_Pa_s"]),
-        L0=p["L0_m"],
-        reference_fluid=Medium.from_index(p["n0"],
-                                          viscosity=p["viscosity0_Pa_s"]))
-    row = {"M_kg": p["M_kg"], "a_m": p["a_m"],
-           "deltaG_kg_m_per_s": p["deltaG_kg_m_per_s"],
-           "pulse_energy_J": p["pulse_energy_J"], "n": p["n"],
-           "viscosity_Pa_s": p["viscosity_Pa_s"], "L0_m": p["L0_m"]}
+def _sphere_columns(p, tag):
+    cfg = _sphere_config(p, _unchecked)
+    cols = {key: p[key] for key in ("M_kg", "a_m", "deltaG_kg_m_per_s",
+                                    "pulse_energy_J", "n", "viscosity_Pa_s",
+                                    "L0_m")}
     for t in _tags(tag):
-        row[f"vmax_{t.value}_m_per_s"] = scenarios.sphere_kick_vmax(cfg, t)
-        row[f"L_{t.value}_m"] = scenarios.sphere_total_displacement(cfg, t)
-        row[f"ratio_{t.value}"] = scenarios.displacement_ratio(cfg, t)
-    row["correction_magnitude"] = scenarios.displacement_correction(
+        cols[f"vmax_{t.value}_m_per_s"] = scenarios.sphere_kick_vmax(cfg, t)
+        cols[f"L_{t.value}_m"] = scenarios.sphere_total_displacement(cfg, t)
+        cols[f"ratio_{t.value}"] = scenarios.displacement_ratio(cfg, t)
+    cols["correction_magnitude"] = scenarios.displacement_correction(
         p["pulse_energy_J"], p["a_m"], p["L0_m"], p["viscosity0_Pa_s"])
-    return row
+    return cols
 
 
-def _point_fiber(p, tag):
+def _fiber_columns(p, tag):
     return {"pulse_energy_J": p["pulse_energy_J"], "n": p["n"],
             "impulse_N_s": scenarios.fiber_exit_impulse(p["pulse_energy_J"],
                                                         p["n"])}
 
 
-def _point_bec(p, tag):
+def _bec_columns(p, tag):
     return {"n": p["n"], "omega_rad_per_s": p["omega_rad_per_s"],
             "recoil_kg_m_per_s": scenarios.bec_recoil(p["n"],
                                                       p["omega_rad_per_s"])}
 
 
-def _point_interface(p, tag):
+def _interface_columns(p, tag):
     return {"E_t_V_per_m": p["E_t_V_per_m"], "n_from": p["n_from"],
             "n_to": p["n_to"],
             "pressure_Pa": interface_pressure(p["E_t_V_per_m"], p["n_from"],
                                               p["n_to"])}
+
+
+class _ClosedForm(NamedTuple):
+    """A closed-form scenario: ``columns(p, tag)`` maps parameters (the
+    swept one an (m,) array) to report columns, each an (m,) array or a
+    value shared by all rows.  ``check(p)`` raises the ValueError rejecting
+    one point; ``cleared(p)`` marks the rows it surely accepts, the only
+    rows that skip it."""
+
+    columns: Callable
+    check: Callable | None = None
+    cleared: Callable | None = None
+
+
+_CLOSED_FORMS = {
+    "drag": _ClosedForm(_drag_columns, _drag_config, lambda p: (
+        (p["intensity_W_per_m2"] > 0.0) & (p["sigma_a_m2"] > 0.0)
+        & (p["omega_rad_per_s"] > 0.0) & (p["n"] > 0.0))),
+    "wgm": _ClosedForm(_wgm_columns, _wgm_config, lambda p: (
+        (p["a_m"] > 0.0) & (p["omega0_rad_per_s"] > 0.0) & (p["P0_W"] >= 0.0)
+        & (p["n"] >= 1.0))),
+    # a finite n >= 1 always gives a consistent Medium
+    "sphere-kick": _ClosedForm(_sphere_columns, _sphere_check, lambda p: (
+        (p["M_kg"] > 0.0) & (p["a_m"] > 0.0) & (p["pulse_energy_J"] >= 0.0)
+        & (p["L0_m"] > 0.0) & (p["viscosity_Pa_s"] > 0.0)
+        & (p["viscosity0_Pa_s"] > 0.0) & np.isfinite(p["n"]) & (p["n"] >= 1.0)
+        & np.isfinite(p["n0"]) & (p["n0"] >= 1.0))),
+    "fiber": _ClosedForm(_fiber_columns),
+    "bec": _ClosedForm(_bec_columns),
+    "interface": _ClosedForm(_interface_columns),
+}
 
 
 def _covariant_check_rows(n: float, mu_r: float, grid_step: float):
@@ -463,31 +526,43 @@ def _sweep_values(sweep: SweepSpec | None):
                                                     sweep.count)
 
 
-def _per_point(point):
-    """Evaluator running a scenario's per-point body at each sweep value."""
-    def evaluate(request: ScenarioRequest):
-        columns, rows, errors = [], [], []
-        for value in _sweep_values(request.sweep):
-            params = dict(request.params)
-            if value is not None:
-                params[request.sweep.param] = float(value)
+def _evaluate_closed_form(request: ScenarioRequest):
+    """All sweep points at once: the swept key goes through the scenario's
+    closed-form functions as an (m,) array, once per tag."""
+    form = _CLOSED_FORMS[request.scenario]
+    sweep, values = request.sweep, _sweep_values(request.sweep)
+    rejected: dict[int, str] = {}  # row -> message
+    if form.check is not None:
+        swept = {} if sweep is None else {sweep.param: values}
+        cleared = form.cleared(dict(request.params, **swept))
+        for i in np.flatnonzero(~np.broadcast_to(cleared, len(values))):
+            point = dict(request.params)
+            if sweep is not None:
+                point[sweep.param] = float(values[i])
             try:
-                row = point(params, request.tag)
-                # inf and nan carry through the sum; a sum that merely
-                # overflows on finite values lets the row through
-                if not math.isfinite(sum(row.values())):
-                    for key, v in row.items():
-                        if not math.isfinite(v):
-                            raise ValueError(f"result '{key}' is not finite: {v}")
-            except (ValueError, OverflowError) as exc:
-                # OverflowError: a float ** beyond the double range
-                kind = "numerical overflow: " if isinstance(exc, OverflowError) else ""
-                errors.append(f"{_where(request.sweep, value)}{kind}{exc}")
-                continue
-            columns = columns or list(row)
-            rows.append(list(row.values()))
-        return columns, rows, {}, errors
-    return evaluate
+                form.check(point)
+            except ValueError as exc:
+                rejected[i] = str(exc)
+    ok = np.delete(np.arange(len(values)), list(rejected))
+    columns, rows = {}, []
+    if ok.size:
+        # numpy scalars: a division by zero or an overflow gives inf or nan
+        p = {key: np.float64(v) for key, v in request.params.items()}
+        if sweep is not None:
+            p[sweep.param] = values[ok] if rejected else values
+        with np.errstate(all="ignore"):
+            columns = form.columns(p, request.tag)
+            table = np.column_stack(np.broadcast_arrays(*columns.values()))
+            finite = np.isfinite(table)
+        kept = finite.all(axis=1)
+        names = list(columns)
+        for j in np.flatnonzero(~kept):
+            col = int(np.argmin(finite[j]))
+            rejected[ok[j]] = (f"result '{names[col]}' is not finite: "
+                               f"{float(table[j, col])}")
+        rows = table[kept].tolist()
+    errors = [f"{_where(sweep, values[i])}{rejected[i]}" for i in sorted(rejected)]
+    return list(columns) if rows else [], rows, {}, errors
 
 
 def _evaluate_mirror(request: ScenarioRequest):
@@ -514,12 +589,7 @@ def _evaluate_covariant(request: ScenarioRequest):
 # scenario -> evaluator(request) -> (columns, rows, residuals, errors)
 _EVALUATORS = {
     "mirror": _evaluate_mirror,
-    "drag": _per_point(_point_drag),
-    "wgm": _per_point(_point_wgm),
-    "sphere-kick": _per_point(_point_sphere),
-    "fiber": _per_point(_point_fiber),
-    "bec": _per_point(_point_bec),
-    "interface": _per_point(_point_interface),
+    **dict.fromkeys(_CLOSED_FORMS, _evaluate_closed_form),
     "covariant-checks": _evaluate_covariant,
 }
 
@@ -548,9 +618,12 @@ def run(request: ScenarioRequest) -> ScenarioReport:
 # Emission
 # ---------------------------------------------------------------------------
 
-def _full(v) -> str:
-    # 17 significant digits: parses back to the identical double
-    return format(v, ".16e")
+def _float_rows(report: ScenarioReport) -> bool:
+    """Whether every row holds one exact float per column, so that one
+    %-template renders all rows the way the per-cell formatting would."""
+    width = len(report.columns)
+    return (width > 0 and set(map(len, report.rows)) <= {width}
+            and set(map(type, chain.from_iterable(report.rows))) <= {float})
 
 
 def emit(report: ScenarioReport, fmt: str = "table") -> bytes:
@@ -567,13 +640,32 @@ def emit(report: ScenarioReport, fmt: str = "table") -> bytes:
             "residuals": report.residuals,
             "errors": report.errors,
         }
-        return (json.dumps(payload, indent=2, allow_nan=False) + "\n").encode()
+        # a sum that merely overflows sends finite rows the slow way too
+        if not (report.rows and _float_rows(report)
+                and math.isfinite(sum(map(sum, report.rows)))):
+            return (json.dumps(payload, indent=2, allow_nan=False) + "\n").encode()
+        # json writes a float as float.__repr__ (%r); the rows go where the
+        # document holds an empty list, the only top-level key "rows"
+        payload["rows"] = []
+        head, key, tail = json.dumps(payload, indent=2, allow_nan=False).partition(
+            '\n  "rows": [')
+        row = "    [\n" + ",\n".join(["      %r"] * len(report.columns)) + "\n    ]"
+        rows = ",\n".join([row] * len(report.rows)) % tuple(
+            chain.from_iterable(report.rows))
+        return f"{head}{key}\n{rows}\n  {tail}\n".encode()
 
     if fmt == "csv":
-        lines = [",".join(report.columns)]
+        header = ",".join(report.columns)
+        # 17 significant digits: parses back to the identical double
+        if _float_rows(report):
+            row = ",".join(["%.16e"] * len(report.columns))
+            rows = ("\n" + row) * len(report.rows) % tuple(
+                chain.from_iterable(report.rows))
+            return (header + rows + "\n").encode()
+        lines = [header]
         for row in report.rows:
             lines.append(",".join(
-                _full(v) if isinstance(v, float) else str(v) for v in row))
+                format(v, ".16e") if isinstance(v, float) else str(v) for v in row))
         return ("\n".join(lines) + "\n").encode()
 
     if fmt == "table":

@@ -12,6 +12,11 @@ bookkeeping:
 * ablation-kicked microsphere in a viscous fluid (with the two-fluid
   displacement-ratio comparison),
 * index-step surface pressure on a liquid interface (via em-core).
+
+The closed-form functions only read the fields of their config, so one
+config object carrying those fields as (m,) arrays evaluates m points at
+once, each row equal to the scalar call; the runner evaluates its sweeps
+this way.
 """
 
 from __future__ import annotations
@@ -439,14 +444,16 @@ def wgm_torque(cfg: TorqueConfig, t: float,
 
     Under the Minkowski bookkeeping there is no azimuthal force density at
     all, so that variant returns identically zero; a nonzero measurement
-    would single out the Abraham force.
+    would single out the Abraham force.  ``t`` and the fields of ``cfg`` may
+    be (m,) arrays.
     """
     if tag is MomentumTag.MINKOWSKI:
         return WgmTorque(torque=0.0, amplitude=0.0)
     c = cfg.constants.c
-    prefactor = (cfg.n**2 - 1.0) / c**2 * 2.0 * math.pi * cfg.a**2 \
-        * cfg.omega0 * cfg.P0
-    return WgmTorque(torque=-prefactor * math.sin(cfg.omega0 * t) + 0.0,
+    # float_power: C pow, as a Python float's ** (see mechanical_momentum_density)
+    prefactor = (np.float_power(cfg.n, 2) - 1.0) / c**2 * 2.0 * math.pi \
+        * np.float_power(cfg.a, 2) * cfg.omega0 * cfg.P0
+    return WgmTorque(torque=-prefactor * np.sin(cfg.omega0 * t) + 0.0,
                      amplitude=prefactor)
 
 
@@ -542,7 +549,7 @@ def displacement_ratio(cfg: SphereKickConfig, tag: MomentumTag) -> float:
     air).  The Minkowski correction is positive for n > 1, the Abraham one
     negative.
     """
-    if cfg.L0 <= 0.0:
+    if np.any(cfg.L0 <= 0.0):
         raise ValueError(f"reference displacement L0 must be > 0, got {cfg.L0}")
     mu = cfg.fluid.viscosity
     mu0 = cfg.reference_fluid.viscosity

@@ -1,6 +1,7 @@
 """Tests for the 3+1 field quantities and force densities."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -69,6 +70,29 @@ def test_medium_index_consistency():
 def test_medium_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
         Medium(**kwargs)
+
+
+NAN = math.nan
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Medium.from_index(NAN), "eps_r must be >= 1, got nan"),
+    (lambda: Medium(eps_r=NAN), "eps_r must be >= 1, got nan"),
+    (lambda: Medium(eps_r=2.0, mu_r=NAN), "mu_r must be > 0, got nan"),
+    (lambda: Medium(eps_r=2.0, conductivity=NAN), "conductivity must be >= 0, got nan"),
+    (lambda: Medium(eps_r=2.0, viscosity=NAN), "viscosity must be > 0, got nan"),
+    (lambda: Medium(eps_r=2.25, n=NAN), "n=nan inconsistent"),
+    # the array path: the first row the scalar rules reject
+    (lambda: Medium.from_index(np.array([1.5, NAN])), "eps_r must be >= 1, got nan"),
+    (lambda: Medium(eps_r=np.array([2.25, NAN])), "eps_r must be >= 1, got nan"),
+    (lambda: Medium(eps_r=np.array([2.25, 4.0]), n=np.array([1.5, NAN])),
+     "n=nan inconsistent"),
+    (lambda: Medium.from_index(np.array([1.5, 2.0]), viscosity=NAN),
+     "viscosity must be > 0, got nan"),
+])
+def test_medium_rejects_nan(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
 
 
 def test_fieldpoint_constitutive_exact():
