@@ -116,8 +116,8 @@ class Medium:
     viscosity: float | None = None
 
     def __post_init__(self):
-        # the scalar path stays free of numpy calls: scenarios build a
-        # scalar Medium per point
+        # the scalar path stays free of numpy calls: the runner builds a
+        # scalar Medium for each row that its vector masks cannot clear
         if isinstance(self.eps_r, _ndarray) or isinstance(self.n, _ndarray):
             eps_r, n, expect = self._stack_row_to_check()
         else:

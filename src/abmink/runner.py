@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import chain
 from typing import Callable, NamedTuple
 
@@ -62,77 +62,12 @@ DEFAULT_TOL = 1e-6
 # allocates (the mirror evaluates all of its points in one batch).
 MAX_SWEEP_COUNT = 100_000
 
-SCENARIO_NAMES = (
-    "mirror",
-    "drag",
-    "wgm",
-    "sphere-kick",
-    "fiber",
-    "bec",
-    "interface",
-    "covariant-checks",
-)
-
 
 class ConfigError(ValueError):
     """A config document is malformed or inconsistent with its scenario."""
 
 
 _REQUIRED = object()
-
-# key -> default (_REQUIRED marks mandatory keys); unit lives in the key name
-_SCHEMAS: dict[str, dict[str, object]] = {
-    "mirror": {
-        "n": _REQUIRED,
-        "E0_V_per_m": _REQUIRED,
-        "omega_rad_per_s": _REQUIRED,
-        "sigma_S_per_m": _REQUIRED,
-        "guard_k_over_alpha": 0.2,
-        "quadrature_tol": 1e-8,
-    },
-    "drag": {
-        "intensity_W_per_m2": _REQUIRED,
-        "sigma_a_m2": _REQUIRED,
-        "omega_rad_per_s": _REQUIRED,
-        "n": _REQUIRED,
-    },
-    "wgm": {
-        "a_m": _REQUIRED,
-        "P0_W": _REQUIRED,
-        "omega0_rad_per_s": _REQUIRED,
-        "n": 1.45,
-        "t_s": 0.0,
-    },
-    "sphere-kick": {
-        "M_kg": _REQUIRED,
-        "a_m": _REQUIRED,
-        "deltaG_kg_m_per_s": _REQUIRED,
-        "pulse_energy_J": _REQUIRED,
-        "n": _REQUIRED,
-        "viscosity_Pa_s": _REQUIRED,
-        "L0_m": _REQUIRED,
-        "n0": 1.0,
-        "viscosity0_Pa_s": 1.8e-5,
-    },
-    "fiber": {
-        "pulse_energy_J": _REQUIRED,
-        "n": _REQUIRED,
-    },
-    "bec": {
-        "n": _REQUIRED,
-        "omega_rad_per_s": _REQUIRED,
-    },
-    "interface": {
-        "E_t_V_per_m": _REQUIRED,
-        "n_from": _REQUIRED,
-        "n_to": _REQUIRED,
-    },
-    "covariant-checks": {
-        "n": 1.5,
-        "mu_r": 1.0,
-        "grid_step": 1e-3,
-    },
-}
 
 # key -> (lower bound, whether the bound itself is allowed); finiteness is
 # required of every number.  n, n0, n_from and n_to are refractive indices in
@@ -144,28 +79,9 @@ _LOWER_BOUNDS = {
     "n0": (1.0, True),
     "n_from": (1.0, True),
     "n_to": (1.0, True),
+    "mu_r": (0.0, False),
+    "grid_step": (0.0, False),
 }
-
-_PROVENANCE = {
-    "mirror": ("sigma_x = (n/c)(1+R) S_i with R = 1 - 2 k/alpha; "
-               "Lorentz route (mu0 sigma/2) Re int E_y H_z* dx; "
-               "transport route c g_x / n plus n R S_i / c"),
-    "drag": ("I sigma_a p / (hbar omega) = e E with p = hbar n omega / c "
-             "(minkowski) or hbar omega / (n c) (abraham)"),
-    "wgm": ("N_z = -((n^2-1)/c^2) 2 pi a^2 omega0 P0 sin(omega0 t); "
-            "identically zero under minkowski"),
-    "sphere-kick": ("M v_max = deltaG + p_pulse with p_pulse = n H / c "
-                    "(minkowski) or H / (n c) (abraham); "
-                    "v(t) = v_max exp(-6 pi mu a t / M); "
-                    "L/L0 correction scale H / (6 pi a c L0 mu0)"),
-    "fiber": "J = (n - 1) H / c along propagation",
-    "bec": "p = hbar n omega / c",
-    "interface": "P = (eps0/2) E_t^2 (n_from^2 - n_to^2), positive toward n_to",
-    "covariant-checks": ("rest-frame constitutive reduction; second-order "
-                         "convergence of the four-divergence residual; "
-                         "four-momentum classification"),
-}
-
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -246,25 +162,19 @@ def parse_config(text: str) -> ScenarioRequest:
     if "scenario" not in pairs:
         raise ConfigError("missing required key 'scenario'")
     scenario = pairs.pop("scenario")
-    if scenario not in _SCHEMAS:
+    if scenario not in _SCENARIOS:
         raise ConfigError(
             f"unknown scenario '{scenario}'; expected one of: "
             + ", ".join(SCENARIO_NAMES)
         )
-    schema = _SCHEMAS[scenario]
+    schema = _SCENARIOS[scenario].keys
 
-    tag: MomentumTag | None = None
-    if "tag" in pairs:
-        raw = pairs.pop("tag").lower()
-        if raw == "both":
-            tag = None
-        else:
-            try:
-                tag = MomentumTag(raw)
-            except ValueError:
-                raise ConfigError(
-                    f"tag must be abraham, minkowski or both, got '{raw}'"
-                ) from None
+    raw = pairs.pop("tag", "both").lower()
+    try:
+        tag = None if raw == "both" else MomentumTag(raw)
+    except ValueError:
+        raise ConfigError(
+            f"tag must be abraham, minkowski or both, got '{raw}'") from None
 
     sweep: SweepSpec | None = None
     if "sweep" in pairs:
@@ -282,6 +192,8 @@ def parse_config(text: str) -> ScenarioRequest:
             )
         lo = _parse_float("sweep lo", m.group(2))
         hi = _parse_float("sweep hi", m.group(3))
+        if not math.isfinite(hi - lo):  # linspace would give nan and inf
+            raise ConfigError(f"sweep span must be finite, got {lo!r} to {hi!r}")
         raw_count = m.group(4).strip()
         if (re.fullmatch(r"[0-9]+", raw_count) is None
                 or not 2 <= int(raw_count) <= MAX_SWEEP_COUNT):
@@ -289,8 +201,8 @@ def parse_config(text: str) -> ScenarioRequest:
                 f"sweep count must be an integer >= 2 and <= {MAX_SWEEP_COUNT}, "
                 f"got {raw_count!r}")
         count = int(raw_count)
-        if scenario == "covariant-checks":
-            raise ConfigError("scenario 'covariant-checks' does not support sweeps")
+        if not _SCENARIOS[scenario].sweepable:
+            raise ConfigError(f"scenario '{scenario}' does not support sweeps")
         sweep = SweepSpec(param=param, lo=lo, hi=hi, count=count)
 
     params: dict[str, float] = {}
@@ -373,11 +285,6 @@ def _sphere_config(p, make=_checked):
                                      viscosity=p["viscosity0_Pa_s"]))
 
 
-def _sphere_check(p):
-    # displacement_ratio holds the check on L0
-    scenarios.displacement_ratio(_sphere_config(p), MomentumTag.MINKOWSKI)
-
-
 def _drag_columns(p, tag):
     cfg = _drag_config(p, _unchecked)
     cols = {key: p[key] for key in ("n", "intensity_W_per_m2", "sigma_a_m2",
@@ -433,39 +340,9 @@ def _interface_columns(p, tag):
                                               p["n_to"])}
 
 
-class _ClosedForm(NamedTuple):
-    """A closed-form scenario: ``columns(p, tag)`` maps parameters (the
-    swept one an (m,) array) to report columns, each an (m,) array or a
-    value shared by all rows.  ``check(p)`` raises the ValueError rejecting
-    one point; ``cleared(p)`` marks the rows it surely accepts, the only
-    rows that skip it."""
-
-    columns: Callable
-    check: Callable | None = None
-    cleared: Callable | None = None
-
-
-_CLOSED_FORMS = {
-    "drag": _ClosedForm(_drag_columns, _drag_config, lambda p: (
-        (p["intensity_W_per_m2"] > 0.0) & (p["sigma_a_m2"] > 0.0)
-        & (p["omega_rad_per_s"] > 0.0) & (p["n"] > 0.0))),
-    "wgm": _ClosedForm(_wgm_columns, _wgm_config, lambda p: (
-        (p["a_m"] > 0.0) & (p["omega0_rad_per_s"] > 0.0) & (p["P0_W"] >= 0.0)
-        & (p["n"] >= 1.0))),
-    # a finite n >= 1 always gives a consistent Medium
-    "sphere-kick": _ClosedForm(_sphere_columns, _sphere_check, lambda p: (
-        (p["M_kg"] > 0.0) & (p["a_m"] > 0.0) & (p["pulse_energy_J"] >= 0.0)
-        & (p["L0_m"] > 0.0) & (p["viscosity_Pa_s"] > 0.0)
-        & (p["viscosity0_Pa_s"] > 0.0) & np.isfinite(p["n"]) & (p["n"] >= 1.0)
-        & np.isfinite(p["n0"]) & (p["n0"] >= 1.0))),
-    "fiber": _ClosedForm(_fiber_columns),
-    "bec": _ClosedForm(_bec_columns),
-    "interface": _ClosedForm(_interface_columns),
-}
-
-
 def _covariant_check_rows(n: float, mu_r: float, grid_step: float):
-    """Deterministic covariant self-checks (reduced units, c = 1)."""
+    """Deterministic covariant self-checks (reduced units, c = 1): check
+    name -> value, and residual name -> value."""
     rng = np.random.default_rng(20240811)
     eps_r = n * n / mu_r
     rest = covariant.FourVelocity.rest()
@@ -502,19 +379,19 @@ def _covariant_check_rows(n: float, mu_r: float, grid_step: float):
     cls_vac = covariant.classify_four_momentum(
         covariant.pulse_four_momentum(S_vac, 1.0, MomentumTag.MINKOWSKI))
 
-    rows = [
-        {"check": "constitutive_rest_frame_max_rel_err", "value": const_err},
-        {"check": "divergence_ratio_coarse", "value": ratios[0]},
-        {"check": "divergence_ratio_fine", "value": ratios[1]},
-        {"check": "four_momentum_class_minkowski", "value": cls_m},
-        {"check": "four_momentum_class_abraham", "value": cls_a},
-        {"check": "four_momentum_class_vacuum", "value": cls_vac},
-    ]
+    checks = {
+        "constitutive_rest_frame_max_rel_err": const_err,
+        "divergence_ratio_coarse": ratios[0],
+        "divergence_ratio_fine": ratios[1],
+        "four_momentum_class_minkowski": cls_m,
+        "four_momentum_class_abraham": cls_a,
+        "four_momentum_class_vacuum": cls_vac,
+    }
     residuals = {
         "constitutive_max_rel_err": const_err,
         "divergence_ratio_err": max(abs(r / 4.0 - 1.0) for r in ratios),
     }
-    return rows, residuals
+    return checks, residuals
 
 
 def _where(sweep: SweepSpec | None, value) -> str:
@@ -529,7 +406,7 @@ def _sweep_values(sweep: SweepSpec | None):
 def _evaluate_closed_form(request: ScenarioRequest):
     """All sweep points at once: the swept key goes through the scenario's
     closed-form functions as an (m,) array, once per tag."""
-    form = _CLOSED_FORMS[request.scenario]
+    form = _SCENARIOS[request.scenario]
     sweep, values = request.sweep, _sweep_values(request.sweep)
     rejected: dict[int, str] = {}  # row -> message
     if form.check is not None:
@@ -552,15 +429,9 @@ def _evaluate_closed_form(request: ScenarioRequest):
             p[sweep.param] = values[ok] if rejected else values
         with np.errstate(all="ignore"):
             columns = form.columns(p, request.tag)
-            table = np.column_stack(np.broadcast_arrays(*columns.values()))
-            finite = np.isfinite(table)
-        kept = finite.all(axis=1)
-        names = list(columns)
-        for j in np.flatnonzero(~kept):
-            col = int(np.argmin(finite[j]))
-            rejected[ok[j]] = (f"result '{names[col]}' is not finite: "
-                               f"{float(table[j, col])}")
-        rows = table[kept].tolist()
+            table, bad = scenarios._non_finite(columns)
+        rejected.update((ok[j], message) for j, message in bad.items())
+        rows = np.delete(table, list(bad), axis=0).tolist()
     errors = [f"{_where(sweep, values[i])}{rejected[i]}" for i in sorted(rejected)]
     return list(columns) if rows else [], rows, {}, errors
 
@@ -581,17 +452,104 @@ def _evaluate_mirror(request: ScenarioRequest):
 
 
 def _evaluate_covariant(request: ScenarioRequest):
+    """One row per check; a value that is not finite is an error instead
+    (a coarse grid_step can make the convergence ratios nan)."""
     p = request.params
-    rows, residuals = _covariant_check_rows(p["n"], p["mu_r"], p["grid_step"])
-    return list(rows[0]), [list(r.values()) for r in rows], residuals, []
+    with np.errstate(all="ignore"):
+        checks, residuals = _covariant_check_rows(p["n"], p["mu_r"], p["grid_step"])
+    errors = {name: scenarios._non_finite({name: value})[1][0]
+              for name, value in (checks | residuals).items()
+              # the four-momentum classes are words
+              if not isinstance(value, str) and not math.isfinite(value)}
+    return (["check", "value"],
+            [[name, value] for name, value in checks.items() if name not in errors],
+            {name: value for name, value in residuals.items() if name not in errors},
+            list(errors.values()))
 
 
-# scenario -> evaluator(request) -> (columns, rows, residuals, errors)
-_EVALUATORS = {
-    "mirror": _evaluate_mirror,
-    **dict.fromkeys(_CLOSED_FORMS, _evaluate_closed_form),
-    "covariant-checks": _evaluate_covariant,
+class _Scenario(NamedTuple):
+    """What the runner knows about one scenario.
+
+    ``keys`` maps each parameter (its unit in the name) to its default,
+    _REQUIRED for a mandatory one.  ``evaluate(request)`` returns the
+    report's (columns, rows, residuals, errors).  A closed-form scenario,
+    evaluated by _evaluate_closed_form, also has ``columns(p, tag)``, which
+    maps parameters (the swept one an (m,) array) to report columns, each
+    an (m,) array or a value shared by all rows.  ``check(p)`` raises the
+    ValueError rejecting one point; ``cleared(p)`` marks the rows it surely
+    accepts, the only rows that skip it.
+    """
+
+    keys: dict[str, object]
+    provenance: str
+    evaluate: Callable = _evaluate_closed_form
+    columns: Callable | None = None
+    check: Callable | None = None
+    cleared: Callable | None = None
+    sweepable: bool = True
+
+
+_SCENARIOS = {
+    "mirror": _Scenario(
+        keys={"n": _REQUIRED, "E0_V_per_m": _REQUIRED,
+              "omega_rad_per_s": _REQUIRED, "sigma_S_per_m": _REQUIRED,
+              "guard_k_over_alpha": 0.2, "quadrature_tol": 1e-8},
+        provenance=("sigma_x = (n/c)(1+R) S_i with R = 1 - 2 k/alpha; "
+                    "Lorentz route (mu0 sigma/2) Re int E_y H_z* dx; "
+                    "transport route c g_x / n plus n R S_i / c"),
+        evaluate=_evaluate_mirror),
+    "drag": _Scenario(
+        keys={"intensity_W_per_m2": _REQUIRED, "sigma_a_m2": _REQUIRED,
+              "omega_rad_per_s": _REQUIRED, "n": _REQUIRED},
+        provenance=("I sigma_a p / (hbar omega) = e E with p = hbar n omega / c "
+                    "(minkowski) or hbar omega / (n c) (abraham)"),
+        columns=_drag_columns, check=_drag_config, cleared=lambda p: (
+            (p["intensity_W_per_m2"] > 0.0) & (p["sigma_a_m2"] > 0.0)
+            & (p["omega_rad_per_s"] > 0.0) & (p["n"] > 0.0))),
+    "wgm": _Scenario(
+        keys={"a_m": _REQUIRED, "P0_W": _REQUIRED,
+              "omega0_rad_per_s": _REQUIRED, "n": 1.45, "t_s": 0.0},
+        provenance=("N_z = -((n^2-1)/c^2) 2 pi a^2 omega0 P0 sin(omega0 t); "
+                    "identically zero under minkowski"),
+        columns=_wgm_columns, check=_wgm_config, cleared=lambda p: (
+            (p["a_m"] > 0.0) & (p["omega0_rad_per_s"] > 0.0) & (p["P0_W"] >= 0.0)
+            & (p["n"] >= 1.0))),
+    "sphere-kick": _Scenario(
+        keys={"M_kg": _REQUIRED, "a_m": _REQUIRED,
+              "deltaG_kg_m_per_s": _REQUIRED, "pulse_energy_J": _REQUIRED,
+              "n": _REQUIRED, "viscosity_Pa_s": _REQUIRED, "L0_m": _REQUIRED,
+              "n0": 1.0, "viscosity0_Pa_s": 1.8e-5},
+        provenance=("M v_max = deltaG + p_pulse with p_pulse = n H / c "
+                    "(minkowski) or H / (n c) (abraham); "
+                    "v(t) = v_max exp(-6 pi mu a t / M); "
+                    "L/L0 correction scale H / (6 pi a c L0 mu0)"),
+        # displacement_ratio holds the check on L0; a finite n >= 1 always
+        # gives a consistent Medium
+        columns=_sphere_columns, check=lambda p: scenarios.displacement_ratio(
+            _sphere_config(p), MomentumTag.MINKOWSKI), cleared=lambda p: (
+            (p["M_kg"] > 0.0) & (p["a_m"] > 0.0) & (p["pulse_energy_J"] >= 0.0)
+            & (p["L0_m"] > 0.0) & (p["viscosity_Pa_s"] > 0.0)
+            & (p["viscosity0_Pa_s"] > 0.0) & np.isfinite(p["n"]) & (p["n"] >= 1.0)
+            & np.isfinite(p["n0"]) & (p["n0"] >= 1.0))),
+    "fiber": _Scenario(
+        keys={"pulse_energy_J": _REQUIRED, "n": _REQUIRED},
+        provenance="J = (n - 1) H / c along propagation", columns=_fiber_columns),
+    "bec": _Scenario(
+        keys={"n": _REQUIRED, "omega_rad_per_s": _REQUIRED},
+        provenance="p = hbar n omega / c", columns=_bec_columns),
+    "interface": _Scenario(
+        keys={"E_t_V_per_m": _REQUIRED, "n_from": _REQUIRED, "n_to": _REQUIRED},
+        provenance="P = (eps0/2) E_t^2 (n_from^2 - n_to^2), positive toward n_to",
+        columns=_interface_columns),
+    "covariant-checks": _Scenario(
+        keys={"n": 1.5, "mu_r": 1.0, "grid_step": 1e-3},
+        provenance=("rest-frame constitutive reduction; second-order "
+                    "convergence of the four-divergence residual; "
+                    "four-momentum classification"),
+        evaluate=_evaluate_covariant, sweepable=False),
 }
+
+SCENARIO_NAMES = tuple(_SCENARIOS)
 
 
 def run(request: ScenarioRequest) -> ScenarioReport:
@@ -602,15 +560,14 @@ def run(request: ScenarioRequest) -> ScenarioReport:
     violated bound and the supplied value; in-regime points still produce
     rows.
     """
-    columns, rows, residuals, errors = _EVALUATORS[request.scenario](request)
+    scenario = _SCENARIOS[request.scenario]
+    columns, rows, residuals, errors = scenario.evaluate(request)
     return ScenarioReport(
         scenario=request.scenario,
         params=dict(request.params),
         tag="both" if request.tag is None else request.tag.value,
-        sweep=None if request.sweep is None else {
-            "param": request.sweep.param, "lo": request.sweep.lo,
-            "hi": request.sweep.hi, "count": request.sweep.count},
-        provenance=_PROVENANCE[request.scenario],
+        sweep=None if request.sweep is None else asdict(request.sweep),
+        provenance=scenario.provenance,
         columns=columns, rows=rows, residuals=residuals, errors=errors)
 
 
@@ -629,17 +586,7 @@ def _float_rows(report: ScenarioReport) -> bool:
 def emit(report: ScenarioReport, fmt: str = "table") -> bytes:
     """Render a report as 'table', 'csv' or 'json' bytes."""
     if fmt == "json":
-        payload = {
-            "scenario": report.scenario,
-            "params": report.params,
-            "tag": report.tag,
-            "sweep": report.sweep,
-            "provenance": report.provenance,
-            "columns": report.columns,
-            "rows": report.rows,
-            "residuals": report.residuals,
-            "errors": report.errors,
-        }
+        payload = dict(vars(report))  # the report's fields, in their order
         # a sum that merely overflows sends finite rows the slow way too
         if not (report.rows and _float_rows(report)
                 and math.isfinite(sum(map(sum, report.rows)))):

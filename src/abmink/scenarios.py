@@ -149,6 +149,22 @@ class MirrorBatch(NamedTuple):
     spread: float | None
 
 
+def _non_finite(columns: dict) -> tuple[np.ndarray, dict[int, str]]:
+    """The float columns, each an (m,) array or a value shared by all rows,
+    as one (m, k) table, and row -> the message rejecting that row: it
+    names the row's first column whose value is not finite."""
+    names = list(columns)
+    table = np.empty((np.broadcast(*columns.values()).size, len(names)))
+    for j, column in enumerate(columns.values()):
+        table[:, j] = column
+    finite = np.isfinite(table)
+    errors = {}
+    for i in np.flatnonzero(~finite.all(axis=1)):
+        j = np.argmin(finite[i])
+        errors[int(i)] = f"result '{names[j]}' is not finite: {float(table[i, j])}"
+    return table, errors
+
+
 def _laguerre(order: int):
     s, w = laggauss(order)
     return s, w * np.exp(s)
@@ -248,12 +264,9 @@ def mirror_batch(n, E0, omega, conductivity, guard=0.2, quadrature_tol=1e-8,
                "pressure_lorentz_Pa": p2, "pressure_divergence_Pa": routes[2],
                "max_rel_diff": spread}
     # finite inputs can still overflow (E0^2 beyond the double range)
-    finite = np.isfinite(np.stack(list(columns.values())))
-    for i in np.flatnonzero(~finite.all(axis=0)):
+    for i, message in _non_finite(columns)[1].items():
         if errors[i] is None:
-            name = list(columns)[np.argmin(finite[:, i])]
-            errors[i] = ValueError(f"result '{name}' is not finite: "
-                                   f"{float(columns[name][i])}")
+            errors[i] = ValueError(message)
     ok = [i for i, e in enumerate(errors) if e is None]
     return MirrorBatch(columns, tuple(errors),
                        float(spread[ok].max()) if ok else None)

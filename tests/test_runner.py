@@ -7,7 +7,7 @@ import warnings
 
 import pytest
 
-from abmink import MomentumTag
+from abmink import MomentumTag, runner
 from abmink.runner import (
     MAX_SWEEP_COUNT,
     SCENARIO_NAMES,
@@ -116,10 +116,33 @@ def test_parse_tag():
      "'n' must be >= 1, got 0.8"),
     ("scenario = wgm\na_m = 1e-4\nP0_W = 1\nomega0_rad_per_s = 1e3\nn = 0.7\n",
      "'n' must be >= 1"),
+    ("scenario = covariant-checks\nmu_r = 0\n", "'mu_r' must be > 0, got 0.0"),
+    ("scenario = covariant-checks\nmu_r = -1\n", "'mu_r' must be > 0, got -1.0"),
+    ("scenario = covariant-checks\ngrid_step = 0\n", "'grid_step' must be > 0"),
+    ("scenario = covariant-checks\ngrid_step = -1e-3\n", "'grid_step' must be > 0"),
+    # a span beyond the double range would make linspace give nan and inf
+    ("scenario = drag\nsigma_a_m2 = 1e-19\nomega_rad_per_s = 1.6e13\nn = 3.5\n"
+     "sweep = intensity_W_per_m2:[-1.7e308, 1.7e308, 5]\n", "sweep span"),
+    (SPHERE_CFG.replace("viscosity_Pa_s = 1.0e-3\n", "")
+     + "sweep = viscosity_Pa_s:[-1.7e308, 1.7e308, 5]\n", "sweep span"),
 ])
 def test_parse_errors_name_the_offender(snippet, needle):
     with pytest.raises(ConfigError, match=needle):
         parse_config(snippet)
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("scenario", SCENARIO_NAMES)
+def test_every_key_rejects_a_non_finite_value(scenario, raw):
+    record = runner._SCENARIOS[scenario]
+    for key in record.keys:
+        with pytest.raises(ConfigError, match=f"value for '{key}' must be finite"):
+            parse_config(f"scenario = {scenario}\n{key} = {raw}\n")
+        if record.sweepable:
+            for end, span in (("lo", f"{raw}, 1"), ("hi", f"1, {raw}")):
+                with pytest.raises(ConfigError,
+                                   match=f"value for 'sweep {end}' must be finite"):
+                    parse_config(f"scenario = {scenario}\nsweep = {key}:[{span}, 3]\n")
 
 
 def test_parse_sweep_count_up_to_the_bound():
@@ -239,13 +262,26 @@ def test_run_unreachable_quadrature_tol_names_the_key(capfd):
     ("scenario = drag\nintensity_W_per_m2 = 1e300\nsigma_a_m2 = 1e10\n"
      "omega_rad_per_s = 1e13\nn = 1.5\n",
      "result 'field_minkowski_V_per_m' is not finite: inf"),
+    ("scenario = covariant-checks\ngrid_step = 1e300\n",
+     "result 'divergence_ratio_err' is not finite: nan"),
 ])
 def test_run_non_finite_point_is_an_error_and_output_stays_valid(text, needle):
-    report = run(parse_config(text))
-    assert report.rows == [] and len(report.errors) == 1
-    assert needle in report.errors[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and no RuntimeWarning leaks
+        report = run(parse_config(text))
+    if report.scenario == "covariant-checks":  # one row per check
+        nan = ["divergence_ratio_coarse", "divergence_ratio_fine"]
+        assert report.errors == [f"result '{name}' is not finite: nan"
+                                 for name in nan + ["divergence_ratio_err"]]
+        assert [row[0] for row in report.rows] == [
+            "constitutive_rest_frame_max_rel_err", "four_momentum_class_minkowski",
+            "four_momentum_class_abraham", "four_momentum_class_vacuum"]
+        assert list(report.residuals) == ["constitutive_max_rel_err"]
+    else:
+        assert report.rows == [] and len(report.errors) == 1
+        assert emit(report, "csv") == b"\n"
+    assert needle in report.errors[-1]
     assert json.loads(emit(report, "json"))["errors"] == report.errors
-    assert emit(report, "csv") == b"\n"
     assert f"# error: {report.errors[0]}" in emit(report, "table").decode()
 
 
