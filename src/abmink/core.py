@@ -50,6 +50,55 @@ class RegimeError(ValueError):
     """An input lies outside the physical regime an operation is valid in."""
 
 
+def unchecked(cls, **fields):
+    """A ``cls`` holding ``fields`` as given, not yet judged by its rules:
+    the form in which check_rules judges a config's (m,) rows one by one."""
+    config = cls.__new__(cls)
+    config.__dict__.update(fields)
+    return config
+
+
+def _row(config, i: int):
+    """``config`` at row i: each (m,) array field as its i-th value, each
+    number as a Python float, and the configs it holds likewise."""
+    fields = {}
+    for name, value in vars(config).items():
+        if isinstance(value, (_ndarray, np.generic)):
+            value = value.item(i if value.size > 1 else 0)
+        elif hasattr(value, "RULES"):
+            value = _row(value, i)
+        fields[name] = value
+    return unchecked(type(config), **fields)
+
+
+def check_rules(rules, config, size: int | None = None) -> dict[int, ValueError]:
+    """Judge each row of ``config`` by ``rules``, the configs held in its
+    fields by their own RULES first.
+
+    A rule is (fails, message, error type).  ``fails(config)`` is true where
+    the rule is broken: a bool for every row, or an (m,) bool array when
+    fields of ``config`` hold m rows.  ``message`` is a str.format template
+    with ``c`` = that row of ``config``.  Returns row -> the error of the
+    first rule that row breaks, for ``size`` rows; without ``size`` (a
+    config checking itself), raises the first row's error instead.
+    """
+    errors: dict[int, ValueError] = {}
+    for value in vars(config).values():
+        if hasattr(value, "RULES"):
+            errors = check_rules(value.RULES, value, size or 1) | errors
+    with np.errstate(all="ignore"):  # rejected rows may hold anything
+        for fails, message, kind in rules:
+            bad = fails(config)
+            rows = (np.flatnonzero(bad).tolist() if isinstance(bad, _ndarray)
+                    else range(size or 1) if bad else ())
+            for i in rows:
+                if i not in errors:
+                    errors[i] = kind(message.format(c=_row(config, i)))
+    if size is None and errors:
+        raise errors[min(errors)]
+    return errors
+
+
 class MomentumTag(enum.Enum):
     """Which electromagnetic momentum bookkeeping to use."""
 
@@ -116,44 +165,35 @@ class Medium:
     viscosity: float | None = None
 
     def __post_init__(self):
-        # the scalar path stays free of numpy calls: the runner builds a
-        # scalar Medium for each row that its vector masks cannot clear
+        if not isinstance(self.n, _ndarray) and self.n == 0.0:
+            with np.errstate(all="ignore"):  # the rules reject what gives nan
+                n = self._root
+            object.__setattr__(self, "n", n if isinstance(n, _ndarray) else float(n))
         if isinstance(self.eps_r, _ndarray) or isinstance(self.n, _ndarray):
-            eps_r, n, expect = self._stack_row_to_check()
-        else:
-            if self.n == 0.0:
-                object.__setattr__(self, "n", math.sqrt(self.eps_r * self.mu_r))
-            eps_r, n = self.eps_r, self.n
-            expect = math.sqrt(eps_r * self.mu_r)
-        # each rule is written so that NaN fails it
-        if not eps_r >= 1.0:
-            raise ValueError(f"eps_r must be >= 1, got {eps_r}")
-        if not self.mu_r > 0.0:
-            raise ValueError(f"mu_r must be > 0, got {self.mu_r}")
-        if not self.conductivity >= 0.0:
-            raise ValueError(f"conductivity must be >= 0, got {self.conductivity}")
-        if self.viscosity is not None and not self.viscosity > 0.0:
-            raise ValueError(f"viscosity must be > 0, got {self.viscosity}")
-        if not abs(n - expect) <= _REL_TOL * expect:
-            raise ValueError(
-                f"n={n} inconsistent with sqrt(eps_r*mu_r)={expect}"
-            )
+            for name, value in zip(("eps_r", "n"), np.broadcast_arrays(
+                    np.array(self.eps_r, dtype=float), np.array(self.n, dtype=float))):
+                value.flags.writeable = False
+                object.__setattr__(self, name, value)
+        check_rules(self.RULES, self)
 
-    def _stack_row_to_check(self) -> tuple[float, float, float]:
-        """Freeze eps_r and n as read-only arrays and return (eps_r, n,
-        sqrt(eps_r mu_r)) at the first row the scalar rules reject, or at
-        row 0 when every row passes."""
-        eps_r = np.array(self.eps_r, dtype=float)
-        n = (np.sqrt(eps_r * self.mu_r)
-             if not isinstance(self.n, _ndarray) and self.n == 0.0
-             else np.array(self.n, dtype=float))
-        eps_r, n = np.broadcast_arrays(eps_r, n)
-        eps_r.flags.writeable = n.flags.writeable = False
-        object.__setattr__(self, "eps_r", eps_r)
-        object.__setattr__(self, "n", n)
-        expect = np.sqrt(eps_r * self.mu_r)
-        i = int(np.argmax(~((eps_r >= 1.0) & (np.abs(n - expect) <= _REL_TOL * expect))))
-        return float(eps_r.flat[i]), float(n.flat[i]), float(expect.flat[i])
+    # each rule is written so that NaN breaks it
+    RULES = (
+        (lambda m: np.logical_not(m.eps_r >= 1.0),
+         "eps_r must be >= 1, got {c.eps_r}", ValueError),
+        (lambda m: np.logical_not(m.mu_r > 0.0),
+         "mu_r must be > 0, got {c.mu_r}", ValueError),
+        (lambda m: np.logical_not(m.conductivity >= 0.0),
+         "conductivity must be >= 0, got {c.conductivity}", ValueError),
+        (lambda m: m.viscosity is not None and np.logical_not(m.viscosity > 0.0),
+         "viscosity must be > 0, got {c.viscosity}", ValueError),
+        (lambda m: np.logical_not(np.abs(m.n - m._root) <= _REL_TOL * m._root),
+         "n={c.n} inconsistent with sqrt(eps_r*mu_r)={c._root}", ValueError),
+    )
+
+    @property
+    def _root(self):
+        """sqrt(eps_r mu_r), which n must equal."""
+        return np.sqrt(self.eps_r * self.mu_r)
 
     @classmethod
     def from_index(cls, n: float, mu_r: float = 1.0, **kw) -> "Medium":

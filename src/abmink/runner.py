@@ -24,6 +24,7 @@ import math
 import re
 from dataclasses import asdict, dataclass, field
 from itertools import chain
+from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -34,10 +35,11 @@ from .core import (
     FieldPoint,
     Medium,
     MomentumTag,
-    RegimeError,
+    check_rules,
     interface_pressure,
     mechanical_momentum_density,
     momentum_density,
+    unchecked,
 )
 
 __all__ = [
@@ -245,48 +247,33 @@ def _tags(tag: MomentumTag | None):
     return (tag,)
 
 
-def _checked(cls, **fields):
-    return cls(**fields)
+# A scenario's config from its parameters: the object its rules judge and
+# its columns function evaluates, one row per sweep point.
+
+def _drag_config(p):
+    return unchecked(scenarios.DragConfig, intensity=p["intensity_W_per_m2"],
+                     sigma_a=p["sigma_a_m2"], omega=p["omega_rad_per_s"], n=p["n"])
 
 
-def _unchecked(cls, **fields):
-    """A ``cls`` holding ``fields`` as given, without its checks.
-
-    The closed-form functions only read a config's fields, so one config
-    whose fields are (m,) arrays evaluates m points; each row has passed the
-    checks of a scalar ``cls`` before.
-    """
-    config = object.__new__(cls)
-    config.__dict__.update(fields)
-    return config
+def _wgm_config(p):
+    return unchecked(scenarios.TorqueConfig, n=p["n"], a=p["a_m"], P0=p["P0_W"],
+                     omega0=p["omega0_rad_per_s"])
 
 
-# A scenario's config from its parameters, through make = _checked (one
-# point, raising the config's rejection message) or _unchecked (arrays).
-
-def _drag_config(p, make=_checked):
-    return make(scenarios.DragConfig, intensity=p["intensity_W_per_m2"],
-                sigma_a=p["sigma_a_m2"], omega=p["omega_rad_per_s"], n=p["n"])
-
-
-def _wgm_config(p, make=_checked):
-    return make(scenarios.TorqueConfig, n=p["n"], a=p["a_m"], P0=p["P0_W"],
-                omega0=p["omega0_rad_per_s"])
-
-
-def _sphere_config(p, make=_checked):
+def _sphere_config(p):
     # the two fluids are Medium.from_index(n, viscosity=...)
-    return make(scenarios.SphereKickConfig, M=p["M_kg"], a=p["a_m"],
-                deltaG=p["deltaG_kg_m_per_s"], pulse_energy=p["pulse_energy_J"],
-                fluid=make(Medium, eps_r=p["n"] * p["n"], n=p["n"],
-                           viscosity=p["viscosity_Pa_s"]),
-                L0=p["L0_m"],
-                reference_fluid=make(Medium, eps_r=p["n0"] * p["n0"], n=p["n0"],
-                                     viscosity=p["viscosity0_Pa_s"]))
+    return unchecked(
+        scenarios.SphereKickConfig, M=p["M_kg"], a=p["a_m"],
+        deltaG=p["deltaG_kg_m_per_s"], pulse_energy=p["pulse_energy_J"],
+        fluid=unchecked(Medium, eps_r=p["n"] * p["n"], n=p["n"],
+                        viscosity=p["viscosity_Pa_s"]),
+        L0=p["L0_m"],
+        reference_fluid=unchecked(Medium, eps_r=p["n0"] * p["n0"], n=p["n0"],
+                                  viscosity=p["viscosity0_Pa_s"]))
 
 
 def _drag_columns(p, tag):
-    cfg = _drag_config(p, _unchecked)
+    cfg = _drag_config(p)
     cols = {key: p[key] for key in ("n", "intensity_W_per_m2", "sigma_a_m2",
                                     "omega_rad_per_s")}
     for t in _tags(tag):
@@ -298,7 +285,7 @@ def _drag_columns(p, tag):
 
 
 def _wgm_columns(p, tag):
-    cfg = _wgm_config(p, _unchecked)
+    cfg = _wgm_config(p)
     cols = {key: p[key] for key in ("n", "a_m", "P0_W", "omega0_rad_per_s", "t_s")}
     for t in _tags(tag):
         res = scenarios.wgm_torque(cfg, p["t_s"], t)
@@ -308,7 +295,7 @@ def _wgm_columns(p, tag):
 
 
 def _sphere_columns(p, tag):
-    cfg = _sphere_config(p, _unchecked)
+    cfg = _sphere_config(p)
     cols = {key: p[key] for key in ("M_kg", "a_m", "deltaG_kg_m_per_s",
                                     "pulse_energy_J", "n", "viscosity_Pa_s",
                                     "L0_m")}
@@ -405,28 +392,22 @@ def _sweep_values(sweep: SweepSpec | None):
 
 def _evaluate_closed_form(request: ScenarioRequest):
     """All sweep points at once: the swept key goes through the scenario's
-    closed-form functions as an (m,) array, once per tag."""
+    rules and closed-form functions as an (m,) array, once per tag."""
     form = _SCENARIOS[request.scenario]
     sweep, values = request.sweep, _sweep_values(request.sweep)
-    rejected: dict[int, str] = {}  # row -> message
-    if form.check is not None:
-        swept = {} if sweep is None else {sweep.param: values}
-        cleared = form.cleared(dict(request.params, **swept))
-        for i in np.flatnonzero(~np.broadcast_to(cleared, len(values))):
-            point = dict(request.params)
-            if sweep is not None:
-                point[sweep.param] = float(values[i])
-            try:
-                form.check(point)
-            except ValueError as exc:
-                rejected[i] = str(exc)
+    # numpy scalars: a division by zero or an overflow gives inf or nan
+    p = {key: np.float64(v) for key, v in request.params.items()}
+    if sweep is not None:
+        p[sweep.param] = values
+    with np.errstate(all="ignore"):
+        config = form.config(p)
+    rejected = {i: str(exc)
+                for i, exc in check_rules(form.rules, config, len(values)).items()}
     ok = np.delete(np.arange(len(values)), list(rejected))
     columns, rows = {}, []
     if ok.size:
-        # numpy scalars: a division by zero or an overflow gives inf or nan
-        p = {key: np.float64(v) for key, v in request.params.items()}
-        if sweep is not None:
-            p[sweep.param] = values[ok] if rejected else values
+        if rejected:
+            p[sweep.param] = values[ok]
         with np.errstate(all="ignore"):
             columns = form.columns(p, request.tag)
             table, bad = scenarios._non_finite(columns)
@@ -473,19 +454,20 @@ class _Scenario(NamedTuple):
     ``keys`` maps each parameter (its unit in the name) to its default,
     _REQUIRED for a mandatory one.  ``evaluate(request)`` returns the
     report's (columns, rows, residuals, errors).  A closed-form scenario,
-    evaluated by _evaluate_closed_form, also has ``columns(p, tag)``, which
-    maps parameters (the swept one an (m,) array) to report columns, each
-    an (m,) array or a value shared by all rows.  ``check(p)`` raises the
-    ValueError rejecting one point; ``cleared(p)`` marks the rows it surely
-    accepts, the only rows that skip it.
+    evaluated by _evaluate_closed_form, also has ``config(p)``, which holds
+    the parameters (the swept one an (m,) array) in the object that
+    ``rules`` judge row by row (see core.check_rules; by default the
+    parameters by key), and ``columns(p, tag)``, which maps the parameters
+    of the accepted rows to report columns, each an (m,) array or a value
+    shared by all rows.
     """
 
     keys: dict[str, object]
     provenance: str
     evaluate: Callable = _evaluate_closed_form
     columns: Callable | None = None
-    check: Callable | None = None
-    cleared: Callable | None = None
+    config: Callable = lambda p: SimpleNamespace(**p)
+    rules: tuple = ()
     sweepable: bool = True
 
 
@@ -503,17 +485,15 @@ _SCENARIOS = {
               "omega_rad_per_s": _REQUIRED, "n": _REQUIRED},
         provenance=("I sigma_a p / (hbar omega) = e E with p = hbar n omega / c "
                     "(minkowski) or hbar omega / (n c) (abraham)"),
-        columns=_drag_columns, check=_drag_config, cleared=lambda p: (
-            (p["intensity_W_per_m2"] > 0.0) & (p["sigma_a_m2"] > 0.0)
-            & (p["omega_rad_per_s"] > 0.0) & (p["n"] > 0.0))),
+        columns=_drag_columns, config=_drag_config,
+        rules=scenarios.DragConfig.RULES),
     "wgm": _Scenario(
         keys={"a_m": _REQUIRED, "P0_W": _REQUIRED,
               "omega0_rad_per_s": _REQUIRED, "n": 1.45, "t_s": 0.0},
         provenance=("N_z = -((n^2-1)/c^2) 2 pi a^2 omega0 P0 sin(omega0 t); "
                     "identically zero under minkowski"),
-        columns=_wgm_columns, check=_wgm_config, cleared=lambda p: (
-            (p["a_m"] > 0.0) & (p["omega0_rad_per_s"] > 0.0) & (p["P0_W"] >= 0.0)
-            & (p["n"] >= 1.0))),
+        columns=_wgm_columns, config=_wgm_config,
+        rules=scenarios.TorqueConfig.RULES),
     "sphere-kick": _Scenario(
         keys={"M_kg": _REQUIRED, "a_m": _REQUIRED,
               "deltaG_kg_m_per_s": _REQUIRED, "pulse_energy_J": _REQUIRED,
@@ -523,20 +503,18 @@ _SCENARIOS = {
                     "(minkowski) or H / (n c) (abraham); "
                     "v(t) = v_max exp(-6 pi mu a t / M); "
                     "L/L0 correction scale H / (6 pi a c L0 mu0)"),
-        # displacement_ratio holds the check on L0; a finite n >= 1 always
-        # gives a consistent Medium
-        columns=_sphere_columns, check=lambda p: scenarios.displacement_ratio(
-            _sphere_config(p), MomentumTag.MINKOWSKI), cleared=lambda p: (
-            (p["M_kg"] > 0.0) & (p["a_m"] > 0.0) & (p["pulse_energy_J"] >= 0.0)
-            & (p["L0_m"] > 0.0) & (p["viscosity_Pa_s"] > 0.0)
-            & (p["viscosity0_Pa_s"] > 0.0) & np.isfinite(p["n"]) & (p["n"] >= 1.0)
-            & np.isfinite(p["n0"]) & (p["n0"] >= 1.0))),
+        columns=_sphere_columns, config=_sphere_config,
+        rules=scenarios.SphereKickConfig.RULES + scenarios._L0_RULES),
     "fiber": _Scenario(
         keys={"pulse_energy_J": _REQUIRED, "n": _REQUIRED},
-        provenance="J = (n - 1) H / c along propagation", columns=_fiber_columns),
+        provenance="J = (n - 1) H / c along propagation", columns=_fiber_columns,
+        rules=((lambda c: c.pulse_energy_J < 0.0,
+                "pulse_energy_J must be >= 0, got {c.pulse_energy_J}", ValueError),)),
     "bec": _Scenario(
         keys={"n": _REQUIRED, "omega_rad_per_s": _REQUIRED},
-        provenance="p = hbar n omega / c", columns=_bec_columns),
+        provenance="p = hbar n omega / c", columns=_bec_columns,
+        rules=((lambda c: c.omega_rad_per_s <= 0.0,
+                "omega_rad_per_s must be > 0, got {c.omega_rad_per_s}", ValueError),)),
     "interface": _Scenario(
         keys={"E_t_V_per_m": _REQUIRED, "n_from": _REQUIRED, "n_to": _REQUIRED},
         provenance="P = (eps0/2) E_t^2 (n_from^2 - n_to^2), positive toward n_to",

@@ -35,8 +35,10 @@ from .core import (
     MomentumTag,
     PhysicalConstants,
     RegimeError,
+    check_rules,
     momentum_density,
     poynting,
+    unchecked,
 )
 
 __all__ = [
@@ -91,19 +93,18 @@ class MirrorConfig:
     constants: PhysicalConstants = SI
 
     def __post_init__(self):
-        if not self.medium.nonmagnetic:
-            raise RegimeError("the mirror routes are derived for a nonmagnetic "
-                              f"liquid; got mu_r={self.medium.mu_r}")
-        if self.E0 < 0.0:
-            raise ValueError(f"E0 must be >= 0, got {self.E0}")
-        if self.omega <= 0.0 or self.conductivity <= 0.0:
-            raise ValueError("omega and conductivity must be > 0")
-        r = self.k_over_alpha
-        if r >= self.guard:
-            raise RegimeError(
-                f"good-conductor approximation requires k/alpha < {self.guard}, "
-                f"got k/alpha = {r:.6g}"
-            )
+        check_rules(self.RULES, self)
+
+    RULES = (
+        (lambda c: not c.medium.nonmagnetic, "the mirror routes are derived for a "
+         "nonmagnetic liquid; got mu_r={c.medium.mu_r}", RegimeError),
+        (lambda c: c.E0 < 0.0, "E0 must be >= 0, got {c.E0}", ValueError),
+        (lambda c: (c.omega <= 0.0) | (c.conductivity <= 0.0),
+         "omega and conductivity must be > 0", ValueError),
+        (lambda c: c.k_over_alpha >= c.guard,
+         "good-conductor approximation requires k/alpha < {c.guard}, "
+         "got k/alpha = {c.k_over_alpha:.6g}", RegimeError),
+    )
 
     @property
     def k(self) -> float:
@@ -111,7 +112,7 @@ class MirrorConfig:
 
     @property
     def alpha(self) -> float:
-        return math.sqrt(self.constants.mu0 * self.conductivity * self.omega / 2.0)
+        return np.sqrt(self.constants.mu0 * self.conductivity * self.omega / 2.0)
 
     @property
     def k_over_alpha(self) -> float:
@@ -210,8 +211,10 @@ def mirror_batch(n, E0, omega, conductivity, guard=0.2, quadrature_tol=1e-8,
         *(np.asarray(v, dtype=float)
           for v in (n, E0, omega, conductivity, guard, quadrature_tol))))
     with np.errstate(all="ignore"):  # rejected points may hold anything
-        k = n * omega / cst.c
-        alpha = np.sqrt(cst.mu0 * sigma * omega / 2.0)
+        cfg = unchecked(MirrorConfig, medium=unchecked(Medium, eps_r=n * n, n=n),
+                        E0=E0, omega=omega, conductivity=sigma, guard=guard,
+                        constants=cst)
+        k, alpha = cfg.k, cfg.alpha
         r = k / alpha
         R, phase = 1.0 - 2.0 * r, np.arctan(-r)
         flux = n * E0**2 / (2.0 * cst.mu0 * cst.c)
@@ -242,19 +245,9 @@ def mirror_batch(n, E0, omega, conductivity, guard=0.2, quadrature_tol=1e-8,
         scale = np.abs(routes).max(axis=0)
         spread = np.divide(np.ptp(routes, axis=0), scale,
                            out=np.zeros_like(scale), where=scale != 0.0)
-        # points MirrorConfig might reject; it alone decides and words that
-        unsure = ~((n >= 1.0) & (E0 >= 0.0) & (omega > 0.0) & (sigma > 0.0)
-                   & (r < guard)
-                   & np.isfinite([n, E0, omega, sigma]).all(axis=0))
-    errors: list[ValueError | None] = [None] * n.size
-    for i in np.flatnonzero(unsure):
-        try:
-            MirrorConfig(Medium.from_index(float(n[i])), float(E0[i]),
-                         float(omega[i]), float(sigma[i]), float(guard[i]), cst)
-        except ValueError as exc:
-            errors[i] = exc
-    for i in np.flatnonzero((p2 != 0.0) & (err > 10.0 * tol * np.abs(p2))):
-        if errors[i] is None:
+    errors = check_rules(MirrorConfig.RULES, cfg, n.size)
+    for i in np.flatnonzero((p2 != 0.0) & (err > 10.0 * tol * np.abs(p2))).tolist():
+        if i not in errors:
             errors[i] = ValueError(
                 f"quadrature did not reach quadrature_tol = {tol[i]:g}: "
                 f"estimated error {err[i]:.3g} on value {p2[i]:.6g}")
@@ -265,11 +258,10 @@ def mirror_batch(n, E0, omega, conductivity, guard=0.2, quadrature_tol=1e-8,
                "max_rel_diff": spread}
     # finite inputs can still overflow (E0^2 beyond the double range)
     for i, message in _non_finite(columns)[1].items():
-        if errors[i] is None:
-            errors[i] = ValueError(message)
-    ok = [i for i, e in enumerate(errors) if e is None]
-    return MirrorBatch(columns, tuple(errors),
-                       float(spread[ok].max()) if ok else None)
+        errors.setdefault(i, ValueError(message))
+    ok = np.delete(np.arange(n.size), list(errors))
+    return MirrorBatch(columns, tuple(map(errors.get, range(n.size))),
+                       float(spread[ok].max()) if ok.size else None)
 
 
 def _single(cfg: MirrorConfig, quadrature_tol: float = 1e-8) -> dict[str, float]:
@@ -385,9 +377,11 @@ class DragConfig:
     n: float
 
     def __post_init__(self):
-        for name in ("intensity", "sigma_a", "omega", "n"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be > 0")
+        check_rules(self.RULES, self)
+
+    RULES = tuple((lambda c, name=name: getattr(c, name) <= 0.0,
+                   f"{name} must be > 0", ValueError)
+                  for name in ("intensity", "sigma_a", "omega", "n"))
 
 
 def photon_drag_field(cfg: DragConfig, tag: MomentumTag,
@@ -436,8 +430,10 @@ class TorqueConfig:
     constants: PhysicalConstants = SI
 
     def __post_init__(self):
-        if self.a <= 0.0 or self.omega0 <= 0.0 or self.P0 < 0.0 or self.n < 1.0:
-            raise ValueError("require a > 0, omega0 > 0, P0 >= 0, n >= 1")
+        check_rules(self.RULES, self)
+
+    RULES = ((lambda c: (c.a <= 0.0) | (c.omega0 <= 0.0) | (c.P0 < 0.0) | (c.n < 1.0),
+              "require a > 0, omega0 > 0, P0 >= 0, n >= 1", ValueError),)
 
 
 @dataclass(frozen=True)
@@ -494,12 +490,17 @@ class SphereKickConfig:
     constants: PhysicalConstants = SI
 
     def __post_init__(self):
-        if self.M <= 0.0 or self.a <= 0.0:
-            raise ValueError("require M > 0 and a > 0")
-        if self.pulse_energy < 0.0:
-            raise ValueError(f"pulse_energy must be >= 0, got {self.pulse_energy}")
-        if self.fluid.viscosity is None or self.reference_fluid.viscosity is None:
-            raise ValueError("both fluids need a dynamic viscosity")
+        check_rules(self.RULES, self)
+
+    # the two fluids are judged first, by their own rules
+    RULES = (
+        (lambda c: (c.M <= 0.0) | (c.a <= 0.0), "require M > 0 and a > 0",
+         ValueError),
+        (lambda c: c.pulse_energy < 0.0,
+         "pulse_energy must be >= 0, got {c.pulse_energy}", ValueError),
+        (lambda c: c.fluid.viscosity is None or c.reference_fluid.viscosity is None,
+         "both fluids need a dynamic viscosity", ValueError),
+    )
 
     def pulse_momentum(self, tag: MomentumTag) -> float:
         c = self.constants.c
@@ -549,6 +550,11 @@ def displacement_correction(pulse_energy: float, a: float, L0: float,
     return pulse_energy / (6.0 * math.pi * a * constants.c * L0 * mu0_visc)
 
 
+# the rule displacement_ratio adds to those of its config
+_L0_RULES = ((lambda c: c.L0 <= 0.0,
+              "reference displacement L0 must be > 0, got {c.L0}", ValueError),)
+
+
 def displacement_ratio(cfg: SphereKickConfig, tag: MomentumTag) -> float:
     """Predicted L/L0 between the working fluid and the reference fluid.
 
@@ -562,8 +568,7 @@ def displacement_ratio(cfg: SphereKickConfig, tag: MomentumTag) -> float:
     air).  The Minkowski correction is positive for n > 1, the Abraham one
     negative.
     """
-    if np.any(cfg.L0 <= 0.0):
-        raise ValueError(f"reference displacement L0 must be > 0, got {cfg.L0}")
+    check_rules(_L0_RULES, cfg)
     mu = cfg.fluid.viscosity
     mu0 = cfg.reference_fluid.viscosity
     corr = displacement_correction(cfg.pulse_energy, cfg.a, cfg.L0, mu0,

@@ -1,0 +1,53 @@
+"""Every module-level import in the package is used.
+
+No linter ships with the project's test dependencies, so this walks each
+module's syntax tree with the standard library instead.  A name counts as
+used when the module reads it anywhere, or lists it in ``__all__``;
+``from __future__ import annotations`` is a compiler directive, not a name.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+MODULES = sorted((Path(__file__).resolve().parents[1] / "src" / "abmink").glob("*.py"))
+
+
+def _imported(tree):
+    """name -> line of each module-level import binding it."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _exported(tree):
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def _unused(source):
+    tree = ast.parse(source)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{name} (line {line})" for name, line in _imported(tree).items()
+                  if name not in read and name not in _exported(tree))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_level_imports_are_used(path):
+    assert _unused(path.read_text()) == []
+
+
+def test_the_walk_finds_an_unused_import():
+    source = ("from __future__ import annotations\nimport math\nimport numpy as np\n"
+              "from .core import RegimeError, SI\n__all__ = ['SI']\nnp.zeros(1)\n")
+    assert _unused(source) == ["RegimeError (line 4)", "math (line 2)"]

@@ -75,11 +75,15 @@ def _point_sphere(p, tag):
 
 
 def _point_fiber(p, tag):
+    if p["pulse_energy_J"] < 0.0:
+        raise ValueError(f"pulse_energy_J must be >= 0, got {p['pulse_energy_J']}")
     return {"pulse_energy_J": p["pulse_energy_J"], "n": p["n"],
             "impulse_N_s": scenarios.fiber_exit_impulse(p["pulse_energy_J"], p["n"])}
 
 
 def _point_bec(p, tag):
+    if p["omega_rad_per_s"] <= 0.0:
+        raise ValueError(f"omega_rad_per_s must be > 0, got {p['omega_rad_per_s']}")
     return {"n": p["n"], "omega_rad_per_s": p["omega_rad_per_s"],
             "recoil_kg_m_per_s": scenarios.bec_recoil(p["n"], p["omega_rad_per_s"])}
 
@@ -211,6 +215,8 @@ def _without(text, key):
     INTERFACE.replace("E_t_V_per_m = 1e3", "E_t_V_per_m = 1e200"),
     "scenario = fiber\npulse_energy_J = 1e300\nsweep = n:[1, 1e10, 4]\n",
     "scenario = bec\nomega_rad_per_s = 1e300\nsweep = n:[1, 1e10, 4]\n",
+    "scenario = fiber\nn = 1.45\nsweep = pulse_energy_J:[-2e-6, 2e-6, 5]\n",
+    "scenario = bec\nn = 1.33\nsweep = omega_rad_per_s:[-3e15, 3e15, 4]\n",
 ])
 def test_out_of_domain_sweeps_match_the_per_point_loop(text):
     assert_matches_per_point(text)
