@@ -198,7 +198,8 @@ class Medium:
     @classmethod
     def from_index(cls, n: float, mu_r: float = 1.0, **kw) -> "Medium":
         """Medium of refractive index n, nonmagnetic unless mu_r is given."""
-        return cls(n * n / mu_r, mu_r, n, **kw)
+        # mu_r = 0 gives eps_r = inf, so that the mu_r rule words the error
+        return cls(n * n / mu_r if mu_r else math.inf, mu_r, n, **kw)
 
     @property
     def nonmagnetic(self) -> bool:

@@ -13,6 +13,11 @@ both antisymmetric.  The energy-momentum contraction then reproduces the
 3+1 quantities exactly: stress block, Poynting row S[3][k] = S_k / c,
 momentum column S[k][3] = c g_k, energy element S[3][3] = w.
 
+Every tensor may also be an (..., 4, 4) stack, every four-vector an
+(..., 4) stack and every 3-vector an (..., 3) stack, with a scalar such as
+n an (...) stack; the functions broadcast over the leading axes, so a single
+tensor is the zero-stack case of the same code.
+
 Units here are the reduced ones in which the vacuum permittivity and
 permeability are 1; the consistent light speed is then c = 1, which is the
 default everywhere (c is still carried explicitly in the formulas).  Use
@@ -53,31 +58,47 @@ _REL_TOL = 1e-12
 ETA = np.diag([1.0, 1.0, 1.0, -1.0])
 ETA.flags.writeable = False
 
+# (row, column) of the cyclic rule m[i][k] = v_l, for l = 0, 1, 2
+_AXIAL = ([1, 2, 0], [2, 0, 1])
 
-def _mat4(a) -> np.ndarray:
-    m = np.array(a, dtype=float).reshape(4, 4)
+# the central-difference stencil: +x, +y, +z, +ct, then the same negated
+_STENCIL = np.vstack([np.eye(4), -np.eye(4)])
+_STENCIL.flags.writeable = False
+
+
+def _stack(a, shape: tuple) -> np.ndarray:
+    """Read-only array of the given trailing shape: one item or a stack."""
+    m = np.array(a, dtype=float)
+    if m.shape[-len(shape):] != shape:
+        m = m.reshape(shape)
     m.flags.writeable = False
     return m
 
 
-def _check_antisymmetric(m: np.ndarray, what: str):
-    if not np.array_equal(m, -m.T):
-        raise ValueError(f"{what} must be antisymmetric")
-
-
-def _spatial_axial(m: np.ndarray) -> np.ndarray:
-    # inverse of the cyclic rule m[i][k] = v_l
-    return np.array([m[1, 2], m[2, 0], m[0, 1]])
+def _per_tensor(x) -> np.ndarray:
+    """A scalar or an (...) stack of them, broadcastable over (..., 4, 4)."""
+    return np.asarray(x, dtype=float)[..., None, None]
 
 
 def _antisym_from_vectors(row4, spatial_axial, c: float) -> np.ndarray:
-    m = np.zeros((4, 4))
     v = np.asarray(spatial_axial, dtype=float)
-    m[0, 1], m[1, 2], m[2, 0] = v[2], v[0], v[1]
-    m[1, 0], m[2, 1], m[0, 2] = -v[2], -v[0], -v[1]
-    m[3, :3] = np.asarray(row4, dtype=float) / c
-    m[:3, 3] = -m[3, :3]
+    row = np.asarray(row4, dtype=float) / c
+    m = np.zeros(np.broadcast_shapes(v.shape, row.shape)[:-1] + (4, 4))
+    m[..., _AXIAL[0], _AXIAL[1]] = v
+    m[..., _AXIAL[1], _AXIAL[0]] = -v
+    m[..., 3, :3] = row
+    m[..., :3, 3] = -m[..., 3, :3]
     return m
+
+
+def _time_row(t) -> np.ndarray:
+    """c times the fourth row: E, D or the Poynting vector."""
+    return t.c * t.M[..., 3, :3]
+
+
+def _axial(t) -> np.ndarray:
+    """The inverse of the cyclic rule m[i][k] = v_l: B or H."""
+    return t.M[..., _AXIAL[0], _AXIAL[1]]
 
 
 @dataclass(frozen=True)
@@ -88,11 +109,9 @@ class FourVelocity:
     c: float = 1.0
 
     def __post_init__(self):
-        v = np.array(self.V, dtype=float).reshape(4)
-        v.flags.writeable = False
-        object.__setattr__(self, "V", v)
-        norm = float(v @ ETA @ v)
-        if abs(norm + self.c**2) > _REL_TOL * self.c**2:
+        object.__setattr__(self, "V", _stack(self.V, (4,)))
+        norm = np.vecdot(self.V @ ETA, self.V)
+        if np.any(np.abs(norm + self.c**2) > _REL_TOL * self.c**2):
             raise ValueError(
                 f"four-velocity norm is {norm}, expected {-self.c**2}"
             )
@@ -103,56 +122,47 @@ class FourVelocity:
 
     @classmethod
     def from_three_velocity(cls, v3, c: float = 1.0) -> "FourVelocity":
-        v3 = np.asarray(v3, dtype=float).reshape(3)
-        beta2 = float(v3 @ v3) / c**2
-        if beta2 >= 1.0:
+        v3 = _stack(v3, (3,))
+        beta2 = np.vecdot(v3, v3) / c**2
+        if np.any(beta2 >= 1.0):
             raise ValueError(f"|v| must be < c, got |v|^2/c^2 = {beta2}")
-        gamma = 1.0 / math.sqrt(1.0 - beta2)
-        return cls(V=np.concatenate([gamma * v3, [gamma * c]]), c=c)
+        gamma = (1.0 / np.sqrt(1.0 - beta2))[..., None]
+        return cls(V=np.concatenate([gamma * v3, gamma * c], axis=-1), c=c)
 
 
 @dataclass(frozen=True)
-class FieldTensor4:
+class _Tensor4:
+    M: np.ndarray
+    c: float = 1.0
+    _kind = ""  # an antisymmetric kind's name, for its error
+
+    def __post_init__(self):
+        m = _stack(self.M, (4, 4))
+        object.__setattr__(self, "M", m)
+        # a NaN entry is left to the caller's non-finite check, if its
+        # mirror entry is NaN too
+        if self._kind and not np.array_equal(m, -np.swapaxes(m, -1, -2),
+                                             equal_nan=True):
+            raise ValueError(f"{self._kind} must be antisymmetric")
+
+
+class FieldTensor4(_Tensor4):
     """Antisymmetric field-strength tensor built from (E, B)."""
 
-    M: np.ndarray
-    c: float = 1.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "M", _mat4(self.M))
-        _check_antisymmetric(self.M, "field tensor")
-
-    @property
-    def E(self) -> np.ndarray:
-        return self.c * self.M[3, :3]
-
-    @property
-    def B(self) -> np.ndarray:
-        return _spatial_axial(self.M)
+    _kind = "field tensor"
+    E = property(_time_row)
+    B = property(_axial)
 
 
-@dataclass(frozen=True)
-class ExcitationTensor4:
+class ExcitationTensor4(_Tensor4):
     """Antisymmetric excitation tensor built from (D, H)."""
 
-    M: np.ndarray
-    c: float = 1.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "M", _mat4(self.M))
-        _check_antisymmetric(self.M, "excitation tensor")
-
-    @property
-    def D(self) -> np.ndarray:
-        return self.c * self.M[3, :3]
-
-    @property
-    def H(self) -> np.ndarray:
-        return _spatial_axial(self.M)
+    _kind = "excitation tensor"
+    D = property(_time_row)
+    H = property(_axial)
 
 
-@dataclass(frozen=True)
-class EMTensor4:
+class EMTensor4(_Tensor4):
     """Energy-momentum tensor with 3+1 accessors.
 
     Non-symmetric between the Poynting row and the momentum column whenever
@@ -160,27 +170,19 @@ class EMTensor4:
     along the propagation direction of a plane wave.
     """
 
-    M: np.ndarray
-    c: float = 1.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "M", _mat4(self.M))
+    poynting = property(_time_row)
 
     @property
     def stress(self) -> np.ndarray:
-        return self.M[:3, :3]
-
-    @property
-    def poynting(self) -> np.ndarray:
-        return self.c * self.M[3, :3]
+        return self.M[..., :3, :3]
 
     @property
     def momentum_density(self) -> np.ndarray:
-        return self.M[:3, 3] / self.c
+        return self.M[..., :3, 3] / self.c
 
     @property
-    def energy_density(self) -> float:
-        return float(self.M[3, 3])
+    def energy_density(self) -> np.ndarray:
+        return self.M[..., 3, 3]
 
 
 @dataclass(frozen=True)
@@ -188,12 +190,10 @@ class FourMomentum:
     """Momentum 3-vector and energy of a field region (consistent units)."""
 
     G: np.ndarray
-    W: float
+    W: float | np.ndarray
 
     def __post_init__(self):
-        g = np.array(self.G, dtype=float).reshape(3)
-        g.flags.writeable = False
-        object.__setattr__(self, "G", g)
+        object.__setattr__(self, "G", _stack(self.G, (3,)))
 
 
 def field_tensor_from_EB(E, B, c: float = 1.0) -> FieldTensor4:
@@ -207,7 +207,7 @@ def excitation_from_DH(D, H, c: float = 1.0) -> ExcitationTensor4:
 
 
 def excitation_from_constitutive(F: FieldTensor4, V: FourVelocity,
-                                 n: float, mu_r: float) -> ExcitationTensor4:
+                                 n, mu_r) -> ExcitationTensor4:
     """Excitation tensor of a medium moving with four-velocity V.
 
     Solves mu_r H = F - ((n^2-1)/c^2) (F.V (x) V - V (x) F.V) for H, the
@@ -217,8 +217,9 @@ def excitation_from_constitutive(F: FieldTensor4, V: FourVelocity,
     if F.c != V.c:
         raise ValueError("field tensor and four-velocity use different c")
     c = F.c
-    W = F.M @ ETA @ V.V  # F contracted once with the four-velocity
-    term = np.outer(W, V.V) - np.outer(V.V, W)
+    W = (F.M @ ETA @ V.V[..., None])[..., 0]  # F contracted once with V
+    term = W[..., :, None] * V.V[..., None, :] - V.V[..., :, None] * W[..., None, :]
+    n, mu_r = _per_tensor(n), _per_tensor(mu_r)
     return ExcitationTensor4(M=(F.M - (n * n - 1.0) / c**2 * term) / mu_r, c=c)
 
 
@@ -230,51 +231,53 @@ def minkowski_tensor4(F: FieldTensor4, H: ExcitationTensor4) -> EMTensor4:
     """
     if F.c != H.c:
         raise ValueError("field and excitation tensors use different c")
-    contraction = F.M @ ETA @ H.M.T
-    invariant = float(np.sum(F.M * (ETA @ H.M @ ETA)))
-    return EMTensor4(M=contraction - 0.25 * ETA * invariant, c=F.c)
+    contraction = F.M @ ETA @ np.swapaxes(H.M, -1, -2)
+    invariant = np.sum(F.M * (ETA @ H.M @ ETA), axis=(-2, -1))
+    return EMTensor4(M=contraction - 0.25 * ETA * _per_tensor(invariant), c=F.c)
 
 
-def divergence_residual(field_sampler, x, t: float, grid_step: float,
+def divergence_residual(field_sampler, x, t: float, grid_step,
                         c: float = 1.0) -> np.ndarray:
     """Central-difference estimate of the four-divergence of the field tensor.
 
-    ``field_sampler(x, t)`` must return a (FieldTensor4, ExcitationTensor4)
-    pair.  The time stencil uses dt = grid_step / c so every direction is
-    differenced over the same spacetime step.  For fields solving the
+    The stencil holds x +- grid_step along each axis at t, and x at
+    t +- grid_step / c, so every direction is differenced over the same
+    spacetime step.  ``grid_step`` may be an (s,) array of steps, which
+    gives an (s, 4) array of residuals.  ``field_sampler(x, t)`` is called
+    once, with the whole stencil: x an (..., 8, 3) stack of points and t an
+    (..., 8) stack of times.  It returns a (FieldTensor4, ExcitationTensor4)
+    pair of (..., 8, 4, 4) stacks, or of single tensors that are broadcast
+    when the fields do not depend on (x, t).  For fields solving the
     source-free Maxwell equations in a homogeneous medium the residual
     vanishes; the estimate converges to it at second order in grid_step.
     """
-    if grid_step <= 0.0:
+    h = np.asarray(grid_step, dtype=float)
+    if np.any(h <= 0.0):
         raise ValueError(f"grid_step must be > 0, got {grid_step}")
     x = np.asarray(x, dtype=float).reshape(3)
-
-    def tensor(xx, tt):
-        return minkowski_tensor4(*field_sampler(xx, tt)).M
-
-    residual = np.zeros(4)
-    for j in range(3):
-        step = np.zeros(3)
-        step[j] = grid_step
-        residual += (tensor(x + step, t) - tensor(x - step, t))[:, j]
-    dt = grid_step / c
-    residual += (tensor(x, t + dt) - tensor(x, t - dt))[:, 3]
-    return residual / (2.0 * grid_step)
+    h = h[..., None, None]
+    S = minkowski_tensor4(*field_sampler(x + h * _STENCIL[:, :3],
+                                         t + h[..., 0] / c * _STENCIL[:, 3])).M
+    S = np.broadcast_to(S, h.shape[:-2] + (8, 4, 4))
+    # column j of the difference along direction j: (..., row, j)
+    d = np.diagonal(S[..., :4, :, :] - S[..., 4:, :, :], axis1=-3, axis2=-1)
+    return (d[..., 0] + d[..., 1] + d[..., 2] + d[..., 3]) / (2.0 * h[..., 0])
 
 
 def classify_four_momentum(p: FourMomentum, c: float = 1.0,
-                           rel_tol: float = 1e-9) -> str:
-    """Classify (G, W) as 'spacelike', 'timelike' or 'null'.
+                           rel_tol: float = 1e-9):
+    """Classify (G, W) as 'spacelike', 'timelike' or 'null'; a stack gives
+    an array of classes.
 
     The discriminant is c^2 |G|^2 - W^2, compared against rel_tol times the
     magnitude scale c^2 |G|^2 + W^2.
     """
-    g2 = c**2 * float(p.G @ p.G)
-    w2 = p.W**2
+    g2 = c**2 * np.vecdot(p.G, p.G)
+    w2 = np.square(p.W)
     disc = g2 - w2
-    if abs(disc) <= rel_tol * (g2 + w2):
-        return "null"
-    return "spacelike" if disc > 0.0 else "timelike"
+    cls = np.where(np.abs(disc) <= rel_tol * (g2 + w2), "null",
+                   np.where(disc > 0.0, "spacelike", "timelike"))
+    return cls if cls.ndim else str(cls)
 
 
 def plane_wave_sampler(n: float, mu_r: float, omega: float, E0: float,
@@ -282,10 +285,12 @@ def plane_wave_sampler(n: float, mu_r: float, omega: float, E0: float,
                        c: float = 1.0, wavenumber: float | None = None):
     """Sampler for a plane wave in a homogeneous medium, for divergence checks.
 
-    Returns ``sample(x, t) -> (FieldTensor4, ExcitationTensor4)``.  The
-    default wavenumber n omega / c satisfies the medium dispersion relation;
-    passing any other value produces fields that do not solve the wave
-    equation (useful as a negative control).
+    Returns ``sample(x, t) -> (FieldTensor4, ExcitationTensor4)``: x is a
+    point or an (..., 3) stack of points, t a time or a stack that
+    broadcasts against x[..., 0], and the tensors are (..., 4, 4) stacks.
+    The default wavenumber n omega / c satisfies the medium dispersion
+    relation; passing any other value produces fields that do not solve the
+    wave equation (useful as a negative control).
     """
     d = np.asarray(direction, dtype=float)
     p = np.asarray(polarization, dtype=float)
@@ -298,9 +303,9 @@ def plane_wave_sampler(n: float, mu_r: float, omega: float, E0: float,
     b_hat = np.cross(d, p)
 
     def sample(x, t):
-        phase = k * float(d @ np.asarray(x, dtype=float)) - omega * t
-        E = E0 * math.cos(phase) * p
-        B = (n / c) * E0 * math.cos(phase) * b_hat
+        cos = np.cos(k * np.vecdot(np.asarray(x, dtype=float), d) - omega * t)
+        E = E0 * cos[..., None] * p
+        B = (n / c) * E0 * cos[..., None] * b_hat
         F = field_tensor_from_EB(E, B, c)
         Hx = excitation_from_DH(eps_r * E, B / mu_r, c)
         return F, Hx

@@ -111,6 +111,26 @@ def test_overflowing_point_exits_one_with_valid_output(tmp_path, text):
             assert out.endswith(f"# error: {message}\n")
 
 
+@pytest.mark.parametrize("key", ["mu_r = 1e-300", "n = 1e200"])
+def test_non_finite_covariant_check_exits_one_with_valid_output(tmp_path, key):
+    path = tmp_path / "covariant.cfg"
+    path.write_text(f"scenario = covariant-checks\n{key}\n")
+    for fmt in ("csv", "json", "table"):
+        proc = run_cli("run", str(path), "--format", fmt)
+        assert proc.returncode == 1, proc.stderr
+        # one line per non-finite check: no traceback, no RuntimeWarning
+        errors = proc.stderr.decode().splitlines()
+        assert errors and all(e.startswith("error: result '") for e in errors)
+        out = proc.stdout.decode()
+        if fmt == "json":  # strict: NaN or Infinity would fail to parse
+            payload = json.loads(out, parse_constant=pytest.fail)
+            assert payload["errors"] == [e[len("error: "):] for e in errors]
+        elif fmt == "csv":
+            assert out.splitlines()[0] == "check,value"
+        else:
+            assert out.endswith("".join(f"# {e}\n" for e in errors))
+
+
 @pytest.mark.parametrize("args, env_tol, source", [
     (["--tol", "nan"], None, "--tol"),
     (["--tol", "-1"], None, "--tol"),

@@ -72,6 +72,15 @@ def test_medium_rejects_bad_values(kwargs):
         Medium(**kwargs)
 
 
+@pytest.mark.parametrize("mu_r", [0.0, -0.0])
+def test_medium_from_index_rejects_zero_mu_r_by_its_rule(mu_r):
+    # n * n / mu_r would divide by zero before the rule could word it
+    with pytest.raises(ValueError, match=re.escape(f"mu_r must be > 0, got {mu_r}")):
+        Medium.from_index(1.5, mu_r=mu_r)
+    with pytest.raises(ValueError, match=re.escape(f"mu_r must be > 0, got {mu_r}")):
+        Medium.from_index(np.array([1.5, 2.0]), mu_r=mu_r)
+
+
 NAN = math.nan
 
 

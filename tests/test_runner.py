@@ -254,29 +254,51 @@ def test_run_unreachable_quadrature_tol_names_the_key(capfd):
     assert capfd.readouterr().err == ""
 
 
-@pytest.mark.parametrize("text, needle", [
+_COVARIANT_CHECKS = ["constitutive_rest_frame_max_rel_err", "divergence_ratio_coarse",
+                     "divergence_ratio_fine", "four_momentum_class_minkowski",
+                     "four_momentum_class_abraham", "four_momentum_class_vacuum"]
+_COVARIANT_RESIDUALS = ["constitutive_max_rel_err", "divergence_ratio_err"]
+_NAN_RATIOS = ("divergence_ratio_coarse", "divergence_ratio_fine",
+               "divergence_ratio_err")
+
+
+# for covariant-checks, the checks and residuals that come out nan, in report order
+@pytest.mark.parametrize("text, needle, nan_checks", [
     (MIRROR_CFG.replace("E0_V_per_m = 1.0e3", "E0_V_per_m = 1e200"),
-     "result 'incident_flux_W_per_m2' is not finite: inf"),
+     "result 'incident_flux_W_per_m2' is not finite: inf", ()),
     ("scenario = interface\nE_t_V_per_m = 1e200\nn_from = 1\nn_to = 1.33\n",
-     "result 'pressure_Pa' is not finite: -inf"),
+     "result 'pressure_Pa' is not finite: -inf", ()),
     ("scenario = drag\nintensity_W_per_m2 = 1e300\nsigma_a_m2 = 1e10\n"
      "omega_rad_per_s = 1e13\nn = 1.5\n",
-     "result 'field_minkowski_V_per_m' is not finite: inf"),
+     "result 'field_minkowski_V_per_m' is not finite: inf", ()),
     ("scenario = covariant-checks\ngrid_step = 1e300\n",
-     "result 'divergence_ratio_err' is not finite: nan"),
+     "result 'divergence_ratio_err' is not finite: nan", _NAN_RATIOS),
+    # the pulse energy squared overflows (an OverflowError traceback once)
+    ("scenario = covariant-checks\nmu_r = 1e-300\n",
+     "result 'divergence_ratio_err' is not finite: nan", _NAN_RATIOS),
+    # n * n overflows (once an unkeyed antisymmetry error, exit 2)
+    ("scenario = covariant-checks\nn = 1e200\n",
+     "result 'divergence_ratio_err' is not finite: nan",
+     ("constitutive_rest_frame_max_rel_err", "divergence_ratio_coarse",
+      "divergence_ratio_fine", "constitutive_max_rel_err", "divergence_ratio_err")),
 ])
-def test_run_non_finite_point_is_an_error_and_output_stays_valid(text, needle):
+def test_run_non_finite_point_is_an_error_and_output_stays_valid(text, needle,
+                                                                nan_checks):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # and no RuntimeWarning leaks
         report = run(parse_config(text))
     if report.scenario == "covariant-checks":  # one row per check
-        nan = ["divergence_ratio_coarse", "divergence_ratio_fine"]
         assert report.errors == [f"result '{name}' is not finite: nan"
-                                 for name in nan + ["divergence_ratio_err"]]
+                                 for name in nan_checks]
         assert [row[0] for row in report.rows] == [
-            "constitutive_rest_frame_max_rel_err", "four_momentum_class_minkowski",
-            "four_momentum_class_abraham", "four_momentum_class_vacuum"]
-        assert list(report.residuals) == ["constitutive_max_rel_err"]
+            name for name in _COVARIANT_CHECKS if name not in nan_checks]
+        assert list(report.residuals) == [
+            name for name in _COVARIANT_RESIDUALS if name not in nan_checks]
+        assert {type(value) for row in report.rows for value in row} <= {str, float}
+        lines = emit(report, "csv").decode().splitlines()
+        assert lines[0] == "check,value" and len(lines) == 1 + len(report.rows)
+        assert all(math.isfinite(float(line.split(",")[1])) for line in lines[1:]
+                   if "class" not in line)
     else:
         assert report.rows == [] and len(report.errors) == 1
         assert emit(report, "csv") == b"\n"
