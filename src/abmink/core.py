@@ -58,17 +58,30 @@ def unchecked(cls, **fields):
     return config
 
 
-def _row(config, i: int):
-    """``config`` at row i: each (m,) array field as its i-th value, each
-    number as a Python float, and the configs it holds likewise."""
-    fields = {}
-    for name, value in vars(config).items():
-        if isinstance(value, (_ndarray, np.generic)):
-            value = value.item(i if value.size > 1 else 0)
-        elif hasattr(value, "RULES"):
-            value = _row(value, i)
-        fields[name] = value
-    return unchecked(type(config), **fields)
+class _Row:
+    """``config`` at row ``at[0]``, as its rules' messages read it: each
+    attribute (a field, a property evaluated on the whole arrays, or a
+    config it holds, read likewise) as a Python value at that row.  An
+    attribute is read once and converted with one .tolist()."""
+
+    __slots__ = ("_config", "_at", "_columns")
+
+    def __init__(self, config, at: list[int]):
+        self._config, self._at, self._columns = config, at, {}
+
+    def __getattr__(self, name):
+        if name not in self._columns:
+            value = getattr(self._config, name)
+            per_row = isinstance(value, _ndarray) and value.size > 1
+            if per_row:
+                value = value.tolist()
+            elif isinstance(value, (_ndarray, np.generic)):
+                value = value.item()
+            elif hasattr(value, "RULES"):
+                value = _Row(value, self._at)
+            self._columns[name] = value, per_row
+        value, per_row = self._columns[name]
+        return value[self._at[0]] if per_row else value
 
 
 def check_rules(rules, config, size: int | None = None) -> dict[int, ValueError]:
@@ -86,6 +99,8 @@ def check_rules(rules, config, size: int | None = None) -> dict[int, ValueError]
     for value in vars(config).values():
         if hasattr(value, "RULES"):
             errors = check_rules(value.RULES, value, size or 1) | errors
+    at = [0]
+    row = _Row(config, at)
     with np.errstate(all="ignore"):  # rejected rows may hold anything
         for fails, message, kind in rules:
             bad = fails(config)
@@ -93,7 +108,8 @@ def check_rules(rules, config, size: int | None = None) -> dict[int, ValueError]
                     else range(size or 1) if bad else ())
             for i in rows:
                 if i not in errors:
-                    errors[i] = kind(message.format(c=_row(config, i)))
+                    at[0] = i
+                    errors[i] = kind(message.format(c=row))
     if size is None and errors:
         raise errors[min(errors)]
     return errors

@@ -270,13 +270,21 @@ def classify_four_momentum(p: FourMomentum, c: float = 1.0,
     an array of classes.
 
     The discriminant is c^2 |G|^2 - W^2, compared against rel_tol times the
-    magnitude scale c^2 |G|^2 + W^2.
+    magnitude scale c^2 |G|^2 + W^2.  Both are taken of (c G, W) divided by
+    its largest magnitude, so that squaring cannot overflow; a four-momentum
+    with a component that is not finite is 'undecidable'.
     """
-    g2 = c**2 * np.vecdot(p.G, p.G)
-    w2 = np.square(p.W)
+    cG = c * p.G
+    scale = np.maximum(np.max(np.abs(cG), axis=-1), np.abs(p.W))
+    scale = np.where(scale > 0.0, scale, 1.0)  # nan stays nan
+    with np.errstate(invalid="ignore"):  # inf / inf: undecidable
+        g, w = cG / scale[..., None], p.W / scale
+    g2, w2 = np.vecdot(g, g), np.square(w)
     disc = g2 - w2
-    cls = np.where(np.abs(disc) <= rel_tol * (g2 + w2), "null",
-                   np.where(disc > 0.0, "spacelike", "timelike"))
+    cls = np.where(np.isfinite(disc),
+                   np.where(np.abs(disc) <= rel_tol * (g2 + w2), "null",
+                            np.where(disc > 0.0, "spacelike", "timelike")),
+                   "undecidable")
     return cls if cls.ndim else str(cls)
 
 

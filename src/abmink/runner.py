@@ -19,10 +19,12 @@ reports.
 
 from __future__ import annotations
 
+import io
 import json
 import math
+import operator
 import re
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from itertools import chain
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
@@ -103,6 +105,14 @@ class ScenarioRequest:
 
 @dataclass
 class ScenarioReport:
+    """A scenario's report.
+
+    ``run`` keeps an all-float report as one finite (m, k) float64 table,
+    which ``emit`` renders column by column; ``rows`` builds the lists of
+    Python floats from it on first access.  A report constructed with
+    ``rows`` holds those rows as given.
+    """
+
     scenario: str
     params: dict[str, float]
     tag: str
@@ -112,6 +122,32 @@ class ScenarioReport:
     rows: list[list]
     residuals: dict[str, float] = field(default_factory=dict)
     errors: list[str] = field(default_factory=list)
+
+    _table = None  # the float table, for a report built from_table
+    _built = None  # a copy of the rows as first built from it
+
+    @classmethod
+    def from_table(cls, table: np.ndarray, **fields) -> ScenarioReport:
+        """A report whose rows are the float64 ``table``.  It is kept as the
+        array when it has rows and all are finite; otherwise as its rows."""
+        report = cls(rows=[], **fields)
+        if len(table) and np.isfinite(table).all():
+            del report.rows  # built from the table on first access
+            report._table = table
+        else:
+            report.rows = table.tolist()
+        return report
+
+    def __getattr__(self, name):
+        # reached only for a missing attribute: the rows of a table not yet built
+        if name != "rows" or self._table is None:
+            raise AttributeError(name)
+        self.rows = self._table.tolist()
+        self._built = [row.copy() for row in self.rows]
+        return self.rows
+
+
+_FIELDS = [f.name for f in fields(ScenarioReport)]  # a report's JSON keys, in order
 
 
 @dataclass(frozen=True)
@@ -359,11 +395,14 @@ def _covariant_check_rows(n: float, mu_r: float, grid_step: float):
         "constitutive_rest_frame_max_rel_err": const_err,
         "divergence_ratio_coarse": coarse,
         "divergence_ratio_fine": fine,
-    } | {f"four_momentum_class_{name}": covariant.classify_four_momentum(
-        covariant.pulse_four_momentum(tensor, 1.0, tag))
-        for name, tensor, tag in (("minkowski", S, MomentumTag.MINKOWSKI),
-                                  ("abraham", S, MomentumTag.ABRAHAM),
-                                  ("vacuum", S_vac, MomentumTag.MINKOWSKI))}
+    }
+    for name, tensor, tag in (("minkowski", S, MomentumTag.MINKOWSKI),
+                              ("abraham", S, MomentumTag.ABRAHAM),
+                              ("vacuum", S_vac, MomentumTag.MINKOWSKI)):
+        cls = covariant.classify_four_momentum(
+            covariant.pulse_four_momentum(tensor, 1.0, tag))
+        # nan, so that the non-finite rule reports a class not decided
+        checks[f"four_momentum_class_{name}"] = math.nan if cls == "undecidable" else cls
     residuals = {
         "constitutive_max_rel_err": const_err,
         # Python's max: a nan fine ratio leaves a finite coarse one standing
@@ -395,7 +434,7 @@ def _evaluate_closed_form(request: ScenarioRequest):
     rejected = {i: str(exc)
                 for i, exc in check_rules(form.rules, config, len(values)).items()}
     ok = np.delete(np.arange(len(values)), list(rejected))
-    columns, rows = {}, []
+    columns, table = {}, np.empty((0, 0))
     if ok.size:
         if rejected:
             p[sweep.param] = values[ok]
@@ -403,9 +442,9 @@ def _evaluate_closed_form(request: ScenarioRequest):
             columns = form.columns(p, request.tag)
             table, bad = scenarios._non_finite(columns)
         rejected.update((ok[j], message) for j, message in bad.items())
-        rows = np.delete(table, list(bad), axis=0).tolist()
+        table = np.delete(table, list(bad), axis=0)
     errors = [f"{_where(sweep, values[i])}{rejected[i]}" for i in sorted(rejected)]
-    return list(columns) if rows else [], rows, {}, errors
+    return list(columns) if len(table) else [], table, {}, errors
 
 
 def _evaluate_mirror(request: ScenarioRequest):
@@ -416,11 +455,11 @@ def _evaluate_mirror(request: ScenarioRequest):
                                p["sigma_S_per_m"], p["guard_k_over_alpha"],
                                p["quadrature_tol"])
     ok = [i for i, exc in enumerate(b.errors) if exc is None]
-    rows = np.column_stack(list(b.columns.values()))[ok].tolist()
+    table = np.column_stack(list(b.columns.values()))[ok]
     errors = [f"{_where(sweep, value)}{exc}"
               for value, exc in zip(values, b.errors) if exc is not None]
     residuals = {} if b.spread is None else {"three_way_max_rel_diff": b.spread}
-    return list(b.columns) if rows else [], rows, residuals, errors
+    return list(b.columns) if ok else [], table, residuals, errors
 
 
 def _evaluate_covariant(request: ScenarioRequest):
@@ -444,7 +483,8 @@ class _Scenario(NamedTuple):
 
     ``keys`` maps each parameter (its unit in the name) to its default,
     _REQUIRED for a mandatory one.  ``evaluate(request)`` returns the
-    report's (columns, rows, residuals, errors).  A closed-form scenario,
+    report's (columns, rows, residuals, errors), the rows as an (m, k)
+    float table or as lists of cells.  A closed-form scenario,
     evaluated by _evaluate_closed_form, also has ``config(p)``, which holds
     the parameters (the swept one an (m,) array) in the object that
     ``rules`` judge row by row (see core.check_rules; by default the
@@ -531,78 +571,165 @@ def run(request: ScenarioRequest) -> ScenarioReport:
     """
     scenario = _SCENARIOS[request.scenario]
     columns, rows, residuals, errors = scenario.evaluate(request)
-    return ScenarioReport(
+    fields = dict(
         scenario=request.scenario,
         params=dict(request.params),
         tag="both" if request.tag is None else request.tag.value,
         sweep=None if request.sweep is None else asdict(request.sweep),
         provenance=scenario.provenance,
-        columns=columns, rows=rows, residuals=residuals, errors=errors)
+        columns=columns, residuals=residuals, errors=errors)
+    if isinstance(rows, np.ndarray):
+        return ScenarioReport.from_table(rows, **fields)
+    return ScenarioReport(rows=rows, **fields)
 
 
 # ---------------------------------------------------------------------------
 # Emission
 # ---------------------------------------------------------------------------
 
-def _float_rows(report: ScenarioReport) -> bool:
-    """Whether every row holds one exact float per column, so that one
-    %-template renders all rows the way the per-cell formatting would."""
-    width = len(report.columns)
-    return (width > 0 and set(map(len, report.rows)) <= {width}
-            and set(map(type, chain.from_iterable(report.rows))) <= {float})
+# Rows per %-call when a float table is rendered: it bounds the tuple of
+# Python floats a call takes, whatever the sweep size.
+_BLOCK_ROWS = 1024
 
 
-def emit(report: ScenarioReport, fmt: str = "table") -> bytes:
-    """Render a report as 'table', 'csv' or 'json' bytes."""
-    if fmt == "json":
-        payload = dict(vars(report))  # the report's fields, in their order
-        # a sum that merely overflows sends finite rows the slow way too
-        if not (report.rows and _float_rows(report)
-                and math.isfinite(sum(map(sum, report.rows)))):
-            return (json.dumps(payload, indent=2, allow_nan=False) + "\n").encode()
+def _least_written_as(power: str) -> float:
+    """The least double that %.6e writes as 1.000000e<power>."""
+    x = float(f"9.9999995e{int(power) - 1}")  # the rounding tie's nearest double
+    return x if "%.6e" % x == f"1.000000e{power}" else math.nextafter(x, math.inf)
+
+
+# %.6e writes a finite v with a three-digit exponent when |v| >= _E100 or
+# 0 < |v| < _E99, with a minus sign when its sign bit is set.
+_E100, _E99 = _least_written_as("+100"), _least_written_as("-99")
+
+
+def _float_table(report: ScenarioReport) -> np.ndarray | None:
+    """The report's float table while its rows are the table's: a report
+    whose rows were set, or changed after they were built, has none."""
+    table, built = report._table, report._built
+    if table is None or "rows" not in vars(report):
+        return table
+    rows = report.rows
+    if built is not None and rows == built and all(map(
+            operator.is_, chain.from_iterable(rows), chain.from_iterable(built))):
+        return table
+    return None
+
+
+def _write_rows(out: io.BytesIO, table: np.ndarray, varying: list[int],
+                row: str, sep: str) -> None:
+    """Write the rows of ``table`` through the %-template ``row``, which takes
+    the cells of the ``varying`` columns, joined by ``sep``.  One %-call per
+    block of _BLOCK_ROWS rows."""
+    templates = {}
+    for start in range(0, len(table), _BLOCK_ROWS):
+        rows = min(len(table) - start, _BLOCK_ROWS)
+        if start:
+            out.write(sep.encode())
+        if rows not in templates:
+            templates[rows] = sep.join([row] * rows)
+        cells = table[start:start + rows, varying].ravel().tolist() if varying else ()
+        out.write((templates[rows] % tuple(cells)).encode())
+
+
+def _widest(table: np.ndarray) -> list[int]:
+    """Each column's widest %.6e cell: a finite value takes 12 characters,
+    one more for a minus sign and one more for a three-digit exponent."""
+    magnitude = np.abs(table)
+    wide = (magnitude >= _E100) | ((magnitude < _E99) & (magnitude > 0.0))
+    return (12 + np.signbit(table) + wide).max(axis=0).tolist()
+
+
+def _emit_table(report: ScenarioReport, table: np.ndarray, fmt: str) -> bytes:
+    """Render a float table through one %-template per report.  A column
+    whose cells share one bit pattern (so 0.0 and -0.0 differ) is formatted
+    once and spliced into the template as text; the varying columns go
+    through %."""
+    bits = table.view(np.int64)
+    vary = (bits[1:] != bits[0]).any(axis=0).tolist()
+    varying = [j for j, v in enumerate(vary) if v]
+
+    def cells(spec):
+        """The row template's cells: ``spec`` for a varying column, the
+        text ``spec`` gives a constant one."""
+        return [spec if v else spec % x for v, x in zip(vary, table[0].tolist())]
+
+    out = io.BytesIO()
+    if fmt == "csv":
+        # 17 significant digits: parses back to the identical double
+        out.write(",".join(report.columns).encode())
+        _write_rows(out, table, varying, "\n" + ",".join(cells("%.16e")), "")
+        out.write(b"\n")
+    elif fmt == "json":
         # json writes a float as float.__repr__ (%r); the rows go where the
         # document holds an empty list, the only top-level key "rows"
-        payload["rows"] = []
-        head, key, tail = json.dumps(payload, indent=2, allow_nan=False).partition(
-            '\n  "rows": [')
-        row = "    [\n" + ",\n".join(["      %r"] * len(report.columns)) + "\n    ]"
-        rows = ",\n".join([row] * len(report.rows)) % tuple(
-            chain.from_iterable(report.rows))
-        return f"{head}{key}\n{rows}\n  {tail}\n".encode()
+        head, key, tail = _json(report, []).partition('\n  "rows": [')
+        out.write(f"{head}{key}\n".encode())
+        _write_rows(out, table, varying,
+                    "    [\n      " + ",\n      ".join(cells("%r")) + "\n    ]", ",\n")
+        out.write(f"\n  {tail}\n".encode())
+    else:
+        widest = iter(_widest(table[:, varying]) if varying else ())
+        texts = cells("%.6e")
+        widths = [max(len(name), next(widest) if v else len(text))
+                  for name, v, text in zip(report.columns, vary, texts)]
+        out.write("\n".join(_head(report, widths) + [""]).encode())
+        _write_rows(out, table, varying, "  ".join(
+            f"%{w}.6e" if v else text.rjust(w)
+            for v, text, w in zip(vary, texts, widths)), "\n")
+        out.write("".join(f"\n{line}" for line in _trailer(report)).encode() + b"\n")
+    return out.getvalue()
 
+
+def _json(report: ScenarioReport, rows: list) -> str:
+    """The JSON document of the report's fields, in their order, with ``rows``."""
+    return json.dumps({name: rows if name == "rows" else getattr(report, name)
+                       for name in _FIELDS}, indent=2, allow_nan=False)
+
+
+def _head(report: ScenarioReport, widths: list[int]) -> list[str]:
+    """The table format's lines before the rows."""
+    return [f"# scenario: {report.scenario}  (tag: {report.tag})",
+            f"# {report.provenance}",
+            "  ".join(name.ljust(w) for name, w in zip(report.columns, widths))]
+
+
+def _trailer(report: ScenarioReport) -> list[str]:
+    """The table format's lines after the rows."""
+    return ([f"# residual {key} = {val:.6e}" for key, val in report.residuals.items()]
+            + [f"# error: {err}" for err in report.errors])
+
+
+def _emit_cells(report: ScenarioReport, fmt: str) -> bytes:
+    """Render a report cell by cell: a float's text by its format, any
+    other cell's by str."""
+    if fmt == "json":
+        return (_json(report, report.rows) + "\n").encode()
     if fmt == "csv":
-        header = ",".join(report.columns)
-        # 17 significant digits: parses back to the identical double
-        if _float_rows(report):
-            row = ",".join(["%.16e"] * len(report.columns))
-            rows = ("\n" + row) * len(report.rows) % tuple(
-                chain.from_iterable(report.rows))
-            return (header + rows + "\n").encode()
-        lines = [header]
+        lines = [",".join(report.columns)]
         for row in report.rows:
             lines.append(",".join(
                 format(v, ".16e") if isinstance(v, float) else str(v) for v in row))
         return ("\n".join(lines) + "\n").encode()
+    cells = [[f"{v:.6e}" if isinstance(v, float) else str(v) for v in row]
+             for row in report.rows]
+    widths = [max(len(name), *(len(r[i]) for r in cells), 1)
+              if cells else len(name)
+              for i, name in enumerate(report.columns)]
+    lines = _head(report, widths)
+    for r in cells:
+        lines.append("  ".join(c.rjust(w) for c, w in zip(r, widths)))
+    return ("\n".join(lines + _trailer(report)) + "\n").encode()
 
-    if fmt == "table":
-        cells = [[f"{v:.6e}" if isinstance(v, float) else str(v) for v in row]
-                 for row in report.rows]
-        widths = [max(len(name), *(len(r[i]) for r in cells), 1)
-                  if cells else len(name)
-                  for i, name in enumerate(report.columns)]
-        lines = [f"# scenario: {report.scenario}  (tag: {report.tag})",
-                 f"# {report.provenance}"]
-        lines.append("  ".join(name.ljust(w)
-                               for name, w in zip(report.columns, widths)))
-        for r in cells:
-            lines.append("  ".join(c.rjust(w) for c, w in zip(r, widths)))
-        for key, val in report.residuals.items():
-            lines.append(f"# residual {key} = {val:.6e}")
-        for err in report.errors:
-            lines.append(f"# error: {err}")
-        return ("\n".join(lines) + "\n").encode()
 
-    raise ValueError(f"unknown format '{fmt}'; expected table, csv or json")
+def emit(report: ScenarioReport, fmt: str = "table") -> bytes:
+    """Render a report as 'table', 'csv' or 'json' bytes."""
+    if fmt not in ("table", "csv", "json"):
+        raise ValueError(f"unknown format '{fmt}'; expected table, csv or json")
+    table = _float_table(report)
+    if table is None:
+        return _emit_cells(report, fmt)
+    return _emit_table(report, table, fmt)
 
 
 # ---------------------------------------------------------------------------

@@ -548,3 +548,23 @@ def test_constitutive_relation_is_the_rest_frame_law_boosted(v, n, mu_r, E, B):
     tol = 1e-13 * np.max(np.abs(F.M), axis=(1, 2))[:, None]
     assert np.all(np.abs(X.D - D) <= tol)
     assert np.all(np.abs(X.H - H) <= tol)
+
+
+_FAR = [  # (G_x, W, class): squares beyond the double range, and no number
+    (1.5e200, 1e200, "spacelike"), (1e200, 1.5e200, "timelike"),
+    (1e300, 1e300, "null"), (-1.7e308, 1.7e308, "null"),
+    (1.5e-200, 1e-200, "spacelike"), (5e-324, 1e-323, "timelike"),
+    (0.0, 0.0, "null"), (0.0, -1e300, "timelike"),
+    (math.inf, 1.0, "undecidable"), (1.0, -math.inf, "undecidable"),
+    (math.nan, 1.0, "undecidable"), (0.0, math.nan, "undecidable"),
+]
+
+
+def test_classification_scales_before_squaring():
+    G = np.array([[g, 0.0, 0.0] for g, _, _ in _FAR])
+    W = np.array([w for _, w, _ in _FAR])
+    want = [cls for _, _, cls in _FAR]
+    with np.errstate(all="raise"):  # and no step overflows or divides by zero
+        assert stacked.classify_four_momentum(stacked.FourMomentum(G=G, W=W)).tolist() == want
+        assert [stacked.classify_four_momentum(stacked.FourMomentum(G=g, W=w))
+                for g, w in zip(G, W)] == want

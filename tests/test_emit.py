@@ -1,10 +1,12 @@
 """Report emission against the per-cell rendering it replaced, and the CLI
 parser kept across calls.
 
-``emit`` renders the rows of an all-float report through one %-template;
+``emit`` renders a report that ``run`` built from a float table through one
+%-template per report, formatting each constant column once;
 ``emit_per_cell`` below is the rendering it replaced, kept as the oracle:
-``json.dumps(..., indent=2, allow_nan=False)`` for JSON and
-``format(v, ".16e")`` per float for CSV.
+``json.dumps(..., indent=2, allow_nan=False)`` for JSON, ``format(v,
+".16e")`` per float for CSV and ``f"{v:.6e}"`` per float, right-justified to
+its column's widest cell, for the table.
 """
 
 import json
@@ -18,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abmink import cli
+from abmink import cli, runner
 from abmink.runner import ScenarioReport, emit
 
 
@@ -42,14 +44,31 @@ def emit_per_cell(report: ScenarioReport, fmt: str) -> bytes:
             lines.append(",".join(
                 format(v, ".16e") if isinstance(v, float) else str(v) for v in row))
         return ("\n".join(lines) + "\n").encode()
-    return emit(report, fmt)  # the table rendering did not change
+    if fmt == "table":
+        cells = [[f"{v:.6e}" if isinstance(v, float) else str(v) for v in row]
+                 for row in report.rows]
+        widths = [max(len(name), *(len(r[i]) for r in cells), 1)
+                  if cells else len(name)
+                  for i, name in enumerate(report.columns)]
+        lines = [f"# scenario: {report.scenario}  (tag: {report.tag})",
+                 f"# {report.provenance}"]
+        lines.append("  ".join(name.ljust(w)
+                               for name, w in zip(report.columns, widths)))
+        for r in cells:
+            lines.append("  ".join(c.rjust(w) for c, w in zip(r, widths)))
+        for key, val in report.residuals.items():
+            lines.append(f"# residual {key} = {val:.6e}")
+        for err in report.errors:
+            lines.append(f"# error: {err}")
+        return ("\n".join(lines) + "\n").encode()
+    raise ValueError(f"unknown format '{fmt}'")
 
 
 def same_bytes_or_same_error(report, fmt):
     try:
         expected = emit_per_cell(report, fmt)
-    except ValueError:
-        with pytest.raises(ValueError):
+    except (ValueError, IndexError) as exc:  # non-finite JSON; a ragged table
+        with pytest.raises(type(exc)):
             emit(report, fmt)
         return
     assert emit(report, fmt) == expected
@@ -83,20 +102,23 @@ def _reports(cell, ragged: bool, min_columns: int = 0):
     return st.lists(_names, min_size=min_columns, max_size=5).flatmap(with_rows).map(build)
 
 
+FORMATS = ["table", "csv", "json"]
+
+
 @settings(max_examples=300, deadline=None)
-@given(_reports(_finite, ragged=False), st.sampled_from(["csv", "json"]))
+@given(_reports(_finite, ragged=False), st.sampled_from(FORMATS))
 def test_all_float_reports_render_as_per_cell(report, fmt):
     same_bytes_or_same_error(report, fmt)
 
 
 @settings(max_examples=300, deadline=None)
-@given(_reports(_any_float, ragged=False), st.sampled_from(["csv", "json"]))
+@given(_reports(_any_float, ragged=False), st.sampled_from(FORMATS))
 def test_non_finite_floats_render_or_fail_as_per_cell(report, fmt):
     same_bytes_or_same_error(report, fmt)
 
 
 @settings(max_examples=300, deadline=None)
-@given(_reports(_cell, ragged=True), st.sampled_from(["csv", "json"]))
+@given(_reports(_cell, ragged=True), st.sampled_from(FORMATS))
 def test_mixed_and_ragged_reports_render_as_per_cell(report, fmt):
     same_bytes_or_same_error(report, fmt)
 
@@ -107,7 +129,7 @@ def test_empty_and_float_subclass_rows_render_as_per_cell():
                           (["a", "b"], [[1e308, -0.0], [5e-324, "spacelike"]])]:
         report = ScenarioReport(scenario="s", params={}, tag="both", sweep=None,
                                 provenance="", columns=columns, rows=rows)
-        for fmt in ("csv", "json"):
+        for fmt in FORMATS:
             same_bytes_or_same_error(report, fmt)
 
 
@@ -127,6 +149,142 @@ def test_csv_json_csv_round_trip_is_bit_exact(report):
     assert _bits(through_json) == _bits(parsed)
     report.rows = through_json
     assert emit(report, "csv") == csv
+
+
+# ---------------------------------------------------------------------------
+# float tables: constant columns formatted once, varying ones through %
+# ---------------------------------------------------------------------------
+
+_E100, _E99 = runner._E100, runner._E99
+# where a cell's text changes length: sign, three-digit exponents, rounding
+# up to the next decade, subnormals and the ends of the double range
+_TABLE_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+                1.7976931348623157e308, -1.7976931348623157e308, 9.9999996e99,
+                -9.9999996e99, 9.9999995e99, 1e100, _E100, math.nextafter(_E100, 0.0),
+                _E99, -_E99, math.nextafter(_E99, 0.0), 1e-99, 9.9999995e-100, 1e-100,
+                9.9999996e-100, 1e16, 0.1, -1.0]
+_table_float = st.one_of(st.sampled_from(_TABLE_EDGES),
+                         st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _column(m: int):
+    """m cells of one column: one value throughout, signed zeros, or any."""
+    return st.one_of(
+        _table_float.map(lambda v: [v] * m),
+        st.lists(st.sampled_from([0.0, -0.0]), min_size=m, max_size=m),
+        st.lists(_table_float, min_size=m, max_size=m))
+
+
+@st.composite
+def _table_reports(draw, max_rows: int = 8):
+    m = draw(st.integers(1, max_rows))
+    k = draw(st.integers(1, 5))
+    table = np.array([draw(_column(m)) for _ in range(k)]).T.reshape(m, k)
+    # names from one character to far wider than any cell
+    columns = draw(st.lists(st.text("abcdefghij_%,\"", min_size=1, max_size=18),
+                            min_size=k, max_size=k))
+    residuals = draw(st.dictionaries(st.sampled_from(["r", "s"]), _table_float))
+    errors = draw(st.lists(st.text(max_size=8), max_size=2))
+    return ScenarioReport.from_table(
+        table, scenario=draw(st.sampled_from(["drag", "rows", '"rows": []'])),
+        params={"n": 1.5}, tag="both", sweep=None, provenance="p = 1 \"q\"",
+        columns=columns, residuals=residuals, errors=errors)
+
+
+def _per_cell_copy(report: ScenarioReport) -> ScenarioReport:
+    return ScenarioReport(
+        scenario=report.scenario, params=report.params, tag=report.tag,
+        sweep=report.sweep, provenance=report.provenance, columns=report.columns,
+        rows=report._table.tolist(), residuals=report.residuals, errors=report.errors)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_table_reports(), st.sampled_from(FORMATS))
+def test_float_tables_render_as_per_cell(report, fmt):
+    assert report._table is not None
+    assert emit(report, fmt) == emit_per_cell(_per_cell_copy(report), fmt)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_table_reports(max_rows=40), st.integers(1, 7), st.sampled_from(FORMATS))
+def test_float_tables_render_the_same_in_any_block_size(report, block, fmt):
+    expected = emit_per_cell(_per_cell_copy(report), fmt)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(runner, "_BLOCK_ROWS", block)
+        assert emit(report, fmt) == expected
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_signed_zeros_keep_a_column_varying(fmt):
+    table = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]])
+    report = ScenarioReport.from_table(
+        table, scenario="s", params={}, tag="both", sweep=None, provenance="",
+        columns=["z", "one"])
+    assert emit(report, fmt) == emit_per_cell(_per_cell_copy(report), fmt)
+    assert b"-0.0" in emit(report, fmt)
+
+
+def test_three_digit_exponent_thresholds():
+    assert "%.6e" % _E100 == "1.000000e+100"
+    assert "%.6e" % math.nextafter(_E100, 0.0) == "9.999999e+99"
+    assert "%.6e" % _E99 == "1.000000e-99"
+    assert "%.6e" % math.nextafter(_E99, 0.0) == "9.999999e-100"
+    assert "%.6e" % 9.9999996e99 == "1.000000e+100"
+
+
+def test_a_table_with_rows_that_are_not_finite_is_kept_as_rows():
+    table = np.array([[1.0, math.nan], [2.0, 3.0]])
+    report = ScenarioReport.from_table(
+        table, scenario="s", params={}, tag="both", sweep=None, provenance="",
+        columns=["a", "b"])
+    assert report._table is None
+    assert report.rows[0][0] == 1.0 and math.isnan(report.rows[0][1])
+    for fmt in FORMATS:
+        same_bytes_or_same_error(report, fmt)
+
+
+def _fiber_sweep():
+    return runner.run(runner.parse_config(
+        "scenario = fiber\nn = 1.5\nsweep = pulse_energy_J:[0, 1e-3, 5]\n"))
+
+
+def test_rows_are_python_floats_built_once():
+    report = _fiber_sweep()
+    assert "rows" not in vars(report)  # not built by run
+    rows = report.rows
+    assert report.rows is rows
+    assert {type(v) for row in rows for v in row} == {float}
+    assert rows == report._table.tolist()
+    assert emit(report, "csv") == emit_per_cell(report, "csv")
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("change", [
+    lambda r: r.rows[0].__setitem__(0, -0.0),  # equal to the 0.0 there
+    lambda r: r.rows[0].__setitem__(2, 0),  # equal too, but an int
+    lambda r: r.rows[1].__setitem__(1, 2.0),
+    lambda r: r.rows.append([1.0, 2.0, 3.0]),
+    lambda r: setattr(r, "rows", [[-0.0, 1.5, 0.0]]),
+])
+def test_rows_changed_after_they_were_built_are_emitted(change, fmt):
+    report = _fiber_sweep()
+    report.rows[0][0] = report.rows[0][0]  # the same object: still the table's
+    change(report)
+    assert emit(report, fmt) == emit_per_cell(report, fmt)
+
+
+def test_rows_set_before_they_were_built_are_emitted():
+    report = _fiber_sweep()
+    report.rows = [[0.0, 1.5, 0.0]]
+    assert emit(report, "csv") == emit_per_cell(report, "csv")
+
+
+def test_non_finite_cell_put_in_built_rows_fails_json():
+    report = _fiber_sweep()
+    report.rows[2][2] = math.nan
+    with pytest.raises(ValueError):
+        emit(report, "json")
+    assert b"nan" in emit(report, "csv") and b"nan" in emit(report, "table")
 
 
 # ---------------------------------------------------------------------------

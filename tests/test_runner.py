@@ -262,28 +262,39 @@ _NAN_RATIOS = ("divergence_ratio_coarse", "divergence_ratio_fine",
                "divergence_ratio_err")
 
 
-# for covariant-checks, the checks and residuals that come out nan, in report order
-@pytest.mark.parametrize("text, needle, nan_checks", [
+# for covariant-checks, the checks and residuals that come out nan, in report
+# order, and the four-momentum classes reported
+_CLASSES = {"four_momentum_class_minkowski": "spacelike",
+            "four_momentum_class_abraham": "timelike",
+            "four_momentum_class_vacuum": "null"}
+
+
+@pytest.mark.parametrize("text, needle, nan_checks, classes", [
     (MIRROR_CFG.replace("E0_V_per_m = 1.0e3", "E0_V_per_m = 1e200"),
-     "result 'incident_flux_W_per_m2' is not finite: inf", ()),
+     "result 'incident_flux_W_per_m2' is not finite: inf", (), None),
     ("scenario = interface\nE_t_V_per_m = 1e200\nn_from = 1\nn_to = 1.33\n",
-     "result 'pressure_Pa' is not finite: -inf", ()),
+     "result 'pressure_Pa' is not finite: -inf", (), None),
     ("scenario = drag\nintensity_W_per_m2 = 1e300\nsigma_a_m2 = 1e10\n"
      "omega_rad_per_s = 1e13\nn = 1.5\n",
-     "result 'field_minkowski_V_per_m' is not finite: inf", ()),
+     "result 'field_minkowski_V_per_m' is not finite: inf", (), None),
     ("scenario = covariant-checks\ngrid_step = 1e300\n",
-     "result 'divergence_ratio_err' is not finite: nan", _NAN_RATIOS),
-    # the pulse energy squared overflows (an OverflowError traceback once)
+     "result 'divergence_ratio_err' is not finite: nan", _NAN_RATIOS, _CLASSES),
+    # the pulse energy squared overflows (an OverflowError traceback once,
+    # then c^2|G|^2 - W^2 = inf - inf classed the Minkowski pulse timelike)
     ("scenario = covariant-checks\nmu_r = 1e-300\n",
-     "result 'divergence_ratio_err' is not finite: nan", _NAN_RATIOS),
-    # n * n overflows (once an unkeyed antisymmetry error, exit 2)
+     "result 'divergence_ratio_err' is not finite: nan", _NAN_RATIOS, _CLASSES),
+    # n * n overflows (once an unkeyed antisymmetry error, exit 2); the
+    # pulse in the medium is nan, so its two classes cannot be decided
     ("scenario = covariant-checks\nn = 1e200\n",
      "result 'divergence_ratio_err' is not finite: nan",
      ("constitutive_rest_frame_max_rel_err", "divergence_ratio_coarse",
-      "divergence_ratio_fine", "constitutive_max_rel_err", "divergence_ratio_err")),
+      "divergence_ratio_fine", "four_momentum_class_minkowski",
+      "four_momentum_class_abraham", "constitutive_max_rel_err",
+      "divergence_ratio_err"),
+     {"four_momentum_class_vacuum": "null"}),
 ])
 def test_run_non_finite_point_is_an_error_and_output_stays_valid(text, needle,
-                                                                nan_checks):
+                                                                nan_checks, classes):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # and no RuntimeWarning leaks
         report = run(parse_config(text))
@@ -292,6 +303,8 @@ def test_run_non_finite_point_is_an_error_and_output_stays_valid(text, needle,
                                  for name in nan_checks]
         assert [row[0] for row in report.rows] == [
             name for name in _COVARIANT_CHECKS if name not in nan_checks]
+        assert {name: value for name, value in report.rows
+                if "class" in name} == classes
         assert list(report.residuals) == [
             name for name in _COVARIANT_RESIDUALS if name not in nan_checks]
         assert {type(value) for row in report.rows for value in row} <= {str, float}
