@@ -2,18 +2,21 @@
 
     abmink run <config> [--format table|csv|json] [--out PATH]
     abmink list
-    abmink check [--tol X]
+    abmink check [--tol X] [--format text|json]
 
 ``check`` runs the built-in cross-check suite and exits nonzero if any
 residual exceeds its bound; the relative tolerance defaults to 1e-6 and can
 be overridden with --tol or the ABMINK_TOL environment variable.  It must be
-a finite number > 0; any other value exits with status 2.
+a finite number > 0; any other value exits with status 2.  ``--format json``
+prints one strict JSON document, ``{"checks": [...]}``, with the name,
+residual, bound and passed of each check in suite order.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import json
 import os
 import sys
 from pathlib import Path
@@ -73,13 +76,15 @@ def _cmd_check(args) -> int:
         print(f"error: {source}: {exc}", file=sys.stderr)
         return 2
     results = check_suite(tol)
-    ok = True
-    for res in results:
-        status = "PASS" if res.passed else "FAIL"
-        ok = ok and res.passed
-        print(f"{status} {res.name}: residual {res.residual:.3e} "
-              f"(bound {res.bound:.3e})")
-    return 0 if ok else 1
+    if args.format == "json":
+        checks = [{"name": r.name, "residual": r.residual, "bound": r.bound,
+                   "passed": r.passed} for r in results]
+        print(json.dumps({"checks": checks}, allow_nan=False))
+    else:
+        for r in results:
+            print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: "
+                  f"residual {r.residual:.3e} (bound {r.bound:.3e})")
+    return 0 if all(r.passed for r in results) else 1
 
 
 @functools.cache
@@ -105,6 +110,7 @@ def _parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="run the built-in cross-check suite")
     p_check.add_argument("--tol", type=float, default=None,
                          help="relative tolerance (default ABMINK_TOL or 1e-6)")
+    p_check.add_argument("--format", choices=("text", "json"), default="text")
     p_check.set_defaults(fn=_cmd_check)
     return parser
 

@@ -72,12 +72,60 @@ def test_run_out_of_regime_exits_nonzero(tmp_path):
     assert "k/alpha" in err and "0.2" in err
 
 
+CHECK_STDOUT = (
+    "PASS three-way-mirror: residual 4.691e-16 (bound 1.000e-06)\n"
+    "PASS divergence-convergence: residual 1.925e-05 (bound 2.000e-01)\n"
+    "PASS momentum-ledger: residual 1.660e-15 (bound 1.000e-06)\n"
+)
+
+
+def _env_without_tol():
+    import os
+    env = dict(os.environ)
+    env.pop("ABMINK_TOL", None)
+    return env
+
+
 def test_check_passes_with_exit_zero():
-    proc = run_cli("check")
+    proc = run_cli("check", env=_env_without_tol())
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    lines = proc.stdout.decode().strip().splitlines()
-    assert len(lines) == 3
-    assert all(line.startswith("PASS") for line in lines)
+    assert proc.stdout.decode() == CHECK_STDOUT
+    assert proc.stderr == b""
+
+
+def test_check_text_format_is_the_default():
+    proc = run_cli("check", "--format", "text", env=_env_without_tol())
+    assert proc.returncode == 0 and proc.stdout.decode() == CHECK_STDOUT
+
+
+def test_check_json_lists_the_suite_bit_for_bit():
+    from abmink.runner import check_suite
+    proc = run_cli("check", "--format", "json", env=_env_without_tol())
+    assert proc.returncode == 0, proc.stderr
+    out = proc.stdout.decode()
+    assert out.count("\n") == 1 and out.endswith("\n")
+    doc = json.loads(out, parse_constant=pytest.fail)  # no NaN or Infinity
+    assert list(doc) == ["checks"]
+    want = check_suite()
+    assert [list(c) for c in doc["checks"]] == [["name", "residual", "bound", "passed"]] * 3
+    assert [c["name"] for c in doc["checks"]] == [r.name for r in want]
+    for got, res in zip(doc["checks"], want):
+        assert type(got["residual"]) is float and type(got["bound"]) is float
+        assert got["residual"].hex() == res.residual.hex()
+        assert got["bound"].hex() == res.bound.hex()
+        assert got["passed"] is True
+
+
+def test_check_json_reports_a_failure_with_exit_one():
+    env = dict(_env_without_tol(), ABMINK_TOL="1e-18")
+    proc = run_cli("check", "--format", "json", env=env)
+    assert proc.returncode == 1
+    doc = json.loads(proc.stdout, parse_constant=pytest.fail)
+    assert [(c["name"], c["bound"], c["passed"]) for c in doc["checks"]] == [
+        ("three-way-mirror", 1e-18, False),
+        ("divergence-convergence", 0.2, True),
+        ("momentum-ledger", 1e-18, False),
+    ]
 
 
 def test_check_respects_tolerance_env(tmp_path):
@@ -139,6 +187,8 @@ def test_non_finite_covariant_check_exits_one_with_valid_output(tmp_path, key):
     ([], "abc", "ABMINK_TOL"),
     ([], "nan", "ABMINK_TOL"),
     ([], "-1e-6", "ABMINK_TOL"),
+    (["--format", "json", "--tol", "0"], None, "--tol"),
+    (["--format", "json"], "nan", "ABMINK_TOL"),
 ])
 def test_check_rejects_a_bad_tolerance_naming_its_source(args, env_tol, source):
     import os

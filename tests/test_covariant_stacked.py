@@ -5,8 +5,9 @@ The scalar kernels of ``abmink.covariant`` and the runner's
 copied below verbatim as the oracle.  Every row of a stacked call must equal
 the scalar call on that row, bit for bit, and the runner's checks must equal
 the oracle's, classes included, also where a coarse step makes the
-convergence ratios nan.  A property test then holds the covariant
-constitutive relation to the rest-frame law seen from a moving frame.
+convergence ratios nan.  Property tests then hold the covariant
+constitutive relation to the rest-frame law seen from a moving frame, and
+the Minkowski tensor of boosted fields to the boosted tensor.
 """
 
 import math
@@ -568,3 +569,51 @@ def test_classification_scales_before_squaring():
         assert stacked.classify_four_momentum(stacked.FourMomentum(G=G, W=W)).tolist() == want
         assert [stacked.classify_four_momentum(stacked.FourMomentum(G=g, W=w))
                 for g, w in zip(G, W)] == want
+
+
+# ---------------------------------------------------------------------------
+# the Minkowski tensor is a tensor: S of the boosted F and H is Lambda S Lambda^T
+# ---------------------------------------------------------------------------
+
+def _boost_matrix(v):
+    """(..., 4, 4) pure boosts Lambda into the frames moving with velocity v
+    (c = 1), acting on (x, y, z, ct): x' = Lambda x, Lambda^T eta Lambda = eta."""
+    gamma = 1.0 / np.sqrt(1.0 - np.sum(v * v, axis=-1))
+    k = (gamma**2 / (gamma + 1.0))[..., None, None]
+    L = np.zeros(v.shape[:-1] + (4, 4))
+    L[..., :3, :3] = np.eye(3) + k * v[..., :, None] * v[..., None, :]
+    L[..., :3, 3] = L[..., 3, :3] = -gamma[..., None] * v
+    L[..., 3, 3] = gamma
+    return L
+
+
+def _congruent(L, M):
+    """Lambda M Lambda^T, made antisymmetric again where rounding broke it."""
+    m = L @ M @ np.swapaxes(L, -1, -2)
+    return 0.5 * (m - np.swapaxes(m, -1, -2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(v=arrays(float, (_CASES, 3), elements=st.floats(-0.5, 0.5)),
+       E=_vectors(_CASES), B=_vectors(_CASES), D=_vectors(_CASES), H=_vectors(_CASES))
+def test_minkowski_tensor_of_boosted_fields_is_the_boosted_tensor(v, E, B, D, H):
+    # the storage of covariant.py maps the imaginary-time convention onto real
+    # entries, so F, H and S all transform as M -> Lambda M Lambda^T
+    v = v * (0.5 / np.maximum(0.5, np.linalg.norm(v, axis=1)))[:, None]  # |v| <= c/2
+    L = _boost_matrix(v)
+    F = stacked.field_tensor_from_EB(E, B)
+    X = stacked.excitation_from_DH(D, H)
+    F_b = stacked.FieldTensor4(M=_congruent(L, F.M))
+    # Lambda F Lambda^T holds the fields that _boost gives
+    E_b, B_b = _boost(E, B, v)
+    tol = 1e-13 * np.max(np.abs(F.M), axis=(1, 2))[:, None]
+    assert np.all(np.abs(F_b.E - E_b) <= tol) and np.all(np.abs(F_b.B - B_b) <= tol)
+
+    S = stacked.minkowski_tensor4(F, X).M
+    S_b = stacked.minkowski_tensor4(
+        F_b, stacked.ExcitationTensor4(M=_congruent(L, X.M))).M
+    miss = np.max(np.abs(S_b - L @ S @ np.swapaxes(L, -1, -2)), axis=(1, 2))
+    # S sums products of F and H entries, and it can vanish exactly while they
+    # do not (E = H = 0 with D parallel to B), so rounding scales with them
+    scale = np.max(np.abs(F.M), axis=(1, 2)) * np.max(np.abs(X.M), axis=(1, 2))
+    assert np.all(miss <= 1e-13 * scale)

@@ -1,7 +1,10 @@
 """Stacked core kernels against their scalar calls, and the batched ledger.
 
 The per-point momentum ledger below is the loop ``check_suite`` ran before
-it evaluated the 1000 points as one stack; it is kept as the oracle.
+it evaluated the 1000 points as one stack; it is kept as the oracle of the
+stacked kernels over that loop's interleaved seed-7 stream.  ``check_suite``
+now draws its sample as two array calls from the same seed; a second oracle
+runs the scalar kernels point by point over that sample.
 """
 
 import numpy as np
@@ -18,7 +21,7 @@ from abmink import (
     mechanical_momentum_density,
     momentum_density,
 )
-from abmink.runner import check_suite
+from abmink.runner import _ledger_residual, check_suite
 
 
 def ledger_residual_point_by_point():
@@ -41,9 +44,42 @@ def ledger_residual_point_by_point():
     return worst
 
 
+def ledger_residual_scalar(n, E, H):
+    """The scalar kernels, one point at a time, over given arrays."""
+    worst = 0.0
+    for n_i, E_i, H_i in zip(n.tolist(), E, H):
+        medium = Medium.from_index(n_i)
+        fp = FieldPoint.from_EH(medium, E_i, H_i / SI.mu0 / SI.c)
+        g_a = momentum_density(fp, MomentumTag.ABRAHAM)
+        g_m = momentum_density(fp, MomentumTag.MINKOWSKI)
+        g_mech = mechanical_momentum_density(medium, fp)
+        scale = float(np.max(np.abs(g_m)))
+        if scale == 0.0:
+            continue
+        worst = max(worst,
+                    float(np.max(np.abs(g_a + g_mech - g_m))) / scale,
+                    float(np.max(np.abs(n_i * n_i * g_a - g_m))) / scale)
+    return worst
+
+
+def test_stacked_ledger_over_the_interleaved_stream_keeps_its_residual():
+    rng = np.random.default_rng(7)
+    n, E, H = np.empty(1000), np.empty((1000, 3)), np.empty((1000, 3))
+    for i in range(1000):
+        n[i] = rng.uniform(1.0, 2.0)
+        E[i] = rng.normal(size=3)
+        H[i] = rng.normal(size=3)
+    assert _ledger_residual(n, E, H) == 1.1269238985414805e-15
+    assert ledger_residual_point_by_point() == 1.1269238985414805e-15
+
+
 def test_check_suite_ledger_equals_the_point_by_point_loop():
+    rng = np.random.default_rng(7)
+    n = rng.uniform(1.0, 2.0, 1000)
+    E, H = rng.normal(size=(2, 1000, 3))
     ledger = {r.name: r.residual for r in check_suite()}["momentum-ledger"]
-    assert ledger == ledger_residual_point_by_point()
+    assert ledger == ledger_residual_scalar(n, E, H)
+    assert ledger == 1.6597021520488926e-15
 
 
 def test_medium_stack_rejects_a_row_with_the_scalar_message():
