@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,30 +60,19 @@ def unchecked(cls, **fields):
     return config
 
 
-class _Row:
-    """``config`` at row ``at[0]``, as its rules' messages read it: each
-    attribute (a field, a property evaluated on the whole arrays, or a
-    config it holds, read likewise) as a Python value at that row.  An
-    attribute is read once and converted with one .tolist()."""
-
-    __slots__ = ("_config", "_at", "_columns")
-
-    def __init__(self, config, at: list[int]):
-        self._config, self._at, self._columns = config, at, {}
-
-    def __getattr__(self, name):
-        if name not in self._columns:
-            value = getattr(self._config, name)
-            per_row = isinstance(value, _ndarray) and value.size > 1
-            if per_row:
-                value = value.tolist()
-            elif isinstance(value, (_ndarray, np.generic)):
-                value = value.item()
-            elif hasattr(value, "RULES"):
-                value = _Row(value, self._at)
-            self._columns[name] = value, per_row
-        value, per_row = self._columns[name]
-        return value[self._at[0]] if per_row else value
+def _messages(message: str, config, rows: list[int]) -> list[str]:
+    """``message`` at each of ``rows`` of ``config``.  Each field it names
+    (``{c.name}``, dotted for a config held in a field) is read once, on the
+    whole arrays, as Python values, and the template is formatted by
+    position; place 0 takes the row number, which no field names."""
+    names = []
+    template = re.sub(r"\{c\.([\w.]+)",
+                      lambda field: names.append(field[1]) or "{%d" % len(names),
+                      message)
+    columns = [np.asarray(operator.attrgetter(name)(config)) for name in names]
+    columns = [column[rows].tolist() if column.size > 1 else [column.item()] * len(rows)
+               for column in columns]
+    return [template.format(*values) for values in zip(rows, *columns)]
 
 
 def check_rules(rules, config, size: int | None = None) -> dict[int, ValueError]:
@@ -91,7 +82,8 @@ def check_rules(rules, config, size: int | None = None) -> dict[int, ValueError]
     A rule is (fails, message, error type).  ``fails(config)`` is true where
     the rule is broken: a bool for every row, or an (m,) bool array when
     fields of ``config`` hold m rows.  ``message`` is a str.format template
-    with ``c`` = that row of ``config``.  Returns row -> the error of the
+    whose fields read attributes of ``c`` = that row of ``config`` (dotted
+    for a config it holds).  Returns row -> the error of the
     first rule that row breaks, for ``size`` rows; without ``size`` (a
     config checking itself), raises the first row's error instead.
     """
@@ -99,17 +91,14 @@ def check_rules(rules, config, size: int | None = None) -> dict[int, ValueError]
     for value in vars(config).values():
         if hasattr(value, "RULES"):
             errors = check_rules(value.RULES, value, size or 1) | errors
-    at = [0]
-    row = _Row(config, at)
     with np.errstate(all="ignore"):  # rejected rows may hold anything
         for fails, message, kind in rules:
             bad = fails(config)
-            rows = (np.flatnonzero(bad).tolist() if isinstance(bad, _ndarray)
+            rows = (bad.ravel().nonzero()[0].tolist() if isinstance(bad, _ndarray)
                     else range(size or 1) if bad else ())
-            for i in rows:
-                if i not in errors:
-                    at[0] = i
-                    errors[i] = kind(message.format(c=row))
+            rows = [i for i in rows if i not in errors]
+            if rows:
+                errors.update(zip(rows, map(kind, _messages(message, config, rows))))
     if size is None and errors:
         raise errors[min(errors)]
     return errors
@@ -129,6 +118,18 @@ def _vec3(x) -> np.ndarray:
         v = v.reshape(3)
     v.flags.writeable = False
     return v
+
+
+def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b over the last axis of broadcasting float (..., 3) stacks: the
+    calls np.cross makes, on the same component views, so the two agree bit
+    for bit (NaN payloads too, which depend on the loop a product runs in),
+    without np.cross's per-call set-up."""
+    out = np.empty(np.broadcast(a, b).shape)
+    for k, i, j in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.multiply(a[..., i], b[..., j], out=out[..., k])
+        out[..., k] -= a[..., j] * b[..., i]
+    return out
 
 
 def _per_row(x):
@@ -278,15 +279,15 @@ class SourceDensities:
 
 def poynting(fp: FieldPoint) -> np.ndarray:
     """Energy flux E x H [W/m^2] (shared by both momentum bookkeepings)."""
-    return np.cross(fp.E, fp.H)
+    return cross(fp.E, fp.H)
 
 
 def momentum_density(fp: FieldPoint, tag: MomentumTag,
                      constants: PhysicalConstants = SI) -> np.ndarray:
     """Field momentum density [kg m^-2 s^-1] under the chosen bookkeeping."""
     if tag is MomentumTag.MINKOWSKI:
-        return np.cross(fp.D, fp.B)
-    return np.cross(fp.E, fp.H) / constants.c**2
+        return cross(fp.D, fp.B)
+    return cross(fp.E, fp.H) / constants.c**2
 
 
 def energy_density(fp: FieldPoint) -> float:
@@ -348,7 +349,7 @@ def minkowski_force_density(src: SourceDensities, fp: FieldPoint,
     grad_mu = _vec3(grad_mu)
     E2 = float(fp.E @ fp.E)
     H2 = float(fp.H @ fp.H)
-    return (src.rho * fp.E + np.cross(src.J, fp.B)
+    return (src.rho * fp.E + cross(src.J, fp.B)
             - 0.5 * constants.eps0 * E2 * grad_eps
             - 0.5 * constants.mu0 * H2 * grad_mu)
 
@@ -390,7 +391,7 @@ def mechanical_momentum_density(medium: Medium, fp: FieldPoint,
     # equals the scalar call; numpy's ** 2 multiplies, which rounds n^2 to
     # the other neighbour now and then
     n2 = np.float_power(medium.n, 2)
-    return _per_row((n2 - 1.0) / constants.c**2) * np.cross(fp.E, fp.H)
+    return _per_row((n2 - 1.0) / constants.c**2) * cross(fp.E, fp.H)
 
 
 def time_average(samples, period: float):
@@ -491,7 +492,7 @@ class PlaneWave:
         """Instantaneous fields at position x (default origin) and time t."""
         c = math.cos(self.phase(x, t))
         E = self.E0 * c * self.polarization
-        H = self.H0 * c * np.cross(self.direction, self.polarization)
+        H = self.H0 * c * cross(self.direction, self.polarization)
         return FieldPoint.from_EH(self.medium, E, H, self.constants)
 
     def poynting_time_derivative(self, x=None, t: float = 0.0) -> np.ndarray:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SI, FieldPoint, MomentumTag, PhysicalConstants
+from .core import SI, FieldPoint, MomentumTag, PhysicalConstants, cross
 
 __all__ = [
     "ETA",
@@ -308,7 +308,7 @@ def plane_wave_sampler(n: float, mu_r: float, omega: float, E0: float,
         raise ValueError("direction and polarization must be orthogonal")
     k = n * omega / c if wavenumber is None else wavenumber
     eps_r = n * n / mu_r
-    b_hat = np.cross(d, p)
+    b_hat = cross(d, p)
 
     def sample(x, t):
         cos = np.cos(k * np.vecdot(np.asarray(x, dtype=float), d) - omega * t)

@@ -455,9 +455,9 @@ def _evaluate_mirror(request: ScenarioRequest):
                                p["sigma_S_per_m"], p["guard_k_over_alpha"],
                                p["quadrature_tol"])
     ok = [i for i, exc in enumerate(b.errors) if exc is None]
-    table = np.column_stack(list(b.columns.values()))[ok]
-    errors = [f"{_where(sweep, value)}{exc}"
-              for value, exc in zip(values, b.errors) if exc is not None]
+    table = b.table[ok]
+    errors = [f"{_where(sweep, values[i])}{exc}"
+              for i, exc in enumerate(b.errors) if exc is not None]
     residuals = {} if b.spread is None else {"three_way_max_rel_diff": b.spread}
     return list(b.columns) if ok else [], table, residuals, errors
 

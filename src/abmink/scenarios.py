@@ -142,12 +142,16 @@ class MirrorBatch(NamedTuple):
     RegimeError for the good-conductor guard, or a non-finite result); the
     columns hold no meaningful value there.  ``spread`` is the largest
     three-way disagreement over the accepted points, None when there are
-    none.
+    none.  ``table`` is the columns side by side, (m, k), each column a view
+    of it.  ``quadrature_error`` is the Lorentz route's error estimate, the
+    16- and 32-node rules' difference; no column reports it.
     """
 
     columns: dict[str, np.ndarray]
     errors: tuple[ValueError | None, ...]
     spread: float | None
+    table: np.ndarray
+    quadrature_error: np.ndarray
 
 
 def _non_finite(columns: dict) -> tuple[np.ndarray, dict[int, str]]:
@@ -174,9 +178,11 @@ def _laguerre(order: int):
 # Gauss-Laguerre rules for integral_0^inf e^-s f(s) ds with e^s folded into
 # the weights, so they apply to the integrand itself.  The 32-node rule gives
 # the value and its difference from the 16-node rule the error estimate; both
-# share one field evaluation on the joined nodes.
+# share one field evaluation on the joined nodes.  At a node s the depth is
+# x = s / (2 alpha), so the skin envelope exp((-1 + i) alpha x) is the same
+# 48-vector for every point.
 (_S16, _W16), (_S32, _W32) = _laguerre(16), _laguerre(32)
-_NODES = np.concatenate([_S16, _S32])
+_ENVELOPE = np.exp((-1.0 + 1.0j) * (np.concatenate([_S16, _S32]) / 2.0))
 
 # Points per block of the Lorentz route, whose complex field samples take
 # 16 bytes per node and point: a block bounds them to a few MB whatever the
@@ -184,8 +190,8 @@ _NODES = np.concatenate([_S16, _S32])
 _BLOCK = 4096
 
 
-def _metal_fields(E0, omega, k, alpha, x, constants):
-    envelope = np.exp((-1.0 + 1.0j) * alpha * x)
+def _metal_fields(E0, omega, k, alpha, envelope, constants):
+    """E_y and H_z where the skin envelope exp((-1 + i) alpha x) is ``envelope``."""
     E_y = (k * E0 / alpha) * (1.0 - 1.0j) * envelope
     H_z = (k * E0 / (constants.mu0 * omega)) \
         * (2.0 + (1.0j - 1.0) * (k / alpha)) * envelope
@@ -207,9 +213,13 @@ def mirror_batch(n, E0, omega, conductivity, guard=0.2, quadrature_tol=1e-8,
        the incident plane wave, plus n R S_i / c for the reflected wave.
     """
     cst = constants
-    n, E0, omega, sigma, guard, tol = (a.ravel() for a in np.broadcast_arrays(
-        *(np.asarray(v, dtype=float)
-          for v in (n, E0, omega, conductivity, guard, quadrature_tol))))
+    args = [np.asarray(v, dtype=float)
+            for v in (n, E0, omega, conductivity, guard, quadrature_tol)]
+    # one broadcast copy each: a fifth of np.broadcast_arrays's per-call cost
+    points = np.empty((len(args),) + np.broadcast(*args).shape)
+    for j, arg in enumerate(args):
+        points[j] = arg
+    n, E0, omega, sigma, guard, tol = points.reshape(len(args), -1)
     with np.errstate(all="ignore"):  # rejected points may hold anything
         cfg = unchecked(MirrorConfig, medium=unchecked(Medium, eps_r=n * n, n=n),
                         E0=E0, omega=omega, conductivity=sigma, guard=guard,
@@ -222,12 +232,11 @@ def mirror_batch(n, E0, omega, conductivity, guard=0.2, quadrature_tol=1e-8,
         low, high = np.empty(n.size), np.empty(n.size)
         for b in range(0, n.size, _BLOCK):
             i = slice(b, b + _BLOCK)
-            a = alpha[i, None]
             E_y, H_z = _metal_fields(E0[i, None], omega[i, None], k[i, None],
-                                     a, _NODES / (2.0 * a), cst)
+                                     alpha[i, None], _ENVELOPE, cst)
             f = (E_y * H_z.conj()).real
-            low[i] = np.sum(f[:, :_S16.size] * _W16, axis=1)
-            high[i] = np.sum(f[:, _S16.size:] * _W32, axis=1)
+            low[i] = (f[:, :_S16.size] * _W16).sum(axis=1)
+            high[i] = (f[:, _S16.size:] * _W32).sum(axis=1)
         lorentz = 0.5 * cst.mu0 * sigma / (2.0 * alpha)
         p2, err = lorentz * high, np.abs(lorentz * (high - low))
 
@@ -240,11 +249,12 @@ def mirror_batch(n, E0, omega, conductivity, guard=0.2, quadrature_tol=1e-8,
         g_x = momentum_density(fp, MomentumTag.MINKOWSKI, cst)[:, 0] / 2.0
         S_i = poynting(fp)[:, 0] / 2.0
 
-        routes = np.stack([pressure_from_reflectance(n, R, flux, cst), p2,
+        routes = np.array([pressure_from_reflectance(n, R, flux, cst), p2,
                            cst.c * g_x / n + n * R * S_i / cst.c])
         scale = np.abs(routes).max(axis=0)
-        spread = np.divide(np.ptp(routes, axis=0), scale,
-                           out=np.zeros_like(scale), where=scale != 0.0)
+        # routes that are all zero agree: 0/0 reads as no spread
+        spread = np.where(scale != 0.0,
+                          (routes.max(axis=0) - routes.min(axis=0)) / scale, 0.0)
     errors = check_rules(MirrorConfig.RULES, cfg, n.size)
     for i in np.flatnonzero((p2 != 0.0) & (err > 10.0 * tol * np.abs(p2))).tolist():
         if i not in errors:
@@ -257,11 +267,13 @@ def mirror_batch(n, E0, omega, conductivity, guard=0.2, quadrature_tol=1e-8,
                "pressure_lorentz_Pa": p2, "pressure_divergence_Pa": routes[2],
                "max_rel_diff": spread}
     # finite inputs can still overflow (E0^2 beyond the double range)
-    for i, message in _non_finite(columns)[1].items():
+    table, bad = _non_finite(columns)
+    for i, message in bad.items():
         errors.setdefault(i, ValueError(message))
-    ok = np.delete(np.arange(n.size), list(errors))
-    return MirrorBatch(columns, tuple(map(errors.get, range(n.size))),
-                       float(spread[ok].max()) if ok.size else None)
+    kept = np.delete(spread, list(errors))
+    return MirrorBatch(dict(zip(columns, table.T)),
+                       tuple(map(errors.get, range(n.size))),
+                       float(kept.max()) if kept.size else None, table, err)
 
 
 def _single(cfg: MirrorConfig, quadrature_tol: float = 1e-8) -> dict[str, float]:
@@ -308,10 +320,10 @@ def metal_fields(cfg: MirrorConfig, x) -> MetalFieldSample:
     Both components decay as exp(-alpha x) while advancing in phase as
     exp(i alpha x).  ``x`` may be an array of depths.
     """
-    if np.any(np.asarray(x) < 0.0):
+    if not np.all(np.asarray(x) >= 0.0):  # so that NaN breaks it
         raise ValueError(f"depth x must be >= 0, got {x}")
-    E_y, H_z = _metal_fields(cfg.E0, cfg.omega, cfg.k, cfg.alpha, x,
-                             cfg.constants)
+    E_y, H_z = _metal_fields(cfg.E0, cfg.omega, cfg.k, cfg.alpha,
+                             np.exp((-1.0 + 1.0j) * cfg.alpha * x), cfg.constants)
     return MetalFieldSample(E_y=E_y, H_z=H_z, x=x)
 
 

@@ -73,7 +73,7 @@ def test_run_out_of_regime_exits_nonzero(tmp_path):
 
 
 CHECK_STDOUT = (
-    "PASS three-way-mirror: residual 4.691e-16 (bound 1.000e-06)\n"
+    "PASS three-way-mirror: residual 5.866e-16 (bound 1.000e-06)\n"
     "PASS divergence-convergence: residual 1.925e-05 (bound 2.000e-01)\n"
     "PASS momentum-ledger: residual 1.660e-15 (bound 1.000e-06)\n"
 )

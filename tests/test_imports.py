@@ -51,3 +51,28 @@ def test_the_walk_finds_an_unused_import():
     source = ("from __future__ import annotations\nimport math\nimport numpy as np\n"
               "from .core import RegimeError, SI\n__all__ = ['SI']\nnp.zeros(1)\n")
     assert _unused(source) == ["RegimeError (line 4)", "math (line 2)"]
+
+
+def _numpy_cross_calls(source):
+    """Lines that read ``cross`` off numpy (``np.cross``, ``numpy.cross``) or
+    import it from numpy."""
+    tree = ast.parse(source)
+    return sorted(
+        {node.lineno for node in ast.walk(tree)
+         if (isinstance(node, ast.Attribute) and node.attr == "cross"
+             and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"))
+         or (isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy")
+             and any(alias.name == "cross" for alias in node.names))})
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_calls_numpy_cross(path):
+    # every cross product goes through core.cross, which is np.cross bit for
+    # bit at a fraction of its per-call cost
+    assert _numpy_cross_calls(path.read_text()) == []
+
+
+def test_the_walk_finds_numpy_cross():
+    source = ("import numpy as np\nfrom numpy import cross\n"
+              "x = np.cross(a, b)\ny = numpy.cross\nz = core.cross(a, b)\n")
+    assert _numpy_cross_calls(source) == [2, 3, 4]

@@ -12,6 +12,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from abmink import SI, Medium, RegimeError, scenarios
@@ -68,6 +70,44 @@ def test_lorentz_route_matches_quad_oracle():
         assert abs(got[i] - want) <= 1e-13 * abs(want)
     assert got[-1] == 0.0
     assert lorentz_oracle(n[-1], 0.0, omega[-1], sigma[-1]) == 0.0
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.floats(1.0, 2.5), log_sigma=st.floats(6.0, 9.0),
+       omega=st.floats(1e13, 5e15), E0=st.floats(1e-3, 1e6))
+def test_routes_agree_and_match_the_oracle_at_random_points(n, log_sigma, omega, E0):
+    sigma = 10.0**log_sigma
+    assume(n * omega / SI.c / math.sqrt(SI.mu0 * sigma * omega / 2.0) < 0.2)
+    batch = mirror_batch(n, E0, omega, sigma)
+    assert batch.errors == (None,)
+    assert batch.columns["max_rel_diff"][0] <= 1e-12
+    assert batch.spread <= 1e-12
+    got = batch.columns["pressure_lorentz_Pa"][0]
+    want = lorentz_oracle(n, E0, omega, sigma)
+    assert abs(got - want) <= 1e-13 * abs(want)
+
+
+def test_quadrature_rejection_compares_the_error_estimate():
+    m = 41
+    n = np.linspace(1.0, 1.6, m)
+    E0 = np.geomspace(1.0, 1e5, m)
+    # tolerances around the two rules' difference, which is rounding-sized
+    # here: the integrand is a constant times the Laguerre weight
+    tol = np.geomspace(1e-18, 1e-14, m)
+    batch = mirror_batch(n, E0, 3e15, 5e7, quadrature_tol=tol)
+    value, estimate = batch.columns["pressure_lorentz_Pa"], batch.quadrature_error
+    assert estimate.shape == (m,)
+    assert "quadrature_error" not in batch.columns
+    assert (estimate >= 0.0).all() and (estimate <= 1e-14 * value).all()
+    rejected = (value != 0.0) & (estimate > 10.0 * tol * np.abs(value))
+    assert 0 < rejected.sum() < m
+    for i in range(m):
+        exc = batch.errors[i]
+        assert (exc is not None) == rejected[i]
+        if rejected[i]:
+            assert str(exc) == (
+                f"quadrature did not reach quadrature_tol = {tol[i]:g}: "
+                f"estimated error {estimate[i]:.3g} on value {value[i]:.6g}")
 
 
 def test_zero_amplitude_point_reports_zero_pressures():

@@ -116,6 +116,23 @@ def test_metal_fields_decay():
         metal_fields(cfg, -1e-9)
 
 
+@pytest.mark.parametrize("x", [math.nan, -1e-9, np.array([0.0, math.nan, 1e-8]),
+                               np.array([1e-8, -0.5e-9]), np.array([math.nan])])
+def test_metal_fields_rejects_negative_and_nan_depths(x):
+    # the same message for every depth the check breaks on, NaN included
+    with pytest.raises(ValueError, match=r"^depth x must be >= 0, got ") as err:
+        metal_fields(mirror_cfg(), x)
+    assert str(err.value) == f"depth x must be >= 0, got {x}"
+
+
+def test_metal_fields_accept_zero_and_positive_depths():
+    cfg = mirror_cfg()
+    xs = np.array([0.0, -0.0, 1e-9, 1.0])
+    sample = metal_fields(cfg, xs)
+    assert np.isfinite(sample.E_y).all() and np.isfinite(sample.H_z).all()
+    assert sample.E_y[0] == sample.E_y[1] == metal_fields(cfg, 0.0).E_y
+
+
 def test_lorentz_integral_closed_form():
     # Re[(1-i)(2 - (1+i) k/alpha)] = 2 - 2 k/alpha = 1 + R, so the integral
     # reproduces the flux result exactly; check the quadrature against both
