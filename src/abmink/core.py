@@ -142,7 +142,8 @@ class PhysicalConstants:
     """SI constants: c, vacuum permittivity/permeability, hbar, elementary charge.
 
     Defaults satisfy c^2 * eps0 * mu0 = 1 exactly to double precision because
-    eps0 is derived from c and mu0.
+    eps0 is derived from c and mu0.  ``core`` and ``scenarios`` compute in
+    :data:`SI`, the default instance; no function takes another.
     """
 
     c: float = 299792458.0
@@ -164,7 +165,7 @@ SI = PhysicalConstants()
 
 @dataclass(frozen=True)
 class Medium:
-    """Isotropic medium: relative permittivity/permeability and derived index.
+    """Isotropic lossless medium: relative permittivity, permeability and index.
 
     ``mu_r`` is the relative magnetic permeability; ``viscosity`` is the
     dynamic viscosity of a fluid medium (a different physical mu, kept as a
@@ -172,16 +173,20 @@ class Medium:
 
     ``eps_r`` and ``n`` may also be (m,) arrays describing m media that
     share the other fields; each row is validated as a scalar Medium would
-    be, and the first rejected row raises that Medium's error.
+    be, and the first rejected row raises that Medium's error.  Any other
+    shape is rejected before the rules run.
     """
 
     eps_r: float | np.ndarray
     mu_r: float = 1.0
     n: float | np.ndarray = 0.0  # filled from sqrt(eps_r * mu_r) when left at 0
-    conductivity: float = 0.0
     viscosity: float | None = None
 
     def __post_init__(self):
+        for name in ("eps_r", "n"):
+            shape = np.shape(getattr(self, name))
+            if len(shape) > 1:
+                raise ValueError(f"{name} must have shape () or (m,), got {shape}")
         if not isinstance(self.n, _ndarray) and self.n == 0.0:
             with np.errstate(all="ignore"):  # the rules reject what gives nan
                 n = self._root
@@ -199,8 +204,6 @@ class Medium:
          "eps_r must be >= 1, got {c.eps_r}", ValueError),
         (lambda m: np.logical_not(m.mu_r > 0.0),
          "mu_r must be > 0, got {c.mu_r}", ValueError),
-        (lambda m: np.logical_not(m.conductivity >= 0.0),
-         "conductivity must be >= 0, got {c.conductivity}", ValueError),
         (lambda m: m.viscosity is not None and np.logical_not(m.viscosity > 0.0),
          "viscosity must be > 0, got {c.viscosity}", ValueError),
         (lambda m: np.logical_not(np.abs(m.n - m._root) <= _REL_TOL * m._root),
@@ -215,8 +218,8 @@ class Medium:
     @classmethod
     def from_index(cls, n: float, mu_r: float = 1.0, **kw) -> "Medium":
         """Medium of refractive index n, nonmagnetic unless mu_r is given."""
-        # mu_r = 0 gives eps_r = inf, so that the mu_r rule words the error
-        return cls(n * n / mu_r if mu_r else math.inf, mu_r, n, **kw)
+        # eps_r = inf where the mu_r rule fails, so that this rule words the error
+        return cls(n * n / mu_r if mu_r > 0.0 else math.inf, mu_r, n, **kw)
 
     @property
     def nonmagnetic(self) -> bool:
@@ -247,7 +250,7 @@ class FieldPoint:
             object.__setattr__(self, name, _vec3(getattr(self, name)))
 
     @classmethod
-    def from_EH(cls, medium: Medium, E, H, constants: PhysicalConstants = SI) -> "FieldPoint":
+    def from_EH(cls, medium: Medium, E, H) -> "FieldPoint":
         """Build D and B from E and H through the linear constitutive relations.
 
         With (m, 3) stacks of E and H the medium may hold (m,) arrays, one
@@ -255,8 +258,8 @@ class FieldPoint:
         """
         E = _vec3(E)
         H = _vec3(H)
-        return cls(E=E, D=_per_row(constants.eps0 * medium.eps_r) * E,
-                   H=H, B=constants.mu0 * medium.mu_r * H)
+        return cls(E=E, D=_per_row(SI.eps0 * medium.eps_r) * E,
+                   H=H, B=SI.mu0 * medium.mu_r * H)
 
     @classmethod
     def zero(cls) -> "FieldPoint":
@@ -282,12 +285,11 @@ def poynting(fp: FieldPoint) -> np.ndarray:
     return cross(fp.E, fp.H)
 
 
-def momentum_density(fp: FieldPoint, tag: MomentumTag,
-                     constants: PhysicalConstants = SI) -> np.ndarray:
+def momentum_density(fp: FieldPoint, tag: MomentumTag) -> np.ndarray:
     """Field momentum density [kg m^-2 s^-1] under the chosen bookkeeping."""
     if tag is MomentumTag.MINKOWSKI:
         return cross(fp.D, fp.B)
-    return cross(fp.E, fp.H) / constants.c**2
+    return cross(fp.E, fp.H) / SI.c**2
 
 
 def energy_density(fp: FieldPoint) -> float:
@@ -326,20 +328,19 @@ class EMQuantities:
             raise ValueError(f"energy density must be >= 0, got {self.w}")
 
 
-def em_quantities(fp: FieldPoint, constants: PhysicalConstants = SI) -> EMQuantities:
+def em_quantities(fp: FieldPoint) -> EMQuantities:
     """All derived quantities (Poynting, energy, both momenta, stress) at once."""
     return EMQuantities(
         S=poynting(fp),
         w=energy_density(fp),
-        g_A=momentum_density(fp, MomentumTag.ABRAHAM, constants),
-        g_M=momentum_density(fp, MomentumTag.MINKOWSKI, constants),
+        g_A=momentum_density(fp, MomentumTag.ABRAHAM),
+        g_M=momentum_density(fp, MomentumTag.MINKOWSKI),
         stress=stress_tensor(fp),
     )
 
 
 def minkowski_force_density(src: SourceDensities, fp: FieldPoint,
-                            grad_eps, grad_mu,
-                            constants: PhysicalConstants = SI) -> np.ndarray:
+                            grad_eps, grad_mu) -> np.ndarray:
     """Rest-frame Minkowski force density [N/m^3].
 
     rho E + J x B - (eps0/2) E^2 grad(eps_r) - (mu0/2) H^2 grad(mu_r).
@@ -350,22 +351,21 @@ def minkowski_force_density(src: SourceDensities, fp: FieldPoint,
     E2 = float(fp.E @ fp.E)
     H2 = float(fp.H @ fp.H)
     return (src.rho * fp.E + cross(src.J, fp.B)
-            - 0.5 * constants.eps0 * E2 * grad_eps
-            - 0.5 * constants.mu0 * H2 * grad_mu)
+            - 0.5 * SI.eps0 * E2 * grad_eps
+            - 0.5 * SI.mu0 * H2 * grad_mu)
 
 
-def abraham_term(medium: Medium, dS_dt, constants: PhysicalConstants = SI) -> np.ndarray:
+def abraham_term(medium: Medium, dS_dt) -> np.ndarray:
     """((n^2 - 1)/c^2) dS/dt [N/m^3], the extra Abraham force density.
 
     In a stationary optical field this fluctuates at twice the optical
     frequency and averages to zero.  Nonmagnetic media only.
     """
     _require_nonmagnetic(medium, "the Abraham term")
-    return (medium.n**2 - 1.0) / constants.c**2 * _vec3(dS_dt)
+    return (medium.n**2 - 1.0) / SI.c**2 * _vec3(dS_dt)
 
 
-def abraham_force_density(medium: Medium, fp: FieldPoint, grad_n2, dS_dt,
-                          constants: PhysicalConstants = SI) -> np.ndarray:
+def abraham_force_density(medium: Medium, fp: FieldPoint, grad_n2, dS_dt) -> np.ndarray:
     """Abraham force density for a source-free nonmagnetic medium [N/m^3].
 
     The gradient part -(eps0/2) E^2 grad(n^2) is shared with the Minkowski
@@ -374,12 +374,11 @@ def abraham_force_density(medium: Medium, fp: FieldPoint, grad_n2, dS_dt,
     """
     _require_nonmagnetic(medium, "the Abraham force density")
     E2 = float(fp.E @ fp.E)
-    shared = -0.5 * constants.eps0 * E2 * _vec3(grad_n2)
-    return shared + abraham_term(medium, dS_dt, constants)
+    shared = -0.5 * SI.eps0 * E2 * _vec3(grad_n2)
+    return shared + abraham_term(medium, dS_dt)
 
 
-def mechanical_momentum_density(medium: Medium, fp: FieldPoint,
-                                constants: PhysicalConstants = SI) -> np.ndarray:
+def mechanical_momentum_density(medium: Medium, fp: FieldPoint) -> np.ndarray:
     """((n^2 - 1)/c^2) E x H: momentum the Abraham term drives into the medium.
 
     Added to the Abraham field momentum it reproduces the Minkowski momentum,
@@ -391,7 +390,7 @@ def mechanical_momentum_density(medium: Medium, fp: FieldPoint,
     # equals the scalar call; numpy's ** 2 multiplies, which rounds n^2 to
     # the other neighbour now and then
     n2 = np.float_power(medium.n, 2)
-    return _per_row((n2 - 1.0) / constants.c**2) * cross(fp.E, fp.H)
+    return _per_row((n2 - 1.0) / SI.c**2) * cross(fp.E, fp.H)
 
 
 def time_average(samples, period: float):
@@ -429,8 +428,7 @@ def time_average(samples, period: float):
     return integral / (n_periods * period)
 
 
-def interface_pressure(E_t: float, n_from: float, n_to: float,
-                       constants: PhysicalConstants = SI) -> float:
+def interface_pressure(E_t: float, n_from: float, n_to: float) -> float:
     """Surface pressure of the index-gradient force across a thin interface.
 
     Integrates -(eps0/2) E^2 d(n^2)/dx through the transition layer for a
@@ -442,7 +440,7 @@ def interface_pressure(E_t: float, n_from: float, n_to: float,
     field beyond the double range gives an infinite pressure.
     """
     # float_power: C pow, as a Python float's ** (see mechanical_momentum_density)
-    return 0.5 * constants.eps0 * np.float_power(E_t, 2) \
+    return 0.5 * SI.eps0 * np.float_power(E_t, 2) \
         * (np.float_power(n_from, 2) - np.float_power(n_to, 2))
 
 
@@ -460,29 +458,28 @@ class PlaneWave:
     direction: np.ndarray
     polarization: np.ndarray
     medium: Medium
-    constants: PhysicalConstants = SI
 
     def __post_init__(self):
         object.__setattr__(self, "direction", _vec3(self.direction))
         object.__setattr__(self, "polarization", _vec3(self.polarization))
+        # each check is written so that NaN breaks it
         for name in ("direction", "polarization"):
             v = getattr(self, name)
-            if abs(np.linalg.norm(v) - 1.0) > _REL_TOL:
+            if not abs(np.linalg.norm(v) - 1.0) <= _REL_TOL:
                 raise ValueError(f"{name} must be a unit vector")
-        if abs(float(self.direction @ self.polarization)) > _REL_TOL:
+        if not abs(float(self.direction @ self.polarization)) <= _REL_TOL:
             raise ValueError("direction and polarization must be orthogonal")
-        if self.omega <= 0.0:
+        if not self.omega > 0.0:
             raise ValueError(f"omega must be > 0, got {self.omega}")
 
     @property
     def k(self) -> float:
         """Wavenumber in the medium, n omega / c."""
-        return self.medium.n * self.omega / self.constants.c
+        return self.medium.n * self.omega / SI.c
 
     @property
     def H0(self) -> float:
-        cst = self.constants
-        return self.medium.n * self.E0 / (cst.mu0 * self.medium.mu_r * cst.c)
+        return self.medium.n * self.E0 / (SI.mu0 * self.medium.mu_r * SI.c)
 
     def phase(self, x=None, t: float = 0.0) -> float:
         kx = 0.0 if x is None else self.k * float(self.direction @ _vec3(x))
@@ -493,7 +490,7 @@ class PlaneWave:
         c = math.cos(self.phase(x, t))
         E = self.E0 * c * self.polarization
         H = self.H0 * c * cross(self.direction, self.polarization)
-        return FieldPoint.from_EH(self.medium, E, H, self.constants)
+        return FieldPoint.from_EH(self.medium, E, H)
 
     def poynting_time_derivative(self, x=None, t: float = 0.0) -> np.ndarray:
         """Analytic d(E x H)/dt at (x, t): E0 H0 omega sin(2 phase) k_hat."""

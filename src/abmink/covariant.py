@@ -19,11 +19,11 @@ n an (...) stack; the functions broadcast over the leading axes, so a single
 tensor is the zero-stack case of the same code.
 
 Units here are the reduced ones in which the vacuum permittivity and
-permeability are 1; the consistent light speed is then c = 1, which is the
-default everywhere (c is still carried explicitly in the formulas).  Use
-:func:`normalized_from_si` to bring SI fields into these units; energy
-density and stress are numerically unchanged by the rescaling, the Poynting
-vector maps as S -> S/c_SI and momentum density as g -> c_SI g.
+permeability are 1, so the light speed is c = 1; the code fixes it there,
+and the formulas keep c as notation.  Use :func:`normalized_from_si` to
+bring SI fields into these units; energy density and stress are
+numerically unchanged by the rescaling, the Poynting vector maps as
+S -> S/c_SI and momentum density as g -> c_SI g.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SI, FieldPoint, MomentumTag, PhysicalConstants, cross
+from .core import SI, FieldPoint, MomentumTag, cross
 
 __all__ = [
     "ETA",
@@ -80,9 +80,9 @@ def _per_tensor(x) -> np.ndarray:
     return np.asarray(x, dtype=float)[..., None, None]
 
 
-def _antisym_from_vectors(row4, spatial_axial, c: float) -> np.ndarray:
+def _antisym_from_vectors(row4, spatial_axial) -> np.ndarray:
     v = np.asarray(spatial_axial, dtype=float)
-    row = np.asarray(row4, dtype=float) / c
+    row = np.asarray(row4, dtype=float)
     m = np.zeros(np.broadcast_shapes(v.shape, row.shape)[:-1] + (4, 4))
     m[..., _AXIAL[0], _AXIAL[1]] = v
     m[..., _AXIAL[1], _AXIAL[0]] = -v
@@ -93,7 +93,7 @@ def _antisym_from_vectors(row4, spatial_axial, c: float) -> np.ndarray:
 
 def _time_row(t) -> np.ndarray:
     """c times the fourth row: E, D or the Poynting vector."""
-    return t.c * t.M[..., 3, :3]
+    return t.M[..., 3, :3]
 
 
 def _axial(t) -> np.ndarray:
@@ -106,34 +106,30 @@ class FourVelocity:
     """Uniform medium four-velocity, normalized to V.eta.V = -c^2."""
 
     V: np.ndarray
-    c: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "V", _stack(self.V, (4,)))
         norm = np.vecdot(self.V @ ETA, self.V)
-        if np.any(np.abs(norm + self.c**2) > _REL_TOL * self.c**2):
-            raise ValueError(
-                f"four-velocity norm is {norm}, expected {-self.c**2}"
-            )
+        if np.any(np.abs(norm + 1.0) > _REL_TOL):
+            raise ValueError(f"four-velocity norm is {norm}, expected -1.0")
 
     @classmethod
-    def rest(cls, c: float = 1.0) -> "FourVelocity":
-        return cls(V=np.array([0.0, 0.0, 0.0, c]), c=c)
+    def rest(cls) -> "FourVelocity":
+        return cls(V=np.array([0.0, 0.0, 0.0, 1.0]))
 
     @classmethod
-    def from_three_velocity(cls, v3, c: float = 1.0) -> "FourVelocity":
+    def from_three_velocity(cls, v3) -> "FourVelocity":
         v3 = _stack(v3, (3,))
-        beta2 = np.vecdot(v3, v3) / c**2
+        beta2 = np.vecdot(v3, v3)
         if np.any(beta2 >= 1.0):
             raise ValueError(f"|v| must be < c, got |v|^2/c^2 = {beta2}")
         gamma = (1.0 / np.sqrt(1.0 - beta2))[..., None]
-        return cls(V=np.concatenate([gamma * v3, gamma * c], axis=-1), c=c)
+        return cls(V=np.concatenate([gamma * v3, gamma], axis=-1))
 
 
 @dataclass(frozen=True)
 class _Tensor4:
     M: np.ndarray
-    c: float = 1.0
     _kind = ""  # an antisymmetric kind's name, for its error
 
     def __post_init__(self):
@@ -178,7 +174,7 @@ class EMTensor4(_Tensor4):
 
     @property
     def momentum_density(self) -> np.ndarray:
-        return self.M[..., :3, 3] / self.c
+        return self.M[..., :3, 3]
 
     @property
     def energy_density(self) -> np.ndarray:
@@ -196,14 +192,14 @@ class FourMomentum:
         object.__setattr__(self, "G", _stack(self.G, (3,)))
 
 
-def field_tensor_from_EB(E, B, c: float = 1.0) -> FieldTensor4:
+def field_tensor_from_EB(E, B) -> FieldTensor4:
     """Pack E into the fourth row (scaled by 1/c) and B into the spatial block."""
-    return FieldTensor4(M=_antisym_from_vectors(E, B, c), c=c)
+    return FieldTensor4(M=_antisym_from_vectors(E, B))
 
 
-def excitation_from_DH(D, H, c: float = 1.0) -> ExcitationTensor4:
+def excitation_from_DH(D, H) -> ExcitationTensor4:
     """Pack D into the fourth row (scaled by 1/c) and H into the spatial block."""
-    return ExcitationTensor4(M=_antisym_from_vectors(D, H, c), c=c)
+    return ExcitationTensor4(M=_antisym_from_vectors(D, H))
 
 
 def excitation_from_constitutive(F: FieldTensor4, V: FourVelocity,
@@ -214,13 +210,10 @@ def excitation_from_constitutive(F: FieldTensor4, V: FourVelocity,
     covariant form of the linear constitutive relations.  In the rest frame
     this reduces exactly to D = (n^2/mu_r) E and H = B / mu_r.
     """
-    if F.c != V.c:
-        raise ValueError("field tensor and four-velocity use different c")
-    c = F.c
     W = (F.M @ ETA @ V.V[..., None])[..., 0]  # F contracted once with V
     term = W[..., :, None] * V.V[..., None, :] - V.V[..., :, None] * W[..., None, :]
     n, mu_r = _per_tensor(n), _per_tensor(mu_r)
-    return ExcitationTensor4(M=(F.M - (n * n - 1.0) / c**2 * term) / mu_r, c=c)
+    return ExcitationTensor4(M=(F.M - (n * n - 1.0) * term) / mu_r)
 
 
 def minkowski_tensor4(F: FieldTensor4, H: ExcitationTensor4) -> EMTensor4:
@@ -229,15 +222,12 @@ def minkowski_tensor4(F: FieldTensor4, H: ExcitationTensor4) -> EMTensor4:
     S = F.eta.H^T - (1/4) eta tr(F.eta.H.eta), whose rest-frame pieces are
     the stress tensor, E x H, D x B and (E.D + H.B)/2.
     """
-    if F.c != H.c:
-        raise ValueError("field and excitation tensors use different c")
     contraction = F.M @ ETA @ np.swapaxes(H.M, -1, -2)
     invariant = np.sum(F.M * (ETA @ H.M @ ETA), axis=(-2, -1))
-    return EMTensor4(M=contraction - 0.25 * ETA * _per_tensor(invariant), c=F.c)
+    return EMTensor4(M=contraction - 0.25 * ETA * _per_tensor(invariant))
 
 
-def divergence_residual(field_sampler, x, t: float, grid_step,
-                        c: float = 1.0) -> np.ndarray:
+def divergence_residual(field_sampler, x, t: float, grid_step) -> np.ndarray:
     """Central-difference estimate of the four-divergence of the field tensor.
 
     The stencil holds x +- grid_step along each axis at t, and x at
@@ -257,15 +247,14 @@ def divergence_residual(field_sampler, x, t: float, grid_step,
     x = np.asarray(x, dtype=float).reshape(3)
     h = h[..., None, None]
     S = minkowski_tensor4(*field_sampler(x + h * _STENCIL[:, :3],
-                                         t + h[..., 0] / c * _STENCIL[:, 3])).M
+                                         t + h[..., 0] * _STENCIL[:, 3])).M
     S = np.broadcast_to(S, h.shape[:-2] + (8, 4, 4))
     # column j of the difference along direction j: (..., row, j)
     d = np.diagonal(S[..., :4, :, :] - S[..., 4:, :, :], axis1=-3, axis2=-1)
     return (d[..., 0] + d[..., 1] + d[..., 2] + d[..., 3]) / (2.0 * h[..., 0])
 
 
-def classify_four_momentum(p: FourMomentum, c: float = 1.0,
-                           rel_tol: float = 1e-9):
+def classify_four_momentum(p: FourMomentum, rel_tol: float = 1e-9):
     """Classify (G, W) as 'spacelike', 'timelike' or 'null'; a stack gives
     an array of classes.
 
@@ -274,11 +263,10 @@ def classify_four_momentum(p: FourMomentum, c: float = 1.0,
     its largest magnitude, so that squaring cannot overflow; a four-momentum
     with a component that is not finite is 'undecidable'.
     """
-    cG = c * p.G
-    scale = np.maximum(np.max(np.abs(cG), axis=-1), np.abs(p.W))
+    scale = np.maximum(np.max(np.abs(p.G), axis=-1), np.abs(p.W))
     scale = np.where(scale > 0.0, scale, 1.0)  # nan stays nan
     with np.errstate(invalid="ignore"):  # inf / inf: undecidable
-        g, w = cG / scale[..., None], p.W / scale
+        g, w = p.G / scale[..., None], p.W / scale
     g2, w2 = np.vecdot(g, g), np.square(w)
     disc = g2 - w2
     cls = np.where(np.isfinite(disc),
@@ -290,7 +278,7 @@ def classify_four_momentum(p: FourMomentum, c: float = 1.0,
 
 def plane_wave_sampler(n: float, mu_r: float, omega: float, E0: float,
                        direction=(1.0, 0.0, 0.0), polarization=(0.0, 1.0, 0.0),
-                       c: float = 1.0, wavenumber: float | None = None):
+                       wavenumber: float | None = None):
     """Sampler for a plane wave in a homogeneous medium, for divergence checks.
 
     Returns ``sample(x, t) -> (FieldTensor4, ExcitationTensor4)``: x is a
@@ -306,16 +294,16 @@ def plane_wave_sampler(n: float, mu_r: float, omega: float, E0: float,
     p = p / np.linalg.norm(p)
     if abs(float(d @ p)) > _REL_TOL:
         raise ValueError("direction and polarization must be orthogonal")
-    k = n * omega / c if wavenumber is None else wavenumber
+    k = n * omega if wavenumber is None else wavenumber
     eps_r = n * n / mu_r
     b_hat = cross(d, p)
 
     def sample(x, t):
         cos = np.cos(k * np.vecdot(np.asarray(x, dtype=float), d) - omega * t)
         E = E0 * cos[..., None] * p
-        B = (n / c) * E0 * cos[..., None] * b_hat
-        F = field_tensor_from_EB(E, B, c)
-        Hx = excitation_from_DH(eps_r * E, B / mu_r, c)
+        B = n * E0 * cos[..., None] * b_hat
+        F = field_tensor_from_EB(E, B)
+        Hx = excitation_from_DH(eps_r * E, B / mu_r)
         return F, Hx
 
     return sample
@@ -328,20 +316,17 @@ def pulse_four_momentum(S: EMTensor4, volume: float,
     Under the Minkowski tag G comes from the tensor's momentum column; the
     Abraham variant substitutes the Poynting vector over c^2 as density.
     """
-    if tag is MomentumTag.MINKOWSKI:
-        g = S.momentum_density
-    else:
-        g = S.poynting / S.c**2
+    g = S.momentum_density if tag is MomentumTag.MINKOWSKI else S.poynting
     return FourMomentum(G=volume * g, W=volume * S.energy_density)
 
 
-def normalized_from_si(fp: FieldPoint, constants: PhysicalConstants = SI):
+def normalized_from_si(fp: FieldPoint):
     """Rescale SI fields into the reduced units used by this module.
 
     Returns (E, D, H, B) with E, H multiplied by sqrt(eps0), sqrt(mu0) and
     D, B divided by the same factors, so that D = eps_r E and B = mu_r H and
     the consistent light speed is 1.
     """
-    se = math.sqrt(constants.eps0)
-    sm = math.sqrt(constants.mu0)
+    se = math.sqrt(SI.eps0)
+    sm = math.sqrt(SI.mu0)
     return se * fp.E, fp.D / se, sm * fp.H, fp.B / sm

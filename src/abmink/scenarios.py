@@ -33,7 +33,6 @@ from .core import (
     FieldPoint,
     Medium,
     MomentumTag,
-    PhysicalConstants,
     RegimeError,
     check_rules,
     momentum_density,
@@ -90,7 +89,6 @@ class MirrorConfig:
     omega: float
     conductivity: float
     guard: float = 0.2
-    constants: PhysicalConstants = SI
 
     def __post_init__(self):
         check_rules(self.RULES, self)
@@ -108,11 +106,11 @@ class MirrorConfig:
 
     @property
     def k(self) -> float:
-        return self.medium.n * self.omega / self.constants.c
+        return self.medium.n * self.omega / SI.c
 
     @property
     def alpha(self) -> float:
-        return np.sqrt(self.constants.mu0 * self.conductivity * self.omega / 2.0)
+        return np.sqrt(SI.mu0 * self.conductivity * self.omega / 2.0)
 
     @property
     def k_over_alpha(self) -> float:
@@ -190,16 +188,16 @@ _ENVELOPE = np.exp((-1.0 + 1.0j) * (np.concatenate([_S16, _S32]) / 2.0))
 _BLOCK = 4096
 
 
-def _metal_fields(E0, omega, k, alpha, envelope, constants):
+def _metal_fields(E0, omega, k, alpha, envelope):
     """E_y and H_z where the skin envelope exp((-1 + i) alpha x) is ``envelope``."""
     E_y = (k * E0 / alpha) * (1.0 - 1.0j) * envelope
-    H_z = (k * E0 / (constants.mu0 * omega)) \
+    H_z = (k * E0 / (SI.mu0 * omega)) \
         * (2.0 + (1.0j - 1.0) * (k / alpha)) * envelope
     return E_y, H_z
 
 
-def mirror_batch(n, E0, omega, conductivity, guard=0.2, quadrature_tol=1e-8,
-                 constants: PhysicalConstants = SI) -> MirrorBatch:
+def mirror_batch(n, E0, omega, conductivity, guard=0.2,
+                 quadrature_tol=1e-8) -> MirrorBatch:
     """Evaluate the three independent pressure routes at every point at once.
 
     The arguments broadcast against each other and are flattened to m
@@ -212,7 +210,6 @@ def mirror_batch(n, E0, omega, conductivity, guard=0.2, quadrature_tol=1e-8,
     3. momentum transport: c g_x / n with the Minkowski momentum density of
        the incident plane wave, plus n R S_i / c for the reflected wave.
     """
-    cst = constants
     args = [np.asarray(v, dtype=float)
             for v in (n, E0, omega, conductivity, guard, quadrature_tol)]
     # one broadcast copy each: a fifth of np.broadcast_arrays's per-call cost
@@ -222,35 +219,33 @@ def mirror_batch(n, E0, omega, conductivity, guard=0.2, quadrature_tol=1e-8,
     n, E0, omega, sigma, guard, tol = points.reshape(len(args), -1)
     with np.errstate(all="ignore"):  # rejected points may hold anything
         cfg = unchecked(MirrorConfig, medium=unchecked(Medium, eps_r=n * n, n=n),
-                        E0=E0, omega=omega, conductivity=sigma, guard=guard,
-                        constants=cst)
+                        E0=E0, omega=omega, conductivity=sigma, guard=guard)
         k, alpha = cfg.k, cfg.alpha
         r = k / alpha
         R, phase = 1.0 - 2.0 * r, np.arctan(-r)
-        flux = n * E0**2 / (2.0 * cst.mu0 * cst.c)
+        flux = n * E0**2 / (2.0 * SI.mu0 * SI.c)
 
         low, high = np.empty(n.size), np.empty(n.size)
         for b in range(0, n.size, _BLOCK):
             i = slice(b, b + _BLOCK)
             E_y, H_z = _metal_fields(E0[i, None], omega[i, None], k[i, None],
-                                     alpha[i, None], _ENVELOPE, cst)
+                                     alpha[i, None], _ENVELOPE)
             f = (E_y * H_z.conj()).real
             low[i] = (f[:, :_S16.size] * _W16).sum(axis=1)
             high[i] = (f[:, _S16.size:] * _W32).sum(axis=1)
-        lorentz = 0.5 * cst.mu0 * sigma / (2.0 * alpha)
+        lorentz = 0.5 * SI.mu0 * sigma / (2.0 * alpha)
         p2, err = lorentz * high, np.abs(lorentz * (high - low))
 
         E, H = np.zeros((n.size, 3)), np.zeros((n.size, 3))
         E[:, 1] = E0  # polarization y, propagation x, t = 0 at the origin
-        H[:, 2] = n * E0 / (cst.mu0 * cst.c)
-        fp = FieldPoint(E=E, D=(cst.eps0 * (n * n))[:, None] * E, H=H,
-                        B=cst.mu0 * H)
+        H[:, 2] = n * E0 / (SI.mu0 * SI.c)
+        fp = FieldPoint(E=E, D=(SI.eps0 * (n * n))[:, None] * E, H=H, B=SI.mu0 * H)
         # peak fields carry twice the time-averaged quadratic quantities
-        g_x = momentum_density(fp, MomentumTag.MINKOWSKI, cst)[:, 0] / 2.0
+        g_x = momentum_density(fp, MomentumTag.MINKOWSKI)[:, 0] / 2.0
         S_i = poynting(fp)[:, 0] / 2.0
 
-        routes = np.array([pressure_from_reflectance(n, R, flux, cst), p2,
-                           cst.c * g_x / n + n * R * S_i / cst.c])
+        routes = np.array([pressure_from_reflectance(n, R, flux), p2,
+                           SI.c * g_x / n + n * R * S_i / SI.c])
         scale = np.abs(routes).max(axis=0)
         # routes that are all zero agree: 0/0 reads as no spread
         spread = np.where(scale != 0.0,
@@ -279,7 +274,7 @@ def mirror_batch(n, E0, omega, conductivity, guard=0.2, quadrature_tol=1e-8,
 def _single(cfg: MirrorConfig, quadrature_tol: float = 1e-8) -> dict[str, float]:
     """The columns of :func:`mirror_batch` at a single configuration."""
     b = mirror_batch(cfg.medium.n, cfg.E0, cfg.omega, cfg.conductivity,
-                     cfg.guard, quadrature_tol, cfg.constants)
+                     cfg.guard, quadrature_tol)
     if b.errors[0] is not None:
         raise b.errors[0]
     return {name: float(v[0]) for name, v in b.columns.items()}
@@ -296,14 +291,13 @@ def reflectance(cfg: MirrorConfig) -> tuple[float, float]:
     return point["reflectance"], point["phase_rad"]
 
 
-def pressure_from_reflectance(n: float, R: float, flux: float,
-                              constants: PhysicalConstants = SI) -> float:
+def pressure_from_reflectance(n: float, R: float, flux: float) -> float:
     """Momentum-flux pressure (n/c)(1 + R) S_i on the wall [Pa].
 
     At fixed R and S_i the pressure is proportional to the liquid index,
     which is the proportionality the immersed-mirror experiments observed.
     """
-    return n / constants.c * (1.0 + R) * flux
+    return n / SI.c * (1.0 + R) * flux
 
 
 def mirror_pressure_flux(cfg: MirrorConfig) -> MirrorPressure:
@@ -323,7 +317,7 @@ def metal_fields(cfg: MirrorConfig, x) -> MetalFieldSample:
     if not np.all(np.asarray(x) >= 0.0):  # so that NaN breaks it
         raise ValueError(f"depth x must be >= 0, got {x}")
     E_y, H_z = _metal_fields(cfg.E0, cfg.omega, cfg.k, cfg.alpha,
-                             np.exp((-1.0 + 1.0j) * cfg.alpha * x), cfg.constants)
+                             np.exp((-1.0 + 1.0j) * cfg.alpha * x))
     return MetalFieldSample(E_y=E_y, H_z=H_z, x=x)
 
 
@@ -350,8 +344,7 @@ def mirror_pressure_divergence(cfg: MirrorConfig) -> float:
 
 def mirror_three_way_sweep(n_values, sigma_values, omega_values,
                            E0: float = 1e3, quadrature_tol: float = 1e-8,
-                           guard: float = 0.2,
-                           constants: PhysicalConstants = SI):
+                           guard: float = 0.2):
     """Evaluate all three pressure routes over a parameter grid.
 
     Grid points outside the good-conductor regime are skipped; any other
@@ -360,7 +353,7 @@ def mirror_three_way_sweep(n_values, sigma_values, omega_values,
     """
     n, sigma, omega = np.meshgrid(n_values, sigma_values, omega_values,
                                   indexing="ij")
-    b = mirror_batch(n, E0, omega, sigma, guard, quadrature_tol, constants)
+    b = mirror_batch(n, E0, omega, sigma, guard, quadrature_tol)
     names = {"n": "n", "sigma": "sigma_S_per_m", "omega": "omega_rad_per_s",
              "pressure_flux": "pressure_flux_Pa",
              "pressure_lorentz": "pressure_lorentz_Pa",
@@ -396,8 +389,7 @@ class DragConfig:
                   for name in ("intensity", "sigma_a", "omega", "n"))
 
 
-def photon_drag_field(cfg: DragConfig, tag: MomentumTag,
-                      constants: PhysicalConstants = SI) -> float:
+def photon_drag_field(cfg: DragConfig, tag: MomentumTag) -> float:
     """Open-circuit longitudinal field E = I sigma_a p / (hbar omega e) [V/m].
 
     The per-photon momentum p is hbar n omega / c under the Minkowski tag and
@@ -405,26 +397,25 @@ def photon_drag_field(cfg: DragConfig, tag: MomentumTag,
     Minkowski choice.
     """
     if tag is MomentumTag.MINKOWSKI:
-        p = constants.hbar * cfg.n * cfg.omega / constants.c
+        p = SI.hbar * cfg.n * cfg.omega / SI.c
     else:
-        p = constants.hbar * cfg.omega / (cfg.n * constants.c)
-    return cfg.intensity * cfg.sigma_a * p / (constants.hbar * cfg.omega * constants.e_charge)
+        p = SI.hbar * cfg.omega / (cfg.n * SI.c)
+    return cfg.intensity * cfg.sigma_a * p / (SI.hbar * cfg.omega * SI.e_charge)
 
 
-def bec_recoil(n: float, omega: float, constants: PhysicalConstants = SI) -> float:
+def bec_recoil(n: float, omega: float) -> float:
     """Atomic recoil momentum hbar n omega / c [kg m/s] from photon absorption."""
-    return constants.hbar * n * omega / constants.c
+    return SI.hbar * n * omega / SI.c
 
 
-def fiber_exit_impulse(pulse_energy: float, n: float,
-                       constants: PhysicalConstants = SI) -> float:
+def fiber_exit_impulse(pulse_energy: float, n: float) -> float:
     """Impulse (n - 1) H / c [N s] released along propagation at the exit face.
 
     A pulse of energy H carries traveling momentum n H / c inside the fiber
     and H / c in vacuum; full transmission leaves the difference with the
     fiber tip, directed along the propagation direction.
     """
-    return (n - 1.0) * pulse_energy / constants.c
+    return (n - 1.0) * pulse_energy / SI.c
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +430,6 @@ class TorqueConfig:
     a: float
     P0: float
     omega0: float
-    constants: PhysicalConstants = SI
 
     def __post_init__(self):
         check_rules(self.RULES, self)
@@ -470,9 +460,8 @@ def wgm_torque(cfg: TorqueConfig, t: float,
     """
     if tag is MomentumTag.MINKOWSKI:
         return WgmTorque(torque=0.0, amplitude=0.0)
-    c = cfg.constants.c
     # float_power: C pow, as a Python float's ** (see mechanical_momentum_density)
-    prefactor = (np.float_power(cfg.n, 2) - 1.0) / c**2 * 2.0 * math.pi \
+    prefactor = (np.float_power(cfg.n, 2) - 1.0) / SI.c**2 * 2.0 * math.pi \
         * np.float_power(cfg.a, 2) * cfg.omega0 * cfg.P0
     return WgmTorque(torque=-prefactor * np.sin(cfg.omega0 * t) + 0.0,
                      amplitude=prefactor)
@@ -499,7 +488,6 @@ class SphereKickConfig:
     L0: float = 0.0
     reference_fluid: Medium = field(
         default_factory=lambda: Medium.from_index(1.0, viscosity=1.8e-5))
-    constants: PhysicalConstants = SI
 
     def __post_init__(self):
         check_rules(self.RULES, self)
@@ -515,10 +503,9 @@ class SphereKickConfig:
     )
 
     def pulse_momentum(self, tag: MomentumTag) -> float:
-        c = self.constants.c
         if tag is MomentumTag.MINKOWSKI:
-            return self.fluid.n * self.pulse_energy / c
-        return self.pulse_energy / (self.fluid.n * c)
+            return self.fluid.n * self.pulse_energy / SI.c
+        return self.pulse_energy / (self.fluid.n * SI.c)
 
     @property
     def stokes_coefficient(self) -> float:
@@ -552,14 +539,13 @@ def sphere_total_displacement(cfg: SphereKickConfig, tag: MomentumTag) -> float:
 
 
 def displacement_correction(pulse_energy: float, a: float, L0: float,
-                            mu0_visc: float,
-                            constants: PhysicalConstants = SI) -> float:
+                            mu0_visc: float) -> float:
     """Magnitude H / (6 pi a c L0 mu0) of the photon term in the ratio L/L0.
 
     This is the dimensionless lever arm separating the two momentum
     bookkeepings in the two-fluid comparison.
     """
-    return pulse_energy / (6.0 * math.pi * a * constants.c * L0 * mu0_visc)
+    return pulse_energy / (6.0 * math.pi * a * SI.c * L0 * mu0_visc)
 
 
 # the rule displacement_ratio adds to those of its config
@@ -583,8 +569,7 @@ def displacement_ratio(cfg: SphereKickConfig, tag: MomentumTag) -> float:
     check_rules(_L0_RULES, cfg)
     mu = cfg.fluid.viscosity
     mu0 = cfg.reference_fluid.viscosity
-    corr = displacement_correction(cfg.pulse_energy, cfg.a, cfg.L0, mu0,
-                                   cfg.constants)
+    corr = displacement_correction(cfg.pulse_energy, cfg.a, cfg.L0, mu0)
     n, n0 = cfg.fluid.n, cfg.reference_fluid.n
     if tag is MomentumTag.MINKOWSKI:
         return (mu0 / mu) * (1.0 + corr * (n - n0))

@@ -64,7 +64,6 @@ def test_medium_index_consistency():
 @pytest.mark.parametrize("kwargs", [
     dict(eps_r=0.5),
     dict(eps_r=2.0, mu_r=0.0),
-    dict(eps_r=2.0, conductivity=-1.0),
     dict(eps_r=2.0, viscosity=0.0),
 ])
 def test_medium_rejects_bad_values(kwargs):
@@ -72,13 +71,41 @@ def test_medium_rejects_bad_values(kwargs):
         Medium(**kwargs)
 
 
-@pytest.mark.parametrize("mu_r", [0.0, -0.0])
+@pytest.mark.parametrize("mu_r", [0.0, -0.0, -1.0, math.nan])
 def test_medium_from_index_rejects_zero_mu_r_by_its_rule(mu_r):
-    # n * n / mu_r would divide by zero before the rule could word it
+    # n * n / mu_r would divide by zero, or give an eps_r the caller never
+    # passed, before the rule could word it
     with pytest.raises(ValueError, match=re.escape(f"mu_r must be > 0, got {mu_r}")):
         Medium.from_index(1.5, mu_r=mu_r)
     with pytest.raises(ValueError, match=re.escape(f"mu_r must be > 0, got {mu_r}")):
         Medium.from_index(np.array([1.5, 2.0]), mu_r=mu_r)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    # a row-major reading of these names the wrong row or indexes past it
+    (dict(eps_r=np.array([[2.0, 0.5], [3.0, 4.0]])), "eps_r must have shape () or (m,), "
+     "got (2, 2)"),
+    (dict(eps_r=np.array([[2.0, 3.0], [0.5, 4.0]])), "eps_r must have shape () or (m,), "
+     "got (2, 2)"),
+    (dict(eps_r=2.25, n=np.array([[1.5], [1.5]])), "n must have shape () or (m,), "
+     "got (2, 1)"),
+    (dict(eps_r=np.ones((1, 1, 3)), n=np.ones(3)), "eps_r must have shape () or (m,), "
+     "got (1, 1, 3)"),
+])
+def test_medium_rejects_other_shapes_by_name(kwargs, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Medium(**kwargs)
+
+
+def test_medium_takes_0d_and_1d_arrays_as_before():
+    m = Medium(eps_r=np.array(2.25))
+    assert m.n == 1.5 and m.eps_r.shape == ()
+    rows = Medium(eps_r=np.array([2.25, 4.0]))
+    np.testing.assert_array_equal(rows.n, [1.5, 2.0])
+    with pytest.raises(ValueError, match=re.escape("eps_r must be >= 1, got 0.5")):
+        Medium(eps_r=np.array([2.0, 0.5]))
+    with pytest.raises(ValueError, match=re.escape("eps_r must be >= 1, got 0.5")):
+        Medium(eps_r=np.array(0.5))
 
 
 NAN = math.nan
@@ -88,7 +115,6 @@ NAN = math.nan
     (lambda: Medium.from_index(NAN), "eps_r must be >= 1, got nan"),
     (lambda: Medium(eps_r=NAN), "eps_r must be >= 1, got nan"),
     (lambda: Medium(eps_r=2.0, mu_r=NAN), "mu_r must be > 0, got nan"),
-    (lambda: Medium(eps_r=2.0, conductivity=NAN), "conductivity must be >= 0, got nan"),
     (lambda: Medium(eps_r=2.0, viscosity=NAN), "viscosity must be > 0, got nan"),
     (lambda: Medium(eps_r=2.25, n=NAN), "n=nan inconsistent"),
     # the array path: the first row the scalar rules reject
@@ -405,6 +431,19 @@ def test_plane_wave_validation():
     with pytest.raises(ValueError):
         PlaneWave(E0=1.0, omega=1e15, direction=(2, 0, 0),
                   polarization=(0, 1, 0), medium=m)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(omega=NAN), "omega must be > 0, got nan"),
+    (dict(direction=(NAN, 0, 0)), "direction must be a unit vector"),
+    (dict(polarization=(0, NAN, 0)), "polarization must be a unit vector"),
+])
+def test_plane_wave_rejects_nan(kwargs, message):
+    # each check is written so that NaN breaks it
+    wave = dict(E0=1.0, omega=1e15, direction=(1, 0, 0), polarization=(0, 1, 0),
+                medium=Medium.from_index(1.5))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        PlaneWave(**(wave | kwargs))
 
 
 def test_plane_wave_dispersion():

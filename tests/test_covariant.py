@@ -35,7 +35,7 @@ def test_four_velocity_normalization():
     boosted = FourVelocity.from_three_velocity([0.3, -0.1, 0.2])
     assert boosted.V @ ETA @ boosted.V == pytest.approx(-1.0, rel=1e-12)
     with pytest.raises(ValueError):
-        FourVelocity(V=[0.0, 0.0, 0.0, 2.0], c=1.0)
+        FourVelocity(V=[0.0, 0.0, 0.0, 2.0])
     with pytest.raises(ValueError):
         FourVelocity.from_three_velocity([1.5, 0.0, 0.0])
 
@@ -113,13 +113,6 @@ def test_constitutive_slow_motion_expansion():
 
     d1, d2 = defect(1e-3), defect(5e-4)
     assert d1 / d2 == pytest.approx(4.0, rel=0.05)
-
-
-def test_constitutive_rejects_mismatched_c():
-    F = field_tensor_from_EB([1.0, 0, 0], [0, 1.0, 0], c=1.0)
-    V = FourVelocity.rest(c=2.0)
-    with pytest.raises(ValueError):
-        excitation_from_constitutive(F, V, 1.5, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -44,8 +44,6 @@ def _medium(self):
         raise ValueError(f"eps_r must be >= 1, got {eps_r}")
     if not self.mu_r > 0.0:
         raise ValueError(f"mu_r must be > 0, got {self.mu_r}")
-    if not self.conductivity >= 0.0:
-        raise ValueError(f"conductivity must be >= 0, got {self.conductivity}")
     if self.viscosity is not None and not self.viscosity > 0.0:
         raise ValueError(f"viscosity must be > 0, got {self.viscosity}")
     if not abs(n - expect) <= _REL_TOL * expect:
@@ -95,9 +93,8 @@ def _l0(cfg):  # the head of displacement_ratio
         raise ValueError(f"reference displacement L0 must be > 0, got {cfg.L0}")
 
 
-def _medium_ns(eps_r, mu_r=1.0, n=0.0, conductivity=0.0, viscosity=None):
-    ns = SimpleNamespace(eps_r=eps_r, mu_r=mu_r, n=n, conductivity=conductivity,
-                         viscosity=viscosity)
+def _medium_ns(eps_r, mu_r=1.0, n=0.0, viscosity=None):
+    ns = SimpleNamespace(eps_r=eps_r, mu_r=mu_r, n=n, viscosity=viscosity)
     ns.nonmagnetic = mu_r == 1.0
     return ns
 
@@ -157,11 +154,10 @@ def test_scalar_medium_matches_the_former_checks(data):
     mu_r = data.draw(_value(0.5, 2.0))
     n = data.draw(st.one_of(st.just(0.0), _value(1.0, 3.0),
                             st.just(math.sqrt(abs(eps_r * mu_r)))))
-    conductivity = data.draw(_value(1.0, 1e7))
     viscosity = data.draw(st.one_of(st.none(), _value(1e-5, 1e-2)))
-    want = _first_error((_medium, _medium_ns(eps_r, mu_r, n, conductivity, viscosity)))
+    want = _first_error((_medium, _medium_ns(eps_r, mu_r, n, viscosity)))
     try:
-        Medium(eps_r, mu_r, n, conductivity, viscosity)
+        Medium(eps_r, mu_r, n, viscosity)
         got = None
     except ValueError as exc:
         got = exc
@@ -173,7 +169,6 @@ def test_scalar_medium_matches_the_former_checks(data):
 def test_medium_rows_match_the_former_checks(data):
     m = data.draw(st.integers(1, 8))
     mu_r = data.draw(_value(0.5, 2.0))
-    conductivity = data.draw(_value(1.0, 1e7))
     n = np.array([data.draw(_value(1.0, 3.0).filter(lambda v: v != 0.0))
                   for _ in range(m)])
     # eps_r either consistent with n or drawn on its own
@@ -182,20 +177,18 @@ def test_medium_rows_match_the_former_checks(data):
     viscosity = data.draw(st.one_of(st.none(), _value(1e-5, 1e-2),
                                     st.just(np.array([data.draw(_value(1e-5, 1e-2))
                                                       for _ in range(m)]))))
-    rows = unchecked(Medium, eps_r=eps_r, mu_r=mu_r, n=n, conductivity=conductivity,
-                     viscosity=viscosity)
+    rows = unchecked(Medium, eps_r=eps_r, mu_r=mu_r, n=n, viscosity=viscosity)
     got = check_rules(Medium.RULES, rows, m)
     want = {}
     for i in range(m):
         v = viscosity if not isinstance(viscosity, np.ndarray) else float(viscosity[i])
-        exc = _first_error((_medium, _medium_ns(float(eps_r[i]), mu_r, float(n[i]),
-                                                conductivity, v)))
+        exc = _first_error((_medium, _medium_ns(float(eps_r[i]), mu_r, float(n[i]), v)))
         if exc is not None:
             want[i] = exc
         assert_same_error(got.get(i), want.get(i))
     # the (m,) constructor raises the error of the first rejected row
     try:
-        Medium(eps_r, mu_r, n, conductivity, viscosity)
+        Medium(eps_r, mu_r, n, viscosity)
         assert not want
     except ValueError as exc:
         assert_same_error(exc, want[min(want)])
