@@ -59,7 +59,7 @@ ETA = np.diag([1.0, 1.0, 1.0, -1.0])
 ETA.flags.writeable = False
 
 # (row, column) of the cyclic rule m[i][k] = v_l, for l = 0, 1, 2
-_AXIAL = ([1, 2, 0], [2, 0, 1])
+_AXIAL = (np.array([1, 2, 0]), np.array([2, 0, 1]))
 
 # the central-difference stencil: +x, +y, +z, +ct, then the same negated
 _STENCIL = np.vstack([np.eye(4), -np.eye(4)])
@@ -83,7 +83,7 @@ def _per_tensor(x) -> np.ndarray:
 def _antisym_from_vectors(row4, spatial_axial) -> np.ndarray:
     v = np.asarray(spatial_axial, dtype=float)
     row = np.asarray(row4, dtype=float)
-    m = np.zeros(np.broadcast_shapes(v.shape, row.shape)[:-1] + (4, 4))
+    m = np.zeros(np.broadcast(v, row).shape[:-1] + (4, 4))
     m[..., _AXIAL[0], _AXIAL[1]] = v
     m[..., _AXIAL[1], _AXIAL[0]] = -v
     m[..., 3, :3] = row
@@ -110,7 +110,7 @@ class FourVelocity:
     def __post_init__(self):
         object.__setattr__(self, "V", _stack(self.V, (4,)))
         norm = np.vecdot(self.V @ ETA, self.V)
-        if np.any(np.abs(norm + 1.0) > _REL_TOL):
+        if not np.all(np.abs(norm + 1.0) <= _REL_TOL):  # a NaN breaks it
             raise ValueError(f"four-velocity norm is {norm}, expected -1.0")
 
     @classmethod
@@ -121,7 +121,7 @@ class FourVelocity:
     def from_three_velocity(cls, v3) -> "FourVelocity":
         v3 = _stack(v3, (3,))
         beta2 = np.vecdot(v3, v3)
-        if np.any(beta2 >= 1.0):
+        if not np.all(beta2 < 1.0):  # a NaN breaks it
             raise ValueError(f"|v| must be < c, got |v|^2/c^2 = {beta2}")
         gamma = (1.0 / np.sqrt(1.0 - beta2))[..., None]
         return cls(V=np.concatenate([gamma * v3, gamma], axis=-1))
@@ -135,11 +135,12 @@ class _Tensor4:
     def __post_init__(self):
         m = _stack(self.M, (4, 4))
         object.__setattr__(self, "M", m)
-        # a NaN entry is left to the caller's non-finite check, if its
-        # mirror entry is NaN too
-        if self._kind and not np.array_equal(m, -np.swapaxes(m, -1, -2),
-                                             equal_nan=True):
-            raise ValueError(f"{self._kind} must be antisymmetric")
+        if self._kind:
+            mt = -np.swapaxes(m, -1, -2)
+            # all equal decides a tensor without a NaN; a NaN entry is left to
+            # the caller's non-finite check, if its mirror entry is NaN too
+            if not ((m == mt).all() or np.array_equal(m, mt, equal_nan=True)):
+                raise ValueError(f"{self._kind} must be antisymmetric")
 
 
 class FieldTensor4(_Tensor4):
@@ -276,35 +277,49 @@ def classify_four_momentum(p: FourMomentum, rel_tol: float = 1e-9):
     return cls if cls.ndim else str(cls)
 
 
-def plane_wave_sampler(n: float, mu_r: float, omega: float, E0: float,
+def _unit(v, key: str) -> np.ndarray:
+    """A 3-vector or a (w, 3) stack, each row scaled to unit length."""
+    v = np.asarray(v, dtype=float)
+    norm = np.sqrt(np.vecdot(v, v))[..., None]  # np.linalg.norm, bit for bit
+    if not np.all((norm > 0.0) & (norm < math.inf)):  # a NaN breaks it
+        raise ValueError(f"{key} must be finite and nonzero, got {v.tolist()}")
+    return v / norm
+
+
+def plane_wave_sampler(n, mu_r, omega: float, E0,
                        direction=(1.0, 0.0, 0.0), polarization=(0.0, 1.0, 0.0),
                        wavenumber: float | None = None):
-    """Sampler for a plane wave in a homogeneous medium, for divergence checks.
+    """Sampler for a sum of plane waves of one frequency in a homogeneous
+    medium, for divergence checks.
 
-    Returns ``sample(x, t) -> (FieldTensor4, ExcitationTensor4)``: x is a
-    point or an (..., 3) stack of points, t a time or a stack that
-    broadcasts against x[..., 0], and the tensors are (..., 4, 4) stacks.
-    The default wavenumber n omega / c satisfies the medium dispersion
-    relation; passing any other value produces fields that do not solve the
-    wave equation (useful as a negative control).
+    ``direction`` and ``polarization`` are (w, 3) stacks and ``E0`` a (w,)
+    stack, one row per wave (a 3-vector each and a number for one wave);
+    the fields are summed.  ``n`` and ``mu_r`` may be stacks broadcasting
+    against the points.  ``sample(x, t)`` takes a point or an (..., 3)
+    stack, and a time or a stack broadcasting against x[..., 0], and returns
+    (FieldTensor4, ExcitationTensor4) stacks.  A wavenumber other than n
+    omega / c gives fields that do not solve the wave equation (a negative
+    control).  A direction or polarization that is not finite and nonzero,
+    and an omega that is not finite, are a ValueError naming the key.
     """
-    d = np.asarray(direction, dtype=float)
-    p = np.asarray(polarization, dtype=float)
-    d = d / np.linalg.norm(d)
-    p = p / np.linalg.norm(p)
-    if abs(float(d @ p)) > _REL_TOL:
+    if not math.isfinite(omega):
+        raise ValueError(f"omega must be finite, got {omega}")
+    d, p = _unit(direction, "direction"), _unit(polarization, "polarization")
+    if np.any(np.abs(np.vecdot(d, p)) > _REL_TOL):
         raise ValueError("direction and polarization must be orthogonal")
+    # a trailing axis against the waves' axis
+    n, mu_r = (np.asarray(v, dtype=float)[..., None] for v in (n, mu_r))
     k = n * omega if wavenumber is None else wavenumber
     eps_r = n * n / mu_r
     b_hat = cross(d, p)
 
     def sample(x, t):
-        cos = np.cos(k * np.vecdot(np.asarray(x, dtype=float), d) - omega * t)
-        E = E0 * cos[..., None] * p
-        B = n * E0 * cos[..., None] * b_hat
-        F = field_tensor_from_EB(E, B)
-        Hx = excitation_from_DH(eps_r * E, B / mu_r)
-        return F, Hx
+        # (..., w): a phase per point and wave; the waves sum elementwise
+        cos = np.cos(k * np.vecdot(np.asarray(x, dtype=float)[..., None, :], d)
+                     - omega * np.asarray(t, dtype=float)[..., None])
+        E = np.sum((E0 * cos)[..., None] * p, axis=-2)
+        B = np.sum((n * E0 * cos)[..., None] * b_hat, axis=-2)
+        return field_tensor_from_EB(E, B), excitation_from_DH(eps_r * E, B / mu_r)
 
     return sample
 

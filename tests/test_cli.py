@@ -72,9 +72,18 @@ def test_run_out_of_regime_exits_nonzero(tmp_path):
     assert "k/alpha" in err and "0.2" in err
 
 
+@pytest.mark.parametrize("mu_r", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("n", ["1", "1.0000001"])
+def test_covariant_checks_at_n_one_exit_zero(tmp_path, n, mu_r):
+    path = tmp_path / "vacuum.cfg"
+    path.write_text(f"scenario = covariant-checks\nn = {n}\nmu_r = {mu_r}\n")
+    proc = run_cli("run", str(path))
+    assert proc.returncode == 0, proc.stderr
+
+
 CHECK_STDOUT = (
     "PASS three-way-mirror: residual 5.866e-16 (bound 1.000e-06)\n"
-    "PASS divergence-convergence: residual 1.925e-05 (bound 2.000e-01)\n"
+    "PASS divergence-convergence: residual 1.922e-05 (bound 2.000e-01)\n"
     "PASS momentum-ledger: residual 1.660e-15 (bound 1.000e-06)\n"
 )
 

@@ -11,6 +11,7 @@ the Minkowski tensor of boosted fields to the boosted tensor.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -23,6 +24,7 @@ from hypothesis.extra.numpy import arrays
 from abmink import covariant as stacked
 from abmink.core import MomentumTag
 from abmink.runner import _covariant_check_rows as stacked_check_rows
+from abmink.runner import parse_config, run
 
 # ---------------------------------------------------------------------------
 # the scalar layer, verbatim
@@ -302,6 +304,36 @@ def pulse_four_momentum(S: EMTensor4, volume: float,
     return FourMomentum(G=volume * g, W=volume * S.energy_density)
 
 
+def two_wave_sampler(n: float, mu_r: float, omega: float = 2.0 * math.pi,
+                     c: float = 1.0):
+    """Not verbatim: the field the divergence check differentiates since a
+    single wave's truncation errors cancel at n = 1.  The sum of a wave
+    along x, polarized along y, and one of amplitude 0.7 at 60 degrees in
+    the x-y plane, polarized along z, each written as the scalar
+    ``plane_wave_sampler`` writes it; E and B are summed before D and H
+    are taken from them."""
+    waves = [(1.0, (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)),
+             (0.7, (0.5, math.sqrt(0.75), 0.0), (0.0, 0.0, 1.0))]
+    eps_r = n * n / mu_r
+
+    def sample(x, t):
+        fields = []
+        for E0, direction, polarization in waves:
+            d = np.asarray(direction, dtype=float)
+            p = np.asarray(polarization, dtype=float)
+            d = d / np.linalg.norm(d)
+            p = p / np.linalg.norm(p)
+            phase = (n * omega / c) * float(d @ np.asarray(x, dtype=float)) - omega * t
+            fields.append((E0 * math.cos(phase) * p,
+                           (n / c) * E0 * math.cos(phase) * np.cross(d, p)))
+        (E1, B1), (E2, B2) = fields
+        E, B = E1 + E2, B1 + B2
+        return (field_tensor_from_EB(E, B, c),
+                excitation_from_DH(eps_r * E, B / mu_r, c))
+
+    return sample
+
+
 # the names the verbatim runner code looks up
 covariant = SimpleNamespace(
     FourVelocity=FourVelocity, field_tensor_from_EB=field_tensor_from_EB,
@@ -334,7 +366,8 @@ def _covariant_check_rows(n: float, mu_r: float, grid_step: float):
                                            omega=2.0 * math.pi, E0=1.0)
     x = np.array([0.123, 0.0, 0.0])
     t = 0.077
-    res = [np.linalg.norm(covariant.divergence_residual(sampler, x, t, h))
+    res = [np.linalg.norm(covariant.divergence_residual(two_wave_sampler(n, mu_r),
+                                                        x, t, h))
            for h in (grid_step, grid_step / 2.0, grid_step / 4.0)]
     ratios = (res[0] / res[1], res[1] / res[2])
 
@@ -468,10 +501,10 @@ def test_stacked_plane_wave_and_divergence_match_the_scalar_calls(data):
 # ---------------------------------------------------------------------------
 
 def test_the_oracle_grid_reaches_nan_ratios():
-    with np.errstate(all="ignore"):
-        checks, residuals = _covariant_check_rows(1.0, 1.0, 0.1)
+    with np.errstate(all="ignore"):  # every residual is exactly 0
+        checks, residuals = _covariant_check_rows(1.0, 1.0, 1e300)
     assert math.isnan(checks["divergence_ratio_fine"])
-    assert math.isinf(residuals["divergence_ratio_err"])
+    assert math.isnan(residuals["divergence_ratio_err"])
 
 
 @pytest.mark.parametrize("grid_step", [1e-3, 2e-3, 0.1, 0.3, 1.0, 2.0, 1e300])
@@ -517,6 +550,115 @@ def test_divergence_rejects_steps_not_above_zero(steps):
     sampler = stacked.plane_wave_sampler(n=1.5, mu_r=1.0, omega=2 * math.pi, E0=1.0)
     with pytest.raises(ValueError, match="grid_step must be > 0"):
         stacked.divergence_residual(sampler, np.zeros(3), 0.0, np.array(steps))
+
+
+_X, _Y, _Z = (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)
+_NAN = (math.nan, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("kw, message", [
+    (dict(direction=_NAN), "direction must be finite and nonzero"),
+    (dict(direction=(0.0, 0.0, 0.0)), "direction must be finite and nonzero"),
+    (dict(direction=(math.inf, 0.0, 0.0)), "direction must be finite and nonzero"),
+    (dict(polarization=(0.0, math.nan, 0.0)), "polarization must be finite and nonzero"),
+    (dict(polarization=(0.0, 0.0, 0.0)), "polarization must be finite and nonzero"),
+    (dict(omega=math.nan), "omega must be finite"),
+    (dict(omega=math.inf), "omega must be finite"),
+    # one bad wave of a stack
+    (dict(direction=[_X, _NAN], polarization=[_Y, _Z]), "direction must be finite"),
+    (dict(direction=[_X, _X], polarization=[_Y, (0.0, 0.0, 0.0)]),
+     "polarization must be finite"),
+    (dict(direction=[_X, _X], polarization=[_Y, _X]), "must be orthogonal"),
+])
+def test_plane_wave_sampler_rejects_bad_waves(kw, message):
+    args = dict(n=1.5, mu_r=1.0, omega=2 * math.pi, E0=1.0) | kw
+    with pytest.raises(ValueError, match=message):
+        stacked.plane_wave_sampler(**args)
+
+
+def test_a_wave_stack_sums_its_waves_and_a_medium_stack_holds_each_medium():
+    x, t = np.array([[0.3, -0.2, 0.5], [0.1, 0.0, 0.0]]), np.array([0.1, 0.4])
+    kw = dict(n=1.5, mu_r=2.0, omega=2 * math.pi)
+    waves = [(1.0, _X, _Y), (0.7, (0.5, math.sqrt(0.75), 0.0), _Z)]
+    F, X = stacked.plane_wave_sampler(
+        **kw, E0=np.array([w[0] for w in waves]),
+        direction=[w[1] for w in waves], polarization=[w[2] for w in waves])(x, t)
+    (F1, _), (F2, _) = (stacked.plane_wave_sampler(
+        **kw, E0=E0, direction=d, polarization=p)(x, t) for E0, d, p in waves)
+    E, B = F1.E + F2.E, F1.B + F2.B
+    assert np.array_equal(F.E, E) and np.array_equal(F.B, B)
+    assert np.array_equal(X.D, 1.5 * 1.5 / 2.0 * E) and np.array_equal(X.H, B / 2.0)
+
+    # n and mu_r broadcast against the points: (2,) media at one point
+    F, X = stacked.plane_wave_sampler([1.5, 1.0], [2.0, 1.0], 2 * math.pi, 1.0)(x[0], 0.3)
+    for i, (n, mu_r) in enumerate([(1.5, 2.0), (1.0, 1.0)]):
+        F_i, X_i = plane_wave_sampler(n, mu_r, 2 * math.pi, 1.0)(x[0], 0.3)
+        assert np.array_equal(F.M[i], F_i.M) and np.array_equal(X.M[i], X_i.M)
+
+
+# ---------------------------------------------------------------------------
+# input checks that a NaN must break
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("V", [[math.nan, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, math.nan],
+                               [[0.0, 0.0, 0.0, 1.0], [0.0, math.nan, 0.0, 1.0]]])
+def test_four_velocity_rejects_a_nan_component(V):
+    with pytest.raises(ValueError, match="four-velocity norm is"):
+        stacked.FourVelocity(V=V)
+
+
+@pytest.mark.parametrize("v3", [[math.nan, 0.0, 0.0], [[0.1, 0.0, 0.0], [0.0, 0.0, math.nan]]])
+def test_four_velocity_from_a_nan_three_velocity_is_rejected(v3):
+    with pytest.raises(ValueError, match=r"\|v\| must be < c"):
+        stacked.FourVelocity.from_three_velocity(v3)
+
+
+_entry = st.one_of(st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
+                   st.floats(allow_nan=True, allow_infinity=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_antisymmetry_check_accepts_exactly_what_array_equal_accepts(data):
+    shape = data.draw(st.sampled_from([(), (1,), (3,), (2, 3)])) + (4, 4)
+    upper = np.triu(data.draw(arrays(float, shape, elements=_entry)), 1)
+    m = upper - np.swapaxes(upper, -1, -2)
+    m[..., range(4), range(4)] = data.draw(arrays(float, shape[:-1], elements=_entry))
+    for _ in range(data.draw(st.integers(0, 2))):  # break a mirror pair, or not
+        index = tuple(data.draw(st.integers(0, k - 1)) for k in shape)
+        m[index] = data.draw(_entry)
+    want = np.array_equal(m, -np.swapaxes(m, -1, -2), equal_nan=True)
+    for kind in (stacked.FieldTensor4, stacked.ExcitationTensor4):
+        try:
+            kind(M=m)
+        except ValueError as exc:
+            assert not want and "must be antisymmetric" in str(exc)
+        else:
+            assert want
+
+
+# ---------------------------------------------------------------------------
+# covariant-checks is one stacked pass
+# ---------------------------------------------------------------------------
+
+def test_covariant_checks_run_makes_one_stacked_pass(monkeypatch):
+    counts = Counter()
+
+    def counting(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    build = stacked.plane_wave_sampler
+    monkeypatch.setattr(stacked, "plane_wave_sampler",
+                        lambda *a, **kw: counting("sampler", build(*a, **kw)))
+    for name in ("minkowski_tensor4", "classify_four_momentum"):
+        monkeypatch.setattr(stacked, name, counting(name, getattr(stacked, name)))
+    report = run(parse_config("scenario = covariant-checks\n"))
+    assert len(report.rows) == 6 and report.errors == []
+    assert counts["sampler"] <= 2 and counts["minkowski_tensor4"] <= 2
+    assert counts["classify_four_momentum"] == 1
 
 
 # ---------------------------------------------------------------------------

@@ -264,19 +264,19 @@ DIGESTS = {
         "json": "a59361be0f233fbdd8d511cd4eb8cc576672d9aa629a806a09dd3721a0f2df18",
     },
     "covariant-checks/both/point": {
-        "table": "acd78050e20e7c576d34062d7291543f83491a8753d9783dbc0522ef38b77116",
-        "csv": "66fc939d47f6ce796fbf41c25afa9abdcbe1325122d65e3f735050ef2c5bd5b2",
-        "json": "0a867ad42c417b0b82cf8fbf7060eb4820633b382c71850691c03e9e9fd4472e",
+        "table": "aeef1d28fe7ec2a3b7015565ed31f42bb2ad7edee813ce4f17601f89e3ec8dc3",
+        "csv": "2085f97df364e014dce2b73e2f0976999f30373b1fef5ed3d3ce93a08762cf83",
+        "json": "81401062f056844f2b7cab9ad91c0ecbba09778180591c450b90db50cd6ff7a2",
     },
     "covariant-checks/abraham/point": {
-        "table": "e4b8c222af12f9ef861be0ee8a6cb93511fce9d914ac7277db6bf26430cefee5",
-        "csv": "66fc939d47f6ce796fbf41c25afa9abdcbe1325122d65e3f735050ef2c5bd5b2",
-        "json": "f03c46449e07f0a757f6e49aca7636537783478efa4fa1a97bddd5b070dc93b6",
+        "table": "3593ad46fd5ac84d0ce5211af6e9b3640c66a66db8870fd0f8e11591300d8f1e",
+        "csv": "2085f97df364e014dce2b73e2f0976999f30373b1fef5ed3d3ce93a08762cf83",
+        "json": "ceb752d9f6bb985fbdc6c1e2a04ee217d285ba643d66c45eb98dea776f42efb5",
     },
     "covariant-checks/minkowski/point": {
-        "table": "a282f7df81e7275e76003b630f50377e13da80d4577c264ed31c34de28f97688",
-        "csv": "66fc939d47f6ce796fbf41c25afa9abdcbe1325122d65e3f735050ef2c5bd5b2",
-        "json": "cb998e492c8e6d7e57a085604933c7df88ea16b8a16d569dd476d7cc57f0b9d6",
+        "table": "46a9d95edd690e0bfc701959fbd72d2e0853f4ff6183ccf133b022e70c49c1a1",
+        "csv": "2085f97df364e014dce2b73e2f0976999f30373b1fef5ed3d3ce93a08762cf83",
+        "json": "5ba9dfafd618ce34406e73f5e5397f0ab59010aba53b38e2dbc77b3d6226db23",
     },
     "mirror/guard": {
         "table": "f6eaa8ec6f9cb17ab909fa3c7f0004ad9b73da23b31b9dc87979b67d08aa20f6",

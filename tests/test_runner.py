@@ -357,6 +357,26 @@ def test_run_covariant_checks():
     assert rows["four_momentum_class_vacuum"] == "null"
 
 
+# n = 1, the vacuum, is a valid input: there the truncation errors of a single
+# wave cancel, so the check differentiates two waves, whose errors cannot
+@pytest.mark.parametrize("mu_r", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("n", [1.0, 1.0 + 1e-7])
+def test_covariant_checks_converge_at_n_one(n, mu_r):
+    report = run(parse_config(f"scenario = covariant-checks\nn = {n!r}\n"
+                              f"mu_r = {mu_r!r}\n"))
+    assert report.errors == [] and len(report.rows) == 6
+    assert report.residuals["divergence_ratio_err"] <= 0.2
+
+
+@pytest.mark.parametrize("grid_step", [1.0, 2.0])
+@pytest.mark.parametrize("n", [1.0, 1.5])
+def test_covariant_checks_fail_an_unresolved_step_on_a_finite_error(n, grid_step):
+    report = run(parse_config(f"scenario = covariant-checks\nn = {n!r}\n"
+                              f"grid_step = {grid_step!r}\n"))
+    err = report.residuals["divergence_ratio_err"]
+    assert math.isfinite(err) and err > 0.2
+
+
 # ---------------------------------------------------------------------------
 # emission
 # ---------------------------------------------------------------------------
