@@ -10,15 +10,7 @@ scales with the liquid index n, which is the observed proportionality.
 import numpy as np
 
 from abmink import Medium
-from abmink.scenarios import (
-    MirrorConfig,
-    incident_flux,
-    metal_fields,
-    mirror_pressure_divergence,
-    mirror_pressure_flux,
-    mirror_pressure_lorentz,
-    mirror_three_way_sweep,
-)
+from abmink.scenarios import MirrorConfig, metal_fields, mirror_batch
 
 cfg = MirrorConfig(medium=Medium.from_index(1.33), E0=1e3, omega=3e15,
                    conductivity=5e7)
@@ -26,13 +18,14 @@ cfg = MirrorConfig(medium=Medium.from_index(1.33), E0=1e3, omega=3e15,
 print(f"liquid n = {cfg.medium.n}, metal sigma = {cfg.conductivity:.1e} S/m, "
       f"omega = {cfg.omega:.2e} rad/s")
 print(f"  k/alpha = {cfg.k_over_alpha:.4f} (good conductor)")
-print(f"  incident flux S_i = {incident_flux(cfg):.4e} W/m^2")
 
-res = mirror_pressure_flux(cfg)
-print(f"\n  route 1, momentum flux:    {res.pressure:.9e} Pa "
-      f"(R = {res.reflectance:.4f})")
-print(f"  route 2, Lorentz integral: {mirror_pressure_lorentz(cfg):.9e} Pa")
-print(f"  route 3, transport at c/n: {mirror_pressure_divergence(cfg):.9e} Pa")
+# one point: the three routes are three columns of the batch
+point = mirror_batch(cfg.medium.n, cfg.E0, cfg.omega, cfg.conductivity).columns
+print(f"  incident flux S_i = {point['incident_flux_W_per_m2'][0]:.4e} W/m^2")
+print(f"\n  route 1, momentum flux:    {point['pressure_flux_Pa'][0]:.9e} Pa "
+      f"(R = {point['reflectance'][0]:.4f})")
+print(f"  route 2, Lorentz integral: {point['pressure_lorentz_Pa'][0]:.9e} Pa")
+print(f"  route 3, transport at c/n: {point['pressure_divergence_Pa'][0]:.9e} Pa")
 
 # fields inside the metal decay on the skin depth 1/alpha
 print("\n  skin profile (depth in units of 1/alpha):")
@@ -41,12 +34,11 @@ for u in (0.0, 1.0, 2.0, 4.0):
     print(f"    alpha x = {u:3.1f}:  |E_y| = {abs(s.E_y):.3e} V/m   "
           f"|H_z| = {abs(s.H_z):.3e} A/m")
 
-# sweep the liquid index: pressure rises in proportion to n
+# sweep the liquid index in one batch: pressure rises in proportion to n
 print("\n  index sweep (sigma = 5e7 S/m, omega = 3e15 rad/s):")
-points = mirror_three_way_sweep(n_values=np.linspace(1.0, 1.6, 7),
-                                sigma_values=[5e7], omega_values=[3e15])
-p0 = points[0]["pressure_flux"]
-for pt in points:
-    print(f"    n = {pt['n']:.2f}:  p = {pt['pressure_flux']:.4e} Pa   "
-          f"p/p(1) = {pt['pressure_flux'] / p0:.4f}   "
-          f"route spread = {pt['max_rel_diff']:.1e}")
+sweep = mirror_batch(np.linspace(1.0, 1.6, 7), cfg.E0, cfg.omega, cfg.conductivity)
+assert sweep.errors == (None,) * 7
+n, p, spread = (sweep.columns[name] for name in ("n", "pressure_flux_Pa", "max_rel_diff"))
+for i in range(n.size):
+    print(f"    n = {n[i]:.2f}:  p = {p[i]:.4e} Pa   p/p(1) = {p[i] / p[0]:.4f}   "
+          f"route spread = {spread[i]:.1e}")

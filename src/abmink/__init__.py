@@ -15,7 +15,6 @@ from .core import (
     FieldPoint,
     Medium,
     MomentumTag,
-    PhysicalConstants,
     PlaneWave,
     RegimeError,
     SourceDensities,
@@ -36,7 +35,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "SI",
-    "PhysicalConstants",
     "MomentumTag",
     "Medium",
     "FieldPoint",

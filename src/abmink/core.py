@@ -23,7 +23,6 @@ import numpy as np
 
 __all__ = [
     "SI",
-    "PhysicalConstants",
     "MomentumTag",
     "Medium",
     "FieldPoint",
@@ -137,30 +136,23 @@ def _per_row(x):
     return x[..., None] if isinstance(x, _ndarray) else x
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
+class _SIConstants:
     """SI constants: c, vacuum permittivity/permeability, hbar, elementary charge.
 
-    Defaults satisfy c^2 * eps0 * mu0 = 1 exactly to double precision because
-    eps0 is derived from c and mu0.  ``core`` and ``scenarios`` compute in
-    :data:`SI`, the default instance; no function takes another.
+    eps0 is derived from c and mu0, so c^2 * eps0 * mu0 = 1 to double
+    precision.  ``core`` and ``scenarios`` compute in :data:`SI`, its one
+    instance, which has no field to set.
     """
 
-    c: float = 299792458.0
-    mu0: float = 4e-7 * math.pi
-    eps0: float = 1.0 / (4e-7 * math.pi * 299792458.0**2)
-    hbar: float = 6.62607015e-34 / (2.0 * math.pi)
-    e_charge: float = 1.602176634e-19
-
-    def __post_init__(self):
-        for name in ("c", "mu0", "eps0", "hbar", "e_charge"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be strictly positive")
-        if abs(self.c**2 * self.eps0 * self.mu0 - 1.0) > _REL_TOL:
-            raise ValueError("c^2 * eps0 * mu0 must equal 1")
+    __slots__ = ()
+    c = 299792458.0
+    mu0 = 4e-7 * math.pi
+    eps0 = 1.0 / (4e-7 * math.pi * 299792458.0**2)
+    hbar = 6.62607015e-34 / (2.0 * math.pi)
+    e_charge = 1.602176634e-19
 
 
-SI = PhysicalConstants()
+SI = _SIConstants()
 
 
 @dataclass(frozen=True)

@@ -300,10 +300,12 @@ def plane_wave_sampler(n, mu_r, omega: float, E0,
     (FieldTensor4, ExcitationTensor4) stacks.  A wavenumber other than n
     omega / c gives fields that do not solve the wave equation (a negative
     control).  A direction or polarization that is not finite and nonzero,
-    and an omega that is not finite, are a ValueError naming the key.
+    and an omega, E0, n or mu_r that is not finite, are a ValueError naming
+    the key.
     """
-    if not math.isfinite(omega):
-        raise ValueError(f"omega must be finite, got {omega}")
+    for name, value in (("omega", omega), ("E0", E0), ("n", n), ("mu_r", mu_r)):
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} must be finite, got {value}")
     d, p = _unit(direction, "direction"), _unit(polarization, "polarization")
     if np.any(np.abs(np.vecdot(d, p)) > _REL_TOL):
         raise ValueError("direction and polarization must be orthogonal")

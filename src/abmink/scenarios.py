@@ -43,19 +43,13 @@ from .core import (
 __all__ = [
     "MirrorConfig",
     "MetalFieldSample",
-    "MirrorPressure",
     "MirrorBatch",
     "DragConfig",
     "TorqueConfig",
     "WgmTorque",
     "SphereKickConfig",
-    "incident_flux",
-    "reflectance",
     "pressure_from_reflectance",
-    "mirror_pressure_flux",
     "metal_fields",
-    "mirror_pressure_lorentz",
-    "mirror_pressure_divergence",
     "mirror_batch",
     "mirror_three_way_sweep",
     "photon_drag_field",
@@ -99,6 +93,8 @@ class MirrorConfig:
         (lambda c: c.E0 < 0.0, "E0 must be >= 0, got {c.E0}", ValueError),
         (lambda c: (c.omega <= 0.0) | (c.conductivity <= 0.0),
          "omega and conductivity must be > 0", ValueError),
+        (lambda c: np.logical_not(c.guard > 0.0),  # so that NaN breaks it
+         "guard must be > 0, got {c.guard}", ValueError),
         (lambda c: c.k_over_alpha >= c.guard,
          "good-conductor approximation requires k/alpha < {c.guard}, "
          "got k/alpha = {c.k_over_alpha:.6g}", RegimeError),
@@ -124,13 +120,6 @@ class MetalFieldSample:
     E_y: complex
     H_z: complex
     x: float
-
-
-@dataclass(frozen=True)
-class MirrorPressure:
-    pressure: float
-    reflectance: float
-    phase: float
 
 
 class MirrorBatch(NamedTuple):
@@ -202,11 +191,13 @@ def mirror_batch(n, E0, omega, conductivity, guard=0.2,
 
     The arguments broadcast against each other and are flattened to m
     points.  Each route keeps its own physics, so their agreement is a check:
-    1. momentum flux (n/c)(1 + R) S_i with R = 1 - 2 k/alpha;
+    1. momentum flux (n/c)(1 + R) S_i with R = 1 - 2 k/alpha (phase_rad
+       arctan(-k/alpha));
     2. Lorentz force (mu0 sigma / 2) Re integral of E_y H_z* over the metal
        depth, sampled through the skin fields at Gauss-Laguerre nodes after
        s = 2 alpha x; a point whose two-order error estimate exceeds
-       10 quadrature_tol times the value is rejected;
+       10 quadrature_tol times the value is rejected, as is one whose
+       quadrature_tol is not > 0;
     3. momentum transport: c g_x / n with the Minkowski momentum density of
        the incident plane wave, plus n R S_i / c for the reflected wave.
     """
@@ -251,6 +242,8 @@ def mirror_batch(n, E0, omega, conductivity, guard=0.2,
         spread = np.where(scale != 0.0,
                           (routes.max(axis=0) - routes.min(axis=0)) / scale, 0.0)
     errors = check_rules(MirrorConfig.RULES, cfg, n.size)
+    for i in np.flatnonzero(np.logical_not(tol > 0.0)).tolist():
+        errors.setdefault(i, ValueError(f"quadrature_tol must be > 0, got {tol[i]:g}"))
     for i in np.flatnonzero((p2 != 0.0) & (err > 10.0 * tol * np.abs(p2))).tolist():
         if i not in errors:
             errors[i] = ValueError(
@@ -271,26 +264,6 @@ def mirror_batch(n, E0, omega, conductivity, guard=0.2,
                        float(kept.max()) if kept.size else None, table, err)
 
 
-def _single(cfg: MirrorConfig, quadrature_tol: float = 1e-8) -> dict[str, float]:
-    """The columns of :func:`mirror_batch` at a single configuration."""
-    b = mirror_batch(cfg.medium.n, cfg.E0, cfg.omega, cfg.conductivity,
-                     cfg.guard, quadrature_tol)
-    if b.errors[0] is not None:
-        raise b.errors[0]
-    return {name: float(v[0]) for name, v in b.columns.items()}
-
-
-def incident_flux(cfg: MirrorConfig) -> float:
-    """Time-averaged incident Poynting flux n E0^2 / (2 mu0 c) [W/m^2]."""
-    return _single(cfg)["incident_flux_W_per_m2"]
-
-
-def reflectance(cfg: MirrorConfig) -> tuple[float, float]:
-    """Good-conductor (R, delta): R = 1 - 2 k/alpha, tan(delta) = -k/alpha."""
-    point = _single(cfg)
-    return point["reflectance"], point["phase_rad"]
-
-
 def pressure_from_reflectance(n: float, R: float, flux: float) -> float:
     """Momentum-flux pressure (n/c)(1 + R) S_i on the wall [Pa].
 
@@ -298,14 +271,6 @@ def pressure_from_reflectance(n: float, R: float, flux: float) -> float:
     which is the proportionality the immersed-mirror experiments observed.
     """
     return n / SI.c * (1.0 + R) * flux
-
-
-def mirror_pressure_flux(cfg: MirrorConfig) -> MirrorPressure:
-    """Route 1: read the pressure off the momentum-flux tensor component."""
-    point = _single(cfg)
-    return MirrorPressure(pressure=point["pressure_flux_Pa"],
-                          reflectance=point["reflectance"],
-                          phase=point["phase_rad"])
 
 
 def metal_fields(cfg: MirrorConfig, x) -> MetalFieldSample:
@@ -321,48 +286,22 @@ def metal_fields(cfg: MirrorConfig, x) -> MetalFieldSample:
     return MetalFieldSample(E_y=E_y, H_z=H_z, x=x)
 
 
-def mirror_pressure_lorentz(cfg: MirrorConfig, quadrature_tol: float = 1e-8) -> float:
-    """Route 2: integrate the Lorentz force on the conduction currents.
-
-    (mu0 sigma / 2) Re integral of E_y H_z* over the metal depth, by
-    fixed-order Gauss-Laguerre quadrature after substituting s = 2 alpha x.
-    Raises ValueError when the two orders differ by more than 10
-    quadrature_tol times the value.
-    """
-    return _single(cfg, quadrature_tol)["pressure_lorentz_Pa"]
-
-
-def mirror_pressure_divergence(cfg: MirrorConfig) -> float:
-    """Route 3: momentum transport argument.
-
-    A divergence-free wave's momentum travels at c/n, so the incident-wave
-    normal stress equals c g_x / n with the Minkowski momentum density; the
-    reflected wave adds n R S_i / c.
-    """
-    return _single(cfg)["pressure_divergence_Pa"]
-
-
 def mirror_three_way_sweep(n_values, sigma_values, omega_values,
                            E0: float = 1e3, quadrature_tol: float = 1e-8,
                            guard: float = 0.2):
     """Evaluate all three pressure routes over a parameter grid.
 
     Grid points outside the good-conductor regime are skipped; any other
-    rejection is raised.  Returns a list of dicts with the three pressures
-    and their maximum pairwise relative disagreement.
+    rejection is raised.  Returns one dict per accepted point, keyed by the
+    columns of :func:`mirror_batch`.
     """
     n, sigma, omega = np.meshgrid(n_values, sigma_values, omega_values,
                                   indexing="ij")
     b = mirror_batch(n, E0, omega, sigma, guard, quadrature_tol)
-    names = {"n": "n", "sigma": "sigma_S_per_m", "omega": "omega_rad_per_s",
-             "pressure_flux": "pressure_flux_Pa",
-             "pressure_lorentz": "pressure_lorentz_Pa",
-             "pressure_divergence": "pressure_divergence_Pa",
-             "max_rel_diff": "max_rel_diff"}
     out = []
     for i, exc in enumerate(b.errors):
         if exc is None:
-            out.append({k: float(b.columns[c][i]) for k, c in names.items()})
+            out.append({name: float(column[i]) for name, column in b.columns.items()})
         elif not isinstance(exc, RegimeError):
             raise exc
     return out

@@ -81,6 +81,16 @@ def test_covariant_checks_at_n_one_exit_zero(tmp_path, n, mu_r):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_covariant_checks_failing_the_ratio_bound_exit_one(tmp_path):
+    path = tmp_path / "coarse.cfg"
+    path.write_text("scenario = covariant-checks\ngrid_step = 1\n")
+    for fmt in ("csv", "json", "table"):
+        proc = run_cli("run", str(path), "--format", fmt)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.decode().startswith(
+            "error: divergence_ratio_err = 0.961657 is above its bound 0.2")
+
+
 CHECK_STDOUT = (
     "PASS three-way-mirror: residual 5.866e-16 (bound 1.000e-06)\n"
     "PASS divergence-convergence: residual 1.922e-05 (bound 2.000e-01)\n"

@@ -6,12 +6,13 @@ import re
 import numpy as np
 import pytest
 
+import abmink
+from abmink import core
 from abmink import (
     SI,
     FieldPoint,
     Medium,
     MomentumTag,
-    PhysicalConstants,
     PlaneWave,
     RegimeError,
     SourceDensities,
@@ -48,9 +49,13 @@ def test_constants_consistency():
         assert value > 0.0
 
 
-def test_constants_reject_inconsistent_triplet():
-    with pytest.raises(ValueError):
-        PhysicalConstants(eps0=1e-11)
+def test_constants_are_one_instance_with_nothing_to_set():
+    assert "PhysicalConstants" not in vars(core) and "PhysicalConstants" not in vars(abmink)
+    assert SI.eps0 == 1.0 / (4e-7 * math.pi * 299792458.0**2)
+    with pytest.raises(AttributeError):
+        SI.c = 1.0
+    with pytest.raises(TypeError):
+        type(SI)(c=1.0)
 
 
 def test_medium_index_consistency():

@@ -564,6 +564,12 @@ _NAN = (math.nan, 0.0, 0.0)
     (dict(polarization=(0.0, 0.0, 0.0)), "polarization must be finite and nonzero"),
     (dict(omega=math.nan), "omega must be finite"),
     (dict(omega=math.inf), "omega must be finite"),
+    (dict(E0=math.nan), "^E0 must be finite, got nan"),
+    (dict(n=math.nan), "^n must be finite, got nan"),
+    (dict(mu_r=math.nan), "^mu_r must be finite, got nan"),
+    (dict(n=[1.5, math.inf]), "^n must be finite"),
+    (dict(E0=[1.0, math.nan], direction=[_X, _X], polarization=[_Y, _Z]),
+     "^E0 must be finite"),
     # one bad wave of a stack
     (dict(direction=[_X, _NAN], polarization=[_Y, _Z]), "direction must be finite"),
     (dict(direction=[_X, _X], polarization=[_Y, (0.0, 0.0, 0.0)]),
@@ -574,6 +580,15 @@ def test_plane_wave_sampler_rejects_bad_waves(kw, message):
     args = dict(n=1.5, mu_r=1.0, omega=2 * math.pi, E0=1.0) | kw
     with pytest.raises(ValueError, match=message):
         stacked.plane_wave_sampler(**args)
+
+
+@pytest.mark.parametrize("kw", [dict(n=1e200), dict(mu_r=1e-300)])
+def test_plane_wave_sampler_takes_finite_inputs_that_overflow(kw):
+    # the overflow comes later; the runner reports it per check (test_runner)
+    args = dict(n=1.5, mu_r=1.0, omega=2 * math.pi, E0=1.0) | kw
+    with np.errstate(all="ignore"):
+        F, _ = stacked.plane_wave_sampler(**args)(np.zeros(3), 0.0)
+    assert F.E.shape == (3,)
 
 
 def test_a_wave_stack_sums_its_waves_and_a_medium_stack_holds_each_medium():

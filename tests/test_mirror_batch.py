@@ -20,13 +20,8 @@ from abmink import SI, Medium, RegimeError, scenarios
 from abmink.runner import parse_config, run
 from abmink.scenarios import (
     MirrorConfig,
-    incident_flux,
     mirror_batch,
-    mirror_pressure_divergence,
-    mirror_pressure_flux,
-    mirror_pressure_lorentz,
     mirror_three_way_sweep,
-    reflectance,
 )
 
 
@@ -135,15 +130,10 @@ def test_sweep_rows_equal_scalar_api(sweep):
     assert report.rows
     for values in report.rows:
         row = dict(zip(report.columns, values))
-        cfg = MirrorConfig(Medium.from_index(row["n"]), E0=2.5e3,
-                           omega=row["omega_rad_per_s"],
-                           conductivity=row["sigma_S_per_m"])
-        flux = mirror_pressure_flux(cfg)
-        assert (row["reflectance"], row["phase_rad"]) == reflectance(cfg)
-        assert row["incident_flux_W_per_m2"] == incident_flux(cfg)
-        assert row["pressure_flux_Pa"] == flux.pressure
-        assert row["pressure_lorentz_Pa"] == mirror_pressure_lorentz(cfg, 1e-9)
-        assert row["pressure_divergence_Pa"] == mirror_pressure_divergence(cfg)
+        b = mirror_batch(row["n"], 2.5e3, row["omega_rad_per_s"],
+                         row["sigma_S_per_m"], quadrature_tol=1e-9)
+        assert b.errors == (None,)
+        assert row == {name: float(column[0]) for name, column in b.columns.items()}
 
 
 @pytest.mark.parametrize("base, sweep", [
@@ -228,9 +218,43 @@ def test_unreachable_tolerance_is_a_point_error():
     failed = [i for i, e in enumerate(batch.errors) if e is not None]
     assert failed
     assert all("quadrature_tol" in str(batch.errors[i]) for i in failed)
-    cfg = MirrorConfig(Medium.from_index(n[failed[0]]), 1e3, 3e15, 5e7)
-    with pytest.raises(ValueError, match="quadrature_tol"):
-        mirror_pressure_lorentz(cfg, quadrature_tol=1e-300)
+    # the same point alone is rejected the same way
+    alone = mirror_batch(n[failed[0]], 1e3, 3e15, 5e7, quadrature_tol=1e-300)
+    assert type(alone.errors[0]) is ValueError
+    assert str(alone.errors[0]) == str(batch.errors[failed[0]])
+
+
+@pytest.mark.parametrize("guard", [math.nan, 0.0, -0.2])
+def test_config_rejects_a_guard_not_above_zero(guard):
+    # a NaN guard once passed the k/alpha rule, which compares against it
+    with pytest.raises(ValueError, match=f"^guard must be > 0, got {guard}$") as err:
+        MirrorConfig(Medium.from_index(1.33), 1e3, 3e15, 1e5, guard=guard)
+    assert not isinstance(err.value, RegimeError)
+    batch = mirror_batch(1.33, 1e3, 3e15, 1e5, guard=guard)
+    assert str(batch.errors[0]) == str(err.value)
+
+
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-8])
+def test_batch_rejects_a_quadrature_tol_not_above_zero(tol):
+    n = np.array([1.33, 1.5, 1.6])
+    batch = mirror_batch(n, 1e3, 3e15, 5e7, quadrature_tol=np.array([1e-8, tol, 1e-8]))
+    assert batch.errors[0] is None and batch.errors[2] is None
+    assert type(batch.errors[1]) is ValueError
+    assert str(batch.errors[1]) == f"quadrature_tol must be > 0, got {tol:g}"
+    # the configuration's own rules come first
+    both = mirror_batch(1.33, 1e3, 3e15, 5e7, guard=math.nan, quadrature_tol=tol)
+    assert str(both.errors[0]) == "guard must be > 0, got nan"
+
+
+def test_three_way_sweep_rows_are_the_batch_columns():
+    grid = (np.linspace(1.0, 1.6, 4), np.logspace(5, 8, 4), np.linspace(2.6e15, 4.5e15, 3))
+    points = mirror_three_way_sweep(*grid, E0=2e3, quadrature_tol=1e-9)
+    n, sigma, omega = np.meshgrid(*grid, indexing="ij")
+    b = mirror_batch(n, 2e3, omega, sigma, 0.2, 1e-9)
+    accepted = [i for i, exc in enumerate(b.errors) if exc is None]
+    assert 0 < len(accepted) < n.size  # a part of the grid is beyond the guard
+    assert [list(pt) for pt in points] == [list(b.columns)] * len(accepted)
+    assert [list(pt.values()) for pt in points] == b.table[accepted].tolist()
 
 
 def test_three_way_sweep_raises_rejections_other_than_the_guard():

@@ -60,6 +60,9 @@ def _mirror(self):
         raise ValueError(f"E0 must be >= 0, got {self.E0}")
     if self.omega <= 0.0 or self.conductivity <= 0.0:
         raise ValueError("omega and conductivity must be > 0")
+    # not in the former checks: a NaN guard passed the k/alpha comparison
+    if not self.guard > 0.0:
+        raise ValueError(f"guard must be > 0, got {self.guard}")
     r = self.k_over_alpha
     if r >= self.guard:
         raise RegimeError(

@@ -375,6 +375,11 @@ def test_covariant_checks_fail_an_unresolved_step_on_a_finite_error(n, grid_step
                               f"grid_step = {grid_step!r}\n"))
     err = report.residuals["divergence_ratio_err"]
     assert math.isfinite(err) and err > 0.2
+    # the rows and residuals stay; the failed bound is the one error
+    assert len(report.rows) == 6 and list(report.residuals) == _COVARIANT_RESIDUALS
+    assert report.errors == [
+        f"divergence_ratio_err = {err:.6g} is above its bound 0.2: the four-divergence "
+        "residual does not shrink 4x per halving of grid_step"]
 
 
 # ---------------------------------------------------------------------------

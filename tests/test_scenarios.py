@@ -16,15 +16,11 @@ from abmink.scenarios import (
     displacement_correction,
     displacement_ratio,
     fiber_exit_impulse,
-    incident_flux,
     metal_fields,
-    mirror_pressure_divergence,
-    mirror_pressure_flux,
-    mirror_pressure_lorentz,
+    mirror_batch,
     mirror_three_way_sweep,
     photon_drag_field,
     pressure_from_reflectance,
-    reflectance,
     sphere_kick_trajectory,
     sphere_kick_vmax,
     sphere_total_displacement,
@@ -35,6 +31,14 @@ from abmink.scenarios import (
 def mirror_cfg(n=1.33, sigma=5e7, omega=3e15, E0=1e3, **kw):
     return MirrorConfig(medium=Medium.from_index(n), E0=E0, omega=omega,
                         conductivity=sigma, **kw)
+
+
+def mirror_point(cfg, quadrature_tol=1e-8):
+    """The columns of mirror_batch at the single point of cfg, as floats."""
+    b = mirror_batch(cfg.medium.n, cfg.E0, cfg.omega, cfg.conductivity,
+                     cfg.guard, quadrature_tol)
+    assert b.errors == (None,)
+    return {name: float(column[0]) for name, column in b.columns.items()}
 
 
 def cfg_for_ratio(n, k_over_alpha, flux):
@@ -59,19 +63,19 @@ def test_mirror_guard_rejects_poor_conductor():
 def test_mirror_flux_hand_value():
     # n = 1.33, R = 0.95, S_i = 1e4 W/m^2 -> n (1+R) S_i / c
     cfg = cfg_for_ratio(n=1.33, k_over_alpha=0.025, flux=1e4)
-    res = mirror_pressure_flux(cfg)
-    assert res.reflectance == pytest.approx(0.95, rel=1e-12)
-    assert incident_flux(cfg) == pytest.approx(1e4, rel=1e-12)
-    assert res.pressure == pytest.approx(8.650984808964073e-05, rel=1e-9)
-    assert res.phase == pytest.approx(math.atan(-0.025), rel=1e-12)
+    res = mirror_point(cfg)
+    assert res["reflectance"] == pytest.approx(0.95, rel=1e-12)
+    assert res["incident_flux_W_per_m2"] == pytest.approx(1e4, rel=1e-12)
+    assert res["pressure_flux_Pa"] == pytest.approx(8.650984808964073e-05, rel=1e-9)
+    assert res["phase_rad"] == pytest.approx(math.atan(-0.025), rel=1e-12)
 
 
 def test_mirror_flux_perfect_reflection_limit():
     cfg = mirror_cfg(sigma=1e12)  # k/alpha ~ 1e-3
-    res = mirror_pressure_flux(cfg)
-    ideal = 2.0 * cfg.medium.n * incident_flux(cfg) / SI.c
-    assert res.pressure == pytest.approx(ideal, rel=5e-3)
-    assert res.reflectance > 0.998
+    res = mirror_point(cfg)
+    ideal = 2.0 * cfg.medium.n * res["incident_flux_W_per_m2"] / SI.c
+    assert res["pressure_flux_Pa"] == pytest.approx(ideal, rel=5e-3)
+    assert res["reflectance"] > 0.998
 
 
 def test_mirror_pressure_proportional_to_index():
@@ -137,12 +141,13 @@ def test_lorentz_integral_closed_form():
     # Re[(1-i)(2 - (1+i) k/alpha)] = 2 - 2 k/alpha = 1 + R, so the integral
     # reproduces the flux result exactly; check the quadrature against both
     cfg = mirror_cfg()
-    flux = mirror_pressure_flux(cfg).pressure
+    res = mirror_point(cfg, quadrature_tol=1e-10)
+    flux = res["pressure_flux_Pa"]
     k, alpha = cfg.k, cfg.alpha
     closed = (0.5 * SI.mu0 * cfg.conductivity
               * (k * cfg.E0 / alpha) * (k * cfg.E0 / (SI.mu0 * cfg.omega))
-              * (1.0 + mirror_pressure_flux(cfg).reflectance) / (2.0 * alpha))
-    numeric = mirror_pressure_lorentz(cfg, quadrature_tol=1e-10)
+              * (1.0 + res["reflectance"]) / (2.0 * alpha))
+    numeric = res["pressure_lorentz_Pa"]
     assert closed == pytest.approx(flux, rel=1e-12)
     # quadrature agrees with the flux route within max(quadrature_tol, 1e-9)
     assert numeric == pytest.approx(flux, rel=1e-9)
@@ -150,25 +155,25 @@ def test_lorentz_integral_closed_form():
 
 def test_lorentz_zero_amplitude():
     cfg = mirror_cfg(E0=0.0)
-    assert mirror_pressure_lorentz(cfg) == 0.0
+    assert mirror_point(cfg)["pressure_lorentz_Pa"] == 0.0
 
 
 def test_divergence_route_matches_flux():
     for n, sigma, omega in [(1.0, 1e7, 2.6e15), (1.33, 5e7, 3e15),
                             (1.6, 1e8, 4.5e15)]:
         cfg = mirror_cfg(n=n, sigma=sigma, omega=omega)
-        a = mirror_pressure_flux(cfg).pressure
-        b = mirror_pressure_divergence(cfg)
+        res = mirror_point(cfg)
+        a, b = res["pressure_flux_Pa"], res["pressure_divergence_Pa"]
         assert b == pytest.approx(a, rel=1e-12)
 
 
 def test_divergence_route_incident_only_term():
     cfg = mirror_cfg()
-    R, _ = reflectance(cfg)
-    incident_part = mirror_pressure_divergence(cfg) \
-        - cfg.medium.n * R * incident_flux(cfg) / SI.c
-    assert incident_part == pytest.approx(
-        cfg.medium.n * incident_flux(cfg) / SI.c, rel=1e-12)
+    res = mirror_point(cfg)
+    flux = res["incident_flux_W_per_m2"]
+    incident_part = res["pressure_divergence_Pa"] \
+        - cfg.medium.n * res["reflectance"] * flux / SI.c
+    assert incident_part == pytest.approx(cfg.medium.n * flux / SI.c, rel=1e-12)
 
 
 def test_three_way_sweep_agreement():

@@ -3,7 +3,6 @@
 ``core`` and ``scenarios`` compute in ``core.SI`` and ``covariant`` in
 reduced units with c = 1.  So no public function, method or dataclass field
 of the three takes a unit system: nothing named ``constants`` or ``c``.
-``PhysicalConstants``, the holder of ``SI``, is the one exemption.
 """
 
 import dataclasses
@@ -33,8 +32,6 @@ def _unit_options(module):
     surface that is named like a unit system."""
     found = []
     for name, obj in _public(module).items():
-        if obj is core.PhysicalConstants:
-            continue
         callables = {name: obj}
         if inspect.isclass(obj):
             callables = {f"{name}.{attr}": member for attr, member in inspect.getmembers(obj)
