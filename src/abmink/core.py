@@ -14,6 +14,7 @@ module is safe to use from any number of threads.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import operator
 import re
@@ -59,15 +60,20 @@ def unchecked(cls, **fields):
     return config
 
 
+@functools.lru_cache(maxsize=None)
+def _parsed(message: str) -> tuple[str, tuple[str, ...]]:
+    """``message`` with each ``{c.name`` numbered by position, and the names."""
+    names = tuple(re.findall(r"\{c\.([\w.]+)", message))
+    place = iter(range(1, len(names) + 1))
+    return re.sub(r"\{c\.[\w.]+", lambda _: "{%d" % next(place), message), names
+
+
 def _messages(message: str, config, rows: list[int]) -> list[str]:
     """``message`` at each of ``rows`` of ``config``.  Each field it names
     (``{c.name}``, dotted for a config held in a field) is read once, on the
     whole arrays, as Python values, and the template is formatted by
     position; place 0 takes the row number, which no field names."""
-    names = []
-    template = re.sub(r"\{c\.([\w.]+)",
-                      lambda field: names.append(field[1]) or "{%d" % len(names),
-                      message)
+    template, names = _parsed(message)
     columns = [np.asarray(operator.attrgetter(name)(config)) for name in names]
     columns = [column[rows].tolist() if column.size > 1 else [column.item()] * len(rows)
                for column in columns]

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -30,13 +31,10 @@ from numpy.polynomial.laguerre import laggauss
 
 from .core import (
     SI,
-    FieldPoint,
     Medium,
     MomentumTag,
     RegimeError,
     check_rules,
-    momentum_density,
-    poynting,
     unchecked,
 )
 
@@ -90,25 +88,27 @@ class MirrorConfig:
     RULES = (
         (lambda c: not c.medium.nonmagnetic, "the mirror routes are derived for a "
          "nonmagnetic liquid; got mu_r={c.medium.mu_r}", RegimeError),
-        (lambda c: c.E0 < 0.0, "E0 must be >= 0, got {c.E0}", ValueError),
-        (lambda c: (c.omega <= 0.0) | (c.conductivity <= 0.0),
+        (lambda c: np.logical_not(c.E0 >= 0.0),  # NaN breaks this and the next two
+         "E0 must be >= 0, got {c.E0}", ValueError),
+        (lambda c: np.logical_not((c.omega > 0.0) & (c.conductivity > 0.0)),
          "omega and conductivity must be > 0", ValueError),
-        (lambda c: np.logical_not(c.guard > 0.0),  # so that NaN breaks it
+        (lambda c: np.logical_not(c.guard > 0.0),
          "guard must be > 0, got {c.guard}", ValueError),
         (lambda c: c.k_over_alpha >= c.guard,
          "good-conductor approximation requires k/alpha < {c.guard}, "
          "got k/alpha = {c.k_over_alpha:.6g}", RegimeError),
     )
 
-    @property
+    # once per config: the rules, their messages and mirror_batch share it
+    @cached_property
     def k(self) -> float:
         return self.medium.n * self.omega / SI.c
 
-    @property
+    @cached_property
     def alpha(self) -> float:
         return np.sqrt(SI.mu0 * self.conductivity * self.omega / 2.0)
 
-    @property
+    @cached_property
     def k_over_alpha(self) -> float:
         return self.k / self.alpha
 
@@ -151,6 +151,8 @@ def _non_finite(columns: dict) -> tuple[np.ndarray, dict[int, str]]:
         table[:, j] = column
     finite = np.isfinite(table)
     errors = {}
+    if finite.all():  # the common case, without the per-row reduction
+        return table, errors
     for i in np.flatnonzero(~finite.all(axis=1)):
         j = np.argmin(finite[i])
         errors[int(i)] = f"result '{names[j]}' is not finite: {float(table[i, j])}"
@@ -211,8 +213,7 @@ def mirror_batch(n, E0, omega, conductivity, guard=0.2,
     with np.errstate(all="ignore"):  # rejected points may hold anything
         cfg = unchecked(MirrorConfig, medium=unchecked(Medium, eps_r=n * n, n=n),
                         E0=E0, omega=omega, conductivity=sigma, guard=guard)
-        k, alpha = cfg.k, cfg.alpha
-        r = k / alpha
+        k, alpha, r = cfg.k, cfg.alpha, cfg.k_over_alpha
         R, phase = 1.0 - 2.0 * r, np.arctan(-r)
         flux = n * E0**2 / (2.0 * SI.mu0 * SI.c)
 
@@ -227,13 +228,11 @@ def mirror_batch(n, E0, omega, conductivity, guard=0.2,
         lorentz = 0.5 * SI.mu0 * sigma / (2.0 * alpha)
         p2, err = lorentz * high, np.abs(lorentz * (high - low))
 
-        E, H = np.zeros((n.size, 3)), np.zeros((n.size, 3))
-        E[:, 1] = E0  # polarization y, propagation x, t = 0 at the origin
-        H[:, 2] = n * E0 / (SI.mu0 * SI.c)
-        fp = FieldPoint(E=E, D=(SI.eps0 * (n * n))[:, None] * E, H=H, B=SI.mu0 * H)
-        # peak fields carry twice the time-averaged quadratic quantities
-        g_x = momentum_density(fp, MomentumTag.MINKOWSKI)[:, 0] / 2.0
-        S_i = poynting(fp)[:, 0] / 2.0
+        # E along y, travelling along x, at t = 0, x = 0: (D x B)_x = D_y B_z and
+        # (E x H)_x = E_y H_z; peak fields carry twice the time averages
+        H_z = n * E0 / (SI.mu0 * SI.c)
+        g_x = SI.eps0 * (n * n) * E0 * (SI.mu0 * H_z) / 2.0
+        S_i = E0 * H_z / 2.0
 
         routes = np.array([pressure_from_reflectance(n, R, flux), p2,
                            SI.c * g_x / n + n * R * S_i / SI.c])
@@ -299,9 +298,9 @@ def mirror_three_way_sweep(n_values, sigma_values, omega_values,
                                   indexing="ij")
     b = mirror_batch(n, E0, omega, sigma, guard, quadrature_tol)
     out = []
-    for i, exc in enumerate(b.errors):
+    for row, exc in zip(b.table.tolist(), b.errors):
         if exc is None:
-            out.append({name: float(column[i]) for name, column in b.columns.items()})
+            out.append(dict(zip(b.columns, row)))
         elif not isinstance(exc, RegimeError):
             raise exc
     return out

@@ -158,6 +158,9 @@ def test_check_respects_tolerance_env(tmp_path):
 @pytest.mark.parametrize("text", [
     MIRROR_CFG.replace("E0_V_per_m = 1.0e3", "E0_V_per_m = 1e200"),
     "scenario = interface\nE_t_V_per_m = 1e200\nn_from = 1\nn_to = 1.33\n",
+    # eps0 n^2 overflows: the transport route is inf
+    "scenario = mirror\nn = 1e155\nE0_V_per_m = 1e3\n"
+    "omega_rad_per_s = 1e-300\nsigma_S_per_m = 1e300\n",
 ])
 def test_overflowing_point_exits_one_with_valid_output(tmp_path, text):
     path = tmp_path / "overflow.cfg"

@@ -1,0 +1,173 @@
+"""The direct forms of the mirror transport route, the ledger's row maxima
+and the three-way sweep's rows against the formulations they replaced.
+
+The former code is copied below verbatim as the oracle:
+
+* the transport route built a stack of plane-wave ``FieldPoint``s and took
+  the x components of the core momentum density and Poynting vector; the
+  batch now multiplies D_y B_z and E_y H_z directly;
+* the momentum ledger took each row's maximum with ``np.max(axis=1)``;
+* ``mirror_three_way_sweep`` built each row from the batch's columns.
+
+Each must agree bit for bit.  The one input where the transport route's
+bits differ is pinned: when eps0 n^2 overflows, the former cross product's
+inf * 0 made the route NaN, where the direct product is inf.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from abmink import SI, RegimeError, scenarios
+from abmink.core import (
+    FieldPoint,
+    Medium,
+    MomentumTag,
+    mechanical_momentum_density,
+    momentum_density,
+    poynting,
+)
+from abmink.runner import _ledger_residual, parse_config, run
+from abmink.scenarios import mirror_batch
+
+# ---------------------------------------------------------------------------
+# the former formulations, verbatim
+# ---------------------------------------------------------------------------
+
+
+def former_transport_route(n, E0, R):
+    """c g_x / n + n R S_i / c through stacked plane-wave field points."""
+    E, H = np.zeros((n.size, 3)), np.zeros((n.size, 3))
+    E[:, 1] = E0  # polarization y, propagation x, t = 0 at the origin
+    H[:, 2] = n * E0 / (SI.mu0 * SI.c)
+    fp = FieldPoint(E=E, D=(SI.eps0 * (n * n))[:, None] * E, H=H, B=SI.mu0 * H)
+    # peak fields carry twice the time-averaged quadratic quantities
+    g_x = momentum_density(fp, MomentumTag.MINKOWSKI)[:, 0] / 2.0
+    S_i = poynting(fp)[:, 0] / 2.0
+    return SI.c * g_x / n + n * R * S_i / SI.c
+
+
+def former_ledger_residual(n, E, H) -> float:
+    medium = Medium.from_index(n)
+    fp = FieldPoint.from_EH(medium, E, H / SI.mu0 / SI.c)
+    g_a = momentum_density(fp, MomentumTag.ABRAHAM)
+    g_m = momentum_density(fp, MomentumTag.MINKOWSKI)
+    g_mech = mechanical_momentum_density(medium, fp)
+    scale = np.max(np.abs(g_m), axis=1)
+    kept = scale != 0.0
+    rel = [np.max(np.abs(d), axis=1)[kept] / scale[kept]
+           for d in (g_a + g_mech - g_m, (n * n)[:, None] * g_a - g_m)]
+    return float(np.max(rel, initial=0.0))
+
+
+def former_three_way_sweep(n_values, sigma_values, omega_values,
+                           E0=1e3, quadrature_tol=1e-8, guard=0.2):
+    n, sigma, omega = np.meshgrid(n_values, sigma_values, omega_values,
+                                  indexing="ij")
+    b = mirror_batch(n, E0, omega, sigma, guard, quadrature_tol)
+    out = []
+    for i, exc in enumerate(b.errors):
+        if exc is None:
+            out.append({name: float(column[i]) for name, column in b.columns.items()})
+        elif not isinstance(exc, RegimeError):
+            raise exc
+    return out
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+# ---------------------------------------------------------------------------
+# the transport route
+# ---------------------------------------------------------------------------
+
+_E0 = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(1e-3, 1e8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_transport_route_equals_the_field_point_form(data):
+    m = data.draw(st.integers(1, 12))
+    n = np.array(data.draw(st.lists(st.floats(1.0, 3.0), min_size=m, max_size=m)))
+    E0 = np.array(data.draw(st.lists(_E0, min_size=m, max_size=m)))
+    omega = np.array(data.draw(st.lists(st.floats(1e14, 1e16), min_size=m, max_size=m)))
+    sigma = np.array(data.draw(st.lists(st.floats(1e5, 1e9), min_size=m, max_size=m)))
+    b = mirror_batch(n, E0, omega, sigma)
+    c = b.columns
+    want = former_transport_route(n, E0, c["reflectance"])
+    assert (bits(c["pressure_divergence_Pa"]) == bits(want)).all()
+    # the spread over the three routes, as the batch forms it
+    routes = np.array([c["pressure_flux_Pa"], c["pressure_lorentz_Pa"], want])
+    scale = np.abs(routes).max(axis=0)
+    with np.errstate(invalid="ignore"):  # routes that are all zero agree
+        spread = np.where(scale != 0.0,
+                          (routes.max(axis=0) - routes.min(axis=0)) / scale, 0.0)
+    assert (bits(c["max_rel_diff"]) == bits(spread)).all()
+    kept = [spread[i] for i, exc in enumerate(b.errors) if exc is None]
+    if kept:
+        assert bits(b.spread) == bits(max(kept))
+    else:
+        assert b.spread is None
+
+
+def test_overflowing_eps0_n2_reports_an_infinite_transport_route():
+    b = mirror_batch(1e155, 1e3, 1e-300, 1e300)  # n, E0, omega, sigma
+    assert str(b.errors[0]) == "result 'pressure_divergence_Pa' is not finite: inf"
+    with np.errstate(all="ignore"):
+        # the former cross product read D_z B_y = (eps0 n^2 * 0) * 0 = nan
+        assert np.isnan(former_transport_route(np.array([1e155]), 1e3,
+                                               b.columns["reflectance"]))
+    # the input passes the config boundary; the point is a report error
+    report = run(parse_config(
+        "scenario = mirror\nn = 1e155\nE0_V_per_m = 1e3\n"
+        "omega_rad_per_s = 1e-300\nsigma_S_per_m = 1e300\n"))
+    assert report.rows == []
+    assert report.errors == ["result 'pressure_divergence_Pa' is not finite: inf"]
+
+
+# ---------------------------------------------------------------------------
+# the momentum ledger
+# ---------------------------------------------------------------------------
+
+_COMPONENT = st.one_of(st.floats(-1e3, 1e3),
+                       st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_ledger_residual_equals_the_axis_reduction(data):
+    m = data.draw(st.integers(1, 10))
+    n = data.draw(arrays(float, m, elements=st.floats(1.0, 2.0)))
+    fields = data.draw(arrays(float, (2, m, 3), elements=_COMPONENT))
+    # points whose E and H are zero: g_M is zero there, and the point is skipped
+    fields[:, data.draw(arrays(bool, m))] = 0.0
+    E, H = fields
+    with np.errstate(all="ignore"):
+        want = former_ledger_residual(n, E, H)
+        got = _ledger_residual(n, E, H)
+    assert bits(got) == bits(want)
+
+
+def test_ledger_residual_of_the_check_suite_sample():
+    rng = np.random.default_rng(7)
+    n = rng.uniform(1.0, 2.0, 1000)
+    E, H = rng.normal(size=(2, n.size, 3))
+    assert bits(_ledger_residual(n, E, H)) == bits(former_ledger_residual(n, E, H))
+
+
+# ---------------------------------------------------------------------------
+# the three-way sweep
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("grid", [
+    ((1.0, 1.3, 1.6), (1e7, 1e8), (2.6e15, 4.0e15)),
+    (np.linspace(1.0, 1.6, 4), np.logspace(5, 8, 4), np.linspace(2.6e15, 4.5e15, 3)),
+])
+def test_three_way_sweep_rows_equal_the_former_rows(grid):
+    got = scenarios.mirror_three_way_sweep(*grid, quadrature_tol=1e-9)
+    want = former_three_way_sweep(*grid, quadrature_tol=1e-9)
+    assert [list(row.items()) for row in got] == [list(row.items()) for row in want]
+    assert all(type(v) is float for row in got for v in row.values())

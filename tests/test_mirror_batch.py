@@ -196,6 +196,9 @@ def test_sweep_over_several_blocks_matches_per_point_batches():
     (1e200, 1e3, 3e15, 5e7, 0.2),
     (math.nan, 1e3, 3e15, 5e7, 0.2),
     (1.33, math.inf, 3e15, 5e7, 0.2),
+    (1.33, math.nan, 3e15, 5e7, 0.2),
+    (1.33, 1e3, math.nan, 5e7, 0.2),
+    (1.33, 1e3, 3e15, math.nan, 0.2),
 ])
 def test_batch_rejects_exactly_what_the_config_rejects(n, E0, omega, sigma, guard):
     try:
@@ -232,6 +235,23 @@ def test_config_rejects_a_guard_not_above_zero(guard):
     assert not isinstance(err.value, RegimeError)
     batch = mirror_batch(1.33, 1e3, 3e15, 1e5, guard=guard)
     assert str(batch.errors[0]) == str(err.value)
+
+
+@pytest.mark.parametrize("E0, omega, sigma, message", [
+    (math.nan, 3e15, 5e7, "E0 must be >= 0, got nan"),
+    (1e3, math.nan, 5e7, "omega and conductivity must be > 0"),
+    (1e3, 3e15, math.nan, "omega and conductivity must be > 0"),
+])
+def test_a_nan_input_breaks_its_rule(E0, omega, sigma, message):
+    # a NaN E0, omega or conductivity once passed every rule, and the batch
+    # rejected the point only for a result that is not finite
+    with pytest.raises(ValueError, match=f"^{message}$") as err:
+        MirrorConfig(Medium.from_index(1.33), E0, omega, sigma)
+    assert not isinstance(err.value, RegimeError)
+    batch = mirror_batch(np.array([1.0, 1.33, 1.6]), E0, omega, sigma)
+    assert [type(e) for e in batch.errors] == [ValueError] * 3
+    assert [str(e) for e in batch.errors] == [message] * 3
+    assert batch.spread is None
 
 
 @pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-8])

@@ -56,11 +56,13 @@ def _mirror(self):
     if not self.medium.nonmagnetic:
         raise RegimeError("the mirror routes are derived for a nonmagnetic "
                           f"liquid; got mu_r={self.medium.mu_r}")
-    if self.E0 < 0.0:
+    # not in the former checks, which read ``self.E0 < 0.0`` and
+    # ``self.omega <= 0.0 or self.conductivity <= 0.0``: a NaN E0, omega or
+    # conductivity passed them, and a NaN guard the k/alpha comparison
+    if not self.E0 >= 0.0:
         raise ValueError(f"E0 must be >= 0, got {self.E0}")
-    if self.omega <= 0.0 or self.conductivity <= 0.0:
+    if not (self.omega > 0.0 and self.conductivity > 0.0):
         raise ValueError("omega and conductivity must be > 0")
-    # not in the former checks: a NaN guard passed the k/alpha comparison
     if not self.guard > 0.0:
         raise ValueError(f"guard must be > 0, got {self.guard}")
     r = self.k_over_alpha
