@@ -4,6 +4,8 @@
     abmink list
     abmink check [--tol X] [--format text|json]
 
+``run`` exits with status 1 when the report has errors, and with status 2
+when the config cannot be read or parsed or the report cannot be written.
 ``check`` runs the built-in cross-check suite and exits nonzero if any
 residual exceeds its bound; the relative tolerance defaults to 1e-6 and can
 be overridden with --tol or the ABMINK_TOL environment variable.  It must be
@@ -37,7 +39,7 @@ from .runner import (
 def _cmd_run(args) -> int:
     try:
         text = Path(args.config).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
     try:
@@ -48,7 +50,11 @@ def _cmd_run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.out:
-        Path(args.out).write_bytes(payload)
+        try:
+            Path(args.out).write_bytes(payload)
+        except OSError as exc:
+            print(f"error: cannot write report: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.buffer.write(payload)
         sys.stdout.buffer.flush()

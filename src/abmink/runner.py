@@ -372,8 +372,40 @@ def _constitutive_draws():
     """The constitutive check's 16 seeded (E, B) draws, field tensor and
     scales, made on first use: at import, numpy.random would cost ~15 ms."""
     draws = np.random.default_rng(20240811).normal(size=(16, 2, 3))
-    return (draws, covariant.field_tensor_from_EB(draws[:, 0], draws[:, 1]),
-            np.maximum(np.max(np.abs(draws), axis=(1, 2)), 1e-300))
+    scale = np.maximum(np.max(np.abs(draws), axis=(1, 2)), 1e-300)
+    draws.flags.writeable = scale.flags.writeable = False
+    return draws, covariant.field_tensor_from_EB(draws[:, 0], draws[:, 1]), scale
+
+
+@functools.cache
+def _ledger_sample():
+    """The momentum ledger's seeded sample (index n, E and c mu0 H), drawn
+    on first use, as above, and read-only."""
+    rng = np.random.default_rng(7)
+    n = rng.uniform(1.0, 2.0, 1000)
+    EH = rng.normal(size=(2, n.size, 3))
+    n.flags.writeable = EH.flags.writeable = False
+    return n, *EH
+
+
+_PROBE = (0.123, 0.0, 0.0)  # the point x where the covariant checks sample waves
+
+
+def _divergence_ratios(n: float, mu_r: float, grid_step: float):
+    """The four-divergence residual's norm ratios per halving of grid_step,
+    coarse and fine (4 at second order), and divergence_ratio_err."""
+    # a wave along x, polarized along y, plus one of 0.7 at 60 degrees in the
+    # x-y plane, polarized along z: a single wave's x and ct truncation errors
+    # cancel at n = 1, this pair's cannot
+    two_waves = covariant.plane_wave_sampler(
+        n, mu_r, 2.0 * math.pi, [1.0, 0.7], polarization=[[0, 1, 0], [0, 0, 1]],
+        direction=[[1, 0, 0], [0.5, math.sqrt(0.75), 0]])
+    res = covariant.divergence_residual(two_waves, np.array(_PROBE), 0.077,
+                                        grid_step / np.array([1.0, 2.0, 4.0]))
+    norms = np.sqrt(np.vecdot(res, res))  # np.linalg.norm of each, bit for bit
+    ratios = norms[:-1] / norms[1:]
+    # Python's max: a nan fine ratio leaves a finite coarse one standing
+    return *ratios.tolist(), max(np.abs(ratios / 4.0 - 1.0).tolist())
 
 
 def _covariant_check_rows(n: float, mu_r: float, grid_step: float):
@@ -384,27 +416,15 @@ def _covariant_check_rows(n: float, mu_r: float, grid_step: float):
     err = np.maximum(np.max(np.abs(H.D - n * n / mu_r * draws[:, 0]), axis=1),
                      np.max(np.abs(H.H - draws[:, 1] / mu_r), axis=1)) / scale
     const_err = float(np.max(err, initial=0.0))
-
-    # a wave along x, polarized along y, plus one of 0.7 at 60 degrees in the
-    # x-y plane, polarized along z: a single wave's x and ct truncation errors
-    # cancel at n = 1, this pair's cannot
-    two_waves = covariant.plane_wave_sampler(
-        n, mu_r, 2.0 * math.pi, [1.0, 0.7], polarization=[[0, 1, 0], [0, 0, 1]],
-        direction=[[1, 0, 0], [0.5, math.sqrt(0.75), 0]])
-    x = np.array([0.123, 0.0, 0.0])
-    res = covariant.divergence_residual(two_waves, x, 0.077,
-                                        grid_step / np.array([1.0, 2.0, 4.0]))
-    norms = np.sqrt(np.vecdot(res, res))  # np.linalg.norm of each, bit for bit
-    ratios = norms[:-1] / norms[1:]
+    coarse, fine, ratio_err = _divergence_ratios(n, mu_r, grid_step)
 
     # the single wave along x in the medium and in vacuum, as one stack
     S = covariant.minkowski_tensor4(*covariant.plane_wave_sampler(
-        [n, 1.0], [mu_r, 1.0], 2.0 * math.pi, 1.0)(x, 0.0))
+        [n, 1.0], [mu_r, 1.0], 2.0 * math.pi, 1.0)(np.array(_PROBE), 0.0))
     classes = covariant.classify_four_momentum(covariant.FourMomentum(
         G=[S.momentum_density[0], S.poynting[0], S.momentum_density[1]],
         W=S.energy_density[[0, 0, 1]]))
 
-    coarse, fine = ratios.tolist()
     checks = {
         "constitutive_rest_frame_max_rel_err": const_err,
         "divergence_ratio_coarse": coarse,
@@ -415,8 +435,7 @@ def _covariant_check_rows(n: float, mu_r: float, grid_step: float):
         checks[f"four_momentum_class_{name}"] = math.nan if cls == "undecidable" else cls
     residuals = {
         "constitutive_max_rel_err": const_err,
-        # Python's max: a nan fine ratio leaves a finite coarse one standing
-        "divergence_ratio_err": max(np.abs(ratios / 4.0 - 1.0).tolist()),
+        "divergence_ratio_err": ratio_err,
     }
     return checks, residuals
 
@@ -804,14 +823,10 @@ def check_suite(tol: float = DEFAULT_TOL) -> list[CheckResult]:
         residual=max(pt["max_rel_diff"] for pt in sweep),
         bound=tol))
 
-    _, residuals = _covariant_check_rows(n=1.5, mu_r=1.0, grid_step=1e-3)
+    *_, ratio_err = _divergence_ratios(n=1.5, mu_r=1.0, grid_step=1e-3)
     results.append(CheckResult(name="divergence-convergence",
-                               residual=residuals["divergence_ratio_err"],
-                               bound=_RATIO_ERR_BOUND))
+                               residual=ratio_err, bound=_RATIO_ERR_BOUND))
 
-    rng = np.random.default_rng(7)
-    n = rng.uniform(1.0, 2.0, 1000)
-    E, H = rng.normal(size=(2, n.size, 3))
     results.append(CheckResult(name="momentum-ledger",
-                               residual=_ledger_residual(n, E, H), bound=tol))
+                               residual=_ledger_residual(*_ledger_sample()), bound=tol))
     return results

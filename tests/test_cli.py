@@ -55,6 +55,29 @@ def test_run_writes_output_file(mirror_config, tmp_path):
     assert "pressure_flux_Pa" in header
 
 
+def test_run_rejects_a_config_that_is_not_utf8(tmp_path):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(b"scenario = bec\nn = 1.5\xff\n")
+    proc = run_cli("run", str(path))
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    err = proc.stderr.decode()
+    assert err.startswith("error: cannot read config: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("out", ["missing/report.csv", "."])
+# an in-regime mirror, and one whose report has an error (k/alpha above 0.2)
+@pytest.mark.parametrize("sigma", ["5.0e7", "1.0e5"])
+def test_run_reports_an_unwritable_out_path(tmp_path, sigma, out):
+    path = tmp_path / "mirror.cfg"
+    path.write_text(MIRROR_CFG.replace("5.0e7", sigma))
+    proc = run_cli("run", str(path), "--out", str(tmp_path / out))
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    err = proc.stderr.decode()
+    assert err.startswith("error: cannot write report: ") and "Traceback" not in err
+
+
 def test_run_rejects_bad_config(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("scenario = wgm\na_m = 1e-4\nomega0_rad_per_s = 1e3\n")

@@ -7,6 +7,8 @@ used when the module reads it anywhere, or lists it in ``__all__``;
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -76,3 +78,14 @@ def test_the_walk_finds_numpy_cross():
     source = ("import numpy as np\nfrom numpy import cross\n"
               "x = np.cross(a, b)\ny = numpy.cross\nz = core.cross(a, b)\n")
     assert _numpy_cross_calls(source) == [2, 3, 4]
+
+
+@pytest.mark.parametrize("code", [
+    "import abmink",
+    "from abmink import cli; cli.main(['list'])",
+])
+def test_numpy_random_is_not_imported_before_a_draw(code):
+    # the seeded draws are made on first use: numpy.random costs 15-30 ms
+    check = f"{code}\nimport sys; sys.exit('numpy.random' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", check], capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()

@@ -5,9 +5,10 @@ import math
 import re
 import warnings
 
+import numpy as np
 import pytest
 
-from abmink import MomentumTag, runner
+from abmink import MomentumTag, covariant, runner
 from abmink.runner import (
     MAX_SWEEP_COUNT,
     SCENARIO_NAMES,
@@ -497,3 +498,43 @@ def test_check_suite_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
 def test_check_suite_fails_at_absurd_tolerance():
     results = check_suite(tol=1e-18)
     assert not all(r.passed for r in results)
+
+
+def test_check_suite_divergence_residual_is_the_covariant_checks_one():
+    got = {r.name: r.residual for r in check_suite()}["divergence-convergence"]
+    want = runner._covariant_check_rows(1.5, 1.0, 1e-3)[1]["divergence_ratio_err"]
+    assert got.hex() == want.hex()
+
+
+@pytest.mark.parametrize("skipped", ["classify_four_momentum",
+                                     "excitation_from_constitutive"])
+def test_check_suite_takes_only_the_divergence_ratio_of_the_covariant_checks(
+        monkeypatch, skipped):
+    def fail(*args, **kwargs):
+        raise AssertionError("not read by the check suite")
+
+    monkeypatch.setattr(covariant, skipped, fail)
+    assert all(r.passed for r in check_suite())
+    # covariant-checks still computes the rows the suite skips
+    with pytest.raises(AssertionError, match="not read"):
+        run(parse_config("scenario = covariant-checks\n"))
+
+
+def test_consecutive_check_suites_agree():
+    assert check_suite() == check_suite()
+
+
+def test_check_suite_ledger_is_that_of_a_fresh_draw():
+    rng = np.random.default_rng(7)
+    n = rng.uniform(1.0, 2.0, 1000)
+    E, H = rng.normal(size=(2, n.size, 3))
+    got = {r.name: r.residual for r in check_suite()}["momentum-ledger"]
+    assert got.hex() == runner._ledger_residual(n, E, H).hex()
+
+
+@pytest.mark.parametrize("cache", ["_ledger_sample", "_constitutive_draws"])
+def test_cached_draws_are_read_only(cache):
+    for a in getattr(runner, cache)():
+        a = getattr(a, "M", a)  # the field tensor's matrix stack
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[0] = 0.0
