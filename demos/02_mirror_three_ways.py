@@ -5,6 +5,9 @@ The same pressure comes out of (1) the momentum-flux tensor component,
 skin, and (3) the transport argument that the wave momentum travels at c/n.
 None of the routes needs to pick a momentum bookkeeping, but the pressure
 scales with the liquid index n, which is the observed proportionality.
+Route (2)'s depth integral is closed: both skin fields decay as
+exp(-alpha x) with the same phase advance, so it is their surface product
+over 2 alpha, with no quadrature.
 """
 
 import numpy as np

@@ -27,7 +27,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial.laguerre import laggauss
 
 from .core import (
     SI,
@@ -130,15 +129,13 @@ class MirrorBatch(NamedTuple):
     columns hold no meaningful value there.  ``spread`` is the largest
     three-way disagreement over the accepted points, None when there are
     none.  ``table`` is the columns side by side, (m, k), each column a view
-    of it.  ``quadrature_error`` is the Lorentz route's error estimate, the
-    16- and 32-node rules' difference; no column reports it.
+    of it.
     """
 
     columns: dict[str, np.ndarray]
     errors: tuple[ValueError | None, ...]
     spread: float | None
     table: np.ndarray
-    quadrature_error: np.ndarray
 
 
 def _non_finite(columns: dict) -> tuple[np.ndarray, dict[int, str]]:
@@ -159,26 +156,6 @@ def _non_finite(columns: dict) -> tuple[np.ndarray, dict[int, str]]:
     return table, errors
 
 
-def _laguerre(order: int):
-    s, w = laggauss(order)
-    return s, w * np.exp(s)
-
-
-# Gauss-Laguerre rules for integral_0^inf e^-s f(s) ds with e^s folded into
-# the weights, so they apply to the integrand itself.  The 32-node rule gives
-# the value and its difference from the 16-node rule the error estimate; both
-# share one field evaluation on the joined nodes.  At a node s the depth is
-# x = s / (2 alpha), so the skin envelope exp((-1 + i) alpha x) is the same
-# 48-vector for every point.
-(_S16, _W16), (_S32, _W32) = _laguerre(16), _laguerre(32)
-_ENVELOPE = np.exp((-1.0 + 1.0j) * (np.concatenate([_S16, _S32]) / 2.0))
-
-# Points per block of the Lorentz route, whose complex field samples take
-# 16 bytes per node and point: a block bounds them to a few MB whatever the
-# sweep size.
-_BLOCK = 4096
-
-
 def _metal_fields(E0, omega, k, alpha, envelope):
     """E_y and H_z where the skin envelope exp((-1 + i) alpha x) is ``envelope``."""
     E_y = (k * E0 / alpha) * (1.0 - 1.0j) * envelope
@@ -187,8 +164,7 @@ def _metal_fields(E0, omega, k, alpha, envelope):
     return E_y, H_z
 
 
-def mirror_batch(n, E0, omega, conductivity, guard=0.2,
-                 quadrature_tol=1e-8) -> MirrorBatch:
+def mirror_batch(n, E0, omega, conductivity, guard=0.2) -> MirrorBatch:
     """Evaluate the three independent pressure routes at every point at once.
 
     The arguments broadcast against each other and are flattened to m
@@ -196,20 +172,18 @@ def mirror_batch(n, E0, omega, conductivity, guard=0.2,
     1. momentum flux (n/c)(1 + R) S_i with R = 1 - 2 k/alpha (phase_rad
        arctan(-k/alpha));
     2. Lorentz force (mu0 sigma / 2) Re integral of E_y H_z* over the metal
-       depth, sampled through the skin fields at Gauss-Laguerre nodes after
-       s = 2 alpha x; a point whose two-order error estimate exceeds
-       10 quadrature_tol times the value is rejected, as is one whose
-       quadrature_tol is not > 0;
+       depth, from the skin fields at the surface: both carry the envelope
+       exp((-1 + i) alpha x), so the integrand is its surface value times
+       exp(-2 alpha x) and the integral is that value over 2 alpha;
     3. momentum transport: c g_x / n with the Minkowski momentum density of
        the incident plane wave, plus n R S_i / c for the reflected wave.
     """
-    args = [np.asarray(v, dtype=float)
-            for v in (n, E0, omega, conductivity, guard, quadrature_tol)]
+    args = [np.asarray(v, dtype=float) for v in (n, E0, omega, conductivity, guard)]
     # one broadcast copy each: a fifth of np.broadcast_arrays's per-call cost
     points = np.empty((len(args),) + np.broadcast(*args).shape)
     for j, arg in enumerate(args):
         points[j] = arg
-    n, E0, omega, sigma, guard, tol = points.reshape(len(args), -1)
+    n, E0, omega, sigma, guard = points.reshape(len(args), -1)
     with np.errstate(all="ignore"):  # rejected points may hold anything
         cfg = unchecked(MirrorConfig, medium=unchecked(Medium, eps_r=n * n, n=n),
                         E0=E0, omega=omega, conductivity=sigma, guard=guard)
@@ -217,16 +191,11 @@ def mirror_batch(n, E0, omega, conductivity, guard=0.2,
         R, phase = 1.0 - 2.0 * r, np.arctan(-r)
         flux = n * E0**2 / (2.0 * SI.mu0 * SI.c)
 
-        low, high = np.empty(n.size), np.empty(n.size)
-        for b in range(0, n.size, _BLOCK):
-            i = slice(b, b + _BLOCK)
-            E_y, H_z = _metal_fields(E0[i, None], omega[i, None], k[i, None],
-                                     alpha[i, None], _ENVELOPE)
-            f = (E_y * H_z.conj()).real
-            low[i] = (f[:, :_S16.size] * _W16).sum(axis=1)
-            high[i] = (f[:, _S16.size:] * _W32).sum(axis=1)
-        lorentz = 0.5 * SI.mu0 * sigma / (2.0 * alpha)
-        p2, err = lorentz * high, np.abs(lorentz * (high - low))
+        # from the surface skin fields, not the algebraically equal
+        # eps0 n^2 E0^2 (1 - k/alpha): that is the flux route's value, and
+        # the three-way check would compare a route with itself
+        E_y, H_z = _metal_fields(E0, omega, k, alpha, 1.0)
+        p2 = 0.5 * SI.mu0 * sigma / (2.0 * alpha) * (E_y * H_z.conj()).real
 
         # E along y, travelling along x, at t = 0, x = 0: (D x B)_x = D_y B_z and
         # (E x H)_x = E_y H_z; peak fields carry twice the time averages
@@ -241,13 +210,6 @@ def mirror_batch(n, E0, omega, conductivity, guard=0.2,
         spread = np.where(scale != 0.0,
                           (routes.max(axis=0) - routes.min(axis=0)) / scale, 0.0)
     errors = check_rules(MirrorConfig.RULES, cfg, n.size)
-    for i in np.flatnonzero(np.logical_not(tol > 0.0)).tolist():
-        errors.setdefault(i, ValueError(f"quadrature_tol must be > 0, got {tol[i]:g}"))
-    for i in np.flatnonzero((p2 != 0.0) & (err > 10.0 * tol * np.abs(p2))).tolist():
-        if i not in errors:
-            errors[i] = ValueError(
-                f"quadrature did not reach quadrature_tol = {tol[i]:g}: "
-                f"estimated error {err[i]:.3g} on value {p2[i]:.6g}")
     columns = {"n": n, "sigma_S_per_m": sigma, "omega_rad_per_s": omega,
                "reflectance": R, "phase_rad": phase,
                "incident_flux_W_per_m2": flux, "pressure_flux_Pa": routes[0],
@@ -257,10 +219,10 @@ def mirror_batch(n, E0, omega, conductivity, guard=0.2,
     table, bad = _non_finite(columns)
     for i, message in bad.items():
         errors.setdefault(i, ValueError(message))
-    kept = np.delete(spread, list(errors))
+    kept = np.delete(spread, list(errors)) if errors else spread
     return MirrorBatch(dict(zip(columns, table.T)),
                        tuple(map(errors.get, range(n.size))),
-                       float(kept.max()) if kept.size else None, table, err)
+                       float(kept.max()) if kept.size else None, table)
 
 
 def pressure_from_reflectance(n: float, R: float, flux: float) -> float:
@@ -286,8 +248,7 @@ def metal_fields(cfg: MirrorConfig, x) -> MetalFieldSample:
 
 
 def mirror_three_way_sweep(n_values, sigma_values, omega_values,
-                           E0: float = 1e3, quadrature_tol: float = 1e-8,
-                           guard: float = 0.2):
+                           E0: float = 1e3, guard: float = 0.2):
     """Evaluate all three pressure routes over a parameter grid.
 
     Grid points outside the good-conductor regime are skipped; any other
@@ -296,7 +257,7 @@ def mirror_three_way_sweep(n_values, sigma_values, omega_values,
     """
     n, sigma, omega = np.meshgrid(n_values, sigma_values, omega_values,
                                   indexing="ij")
-    b = mirror_batch(n, E0, omega, sigma, guard, quadrature_tol)
+    b = mirror_batch(n, E0, omega, sigma, guard)
     out = []
     for row, exc in zip(b.table.tolist(), b.errors):
         if exc is None:

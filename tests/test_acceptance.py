@@ -85,8 +85,7 @@ def test_criterion_4_three_way_mirror_sweep():
     points = mirror_three_way_sweep(
         n_values=np.linspace(1.0, 1.6, 5),
         sigma_values=np.logspace(6, 8, 5),
-        omega_values=2 * math.pi * SI.c / np.linspace(380e-9, 750e-9, 5),
-        quadrature_tol=1e-8)
+        omega_values=2 * math.pi * SI.c / np.linspace(380e-9, 750e-9, 5))
     elapsed = time.perf_counter() - t0
     worst = max(pt["max_rel_diff"] for pt in points)
     _verdict(4, "three mirror-pressure routes agree to 1e-6 over the 5x5x5 "

@@ -86,6 +86,17 @@ def test_run_rejects_bad_config(tmp_path):
     assert "P0" in proc.stderr.decode()
 
 
+def test_run_rejects_the_removed_quadrature_tol_key(tmp_path):
+    path = tmp_path / "mirror.cfg"
+    path.write_text(MIRROR_CFG + "quadrature_tol = 1e-8\n")
+    proc = run_cli("run", str(path))
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    err = proc.stderr.decode()
+    assert err.startswith("error: unknown key 'quadrature_tol' for scenario 'mirror'")
+    assert "Traceback" not in err
+
+
 def test_run_out_of_regime_exits_nonzero(tmp_path):
     path = tmp_path / "weak.cfg"
     path.write_text(MIRROR_CFG.replace("5.0e7", "1.0e5"))

@@ -7,7 +7,9 @@ The former code is copied below verbatim as the oracle:
   the x components of the core momentum density and Poynting vector; the
   batch now multiplies D_y B_z and E_y H_z directly;
 * the momentum ledger took each row's maximum with ``np.max(axis=1)``;
-* ``mirror_three_way_sweep`` built each row from the batch's columns.
+* ``mirror_three_way_sweep`` built each row from the batch's columns (the
+  copy drops the ``quadrature_tol`` argument, which the batch no longer
+  takes).
 
 Each must agree bit for bit.  The one input where the transport route's
 bits differ is pinned: when eps0 n^2 overflows, the former cross product's
@@ -63,10 +65,10 @@ def former_ledger_residual(n, E, H) -> float:
 
 
 def former_three_way_sweep(n_values, sigma_values, omega_values,
-                           E0=1e3, quadrature_tol=1e-8, guard=0.2):
+                           E0=1e3, guard=0.2):
     n, sigma, omega = np.meshgrid(n_values, sigma_values, omega_values,
                                   indexing="ij")
-    b = mirror_batch(n, E0, omega, sigma, guard, quadrature_tol)
+    b = mirror_batch(n, E0, omega, sigma, guard)
     out = []
     for i, exc in enumerate(b.errors):
         if exc is None:
@@ -167,7 +169,7 @@ def test_ledger_residual_of_the_check_suite_sample():
     (np.linspace(1.0, 1.6, 4), np.logspace(5, 8, 4), np.linspace(2.6e15, 4.5e15, 3)),
 ])
 def test_three_way_sweep_rows_equal_the_former_rows(grid):
-    got = scenarios.mirror_three_way_sweep(*grid, quadrature_tol=1e-9)
-    want = former_three_way_sweep(*grid, quadrature_tol=1e-9)
+    got = scenarios.mirror_three_way_sweep(*grid)
+    want = former_three_way_sweep(*grid)
     assert [list(row.items()) for row in got] == [list(row.items()) for row in want]
     assert all(type(v) is float for row in got for v in row.values())

@@ -89,3 +89,15 @@ def test_numpy_random_is_not_imported_before_a_draw(code):
     check = f"{code}\nimport sys; sys.exit('numpy.random' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", check], capture_output=True)
     assert proc.returncode == 0, proc.stderr.decode()
+
+
+@pytest.mark.parametrize("code", [
+    "import abmink",
+    "from abmink import cli; cli.main(['list'])",
+])
+def test_numpy_polynomial_is_not_imported(code):
+    # the mirror's Lorentz route is closed: no quadrature rule is built, and
+    # numpy.polynomial costs about 5 ms of a cold process
+    check = f"{code}\nimport sys; sys.exit('numpy.polynomial' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", check], capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()

@@ -1,8 +1,9 @@
 """Differential tests of the batched immersed-mirror evaluator.
 
 The reference for the Lorentz route is the adaptive-quadrature integral the
-scenario used before it moved to fixed-order Gauss-Laguerre, with its own
-copy of the metal-skin field formulas.
+scenario used before it moved to fixed-order Gauss-Laguerre and then to the
+closed form, with its own copy of the metal-skin field formulas, and the same
+integral over the fields of ``metal_fields``.
 """
 
 import cmath
@@ -16,10 +17,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from abmink import SI, Medium, RegimeError, scenarios
+from abmink import SI, Medium, RegimeError
 from abmink.runner import parse_config, run
 from abmink.scenarios import (
+    MirrorBatch,
     MirrorConfig,
+    metal_fields,
     mirror_batch,
     mirror_three_way_sweep,
 )
@@ -82,27 +85,47 @@ def test_routes_agree_and_match_the_oracle_at_random_points(n, log_sigma, omega,
     assert abs(got - want) <= 1e-13 * abs(want)
 
 
-def test_quadrature_rejection_compares_the_error_estimate():
-    m = 41
-    n = np.linspace(1.0, 1.6, m)
-    E0 = np.geomspace(1.0, 1e5, m)
-    # tolerances around the two rules' difference, which is rounding-sized
-    # here: the integrand is a constant times the Laguerre weight
-    tol = np.geomspace(1e-18, 1e-14, m)
-    batch = mirror_batch(n, E0, 3e15, 5e7, quadrature_tol=tol)
-    value, estimate = batch.columns["pressure_lorentz_Pa"], batch.quadrature_error
-    assert estimate.shape == (m,)
-    assert "quadrature_error" not in batch.columns
-    assert (estimate >= 0.0).all() and (estimate <= 1e-14 * value).all()
-    rejected = (value != 0.0) & (estimate > 10.0 * tol * np.abs(value))
-    assert 0 < rejected.sum() < m
-    for i in range(m):
-        exc = batch.errors[i]
-        assert (exc is not None) == rejected[i]
-        if rejected[i]:
-            assert str(exc) == (
-                f"quadrature did not reach quadrature_tol = {tol[i]:g}: "
-                f"estimated error {estimate[i]:.3g} on value {value[i]:.6g}")
+@settings(max_examples=60, deadline=None)
+@given(n=st.floats(1.0, 2.0), log_omega=st.floats(14.0, 16.0),
+       log_sigma=st.floats(6.0, 8.5), log_E0=st.floats(0.0, 6.0))
+def test_lorentz_column_is_the_depth_integral_of_metal_fields(n, log_omega,
+                                                              log_sigma, log_E0):
+    omega, sigma, E0 = 10.0**log_omega, 10.0**log_sigma, 10.0**log_E0
+    assume(n * omega / SI.c / math.sqrt(SI.mu0 * sigma * omega / 2.0) < 0.2)
+    cfg = MirrorConfig(Medium.from_index(n), E0, omega, sigma)
+
+    def integrand(u):  # u = alpha x, the depth in skin depths
+        s = metal_fields(cfg, u / cfg.alpha)
+        return (s.E_y * s.H_z.conjugate()).real
+
+    value, _ = quad(integrand, 0.0, np.inf, epsabs=0.0, epsrel=1e-13, limit=200)
+    want = 0.5 * SI.mu0 * sigma * value / cfg.alpha
+    got = mirror_batch(n, E0, omega, sigma).columns["pressure_lorentz_Pa"][0]
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_lorentz_column_is_the_algebraic_closed_form():
+    # (mu0 sigma / (4 alpha)) Re(E_y H_z*) at the surface reduces to
+    # eps0 n^2 E0^2 (1 - k/alpha); the route keeps the skin-field form
+    rng = np.random.default_rng(16)
+    m = 2000
+    n, E0 = rng.uniform(1.0, 2.0, m), 10.0 ** rng.uniform(0.0, 6.0, m)
+    omega, sigma = 10.0 ** rng.uniform(14.0, 16.0, m), 10.0 ** rng.uniform(6.0, 8.5, m)
+    batch = mirror_batch(n, E0, omega, sigma)
+    ok = np.array([exc is None for exc in batch.errors])
+    assert ok.sum() > m // 2
+    k, alpha = n * omega / SI.c, np.sqrt(SI.mu0 * sigma * omega / 2.0)
+    want = (SI.eps0 * n * n * E0**2 * (1.0 - k / alpha))[ok]
+    got = batch.columns["pressure_lorentz_Pa"][ok]
+    assert (np.abs(got - want) <= 1e-14 * np.abs(want)).all()
+
+
+def test_the_lorentz_route_has_no_quadrature_knob():
+    assert MirrorBatch._fields == ("columns", "errors", "spread", "table")
+    with pytest.raises(TypeError, match="quadrature_tol"):
+        mirror_batch(1.33, 1e3, 3e15, 5e7, quadrature_tol=1e-8)
+    with pytest.raises(TypeError, match="quadrature_tol"):
+        mirror_three_way_sweep([1.33], [5e7], [3e15], quadrature_tol=1e-8)
 
 
 def test_zero_amplitude_point_reports_zero_pressures():
@@ -124,14 +147,12 @@ def test_zero_amplitude_point_reports_zero_pressures():
 ])
 def test_sweep_rows_equal_scalar_api(sweep):
     text = ("scenario = mirror\nn = 1.33\nE0_V_per_m = 2.5e3\n"
-            "omega_rad_per_s = 3.0e15\nsigma_S_per_m = 5.0e7\n"
-            "quadrature_tol = 1e-9\n" f"sweep = {sweep}\n")
+            "omega_rad_per_s = 3.0e15\nsigma_S_per_m = 5.0e7\n" f"sweep = {sweep}\n")
     report = run(parse_config(text))
     assert report.rows
     for values in report.rows:
         row = dict(zip(report.columns, values))
-        b = mirror_batch(row["n"], 2.5e3, row["omega_rad_per_s"],
-                         row["sigma_S_per_m"], quadrature_tol=1e-9)
+        b = mirror_batch(row["n"], 2.5e3, row["omega_rad_per_s"], row["sigma_S_per_m"])
         assert b.errors == (None,)
         assert row == {name: float(column[0]) for name, column in b.columns.items()}
 
@@ -165,8 +186,8 @@ def test_sweep_errors_keep_the_per_point_form(base, sweep):
     assert len(report.rows) + len(report.errors) == s.count
 
 
-def test_sweep_over_several_blocks_matches_per_point_batches():
-    count = scenarios._BLOCK + 37  # one full Lorentz-route block and a part
+def test_long_sweep_matches_per_point_batches():
+    count = 4133
     report = run(parse_config(
         "scenario = mirror\nE0_V_per_m = 2.5e3\nomega_rad_per_s = 3e15\n"
         f"sigma_S_per_m = 5e7\nsweep = n:[8.0, 1.0, {count}]\n"))
@@ -215,18 +236,6 @@ def test_batch_rejects_exactly_what_the_config_rejects(n, E0, omega, sigma, guar
         assert (None if got is None else (type(got), str(got))) == want
 
 
-def test_unreachable_tolerance_is_a_point_error():
-    n = np.linspace(1.0, 1.6, 13)
-    batch = mirror_batch(n, 1e3, 3e15, 5e7, quadrature_tol=1e-300)
-    failed = [i for i, e in enumerate(batch.errors) if e is not None]
-    assert failed
-    assert all("quadrature_tol" in str(batch.errors[i]) for i in failed)
-    # the same point alone is rejected the same way
-    alone = mirror_batch(n[failed[0]], 1e3, 3e15, 5e7, quadrature_tol=1e-300)
-    assert type(alone.errors[0]) is ValueError
-    assert str(alone.errors[0]) == str(batch.errors[failed[0]])
-
-
 @pytest.mark.parametrize("guard", [math.nan, 0.0, -0.2])
 def test_config_rejects_a_guard_not_above_zero(guard):
     # a NaN guard once passed the k/alpha rule, which compares against it
@@ -254,23 +263,11 @@ def test_a_nan_input_breaks_its_rule(E0, omega, sigma, message):
     assert batch.spread is None
 
 
-@pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-8])
-def test_batch_rejects_a_quadrature_tol_not_above_zero(tol):
-    n = np.array([1.33, 1.5, 1.6])
-    batch = mirror_batch(n, 1e3, 3e15, 5e7, quadrature_tol=np.array([1e-8, tol, 1e-8]))
-    assert batch.errors[0] is None and batch.errors[2] is None
-    assert type(batch.errors[1]) is ValueError
-    assert str(batch.errors[1]) == f"quadrature_tol must be > 0, got {tol:g}"
-    # the configuration's own rules come first
-    both = mirror_batch(1.33, 1e3, 3e15, 5e7, guard=math.nan, quadrature_tol=tol)
-    assert str(both.errors[0]) == "guard must be > 0, got nan"
-
-
 def test_three_way_sweep_rows_are_the_batch_columns():
     grid = (np.linspace(1.0, 1.6, 4), np.logspace(5, 8, 4), np.linspace(2.6e15, 4.5e15, 3))
-    points = mirror_three_way_sweep(*grid, E0=2e3, quadrature_tol=1e-9)
+    points = mirror_three_way_sweep(*grid, E0=2e3)
     n, sigma, omega = np.meshgrid(*grid, indexing="ij")
-    b = mirror_batch(n, 2e3, omega, sigma, 0.2, 1e-9)
+    b = mirror_batch(n, 2e3, omega, sigma, 0.2)
     accepted = [i for i, exc in enumerate(b.errors) if exc is None]
     assert 0 < len(accepted) < n.size  # a part of the grid is beyond the guard
     assert [list(pt) for pt in points] == [list(b.columns)] * len(accepted)

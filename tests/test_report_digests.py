@@ -54,34 +54,34 @@ REQUESTS = dict(_requests())
 
 DIGESTS = {
     "mirror/both/point": {
-        "table": "50577b7676cd477c689dfd45c446ec08ad8e702405f42791ab3b58119c9b44de",
-        "csv": "80cb8eb41b24f04ccbf746c5d25a1abdc3a4dac362d5af8732896d6bf4de19ff",
-        "json": "4372867be8fb1d48d245fd8c34a13c6bad64569398ad7371f5a9c5b1c940ff71",
+        "table": "a7eeb9670cbb39eeccb0571acecac971ef3234c83b6ddad51147bc3992f206ee",
+        "csv": "15df39b4e01b15bad650adf2042eaab150d3b002201915fcecefbb38151223ba",
+        "json": "2f1e2142fe0e85ed28f28adb4c4dde6f97dfd03a9c2343a765cb7a7094d5f4ea",
     },
     "mirror/both/sweep": {
-        "table": "521c00f8c994d6dc6043d52272558a314258c5bf5ebaeb214dc8fe3aed399294",
-        "csv": "7e13fbfd0f639c5295248653e70d13efd27a509a3c4d05809c84b0acae83662c",
-        "json": "8a2e2ffcca5e0df22715bcba7bbb02b2ce9195e5ff569575a3ad04da98df0517",
+        "table": "870c6e30d0611daadb788f11dd6b08f27caed1446369f6372d6e30417e9ddb44",
+        "csv": "3717dca2f00780cc27aaa14a557c1e35abe5dc50f5ad0a3a13360dc816a1bd59",
+        "json": "00d8ddcef3214b75df1697274a9f054b171ccd7190b941ca185b3730194049fa",
     },
     "mirror/abraham/point": {
-        "table": "1e43bb2bc28510ed252938bad5184f7d6c806ee930faa0ecebaff5f683d89596",
-        "csv": "80cb8eb41b24f04ccbf746c5d25a1abdc3a4dac362d5af8732896d6bf4de19ff",
-        "json": "9ae6ec8f980b03fcc1d249d569947ea8e1e98463d6a13096fc1b49f488bbee98",
+        "table": "826dbf14d0b8c7192a01171d9e29c492c8d20941c462e376b9b7ac1afd51b26c",
+        "csv": "15df39b4e01b15bad650adf2042eaab150d3b002201915fcecefbb38151223ba",
+        "json": "d8bbd79d93a0094332b00943be70ce4d08953a262448e01f6744a89d59968ce7",
     },
     "mirror/abraham/sweep": {
-        "table": "a76825717d8a805b6a127fccd13f54187369f879bf1e46b05e81dcc4e3664287",
-        "csv": "7e13fbfd0f639c5295248653e70d13efd27a509a3c4d05809c84b0acae83662c",
-        "json": "2532f272c577f58a8a9c26d956058d3039781959f9cabae0e3dc9dde6a19d1fd",
+        "table": "7798fd0ee09d43d76c549a58a3e9bcb0490f3d7e6dc7f286a8c460f2a73843fa",
+        "csv": "3717dca2f00780cc27aaa14a557c1e35abe5dc50f5ad0a3a13360dc816a1bd59",
+        "json": "6fc159d792a463022e94fb19f13673a29e63a45c162e048ff3f9dfd750e33989",
     },
     "mirror/minkowski/point": {
-        "table": "3b4f6c97aed7d58f9f9146c491c818132411268da66a1b35a44f6ad251c539e2",
-        "csv": "80cb8eb41b24f04ccbf746c5d25a1abdc3a4dac362d5af8732896d6bf4de19ff",
-        "json": "5e4dd765e95ac0327a08559343315df5bb6999a02746884fd55b133168d5ce31",
+        "table": "74e5d00c0ab0be402fa53e12d358215f68744e2504801a8ce5f08e64ae89ac6e",
+        "csv": "15df39b4e01b15bad650adf2042eaab150d3b002201915fcecefbb38151223ba",
+        "json": "8ca3e6e7b3457a8468eff54368abcd0bb618d55ea253a174c74535754e635ceb",
     },
     "mirror/minkowski/sweep": {
-        "table": "7d7ab61f6d617b691ff15e935f6a6ed6547b5635aae4eb0f88f546909e33b9e7",
-        "csv": "7e13fbfd0f639c5295248653e70d13efd27a509a3c4d05809c84b0acae83662c",
-        "json": "73fafb95a4566cb3e35d79e9565db834038d9a323b043d58d84fdfdf4eaeeb03",
+        "table": "345d24e6f4c1f8213f3f8d859dc3a53302ff33e75b8d7cbf358936f78b0f647e",
+        "csv": "3717dca2f00780cc27aaa14a557c1e35abe5dc50f5ad0a3a13360dc816a1bd59",
+        "json": "41947e2c19dd9f2a1853eaed47662f40b14d34ffe77265d27a8ead065045c7c9",
     },
     "drag/both/point": {
         "table": "ae6377e27a1425119583c0f6eb74b2d86a8d0b909e18ffbc95c2b1c6d2a65c82",
@@ -279,9 +279,9 @@ DIGESTS = {
         "json": "5ba9dfafd618ce34406e73f5e5397f0ab59010aba53b38e2dbc77b3d6226db23",
     },
     "mirror/guard": {
-        "table": "f6eaa8ec6f9cb17ab909fa3c7f0004ad9b73da23b31b9dc87979b67d08aa20f6",
-        "csv": "d564d498ecacd6df97e047ab476abbcd8b4c56d421468388f630817ceb8285d5",
-        "json": "d8377cbc44f1279281a093125cc777ee3075683446dfc3a7d27209963989b8ed",
+        "table": "185c80f70213eb844c08bccd12cc06a42f387dba9ed17ee27b4643ec6339eb6e",
+        "csv": "4349d85de548bddc67ca29197a9f48d565f0e79f34186f955e038545c8804142",
+        "json": "493945b099b286b5e0a74d28d06839ce5a93dc6b73c63d3ce67cee4b57aae012",
     },
     "fiber/energy-through-zero": {
         "table": "a0069f61405e5d33a7864f18326d6f2ae0b59e3503a6a3f7495d5b4c1163ef59",

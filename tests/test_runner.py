@@ -96,8 +96,10 @@ def test_parse_tag():
      "'E_t_V_per_m' must be finite"),
     (MIRROR_CFG + "sweep = n:[1, nan, 5]\n", "'sweep hi' must be finite"),
     (MIRROR_CFG + "sweep = n:[-inf, 1, 5]\n", "'sweep lo' must be finite"),
-    (MIRROR_CFG + "quadrature_tol = 0\n", "'quadrature_tol' must be > 0"),
-    (MIRROR_CFG + "quadrature_tol = -1e-8\n", "'quadrature_tol' must be > 0"),
+    # the mirror's Lorentz route is closed: it has no quadrature tolerance
+    (MIRROR_CFG + "quadrature_tol = 1e-8\n", "^unknown key 'quadrature_tol'"),
+    (MIRROR_CFG + "quadrature_tol = 0\n", "^unknown key 'quadrature_tol'"),
+    (MIRROR_CFG + "quadrature_tol = -1e-8\n", "^unknown key 'quadrature_tol'"),
     (MIRROR_CFG + "guard_k_over_alpha = 0\n", "'guard_k_over_alpha' must be > 0"),
     (MIRROR_CFG + "guard_k_over_alpha = inf\n", "'guard_k_over_alpha' must be finite"),
     (MIRROR_CFG + "sweep = guard_k_over_alpha:[-0.1, 0.2, 4]\n",
@@ -243,16 +245,10 @@ def test_run_sweep_collects_valid_points_and_errors():
     assert len(report.errors) >= 1
 
 
-def test_run_unreachable_quadrature_tol_names_the_key(capfd):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        report = run(parse_config(MIRROR_CFG + "quadrature_tol = 1e-300\n"
-                                  + "sweep = n:[1.0, 1.6, 13]\n"))
-    assert report.errors
-    assert all(e.startswith("n=") and "quadrature_tol" in e
-               for e in report.errors)
-    assert len(report.rows) + len(report.errors) == 13
-    assert capfd.readouterr().err == ""
+def test_mirror_json_params_are_the_mirror_keys():
+    params = json.loads(emit(run(parse_config(MIRROR_CFG)), "json"))["params"]
+    assert params == {"n": 1.33, "E0_V_per_m": 1e3, "omega_rad_per_s": 3e15,
+                      "sigma_S_per_m": 5e7, "guard_k_over_alpha": 0.2}
 
 
 _COVARIANT_CHECKS = ["constitutive_rest_frame_max_rel_err", "divergence_ratio_coarse",

@@ -33,10 +33,9 @@ def mirror_cfg(n=1.33, sigma=5e7, omega=3e15, E0=1e3, **kw):
                         conductivity=sigma, **kw)
 
 
-def mirror_point(cfg, quadrature_tol=1e-8):
+def mirror_point(cfg):
     """The columns of mirror_batch at the single point of cfg, as floats."""
-    b = mirror_batch(cfg.medium.n, cfg.E0, cfg.omega, cfg.conductivity,
-                     cfg.guard, quadrature_tol)
+    b = mirror_batch(cfg.medium.n, cfg.E0, cfg.omega, cfg.conductivity, cfg.guard)
     assert b.errors == (None,)
     return {name: float(column[0]) for name, column in b.columns.items()}
 
@@ -139,9 +138,9 @@ def test_metal_fields_accept_zero_and_positive_depths():
 
 def test_lorentz_integral_closed_form():
     # Re[(1-i)(2 - (1+i) k/alpha)] = 2 - 2 k/alpha = 1 + R, so the integral
-    # reproduces the flux result exactly; check the quadrature against both
+    # reproduces the flux result exactly; check the Lorentz route against both
     cfg = mirror_cfg()
-    res = mirror_point(cfg, quadrature_tol=1e-10)
+    res = mirror_point(cfg)
     flux = res["pressure_flux_Pa"]
     k, alpha = cfg.k, cfg.alpha
     closed = (0.5 * SI.mu0 * cfg.conductivity
@@ -149,7 +148,7 @@ def test_lorentz_integral_closed_form():
               * (1.0 + res["reflectance"]) / (2.0 * alpha))
     numeric = res["pressure_lorentz_Pa"]
     assert closed == pytest.approx(flux, rel=1e-12)
-    # quadrature agrees with the flux route within max(quadrature_tol, 1e-9)
+    # the skin-field route agrees with the flux route
     assert numeric == pytest.approx(flux, rel=1e-9)
 
 
@@ -180,8 +179,7 @@ def test_three_way_sweep_agreement():
     points = mirror_three_way_sweep(
         n_values=np.linspace(1.0, 1.6, 3),
         sigma_values=np.logspace(7, 8, 3),
-        omega_values=np.linspace(2.6e15, 4.5e15, 3),
-        quadrature_tol=1e-8)
+        omega_values=np.linspace(2.6e15, 4.5e15, 3))
     assert len(points) == 27
     assert max(pt["max_rel_diff"] for pt in points) <= 1e-6
 
