@@ -23,10 +23,8 @@ import functools
 import io
 import json
 import math
-import operator
 import re
 from dataclasses import dataclass, field, fields
-from itertools import chain
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
@@ -106,14 +104,12 @@ class ScenarioRequest:
     sweep: SweepSpec | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioReport:
-    """A scenario's report.
-
-    ``run`` keeps an all-float report as one finite (m, k) float64 table,
-    which ``emit`` renders column by column; ``rows`` builds the lists of
-    Python floats from it on first access.  A report constructed with
-    ``rows`` holds those rows as given.
+    """A scenario's report, frozen: ``dataclasses.replace`` derives an edited
+    one.  ``run`` gives an all-float scenario its rows as one read-only
+    (m, k) float64 table, whose ``tolist()`` is the lists of Python floats;
+    ``covariant-checks`` and a report constructed by hand hold lists of cells.
     """
 
     scenario: str
@@ -122,32 +118,9 @@ class ScenarioReport:
     sweep: dict | None
     provenance: str
     columns: list[str]
-    rows: list[list]
+    rows: np.ndarray | list[list]
     residuals: dict[str, float] = field(default_factory=dict)
     errors: list[str] = field(default_factory=list)
-
-    _table = None  # the float table, for a report built from_table
-    _built = None  # a copy of the rows as first built from it
-
-    @classmethod
-    def from_table(cls, table: np.ndarray, **fields) -> ScenarioReport:
-        """A report whose rows are the float64 ``table``.  It is kept as the
-        array when it has rows and all are finite; otherwise as its rows."""
-        report = cls(rows=[], **fields)
-        if len(table) and np.isfinite(table).all():
-            del report.rows  # built from the table on first access
-            report._table = table
-        else:
-            report.rows = table.tolist()
-        return report
-
-    def __getattr__(self, name):
-        # reached only for a missing attribute: the rows of a table not yet built
-        if name != "rows" or self._table is None:
-            raise AttributeError(name)
-        self.rows = self._table.tolist()
-        self._built = [row.copy() for row in self.rows]
-        return self.rows
 
 
 _FIELDS = [f.name for f in fields(ScenarioReport)]  # a report's JSON keys, in order
@@ -475,7 +448,7 @@ def _evaluate_closed_form(request: ScenarioRequest):
         if bad:
             table = np.delete(table, list(bad), axis=0)
     errors = [f"{_where(sweep, values[i])}{rejected[i]}" for i in sorted(rejected)]
-    return list(columns) if len(table) else [], table, {}, errors
+    return list(columns), table, {}, errors
 
 
 def _evaluate_mirror(request: ScenarioRequest):
@@ -485,12 +458,12 @@ def _evaluate_mirror(request: ScenarioRequest):
     b = scenarios.mirror_batch(p["n"], p["E0_V_per_m"], p["omega_rad_per_s"],
                                p["sigma_S_per_m"], p["guard_k_over_alpha"])
     ok = [i for i, exc in enumerate(b.errors) if exc is None]
-    table = b.table[ok]
+    table = b.table if len(ok) == len(b.errors) else b.table[ok]
     listed = values if sweep is None else values.tolist()
     errors = [f"{_where(sweep, value)}{exc}"
               for value, exc in zip(listed, b.errors) if exc is not None]
     residuals = {} if b.spread is None else {"three_way_max_rel_diff": b.spread}
-    return list(b.columns) if ok else [], table, residuals, errors
+    return list(b.columns), table, residuals, errors
 
 
 def _evaluate_covariant(request: ScenarioRequest):
@@ -609,16 +582,17 @@ def run(request: ScenarioRequest) -> ScenarioReport:
     """
     scenario = _SCENARIOS[request.scenario]
     columns, rows, residuals, errors = scenario.evaluate(request)
-    fields = dict(
+    if isinstance(rows, np.ndarray):
+        if not len(rows):  # no row kept, so no column either
+            columns, rows = [], np.empty((0, 0))
+        rows.flags.writeable = False
+    return ScenarioReport(
         scenario=request.scenario,
         params=dict(request.params),
         tag="both" if request.tag is None else request.tag.value,
         sweep=None if request.sweep is None else dict(vars(request.sweep)),
         provenance=scenario.provenance,
-        columns=columns, residuals=residuals, errors=errors)
-    if isinstance(rows, np.ndarray):
-        return ScenarioReport.from_table(rows, **fields)
-    return ScenarioReport(rows=rows, **fields)
+        columns=columns, rows=rows, residuals=residuals, errors=errors)
 
 
 # ---------------------------------------------------------------------------
@@ -639,19 +613,6 @@ def _least_written_as(power: str) -> float:
 # %.6e writes a finite v with a three-digit exponent when |v| >= _E100 or
 # 0 < |v| < _E99, with a minus sign when its sign bit is set.
 _E100, _E99 = _least_written_as("+100"), _least_written_as("-99")
-
-
-def _float_table(report: ScenarioReport) -> np.ndarray | None:
-    """The report's float table while its rows are the table's: a report
-    whose rows were set, or changed after they were built, has none."""
-    table, built = report._table, report._built
-    if table is None or "rows" not in vars(report):
-        return table
-    rows = report.rows
-    if built is not None and rows == built and all(map(
-            operator.is_, chain.from_iterable(rows), chain.from_iterable(built))):
-        return table
-    return None
 
 
 def _write_rows(out: io.BytesIO, table: np.ndarray, varying: list[int],
@@ -738,19 +699,19 @@ def _trailer(report: ScenarioReport) -> list[str]:
             + [f"# error: {err}" for err in report.errors])
 
 
-def _emit_cells(report: ScenarioReport, fmt: str) -> bytes:
-    """Render a report cell by cell: a float's text by its format, any
-    other cell's by str."""
+def _emit_cells(report: ScenarioReport, rows: list, fmt: str) -> bytes:
+    """Render the report's ``rows`` cell by cell: a float's text by its
+    format, any other cell's by str."""
     if fmt == "json":
-        return (_json(report, report.rows) + "\n").encode()
+        return (_json(report, rows) + "\n").encode()
     if fmt == "csv":
         lines = [",".join(report.columns)]
-        for row in report.rows:
+        for row in rows:
             lines.append(",".join(
                 format(v, ".16e") if isinstance(v, float) else str(v) for v in row))
         return ("\n".join(lines) + "\n").encode()
     cells = [[f"{v:.6e}" if isinstance(v, float) else str(v) for v in row]
-             for row in report.rows]
+             for row in rows]
     widths = [max(len(name), *(len(r[i]) for r in cells), 1)
               if cells else len(name)
               for i, name in enumerate(report.columns)]
@@ -761,13 +722,17 @@ def _emit_cells(report: ScenarioReport, fmt: str) -> bytes:
 
 
 def emit(report: ScenarioReport, fmt: str = "table") -> bytes:
-    """Render a report as 'table', 'csv' or 'json' bytes."""
+    """Render a report as 'table', 'csv' or 'json' bytes: a finite float64
+    table with rows column by column, any other rows cell by cell (JSON
+    refuses a float that is not finite)."""
     if fmt not in ("table", "csv", "json"):
         raise ValueError(f"unknown format '{fmt}'; expected table, csv or json")
-    table = _float_table(report)
-    if table is None:
-        return _emit_cells(report, fmt)
-    return _emit_table(report, table, fmt)
+    rows = report.rows
+    if isinstance(rows, np.ndarray):
+        if rows.dtype == np.float64 and len(rows) and np.isfinite(rows).all():
+            return _emit_table(report, rows, fmt)
+        rows = rows.tolist()
+    return _emit_cells(report, rows, fmt)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,16 @@
 """Report emission against the per-cell rendering it replaced, and the CLI
 parser kept across calls.
 
-``emit`` renders a report that ``run`` built from a float table through one
+``emit`` renders a report whose rows are a finite float table through one
 %-template per report, formatting each constant column once;
-``emit_per_cell`` below is the rendering it replaced, kept as the oracle:
+``emit_per_cell`` below is the rendering it replaced, kept as the oracle
+(for rows as lists of cells):
 ``json.dumps(..., indent=2, allow_nan=False)`` for JSON, ``format(v,
 ".16e")`` per float for CSV and ``f"{v:.6e}"`` per float, right-justified to
 its column's widest cell, for the table.
 """
 
+import dataclasses
 import json
 import math
 import struct
@@ -64,9 +66,11 @@ def emit_per_cell(report: ScenarioReport, fmt: str) -> bytes:
     raise ValueError(f"unknown format '{fmt}'")
 
 
-def same_bytes_or_same_error(report, fmt):
+def same_bytes_or_same_error(report, fmt, per_cell=None):
+    """``emit(report)`` gives the bytes or the error of ``emit_per_cell`` of
+    ``per_cell``, by default the report itself."""
     try:
-        expected = emit_per_cell(report, fmt)
+        expected = emit_per_cell(per_cell or report, fmt)
     except (ValueError, IndexError) as exc:  # non-finite JSON; a ragged table
         with pytest.raises(type(exc)):
             emit(report, fmt)
@@ -126,11 +130,13 @@ def test_mixed_and_ragged_reports_render_as_per_cell(report, fmt):
 def test_empty_and_float_subclass_rows_render_as_per_cell():
     for columns, rows in [(["a"], []), ([], []), ([], [[]]), (["a", "b"], [[], []]),
                           (["a"], [[np.float64(0.1)], [0.1]]),
-                          (["a", "b"], [[1e308, -0.0], [5e-324, "spacelike"]])]:
+                          (["a", "b"], [[1e308, -0.0], [5e-324, "spacelike"]]),
+                          ([], np.empty((0, 0))), (["a", "b"], np.empty((0, 2))),
+                          (["a"], np.array([[1], [2]]))]:
         report = ScenarioReport(scenario="s", params={}, tag="both", sweep=None,
                                 provenance="", columns=columns, rows=rows)
         for fmt in FORMATS:
-            same_bytes_or_same_error(report, fmt)
+            same_bytes_or_same_error(report, fmt, _per_cell_copy(report))
 
 
 def _bits(rows):
@@ -144,10 +150,10 @@ def test_csv_json_csv_round_trip_is_bit_exact(report):
     parsed = [[float(c) for c in line.split(",")]
               for line in csv.decode().splitlines()[1:]]
     assert _bits(parsed) == _bits(report.rows)
-    report.rows = parsed
+    report = dataclasses.replace(report, rows=parsed)
     through_json = json.loads(emit(report, "json"))["rows"]
     assert _bits(through_json) == _bits(parsed)
-    report.rows = through_json
+    report = dataclasses.replace(report, rows=through_json)
     assert emit(report, "csv") == csv
 
 
@@ -185,23 +191,23 @@ def _table_reports(draw, max_rows: int = 8):
                             min_size=k, max_size=k))
     residuals = draw(st.dictionaries(st.sampled_from(["r", "s"]), _table_float))
     errors = draw(st.lists(st.text(max_size=8), max_size=2))
-    return ScenarioReport.from_table(
-        table, scenario=draw(st.sampled_from(["drag", "rows", '"rows": []'])),
+    return ScenarioReport(
+        scenario=draw(st.sampled_from(["drag", "rows", '"rows": []'])),
         params={"n": 1.5}, tag="both", sweep=None, provenance="p = 1 \"q\"",
-        columns=columns, residuals=residuals, errors=errors)
+        columns=columns, rows=table, residuals=residuals, errors=errors)
 
 
 def _per_cell_copy(report: ScenarioReport) -> ScenarioReport:
-    return ScenarioReport(
-        scenario=report.scenario, params=report.params, tag=report.tag,
-        sweep=report.sweep, provenance=report.provenance, columns=report.columns,
-        rows=report._table.tolist(), residuals=report.residuals, errors=report.errors)
+    """The report with its rows as lists of cells, for ``emit_per_cell``."""
+    if isinstance(report.rows, list):
+        return report
+    return dataclasses.replace(report, rows=report.rows.tolist())
 
 
 @settings(max_examples=400, deadline=None)
 @given(_table_reports(), st.sampled_from(FORMATS))
 def test_float_tables_render_as_per_cell(report, fmt):
-    assert report._table is not None
+    assert isinstance(report.rows, np.ndarray)
     assert emit(report, fmt) == emit_per_cell(_per_cell_copy(report), fmt)
 
 
@@ -217,9 +223,8 @@ def test_float_tables_render_the_same_in_any_block_size(report, block, fmt):
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_signed_zeros_keep_a_column_varying(fmt):
     table = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]])
-    report = ScenarioReport.from_table(
-        table, scenario="s", params={}, tag="both", sweep=None, provenance="",
-        columns=["z", "one"])
+    report = ScenarioReport(scenario="s", params={}, tag="both", sweep=None,
+                            provenance="", columns=["z", "one"], rows=table)
     assert emit(report, fmt) == emit_per_cell(_per_cell_copy(report), fmt)
     assert b"-0.0" in emit(report, fmt)
 
@@ -234,13 +239,13 @@ def test_three_digit_exponent_thresholds():
 
 def test_a_table_with_rows_that_are_not_finite_is_kept_as_rows():
     table = np.array([[1.0, math.nan], [2.0, 3.0]])
-    report = ScenarioReport.from_table(
-        table, scenario="s", params={}, tag="both", sweep=None, provenance="",
-        columns=["a", "b"])
-    assert report._table is None
-    assert report.rows[0][0] == 1.0 and math.isnan(report.rows[0][1])
+    report = ScenarioReport(scenario="s", params={}, tag="both", sweep=None,
+                            provenance="", columns=["a", "b"], rows=table)
+    assert report.rows is table  # as given; emit renders it cell by cell
     for fmt in FORMATS:
-        same_bytes_or_same_error(report, fmt)
+        same_bytes_or_same_error(report, fmt, _per_cell_copy(report))
+    with pytest.raises(ValueError):
+        emit(report, "json")
 
 
 def _fiber_sweep():
@@ -248,43 +253,56 @@ def _fiber_sweep():
         "scenario = fiber\nn = 1.5\nsweep = pulse_energy_J:[0, 1e-3, 5]\n"))
 
 
-def test_rows_are_python_floats_built_once():
+def test_rows_are_a_read_only_table_of_python_floats():
     report = _fiber_sweep()
-    assert "rows" not in vars(report)  # not built by run
-    rows = report.rows
-    assert report.rows is rows
+    assert report.rows.dtype == np.float64 and report.rows.shape == (5, 3)
+    assert not report.rows.flags.writeable
+    rows = report.rows.tolist()
     assert {type(v) for row in rows for v in row} == {float}
-    assert rows == report._table.tolist()
-    assert emit(report, "csv") == emit_per_cell(report, "csv")
+    assert emit(report, "csv") == emit_per_cell(_per_cell_copy(report), "csv")
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("change", [
-    lambda r: r.rows[0].__setitem__(0, -0.0),  # equal to the 0.0 there
-    lambda r: r.rows[0].__setitem__(2, 0),  # equal too, but an int
-    lambda r: r.rows[1].__setitem__(1, 2.0),
-    lambda r: r.rows.append([1.0, 2.0, 3.0]),
-    lambda r: setattr(r, "rows", [[-0.0, 1.5, 0.0]]),
+    lambda rows: rows[0].__setitem__(0, -0.0),  # equal to the 0.0 there
+    lambda rows: rows[0].__setitem__(2, 0),  # equal too, but an int
+    lambda rows: rows[1].__setitem__(1, 2.0),
+    lambda rows: rows.append([1.0, 2.0, 3.0]),
+    lambda rows: rows.__setitem__(slice(None), [[-0.0, 1.5, 0.0]]),
 ])
-def test_rows_changed_after_they_were_built_are_emitted(change, fmt):
+def test_rows_changed_in_a_derived_report_are_emitted(change, fmt):
     report = _fiber_sweep()
-    report.rows[0][0] = report.rows[0][0]  # the same object: still the table's
-    change(report)
-    assert emit(report, fmt) == emit_per_cell(report, fmt)
+    before = emit(report, fmt)
+    rows = report.rows.tolist()
+    change(rows)
+    edited = dataclasses.replace(report, rows=rows)
+    assert emit(edited, fmt) == emit_per_cell(edited, fmt)
+    assert emit(report, fmt) == before  # the report itself is unchanged
 
 
-def test_rows_set_before_they_were_built_are_emitted():
+def test_rows_cannot_be_set_and_a_derived_report_sets_them():
     report = _fiber_sweep()
-    report.rows = [[0.0, 1.5, 0.0]]
-    assert emit(report, "csv") == emit_per_cell(report, "csv")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.rows = [[0.0, 1.5, 0.0]]
+    edited = dataclasses.replace(report, rows=[[0.0, 1.5, 0.0]])
+    assert emit(edited, "csv") == emit_per_cell(edited, "csv")
+    table = report.rows.copy()
+    table[1, 1] = 2.0  # a writable copy, still a float table
+    edited = dataclasses.replace(report, rows=table)
+    for fmt in FORMATS:
+        assert emit(edited, fmt) == emit_per_cell(_per_cell_copy(edited), fmt)
 
 
-def test_non_finite_cell_put_in_built_rows_fails_json():
+def test_non_finite_cell_put_in_a_copy_of_the_rows_fails_json():
     report = _fiber_sweep()
-    report.rows[2][2] = math.nan
+    with pytest.raises(ValueError):  # run's rows are read-only
+        report.rows[2, 2] = math.nan
+    table = report.rows.copy()
+    table[2, 2] = math.nan
+    edited = dataclasses.replace(report, rows=table)
     with pytest.raises(ValueError):
-        emit(report, "json")
-    assert b"nan" in emit(report, "csv") and b"nan" in emit(report, "table")
+        emit(edited, "json")
+    assert b"nan" in emit(edited, "csv") and b"nan" in emit(edited, "table")
 
 
 # ---------------------------------------------------------------------------

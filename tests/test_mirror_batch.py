@@ -149,8 +149,8 @@ def test_sweep_rows_equal_scalar_api(sweep):
     text = ("scenario = mirror\nn = 1.33\nE0_V_per_m = 2.5e3\n"
             "omega_rad_per_s = 3.0e15\nsigma_S_per_m = 5.0e7\n" f"sweep = {sweep}\n")
     report = run(parse_config(text))
-    assert report.rows
-    for values in report.rows:
+    assert len(report.rows)
+    for values in report.rows.tolist():
         row = dict(zip(report.columns, values))
         b = mirror_batch(row["n"], 2.5e3, row["omega_rad_per_s"], row["sigma_S_per_m"])
         assert b.errors == (None,)
@@ -199,7 +199,7 @@ def test_long_sweep_matches_per_point_batches():
         else:
             errors.append(f"n={value:g}: {b.errors[0]}")
     assert errors and rows
-    assert report.rows == rows
+    assert report.rows.tolist() == rows
     assert report.errors == errors
 
 

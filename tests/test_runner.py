@@ -1,5 +1,6 @@
 """Tests for config parsing, scenario dispatch and report emission."""
 
+import dataclasses
 import json
 import math
 import re
@@ -221,6 +222,65 @@ def test_run_mirror_includes_three_routes_and_residual():
     assert report.residuals["three_way_max_rel_diff"] <= 1e-9
 
 
+_JSON_FIELDS = ["scenario", "params", "tag", "sweep", "provenance", "columns",
+                "rows", "residuals", "errors"]
+
+
+@pytest.mark.parametrize("text", [
+    MIRROR_CFG + "sweep = n:[1.0,1.6,5]\n",
+    "scenario = fiber\npulse_energy_J = 2.7e-3\nn = 1.5\n",
+    "scenario = covariant-checks\n",
+])
+def test_the_report_is_frozen(text):
+    report = run(parse_config(text))
+    for name in _JSON_FIELDS:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(report, name, getattr(report, name))
+    assert list(vars(report)) == _JSON_FIELDS
+    assert list(json.loads(emit(report, "json"))) == _JSON_FIELDS
+    if report.scenario == "covariant-checks":  # cells of words and floats
+        assert isinstance(report.rows, list)
+        return
+    assert report.rows.dtype == np.float64
+    assert report.rows.shape == (len(report.rows), len(report.columns))
+    with pytest.raises(ValueError):
+        report.rows[0, 0] = 2.0
+    edited = dataclasses.replace(report, errors=["edited"])
+    assert edited.rows is report.rows and report.errors == []
+
+
+@pytest.mark.parametrize("text", [
+    MIRROR_CFG.replace("sigma_S_per_m = 5.0e7", "sigma_S_per_m = 1.0e5"),
+    MIRROR_CFG.replace("E0_V_per_m = 1.0e3", "E0_V_per_m = 1e200"),
+    "scenario = bec\nn = 1.33\nsweep = omega_rad_per_s:[-3e15, -1e15, 4]\n",
+    "scenario = interface\nn_from = 1\nn_to = 1.33\n"
+    "sweep = E_t_V_per_m:[1e160, 1e170, 3]\n",
+])
+def test_a_report_without_rows_has_no_columns(text):
+    report = run(parse_config(text))
+    assert report.errors and report.columns == []
+    assert report.rows.shape == (0, 0) and not report.rows.flags.writeable
+    for fmt in ("table", "csv", "json"):
+        assert emit(report, fmt) == emit(dataclasses.replace(report, rows=[]), fmt)
+
+
+def test_a_mirror_sweep_with_no_rejected_point_keeps_the_batch_table(monkeypatch):
+    batches, mirror_batch = [], runner.scenarios.mirror_batch
+
+    def recording(*args):
+        batches.append(mirror_batch(*args))
+        return batches[-1]
+
+    monkeypatch.setattr(runner.scenarios, "mirror_batch", recording)
+    report = run(parse_config(MIRROR_CFG + "sweep = n:[1.0,1.6,5]\n"))
+    assert report.errors == [] and report.rows is batches[0].table
+    report = run(parse_config(MIRROR_CFG + "sweep = n:[1.0,8.0,5]\n"))
+    b = batches[1]
+    assert report.errors and report.rows is not b.table
+    assert report.rows.tolist() == [row for row, exc in zip(b.table.tolist(), b.errors)
+                                    if exc is None]
+
+
 def test_run_tag_filters_columns():
     report = run(parse_config(WGM_CFG + "tag = minkowski\n"))
     assert "torque_minkowski_N_m" in report.columns
@@ -231,7 +291,7 @@ def test_run_out_of_regime_point_reports_bound():
     text = MIRROR_CFG.replace("sigma_S_per_m = 5.0e7",
                               "sigma_S_per_m = 1.0e5")
     report = run(parse_config(text))
-    assert report.rows == []
+    assert report.rows.tolist() == []
     assert len(report.errors) == 1
     assert "k/alpha" in report.errors[0]      # the violated bound ...
     assert "0.2" in report.errors[0]          # ... its value ...
@@ -310,7 +370,7 @@ def test_run_non_finite_point_is_an_error_and_output_stays_valid(text, needle,
         assert all(math.isfinite(float(line.split(",")[1])) for line in lines[1:]
                    if "class" not in line)
     else:
-        assert report.rows == [] and len(report.errors) == 1
+        assert report.rows.tolist() == [] and len(report.errors) == 1
         assert emit(report, "csv") == b"\n"
     assert needle in report.errors[-1]
     assert json.loads(emit(report, "json"))["errors"] == report.errors
@@ -322,7 +382,7 @@ def test_finite_row_whose_sum_overflows_is_kept():
         "scenario = drag\nintensity_W_per_m2 = 1e308\nsigma_a_m2 = 1e-300\n"
         "omega_rad_per_s = 1e308\nn = 1.5\n"))
     assert report.errors == [] and len(report.rows) == 1
-    assert math.isinf(sum(report.rows[0]))
+    assert math.isinf(sum(report.rows[0].tolist()))
 
 
 @pytest.mark.parametrize("text, finite", [
@@ -339,9 +399,9 @@ def test_sweep_into_overflow_keeps_its_finite_rows(text, finite):
     residual = report.residuals.get("three_way_max_rel_diff", 0.0)
     assert math.isfinite(residual) and residual <= 1e-9
     payload = json.loads(emit(report, "json"))
-    assert payload["rows"] == report.rows
+    assert payload["rows"] == report.rows.tolist()
     csv_rows = emit(report, "csv").decode().strip().splitlines()[1:]
-    assert [[float(c) for c in line.split(",")] for line in csv_rows] == report.rows
+    assert [[float(c) for c in line.split(",")] for line in csv_rows] == report.rows.tolist()
 
 
 def test_run_covariant_checks():
@@ -399,7 +459,7 @@ def test_emit_csv_json_roundtrip_bit_exact():
     csv_lines = emit(report, "csv").decode().strip().splitlines()
     parsed = [[float(c) for c in line.split(",")] for line in csv_lines[1:]]
     through_json = json.loads(json.dumps(parsed))
-    assert through_json == report.rows  # repr round-trip keeps every bit
+    assert through_json == report.rows.tolist()  # repr round-trip keeps every bit
 
 
 def test_emit_sweep_row_order():
@@ -417,14 +477,17 @@ def test_emit_json_mirrors_report_fields():
                             "columns", "rows", "residuals", "errors"}
     assert payload["scenario"] == "wgm"
     assert payload["sweep"] is None
-    assert payload["rows"] == report.rows
+    assert payload["rows"] == report.rows.tolist()
 
 
 def test_emit_json_refuses_non_finite_values():
     report = run(parse_config(MIRROR_CFG))
-    report.rows[0][-1] = math.nan
+    with pytest.raises(ValueError):  # run's rows are read-only
+        report.rows[0, -1] = math.nan
+    rows = report.rows.copy()
+    rows[0, -1] = math.nan
     with pytest.raises(ValueError):
-        emit(report, "json")
+        emit(dataclasses.replace(report, rows=rows), "json")
 
 
 def test_emit_json_echoes_sweep():
@@ -470,7 +533,7 @@ def test_every_scenario_dispatches():
     for name, doc in docs.items():
         report = run(parse_config(doc))
         assert report.scenario == name
-        assert report.rows and not report.errors
+        assert len(report.rows) and not report.errors
 
 
 # ---------------------------------------------------------------------------

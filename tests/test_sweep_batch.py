@@ -128,7 +128,7 @@ def assert_matches_per_point(text):
     report = run(request)
     columns, rows, errors = per_point(request)
     assert report.columns == columns
-    assert report.rows == rows
+    assert report.rows.tolist() == rows
     assert report.errors == errors
     oracle = dataclasses.replace(report, columns=columns, rows=rows, errors=errors)
     for fmt in ("table", "csv", "json"):
