@@ -23,11 +23,9 @@ import os
 import sys
 from pathlib import Path
 
-from .core import RegimeError
 from .runner import (
     DEFAULT_TOL,
     SCENARIO_NAMES,
-    ConfigError,
     check_suite,
     emit,
     parse_config,
@@ -46,7 +44,7 @@ def _cmd_run(args) -> int:
         request = parse_config(text)
         report = run(request)
         payload = emit(report, args.format)
-    except (ConfigError, RegimeError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError and RegimeError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.out:

@@ -11,7 +11,7 @@ file.  Every physical key carries its unit in the name (``E0_V_per_m``,
     # n defaults to 1.45 (fused silica)
 
 Optional keys: ``tag = abraham|minkowski|both`` and a linear parameter sweep
-``sweep = <param>:[<lo>,<hi>,<count>]``.
+``sweep = <param>:[<lo>,<hi>,<count>]``.  A swept key may not also be set.
 
 Running a request is deterministic: the same request produces byte-identical
 reports.
@@ -104,12 +104,13 @@ class ScenarioRequest:
     sweep: SweepSpec | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScenarioReport:
     """A scenario's report, frozen: ``dataclasses.replace`` derives an edited
     one.  ``run`` gives an all-float scenario its rows as one read-only
     (m, k) float64 table, whose ``tolist()`` is the lists of Python floats;
     ``covariant-checks`` and a report constructed by hand hold lists of cells.
+    Two reports are equal field by field, their rows by numpy.array_equal.
     """
 
     scenario: str
@@ -121,6 +122,12 @@ class ScenarioReport:
     rows: np.ndarray | list[list]
     residuals: dict[str, float] = field(default_factory=dict)
     errors: list[str] = field(default_factory=list)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(np.array_equal(self.rows, other.rows) if name == "rows"
+                   else getattr(self, name) == getattr(other, name) for name in _FIELDS)
 
 
 _FIELDS = [f.name for f in fields(ScenarioReport)]  # a report's JSON keys, in order
@@ -217,6 +224,8 @@ def parse_config(text: str) -> ScenarioRequest:
         count = int(raw_count)
         if not _SCENARIOS[scenario].sweepable:
             raise ConfigError(f"scenario '{scenario}' does not support sweeps")
+        if param in pairs:
+            raise ConfigError(f"'{param}' is both set and swept: drop one of the two")
         sweep = SweepSpec(param=param, lo=lo, hi=hi, count=count)
 
     params: dict[str, float] = {}
@@ -229,10 +238,8 @@ def parse_config(text: str) -> ScenarioRequest:
         params[key] = _parse_float(key, raw)
 
     for key, default in schema.items():
-        if key in params:
-            continue
-        if sweep is not None and key == sweep.param:
-            continue  # supplied per sweep point
+        if key in params or (sweep is not None and key == sweep.param):
+            continue  # set, or supplied per sweep point
         if default is _REQUIRED:
             raise ConfigError(
                 f"missing required parameter '{key}' for scenario '{scenario}'"
@@ -241,7 +248,7 @@ def parse_config(text: str) -> ScenarioRequest:
 
     swept = {} if sweep is None else {sweep.param: min(sweep.lo, sweep.hi)}
     for key, (bound, inclusive) in _LOWER_BOUNDS.items():
-        value = min(params.get(key, math.inf), swept.get(key, math.inf))
+        value = params.get(key, swept.get(key, math.inf))
         if value < bound or (value == bound and not inclusive):
             raise ConfigError(f"'{key}' must be {'>=' if inclusive else '>'} "
                               f"{bound:g}, got {value!r}")
@@ -412,68 +419,41 @@ def _covariant_check_rows(n: float, mu_r: float, grid_step: float):
     return checks, residuals
 
 
-def _where(sweep: SweepSpec | None, value) -> str:
-    return "" if sweep is None else f"{sweep.param}={value:g}: "
-
-
-def _sweep_values(sweep: SweepSpec | None):
-    return [None] if sweep is None else np.linspace(sweep.lo, sweep.hi,
-                                                    sweep.count)
-
-
-def _evaluate_closed_form(request: ScenarioRequest):
-    """All sweep points at once: the swept key goes through the scenario's
-    rules and closed-form functions as an (m,) array, once per tag."""
-    form = _SCENARIOS[request.scenario]
-    sweep, values = request.sweep, _sweep_values(request.sweep)
-    # numpy scalars: a division by zero or an overflow gives inf or nan
-    p = {key: np.float64(v) for key, v in request.params.items()}
-    if sweep is not None:
-        p[sweep.param] = values
-    with np.errstate(all="ignore"):
-        config = form.config(p)
-    rejected = {i: str(exc)
-                for i, exc in check_rules(form.rules, config, len(values)).items()}
-    ok = np.arange(len(values))
-    if rejected:  # np.delete costs several us even with nothing to delete
-        ok = np.delete(ok, list(rejected))
+def _evaluate_closed_form(form, p, tag, m):
+    """All m points at once: the rules judge, and the closed-form functions
+    evaluate, every array-valued parameter as an (m,) array, once per tag."""
+    config = form.config(p)
+    errors = {i: str(exc) for i, exc in check_rules(form.rules, config, m).items()}
+    ok = np.arange(m)
+    if errors:  # np.delete costs several us even with nothing to delete
+        ok = np.delete(ok, list(errors))
+        p = {key: v[ok] if isinstance(v, np.ndarray) else v for key, v in p.items()}
     columns, table = {}, np.empty((0, 0))
     if ok.size:
-        if rejected:
-            p[sweep.param] = values[ok]
-        with np.errstate(all="ignore"):
-            columns = form.columns(p, request.tag)
-            table, bad = scenarios._non_finite(columns)
-        rejected.update((ok[j], message) for j, message in bad.items())
+        columns = form.columns(p, tag)
+        table, bad = scenarios._non_finite(columns)
+        errors.update((ok[j], message) for j, message in bad.items())
         if bad:
             table = np.delete(table, list(bad), axis=0)
-    errors = [f"{_where(sweep, values[i])}{rejected[i]}" for i in sorted(rejected)]
     return list(columns), table, {}, errors
 
 
-def _evaluate_mirror(request: ScenarioRequest):
-    """All sweep points in one batch; the three-way spread is the residual."""
-    sweep, values = request.sweep, _sweep_values(request.sweep)
-    p = dict(request.params, **({} if sweep is None else {sweep.param: values}))
+def _evaluate_mirror(form, p, tag, m):
+    """All m points in one batch; the three-way spread is the residual."""
     b = scenarios.mirror_batch(p["n"], p["E0_V_per_m"], p["omega_rad_per_s"],
                                p["sigma_S_per_m"], p["guard_k_over_alpha"])
-    ok = [i for i, exc in enumerate(b.errors) if exc is None]
-    table = b.table if len(ok) == len(b.errors) else b.table[ok]
-    listed = values if sweep is None else values.tolist()
-    errors = [f"{_where(sweep, value)}{exc}"
-              for value, exc in zip(listed, b.errors) if exc is not None]
+    errors = {i: str(exc) for i, exc in enumerate(b.errors) if exc is not None}
+    table = np.delete(b.table, list(errors), axis=0) if errors else b.table
     residuals = {} if b.spread is None else {"three_way_max_rel_diff": b.spread}
     return list(b.columns), table, residuals, errors
 
 
-def _evaluate_covariant(request: ScenarioRequest):
+def _evaluate_covariant(form, p, tag, m):
     """One row per check; a value that is not finite is an error instead
     (a coarse grid_step can make the convergence ratios nan), and a finite
     divergence_ratio_err above its bound adds one."""
-    p = request.params
-    with np.errstate(all="ignore"):
-        checks, residuals = _covariant_check_rows(p["n"], p["mu_r"], p["grid_step"])
-    errors = {name: scenarios._non_finite({name: value})[1][0]
+    checks, residuals = _covariant_check_rows(p["n"], p["mu_r"], p["grid_step"])
+    errors = {name: f"result '{name}' is not finite: {value}"
               for name, value in (checks | residuals).items()
               # the four-momentum classes are words
               if not isinstance(value, str) and not math.isfinite(value)}
@@ -486,22 +466,23 @@ def _evaluate_covariant(request: ScenarioRequest):
     return (["check", "value"],
             [[name, value] for name, value in checks.items() if name not in errors],
             {name: value for name, value in residuals.items() if name not in errors},
-            messages)
+            dict(enumerate(messages)))
 
 
 class _Scenario(NamedTuple):
     """What the runner knows about one scenario.
 
     ``keys`` maps each parameter (its unit in the name) to its default,
-    _REQUIRED for a mandatory one.  ``evaluate(request)`` returns the
-    report's (columns, rows, residuals, errors), the rows as an (m, k)
-    float table or as lists of cells.  A closed-form scenario,
-    evaluated by _evaluate_closed_form, also has ``config(p)``, which holds
-    the parameters (the swept one an (m,) array) in the object that
-    ``rules`` judge row by row (see core.check_rules; by default the
-    parameters by key), and ``columns(p, tag)``, which maps the parameters
-    of the accepted rows to report columns, each an (m,) array or a value
-    shared by all rows.
+    _REQUIRED for a mandatory one.  ``evaluate(form, p, tag, m)`` maps this
+    record, the np.float64 parameters ``p`` that ``run`` builds (a swept one
+    an (m,) array) and the point count m to the report's (columns, rows,
+    residuals, {row: error message}), the rows an (m, k) float table or
+    lists of cells.  A closed-form scenario, evaluated by
+    _evaluate_closed_form, also has ``config(p)``, which holds the
+    parameters in the object that ``rules`` judge row by row (see
+    core.check_rules; by default the parameters by key), and
+    ``columns(p, tag)``, which maps the parameters of the accepted rows to
+    report columns, each an (m,) array or a value shared by all rows.
     """
 
     keys: dict[str, object]
@@ -575,13 +556,23 @@ SCENARIO_NAMES = tuple(_SCENARIOS)
 def run(request: ScenarioRequest) -> ScenarioReport:
     """Evaluate a request into a report; pure and deterministic.
 
-    Scenario preconditions violated at a sweep point (for example the
-    good-conductor bound) become entries in ``report.errors`` carrying the
-    violated bound and the supplied value; in-regime points still produce
-    rows.
+    The one place that turns a sweep into parameter arrays.  Scenario
+    preconditions violated at a sweep point (for example the good-conductor
+    bound) become entries in ``report.errors`` carrying the violated bound
+    and the supplied value, prefixed ``<param>=<value>: ``; in-regime points
+    still produce rows.
     """
-    scenario = _SCENARIOS[request.scenario]
-    columns, rows, residuals, errors = scenario.evaluate(request)
+    scenario, sweep = _SCENARIOS[request.scenario], request.sweep
+    # numpy scalars: a division by zero or an overflow gives inf or nan
+    p = {key: np.float64(v) for key, v in request.params.items()}
+    m = 1 if sweep is None else sweep.count
+    if sweep is not None:
+        p[sweep.param] = values = np.linspace(sweep.lo, sweep.hi, m)
+    with np.errstate(all="ignore"):
+        columns, rows, residuals, errors = scenario.evaluate(scenario, p, request.tag, m)
+    bad = sorted(errors)
+    where = ([""] * len(bad) if sweep is None
+             else [f"{sweep.param}={v:g}: " for v in values[bad].tolist()])
     if isinstance(rows, np.ndarray):
         if not len(rows):  # no row kept, so no column either
             columns, rows = [], np.empty((0, 0))
@@ -590,9 +581,9 @@ def run(request: ScenarioRequest) -> ScenarioReport:
         scenario=request.scenario,
         params=dict(request.params),
         tag="both" if request.tag is None else request.tag.value,
-        sweep=None if request.sweep is None else dict(vars(request.sweep)),
-        provenance=scenario.provenance,
-        columns=columns, rows=rows, residuals=residuals, errors=errors)
+        sweep=None if sweep is None else dict(vars(sweep)),
+        provenance=scenario.provenance, columns=columns, rows=rows,
+        residuals=residuals, errors=[w + errors[i] for w, i in zip(where, bad)])
 
 
 # ---------------------------------------------------------------------------

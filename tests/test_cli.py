@@ -97,6 +97,18 @@ def test_run_rejects_the_removed_quadrature_tol_key(tmp_path):
     assert "Traceback" not in err
 
 
+def test_run_rejects_a_key_both_set_and_swept(tmp_path):
+    path = tmp_path / "bec.cfg"
+    path.write_text("scenario = bec\nn = 1.5\nomega_rad_per_s = 1e15\n"
+                    "sweep = n:[1.0, 1.2, 3]\n")
+    proc = run_cli("run", str(path), "--format", "json")
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    err = proc.stderr.decode()
+    assert err.startswith("error: 'n' is both set and swept")
+    assert "Traceback" not in err
+
+
 def test_run_out_of_regime_exits_nonzero(tmp_path):
     path = tmp_path / "weak.cfg"
     path.write_text(MIRROR_CFG.replace("5.0e7", "1.0e5"))

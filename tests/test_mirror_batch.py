@@ -146,8 +146,12 @@ def test_zero_amplitude_point_reports_zero_pressures():
     "omega_rad_per_s:[1.0e15, 9.0e15, 17]",
 ])
 def test_sweep_rows_equal_scalar_api(sweep):
-    text = ("scenario = mirror\nn = 1.33\nE0_V_per_m = 2.5e3\n"
-            "omega_rad_per_s = 3.0e15\nsigma_S_per_m = 5.0e7\n" f"sweep = {sweep}\n")
+    params = ("n = 1.33\nE0_V_per_m = 2.5e3\nomega_rad_per_s = 3.0e15\n"
+              "sigma_S_per_m = 5.0e7\n")
+    swept = sweep.partition(":")[0]  # a swept key may not also be set
+    text = "scenario = mirror\n" + "".join(
+        line for line in params.splitlines(keepends=True)
+        if not line.startswith(swept + " ")) + f"sweep = {sweep}\n"
     report = run(parse_config(text))
     assert len(report.rows)
     for values in report.rows.tolist():
@@ -168,7 +172,8 @@ def test_sweep_errors_keep_the_per_point_form(base, sweep):
               "sigma_S_per_m": 5.0e7, "guard_k_over_alpha": 0.2}
     text = "scenario = mirror\n" + "".join(
         f"{k} = {v!r}\n" for k, v in params.items()
-        if not base.startswith(k)) + base + f"sweep = {sweep}\n"
+        if not base.startswith(k) and not sweep.startswith(k + ":")
+    ) + base + f"sweep = {sweep}\n"
     request = parse_config(text)
     p, s = request.params, request.sweep
     expected = []

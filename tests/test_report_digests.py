@@ -38,8 +38,11 @@ def _requests():
         for tag in ("both", "abraham", "minkowski"):
             text = f"scenario = {scenario}\n{params}tag = {tag}\n"
             yield f"{scenario}/{tag}/point", text
-            if sweep is not None:
-                yield f"{scenario}/{tag}/sweep", f"{text}sweep = {sweep}\n"
+            if sweep is not None:  # a swept key may not also be set
+                swept = sweep.partition(":")[0]
+                unset = "".join(line for line in text.splitlines(keepends=True)
+                                if not line.startswith(swept + " "))
+                yield f"{scenario}/{tag}/sweep", f"{unset}sweep = {sweep}\n"
     mirror, _ = _CASES["mirror"]
     # sigma at the guard is about 2.4e6 S/m here: the low end is out of regime
     yield "mirror/guard", ("scenario = mirror\n"
@@ -61,7 +64,7 @@ DIGESTS = {
     "mirror/both/sweep": {
         "table": "870c6e30d0611daadb788f11dd6b08f27caed1446369f6372d6e30417e9ddb44",
         "csv": "3717dca2f00780cc27aaa14a557c1e35abe5dc50f5ad0a3a13360dc816a1bd59",
-        "json": "00d8ddcef3214b75df1697274a9f054b171ccd7190b941ca185b3730194049fa",
+        "json": "a1e51e2d397c4e50e6e29648c906420ad6947698997e30e2ba7aeb68b4c729b5",
     },
     "mirror/abraham/point": {
         "table": "826dbf14d0b8c7192a01171d9e29c492c8d20941c462e376b9b7ac1afd51b26c",
@@ -71,7 +74,7 @@ DIGESTS = {
     "mirror/abraham/sweep": {
         "table": "7798fd0ee09d43d76c549a58a3e9bcb0490f3d7e6dc7f286a8c460f2a73843fa",
         "csv": "3717dca2f00780cc27aaa14a557c1e35abe5dc50f5ad0a3a13360dc816a1bd59",
-        "json": "6fc159d792a463022e94fb19f13673a29e63a45c162e048ff3f9dfd750e33989",
+        "json": "9b1a3175f7a351ab298b677a59183a6b45c2bfad340fbc73a31aca4f939e5e80",
     },
     "mirror/minkowski/point": {
         "table": "74e5d00c0ab0be402fa53e12d358215f68744e2504801a8ce5f08e64ae89ac6e",
@@ -81,7 +84,7 @@ DIGESTS = {
     "mirror/minkowski/sweep": {
         "table": "345d24e6f4c1f8213f3f8d859dc3a53302ff33e75b8d7cbf358936f78b0f647e",
         "csv": "3717dca2f00780cc27aaa14a557c1e35abe5dc50f5ad0a3a13360dc816a1bd59",
-        "json": "41947e2c19dd9f2a1853eaed47662f40b14d34ffe77265d27a8ead065045c7c9",
+        "json": "7a4ee28ebb7bb12fd69d60e650167f256db6d283e724dd95cb754aaa64ee9e92",
     },
     "drag/both/point": {
         "table": "ae6377e27a1425119583c0f6eb74b2d86a8d0b909e18ffbc95c2b1c6d2a65c82",
@@ -91,7 +94,7 @@ DIGESTS = {
     "drag/both/sweep": {
         "table": "f0b49b8ddc263fa670c7c66194778f3c45a5243346431dc4fe77dd1e48a4644f",
         "csv": "465ca9f0c61821d83c7de21d49941e84bddd0f7d622a1322334fe9e195f58a6e",
-        "json": "c0d66b64c0108ba523ab1fd88403d25dd0ced8814871b3de0ef85a43cb0eb53f",
+        "json": "d26e5dd9e3e7a36293bcc51b12af40ef3069f4528f519bb38785108fa8d5ece2",
     },
     "drag/abraham/point": {
         "table": "b32214a2d13423d1835e9f6262720fcf4b3d46958fdf3fafa2a7639e4b130f19",
@@ -101,7 +104,7 @@ DIGESTS = {
     "drag/abraham/sweep": {
         "table": "e6afc39929fd474893ac93fb58b941011e6b2cace6a3a859b6791e2cae0d3c3f",
         "csv": "b5894e69e65099dc77e13954bbc9b51a4b706b9a582729e0ad1913ac01cb80fb",
-        "json": "0867ad94fa70ab318a0abe867047ba5496e4831790ac6c737bb0c4d2e6a436ab",
+        "json": "c27246f85ae33e25ac7d97424597e67422bc3c2efb58b503ae1a24bb8d44b5a3",
     },
     "drag/minkowski/point": {
         "table": "4e97526b06d39838dff6a292753dca70e054752b1635405b8a9bb9277d75f730",
@@ -111,7 +114,7 @@ DIGESTS = {
     "drag/minkowski/sweep": {
         "table": "c5da13d158e7c02733ce565798c3be2e4ef385567103719f32a862f5c22242fc",
         "csv": "4ee771b7e73c76db7c148ce54c84e137103e1d3e1f563b1804f74b3b70aca2e2",
-        "json": "015fc104308306cd0f612a8a3279ed44c7f6d7f14e96965fd06d557dab9b1ecf",
+        "json": "bc9961f6c9535e082cb23e30603b3c7c1735d9b46546504bb936675afc85ce8d",
     },
     "wgm/both/point": {
         "table": "7c71c2abddb15c16c660a8a72fe038204377819c68a57801c2e474a3c8271e7c",
@@ -121,7 +124,7 @@ DIGESTS = {
     "wgm/both/sweep": {
         "table": "fc062d6ecf18cf027a0ecace96fd9f9f3f73a58f7a30e1a35a741408e48b7140",
         "csv": "eb1f46ada17e2a02b67cfaa4cc03b11757d62b73d6400cbe5f14a25afc483e92",
-        "json": "dd2ad29ff142a1df52aeffe41bf8a5a04cc3ed573f55f0c0edb6a2ee7c8b5a57",
+        "json": "c9a9d4fde161bd1875038232a0cd26926fba5756aa75f01365f7c5a2a07daf2c",
     },
     "wgm/abraham/point": {
         "table": "33f02ed6ad3cd3d00047cac2d1d0b05de2ec80bdc1fcd3aaaf3d8c705fbe58df",
@@ -131,7 +134,7 @@ DIGESTS = {
     "wgm/abraham/sweep": {
         "table": "1cfb7c4d28d4e703d3756a7918ca08d7ba38a04aeeafc0ac7576c33321922070",
         "csv": "44fa85d0adb35ce5f826b7bbd17017d39931fd0ed7e9927f1a7b4ae67fc4328e",
-        "json": "bb9189e06eaaac2302e41d450e2fe64230616e7ab24acdaaba878dc1ee5cd1f6",
+        "json": "e823ddc1c17d42ce532524c7ce4a61923ecb49d1a0d2167dd7a5c3bef2118769",
     },
     "wgm/minkowski/point": {
         "table": "60f630e6e949371b392cc3d183bd08df5c936cb123ca835442f89cc2d0bdf79b",
@@ -141,7 +144,7 @@ DIGESTS = {
     "wgm/minkowski/sweep": {
         "table": "4faa9c9fb547f0cb7183426696164f9eafccf84ad7606e3d81279076a65435fe",
         "csv": "201dfd0dc01d9c225695e977d56e32406fc6230e7615014b201236c60cbe5193",
-        "json": "307f6f66f8193e1e421dd4425777a75d2a5ab378c76f63c45ba8b9b1c9897a00",
+        "json": "66e2928f484608243dba4ff625dfbde5d94e335794f68e3ecae9fa1632c8322d",
     },
     "sphere-kick/both/point": {
         "table": "4ca9d4c76f2943d25e6bd3f9406d86927f163695ae35a14a2867d1e28b620db3",
@@ -151,7 +154,7 @@ DIGESTS = {
     "sphere-kick/both/sweep": {
         "table": "ead25339495eb4c5ed5d0e78b33872e24060c0a430cc3e2f89f91a9b6349e3cf",
         "csv": "d6d1b1ffa5f1eae87f9cb0a644f78698c906c0d0b79c8bf07dd54ac8431b13cb",
-        "json": "fe56f5d95c94b21ec10ebb96dc3c02606d45ed4f5a5cf7be45df47a80bf8773c",
+        "json": "b6ccab601de0cd124640322668b7e0cdc55a5718ca81cb66fb4e8dc6b57fb00a",
     },
     "sphere-kick/abraham/point": {
         "table": "85fe50e07b6da1b18773830146b217924ca7631c824455b54d13422b5819096e",
@@ -161,7 +164,7 @@ DIGESTS = {
     "sphere-kick/abraham/sweep": {
         "table": "a2cbe60b6f41b685e72b8a011b59174b7cd89e8dc458193d819aa4db2af07f6e",
         "csv": "5a03ec670c3048f46c29b128aebd47d1a6587b242c28240b5a55cd77e2656d19",
-        "json": "3ccbd20a9c8f138ce8b19af162583aa357fbd9469e29316292344dd89f134d5c",
+        "json": "9497db69b487a9a80497c9c6726cd3d92218b28ac276ca9cea6065e622e8f771",
     },
     "sphere-kick/minkowski/point": {
         "table": "361455f7569d79db11c9ac33a7b39f70cf28c8295cd66df44add40bace02cb3c",
@@ -171,7 +174,7 @@ DIGESTS = {
     "sphere-kick/minkowski/sweep": {
         "table": "5fa5af2f72227bf41ab4c0503ad0ce96aafb13790562de15093c072890e03604",
         "csv": "a6ab336e324d3a2e7a3242df16629763e3126442daed19f20192c0bc407ed1ae",
-        "json": "a696627dc437b2d565ed6a0cb938d1cc1e6ac9a679560e1b8819edafeee37f57",
+        "json": "fc09933e87e53929a934804a227a0266a5596abdb20afe2347be9e8c0e4810e9",
     },
     "fiber/both/point": {
         "table": "8bb733e094bf0bda4b106478a331ef334e5646c108314e9f401e79c0680a956b",
@@ -181,7 +184,7 @@ DIGESTS = {
     "fiber/both/sweep": {
         "table": "bfdfe851cccc2bd6a14e464e74ac1cca82fa9ad990fabfe2d130a6997e5ef95b",
         "csv": "1f0180c8031bd1da8970b09123a0ee528e01526e98204299e7e01c4af0505052",
-        "json": "b8affe51222ada826fa08148fc05c25cb02a1b27611e93be8c70c4b214e86481",
+        "json": "c66cbb8297ecf74eb9b0874f367cc5fa3834ba10014414a489375c0654a75a86",
     },
     "fiber/abraham/point": {
         "table": "26f31927e5cfe5b16d3d3e6c7c4a6a6957e0a0d37ad9287e907b1b1012282775",
@@ -191,7 +194,7 @@ DIGESTS = {
     "fiber/abraham/sweep": {
         "table": "7d960e9378de6daaddc611fedaa8e4030b180e8d16d738a0842f2884e10af77f",
         "csv": "1f0180c8031bd1da8970b09123a0ee528e01526e98204299e7e01c4af0505052",
-        "json": "2f76a7403779e9abd949e916fcdcb786b5bc5b2a1334b81f0a83473e1b8eacce",
+        "json": "b9912b72b1f8c6895c50fdabea01b2701b54c39799b530aa6d1fef5b818d7863",
     },
     "fiber/minkowski/point": {
         "table": "81087d9d6fe6ff5c486db2617e2648e82b9fbea8d7e08fb724b0668ce53326f7",
@@ -201,7 +204,7 @@ DIGESTS = {
     "fiber/minkowski/sweep": {
         "table": "9974fe26458b2f1dcd5f682d4faa1ade5a702c367a30962e9dc264e98a7fef71",
         "csv": "1f0180c8031bd1da8970b09123a0ee528e01526e98204299e7e01c4af0505052",
-        "json": "7322221e84997cc519d93bd327d12a4080abaac8ff740e2f9205387813e538e6",
+        "json": "b5c2246ed89399c5826ce7b60bc23ddfc3e67d348dc1eca06b3a418c1a66395a",
     },
     "bec/both/point": {
         "table": "86140a1058a117a0b5c8dce87bf01a0d44237a3156e374be2227318a3a04f837",
@@ -211,7 +214,7 @@ DIGESTS = {
     "bec/both/sweep": {
         "table": "671a8cd7d656796ba9a168186df3ae204e391f3efd9830981eef5040a6882a1d",
         "csv": "6529727a0821158fa97fa868a710c166c619436b136d0730618ad3016ed745f3",
-        "json": "c460768b64d31e092bbf8fbf642d212c9413f1244ceeb0d4007ea6ccf121ec74",
+        "json": "cfd5a1bfed45e9ba7824eac51933d8ccb404be600b2a6e0e4c96e9ad427a3a76",
     },
     "bec/abraham/point": {
         "table": "4c55197328047884f9fad95ce2467aaa8447ac93df52290b8dfe86f71c22c557",
@@ -221,7 +224,7 @@ DIGESTS = {
     "bec/abraham/sweep": {
         "table": "0192512f4a5fdee21ce42c1f5ddbdfcd09c3dd7373f5d603034515473bcef260",
         "csv": "6529727a0821158fa97fa868a710c166c619436b136d0730618ad3016ed745f3",
-        "json": "ef0f9e16797ef04e6b6649c40b32f8ae84ce8c919f7fb24c8f9e8f120204fd90",
+        "json": "9e4244795e55b41e1934d045e308d9848d0eae1c402ad8f98a72b3ce541b42d4",
     },
     "bec/minkowski/point": {
         "table": "d0abbc938075c2a85849fd5e5e8451abe6e5dac95fcff7dccdb6a831d06f59f5",
@@ -231,7 +234,7 @@ DIGESTS = {
     "bec/minkowski/sweep": {
         "table": "d539ebba4cea0f3ef4b0127d667f0516688206218a9b2a8703a9a7ff684c530f",
         "csv": "6529727a0821158fa97fa868a710c166c619436b136d0730618ad3016ed745f3",
-        "json": "d596ad022c5f21f88511479ea4ec804ff83962b6975632a7ceb5e464e46bd4e5",
+        "json": "385e49e2156f26ece829fd01b0e26208dc0b6abde1a85d815526eef02e0368d0",
     },
     "interface/both/point": {
         "table": "f5791ff5b41966c23a7f2a143c65fd92f920c47a00489d25d63c656c84aa4fcc",
@@ -241,7 +244,7 @@ DIGESTS = {
     "interface/both/sweep": {
         "table": "801618d79ae15cecf0e36026e006d9eda6b086f4496befb22a8ef253f31662b4",
         "csv": "4417d41e3fbd68bdc5945af68c6a054a3e9b794f1e6ef8e4f1601cdfeb09d6e7",
-        "json": "58807332b8788aeaa564defb00e165459a6f98c704e646187a184f455285628e",
+        "json": "c4cb5567282224904711bc7f775570725acdb03ed743c8a1cbd93976c3507367",
     },
     "interface/abraham/point": {
         "table": "25eeace04460c3d3fd8d7cd5ee7b3b5143f436c52f1458c7734ea602bbd69619",
@@ -251,7 +254,7 @@ DIGESTS = {
     "interface/abraham/sweep": {
         "table": "aea0471df8c21209b22739848cbf40d803cb173a9aa167cddf8ac94e402fe949",
         "csv": "4417d41e3fbd68bdc5945af68c6a054a3e9b794f1e6ef8e4f1601cdfeb09d6e7",
-        "json": "2eb798c9f0b76220e7ae691d148eb8b5ef0fe35693b030bbec6913f8fbf94e2b",
+        "json": "7a03edfdba34899fe53c71d8833fe25406ef3032252810d65a4360ea7a8058b9",
     },
     "interface/minkowski/point": {
         "table": "f185180b6293688803f6b926b5b75a9d1c2ecf488e899865700c40f27bbdaf3a",
@@ -261,7 +264,7 @@ DIGESTS = {
     "interface/minkowski/sweep": {
         "table": "562d5ce0d253924a92723c5371eeed63f6909587bbb5f9f9b98cf89ec9e9c744",
         "csv": "4417d41e3fbd68bdc5945af68c6a054a3e9b794f1e6ef8e4f1601cdfeb09d6e7",
-        "json": "a59361be0f233fbdd8d511cd4eb8cc576672d9aa629a806a09dd3721a0f2df18",
+        "json": "14f902950dd2b153cfe7e32f7c72aa8fd08d5095e18f7ee0e762868f2b624fe7",
     },
     "covariant-checks/both/point": {
         "table": "aeef1d28fe7ec2a3b7015565ed31f42bb2ad7edee813ce4f17601f89e3ec8dc3",

@@ -28,6 +28,8 @@ E0_V_per_m = 1.0e3
 omega_rad_per_s = 3.0e15
 sigma_S_per_m = 5.0e7
 """
+# a swept key may not also be set
+MIRROR_SWEEPS_N = MIRROR_CFG.replace("n = 1.33\n", "")
 
 WGM_CFG = """
 scenario = wgm
@@ -67,7 +69,7 @@ def test_parse_wgm_applies_index_default():
 
 
 def test_parse_sweep():
-    req = parse_config(MIRROR_CFG + "sweep = n:[1.0, 1.6, 13]\n")
+    req = parse_config(MIRROR_SWEEPS_N + "sweep = n:[1.0, 1.6, 13]\n")
     assert req.sweep.param == "n"
     assert req.sweep.count == 13
     assert (req.sweep.lo, req.sweep.hi) == (1.0, 1.6)
@@ -115,7 +117,7 @@ def test_parse_tag():
     ("scenario = interface\nE_t_V_per_m = 1\nn_from = 1\nn_to = 0\n",
      "'n_to' must be >= 1"),
     (SPHERE_CFG + "n0 = 0.99\n", "'n0' must be >= 1"),
-    (MIRROR_CFG + "sweep = n:[0.5, 3.0, 11]\n", "'n' must be >= 1, got 0.5"),
+    (MIRROR_SWEEPS_N + "sweep = n:[0.5, 3.0, 11]\n", "'n' must be >= 1, got 0.5"),
     ("scenario = fiber\npulse_energy_J = 1e-3\nsweep = n:[1.5, 0.8, 4]\n",
      "'n' must be >= 1, got 0.8"),
     ("scenario = wgm\na_m = 1e-4\nP0_W = 1\nomega0_rad_per_s = 1e3\nn = 0.7\n",
@@ -150,7 +152,7 @@ def test_every_key_rejects_a_non_finite_value(scenario, raw):
 
 
 def test_parse_sweep_count_up_to_the_bound():
-    req = parse_config(MIRROR_CFG + f"sweep = n:[1, 2, {MAX_SWEEP_COUNT}]\n")
+    req = parse_config(MIRROR_SWEEPS_N + f"sweep = n:[1, 2, {MAX_SWEEP_COUNT}]\n")
     assert req.sweep.count == MAX_SWEEP_COUNT
 
 
@@ -158,6 +160,36 @@ def test_parse_missing_P0_names_the_key():
     with pytest.raises(ConfigError) as err:
         parse_config("scenario = wgm\na_m = 1e-4\nomega0_rad_per_s = 1e3\n")
     assert "P0" in str(err.value)
+
+
+# per sweepable scenario, a config in regime whose defaulted keys are unset
+_IN_REGIME = {
+    "mirror": MIRROR_CFG,
+    "drag": ("scenario = drag\nintensity_W_per_m2 = 1e4\nsigma_a_m2 = 1e-19\n"
+             "omega_rad_per_s = 1.6e13\nn = 3.5\n"),
+    "wgm": WGM_CFG,
+    "sphere-kick": SPHERE_CFG,
+    "fiber": "scenario = fiber\npulse_energy_J = 2.7e-3\nn = 1.5\n",
+    "bec": "scenario = bec\nn = 1.33\nomega_rad_per_s = 3e15\n",
+    "interface": "scenario = interface\nE_t_V_per_m = 1e4\nn_from = 1.2\nn_to = 1.5\n",
+}
+
+
+@pytest.mark.parametrize("scenario", [name for name in SCENARIO_NAMES
+                                      if runner._SCENARIOS[name].sweepable])
+def test_a_key_both_set_and_swept_is_rejected(scenario):
+    text = _IN_REGIME[scenario]
+    point = run(parse_config(text))
+    assert list(point.params) == list(runner._SCENARIOS[scenario].keys)
+    for key, value in point.params.items():  # defaults included
+        unset = "".join(line for line in text.splitlines(keepends=True)
+                        if not line.startswith(key + " "))
+        sweep = f"sweep = {key}:[{value!r}, {value!r}, 2]\n"
+        with pytest.raises(ConfigError, match=f"^'{key}' is both set and swept"):
+            parse_config(f"{unset}{key} = {value!r}\n{sweep}")
+        report = run(parse_config(unset + sweep))
+        assert key not in report.params and report.errors == []
+        assert report.rows.tolist() == 2 * point.rows.tolist()
 
 
 def test_sweep_parameter_may_be_omitted_from_params():
@@ -227,7 +259,7 @@ _JSON_FIELDS = ["scenario", "params", "tag", "sweep", "provenance", "columns",
 
 
 @pytest.mark.parametrize("text", [
-    MIRROR_CFG + "sweep = n:[1.0,1.6,5]\n",
+    MIRROR_SWEEPS_N + "sweep = n:[1.0,1.6,5]\n",
     "scenario = fiber\npulse_energy_J = 2.7e-3\nn = 1.5\n",
     "scenario = covariant-checks\n",
 ])
@@ -247,6 +279,24 @@ def test_the_report_is_frozen(text):
         report.rows[0, 0] = 2.0
     edited = dataclasses.replace(report, errors=["edited"])
     assert edited.rows is report.rows and report.errors == []
+
+
+@pytest.mark.parametrize("text", [
+    MIRROR_SWEEPS_N + "sweep = n:[1.0,1.6,5]\n",
+    "scenario = fiber\npulse_energy_J = 2.7e-3\nn = 1.5\n",
+    "scenario = covariant-checks\n",  # lists of cells
+    MIRROR_CFG.replace("sigma_S_per_m = 5.0e7", "sigma_S_per_m = 1.0e5"),  # no row
+])
+def test_reports_are_equal_field_by_field(text):
+    report = run(parse_config(text))
+    assert (report == run(parse_config(text))) is True
+    copy = dataclasses.replace(report, rows=report.rows.copy())
+    assert copy == report and not copy != report
+    assert report != dataclasses.replace(report, errors=[*report.errors, "edited"])
+    assert report != dataclasses.replace(report, params={})
+    if len(report.rows):
+        assert report != dataclasses.replace(report, rows=report.rows[:-1])
+    assert report != text
 
 
 @pytest.mark.parametrize("text", [
@@ -272,9 +322,9 @@ def test_a_mirror_sweep_with_no_rejected_point_keeps_the_batch_table(monkeypatch
         return batches[-1]
 
     monkeypatch.setattr(runner.scenarios, "mirror_batch", recording)
-    report = run(parse_config(MIRROR_CFG + "sweep = n:[1.0,1.6,5]\n"))
+    report = run(parse_config(MIRROR_SWEEPS_N + "sweep = n:[1.0,1.6,5]\n"))
     assert report.errors == [] and report.rows is batches[0].table
-    report = run(parse_config(MIRROR_CFG + "sweep = n:[1.0,8.0,5]\n"))
+    report = run(parse_config(MIRROR_SWEEPS_N + "sweep = n:[1.0,8.0,5]\n"))
     b = batches[1]
     assert report.errors and report.rows is not b.table
     assert report.rows.tolist() == [row for row, exc in zip(b.table.tolist(), b.errors)
@@ -299,7 +349,8 @@ def test_run_out_of_regime_point_reports_bound():
 
 
 def test_run_sweep_collects_valid_points_and_errors():
-    text = MIRROR_CFG + "sweep = sigma_S_per_m:[1.0e5, 1.0e8, 4]\n"
+    text = (MIRROR_CFG.replace("sigma_S_per_m = 5.0e7\n", "")
+            + "sweep = sigma_S_per_m:[1.0e5, 1.0e8, 4]\n")
     report = run(parse_config(text))
     assert len(report.rows) + len(report.errors) == 4
     assert len(report.errors) >= 1
@@ -386,7 +437,8 @@ def test_finite_row_whose_sum_overflows_is_kept():
 
 
 @pytest.mark.parametrize("text, finite", [
-    (MIRROR_CFG + "sweep = E0_V_per_m:[1e3, 2e154, 5]\n", 3),
+    (MIRROR_CFG.replace("E0_V_per_m = 1.0e3\n", "")
+     + "sweep = E0_V_per_m:[1e3, 2e154, 5]\n", 3),
     ("scenario = interface\nn_from = 1\nn_to = 1.33\n"
      "sweep = E_t_V_per_m:[1e150, 1e160, 5]\n", 1),
 ])
@@ -455,7 +507,7 @@ def test_emit_csv_contract():
 
 
 def test_emit_csv_json_roundtrip_bit_exact():
-    report = run(parse_config(MIRROR_CFG + "sweep = n:[1.0,1.6,5]\n"))
+    report = run(parse_config(MIRROR_SWEEPS_N + "sweep = n:[1.0,1.6,5]\n"))
     csv_lines = emit(report, "csv").decode().strip().splitlines()
     parsed = [[float(c) for c in line.split(",")] for line in csv_lines[1:]]
     through_json = json.loads(json.dumps(parsed))
@@ -463,7 +515,7 @@ def test_emit_csv_json_roundtrip_bit_exact():
 
 
 def test_emit_sweep_row_order():
-    report = run(parse_config(MIRROR_CFG + "sweep = n:[1.0,1.6,13]\n"))
+    report = run(parse_config(MIRROR_SWEEPS_N + "sweep = n:[1.0,1.6,13]\n"))
     assert len(report.rows) == 13
     n_col = report.columns.index("n")
     ns = [row[n_col] for row in report.rows]
@@ -491,7 +543,7 @@ def test_emit_json_refuses_non_finite_values():
 
 
 def test_emit_json_echoes_sweep():
-    report = run(parse_config(MIRROR_CFG + "sweep = n:[1.0,1.6,5]\n"))
+    report = run(parse_config(MIRROR_SWEEPS_N + "sweep = n:[1.0,1.6,5]\n"))
     payload = json.loads(emit(report, "json").decode())
     assert payload["sweep"] == {"param": "n", "lo": 1.0, "hi": 1.6, "count": 5}
 

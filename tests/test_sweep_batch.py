@@ -204,13 +204,14 @@ def _without(text, key):
 @pytest.mark.parametrize("text", [
     _without(DRAG, "intensity_W_per_m2") + "sweep = intensity_W_per_m2:[-1, 1, 3]\n",
     _without(DRAG, "n") + "sweep = n:[1, 1e160, 7]\ntag = abraham\n",
-    WGM + "sweep = P0_W:[-50, 50, 5]\n",
+    _without(WGM, "P0_W") + "sweep = P0_W:[-50, 50, 5]\n",
     WGM.replace("P0_W = 100", "P0_W = -1"),
     WGM + "sweep = t_s:[0, 1e-2, 9]\n",
     _without(SPHERE, "L0_m") + "sweep = L0_m:[-1e-4, 1e-4, 5]\n",
     SPHERE.replace("L0_m = 300e-6", "L0_m = 0"),
     _without(SPHERE, "viscosity_Pa_s") + "sweep = viscosity_Pa_s:[-1e-3, 1e-3, 4]\n",
-    SPHERE + "sweep = pulse_energy_J:[-1e-6, 1e-6, 6]\ntag = minkowski\n",
+    _without(SPHERE, "pulse_energy_J") + "sweep = pulse_energy_J:[-1e-6, 1e-6, 6]\n"
+    "tag = minkowski\n",
     _without(INTERFACE, "E_t_V_per_m") + "sweep = E_t_V_per_m:[1e150, 1e160, 5]\n",
     INTERFACE.replace("E_t_V_per_m = 1e3", "E_t_V_per_m = 1e200"),
     "scenario = fiber\npulse_energy_J = 1e300\nsweep = n:[1, 1e10, 4]\n",
