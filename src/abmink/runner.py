@@ -150,8 +150,8 @@ _SWEEP_RE = re.compile(
 
 
 def _parse_float(key: str, raw: str) -> float:
-    try:
-        value = float(raw)
+    try:  # float() also takes 1_5 and digits that are not ASCII
+        value = float(raw if raw.isascii() and "_" not in raw else "?")
     except ValueError:
         raise ConfigError(f"value for '{key}' is not a number: {raw!r}") from None
     if not math.isfinite(value):
@@ -167,6 +167,7 @@ def parse_config(text: str) -> ScenarioRequest:
     the offending key name.
     """
     pairs: dict[str, str] = {}
+    text = text.removeprefix("\ufeff")  # the byte order mark some editors save
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -590,9 +591,79 @@ def run(request: ScenarioRequest) -> ScenarioReport:
 # Emission
 # ---------------------------------------------------------------------------
 
-# Rows per %-call when a float table is rendered: it bounds the tuple of
-# Python floats a call takes, whatever the sweep size.
+# Rows per block when a float table is rendered: it bounds the %-call's tuple
+# of Python floats and the %.16e kernel's arrays, whatever the sweep size.
 _BLOCK_ROWS = 1024
+# A CSV block of fewer varying cells goes through %, cheaper than _e16's fixed cost
+_KERNEL_CELLS = 200
+_K0 = -300  # the least k of the 10**k in the kernel's table; 350 the most
+_CELL = np.dtype([("head", "V3"), ("digits", "V16"), ("exp", "V5")])  # -d. dddd... e+ddd
+_GROUPS = 10 ** np.arange(12, -1, -4)  # N's four 4-digit groups after its leading digit
+
+
+@functools.cache
+def _e16_tables():
+    """The %.16e kernel's tables, built on first use (a few ms): the rows h,
+    h's Dekker halves, lo and b + 970 of 10**k = (h + lo) 2**b, h an integer
+    in [2**52, 2**53), for k in [-300, 350]; the texts of sign and leading
+    digit, of 0000 to 9999 and of the exponents -324 to 308, NUL-padded."""
+    rows = []
+    for k in range(_K0, 351):
+        s = 52 - math.floor(k * math.log2(10))  # h = floor(10**k 2**s)
+        num, den = 10 ** max(k, 0) << max(s, 0), 10 ** max(-k, 0) << max(-s, 0)
+        rows.append((num // den, num % den / den, 970 - s))
+    h, lo, bias = np.array(rows, np.float64).T
+    hh = 134217729.0 * h  # 2**27 + 1
+    hh -= hh - h
+    text = lambda cells: np.frombuffer("".join(cells).encode(), f"V{len(cells[0])}")
+    digits = np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij")
+    return (np.array([h, hh, h - hh, lo, bias]),
+            text([f"{sign}{d}." for sign in "\0-" for d in range(10)]),
+            np.stack(digits, axis=-1).reshape(-1, 4).view("V4")[:, 0],  # 0000..9999
+            text([f"e{'-' if q < 0 else '+'}{abs(q) // 100 or chr(0)}{abs(q) % 100:02d}"
+                  for q in range(-324, 309)]))
+
+
+def _scaled(M, e, q):
+    """M 2**(e - 53) 10**(16 - q), M < 2**53 an integer, as a + c with
+    |c| <= ulp(a) / 2: Dekker's exact product of M and h, plus M lo."""
+    h, hh, hl, lo, bias = np.take(_e16_tables()[0], 16 - q - _K0, axis=1)
+    scale = ((e + bias.astype(np.int64)) << 52).view(np.float64)  # 2**(e - 53 + b)
+    p = M * h
+    mh = 134217729.0 * M
+    mh -= mh - M
+    err = ((mh * hh - p) + mh * hl + (M - mh) * hh) + (M - mh) * hl  # p + err = M h
+    a, c = p * scale, (err + M * lo) * scale
+    return a + c, c - ((a + c) - a)
+
+
+def _e16(x: np.ndarray) -> np.ndarray:
+    """'%.16e' % v for each finite v of x, as (len(x), 24) uint8 text padded
+    with NUL.  |v| 10**(16 - q), q its decimal exponent, is rounded to the
+    nearest N in [1e16, 1e17) from a double-double good to about 2**-47; a v
+    whose N lies within 2**-30 of a tie goes through %.16e itself."""
+    zero = x == 0.0
+    mag = np.where(zero, 1.0, np.abs(x))  # a zero is written as 1.0 with N = 0
+    m, e = np.frexp(mag)
+    M, q = m * 2.0 ** 53, np.floor(np.log10(mag)).astype(np.int64)  # q one off at most
+    a, c = _scaled(M, e, q)
+    off = ((a - 1e17) + c >= 0).astype(np.int64) - ((a - 1e16) + c < 0)  # N's decade
+    if (fix := np.flatnonzero(off)).size:
+        q[fix] += off[fix]
+        a[fix], c[fix] = _scaled(M[fix], e[fix], q[fix])
+    r = np.rint(c)
+    N = a.astype(np.int64) + r.astype(np.int64)
+    carry = N == 10 ** 17  # rounded up into the next decade
+    N = np.where(zero, 0, N - 9 * 10 ** 16 * carry)
+    heads, digits, exps = _e16_tables()[1:]
+    cells = np.empty(len(x), _CELL)
+    cells["head"] = heads[np.signbit(x) * 10 + N // 10 ** 16]
+    cells["digits"] = digits[N[:, None] // _GROUPS % 10000].view("V16")[:, 0]
+    cells["exp"] = exps[q + carry + 324]
+    out = cells.view(np.uint8).reshape(-1, 24)
+    for i in np.flatnonzero(np.abs(c - r) > 0.5 - 2.0 ** -30).tolist():
+        out[i] = np.frombuffer((b"%.16e" % x[i]).ljust(24, b"\0"), np.uint8)
+    return out
 
 
 def _least_written_as(power: str) -> float:
@@ -607,18 +678,26 @@ _E100, _E99 = _least_written_as("+100"), _least_written_as("-99")
 
 
 def _write_rows(out: io.BytesIO, table: np.ndarray, varying: list[int],
-                row: str, sep: str) -> None:
+                row: str, sep: str, csv: list[str] | None = None) -> None:
     """Write the rows of ``table`` through the %-template ``row``, which takes
-    the cells of the ``varying`` columns, joined by ``sep``.  One %-call per
-    block of _BLOCK_ROWS rows."""
+    the cells of the ``varying`` columns, joined by ``sep``, one %-call per
+    block of _BLOCK_ROWS rows; with ``csv``, the texts of a CSV row's cells,
+    a block of _KERNEL_CELLS varying cells or more goes through _e16."""
     templates = {}
     for start in range(0, len(table), _BLOCK_ROWS):
-        rows = min(len(table) - start, _BLOCK_ROWS)
+        block = table[start:start + _BLOCK_ROWS]
+        rows = len(block)
         if start:
             out.write(sep.encode())
+        if csv is not None and rows * len(varying) >= _KERNEL_CELLS:
+            line = (",".join(t.ljust(24, "\0") for t in csv) + "\n").encode()
+            text = np.frombuffer(bytearray(line * rows), np.uint8).reshape(rows, -1, 25)
+            text[:, varying, :24] = _e16(block[:, varying].ravel()).reshape(rows, -1, 24)
+            out.write(text.tobytes().translate(None, b"\0"))
+            continue
         if rows not in templates:
             templates[rows] = sep.join([row] * rows)
-        cells = table[start:start + rows, varying].ravel().tolist() if varying else ()
+        cells = block[:, varying].ravel().tolist() if varying else ()
         out.write((templates[rows] % tuple(cells)).encode())
 
 
@@ -631,10 +710,10 @@ def _widest(table: np.ndarray) -> list[int]:
 
 
 def _emit_table(report: ScenarioReport, table: np.ndarray, fmt: str) -> bytes:
-    """Render a float table through one %-template per report.  A column
-    whose cells share one bit pattern (so 0.0 and -0.0 differ) is formatted
-    once and spliced into the template as text; the varying columns go
-    through %."""
+    """Render a float table block by block, through a %-template or, for
+    CSV, the %.16e kernel.  A column whose cells share one bit pattern (so
+    0.0 and -0.0 differ) is formatted once and spliced into each row as
+    text; the varying columns go through % or the kernel."""
     bits = table.view(np.int64)
     vary = (bits[1:] != bits[0]).any(axis=0).tolist()
     varying = [j for j, v in enumerate(vary) if v]
@@ -647,9 +726,9 @@ def _emit_table(report: ScenarioReport, table: np.ndarray, fmt: str) -> bytes:
     out = io.BytesIO()
     if fmt == "csv":
         # 17 significant digits: parses back to the identical double
-        out.write(",".join(report.columns).encode())
-        _write_rows(out, table, varying, "\n" + ",".join(cells("%.16e")), "")
-        out.write(b"\n")
+        out.write(",".join(report.columns).encode() + b"\n")
+        texts = cells("%.16e")
+        _write_rows(out, table, varying, ",".join(texts) + "\n", "", texts)
     elif fmt == "json":
         # json writes a float as float.__repr__ (%r); the rows go where the
         # document holds an empty list, the only top-level key "rows"

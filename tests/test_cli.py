@@ -109,6 +109,32 @@ def test_run_rejects_a_key_both_set_and_swept(tmp_path):
     assert "Traceback" not in err
 
 
+# 300 rows of two varying cells: its CSV goes through the %.16e kernel
+BEC_SWEEP_CFG = "scenario = bec\nomega_rad_per_s = 1e15\nsweep = n:[1.0, 1.6, 300]\n"
+
+
+def test_run_reads_a_config_saved_with_a_byte_order_mark(tmp_path):
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_text(BEC_SWEEP_CFG)
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    for fmt in ("table", "csv", "json"):
+        expected = run_cli("run", str(plain), "--format", fmt)
+        proc = run_cli("run", str(marked), "--format", fmt)
+        assert proc.returncode == 0 and expected.returncode == 0
+        assert proc.stdout == expected.stdout and proc.stderr == b""
+
+
+@pytest.mark.parametrize("raw", ["1_5", "\u0661.5"])
+def test_run_rejects_a_python_only_number(tmp_path, raw):
+    path = tmp_path / "bec.cfg"
+    path.write_text(f"scenario = bec\nn = {raw}\nomega_rad_per_s = 1e15\n", encoding="utf-8")
+    proc = run_cli("run", str(path))
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    err = proc.stderr.decode()
+    assert err == f"error: value for 'n' is not a number: {raw!r}\n"
+
+
 def test_run_out_of_regime_exits_nonzero(tmp_path):
     path = tmp_path / "weak.cfg"
     path.write_text(MIRROR_CFG.replace("5.0e7", "1.0e5"))

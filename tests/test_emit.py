@@ -1,8 +1,9 @@
 """Report emission against the per-cell rendering it replaced, and the CLI
 parser kept across calls.
 
-``emit`` renders a report whose rows are a finite float table through one
-%-template per report, formatting each constant column once;
+``emit`` renders a report whose rows are a finite float table block by
+block, through a %-template or, for a CSV block of many varying cells, the
+vectorized %.16e kernel, formatting each constant column once;
 ``emit_per_cell`` below is the rendering it replaced, kept as the oracle
 (for rows as lists of cells):
 ``json.dumps(..., indent=2, allow_nan=False)`` for JSON, ``format(v,
@@ -220,6 +221,17 @@ def test_float_tables_render_the_same_in_any_block_size(report, block, fmt):
         assert emit(report, fmt) == expected
 
 
+@settings(max_examples=100, deadline=None)
+@given(_table_reports(max_rows=40), st.integers(1, 7), st.integers(1, 12))
+def test_csv_tables_render_the_same_through_the_kernel(report, block, cut_off):
+    """With a small cell cut-off, blocks of either kind in one report."""
+    expected = emit_per_cell(_per_cell_copy(report), "csv")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(runner, "_BLOCK_ROWS", block)
+        mp.setattr(runner, "_KERNEL_CELLS", cut_off)
+        assert emit(report, "csv") == expected
+
+
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_signed_zeros_keep_a_column_varying(fmt):
     table = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]])
@@ -227,6 +239,75 @@ def test_signed_zeros_keep_a_column_varying(fmt):
                             provenance="", columns=["z", "one"], rows=table)
     assert emit(report, fmt) == emit_per_cell(_per_cell_copy(report), fmt)
     assert b"-0.0" in emit(report, fmt)
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The sizes of the arrays emit hands to the %.16e kernel."""
+    calls, kernel = [], runner._e16
+
+    def counted(x):
+        calls.append(len(x))
+        return kernel(x)
+
+    monkeypatch.setattr(runner, "_e16", counted)
+    return calls
+
+
+def _csv_as_per_cell(table: np.ndarray) -> None:
+    report = ScenarioReport(scenario="s", params={}, tag="both", sweep=None,
+                            provenance="", columns=[f"c{j}" for j in range(table.shape[1])],
+                            rows=table)
+    assert emit(report, "csv") == emit_per_cell(_per_cell_copy(report), "csv")
+
+
+def _spread(rng, m: int) -> np.ndarray:
+    """m values of either sign over the whole exponent range."""
+    return rng.normal(size=m) * 10.0 ** rng.integers(-320, 300, m)
+
+
+@pytest.mark.parametrize("cells", [runner._KERNEL_CELLS - 1, runner._KERNEL_CELLS])
+def test_csv_cell_cut_off(cells, kernel_calls):
+    rng = np.random.default_rng(cells)
+    # one varying column between constant ones: cells rows
+    _csv_as_per_cell(np.column_stack([np.full(cells, 1.5), _spread(rng, cells),
+                                      np.full(cells, -0.0)]))
+    assert kernel_calls == ([cells] if cells >= runner._KERNEL_CELLS else [])
+
+
+@pytest.mark.parametrize("rows", [1023, 1024, 1025, 2049])
+def test_csv_blocks_at_the_block_edges(rows, kernel_calls):
+    rng = np.random.default_rng(rows)
+    table = np.column_stack([_spread(rng, rows), np.full(rows, 2.5e-7),
+                             _spread(rng, rows), np.linspace(1.0, 1.6, rows)])
+    _csv_as_per_cell(table)
+    blocks = [min(runner._BLOCK_ROWS, rows - start)
+              for start in range(0, rows, runner._BLOCK_ROWS)]
+    # a last block of one row has 3 varying cells: it goes through %
+    assert kernel_calls == [3 * b for b in blocks if 3 * b >= runner._KERNEL_CELLS]
+
+
+def test_csv_constant_columns_splice_into_kernel_blocks(kernel_calls):
+    rows = 2 * runner._KERNEL_CELLS
+    rng = np.random.default_rng(7)
+    _csv_as_per_cell(np.column_stack([np.full(rows, -0.0), _spread(rng, rows),
+                                      np.full(rows, 0.0), np.full(rows, -1.7976931348623157e308),
+                                      np.full(rows, 5e-324)]))
+    assert kernel_calls == [rows]
+    for value in (-0.0, 1e-300, -1e300):  # all columns constant: nothing varies
+        _csv_as_per_cell(np.full((2049, 3), value))
+    assert kernel_calls == [rows]
+
+
+def test_csv_kernel_block_with_signs_exponents_and_ties(kernel_calls):
+    rng = np.random.default_rng(19)
+    ties = [1e15 + 0.25, 1e15 + 0.75, 3e14 + 0.375, 1e14 + 0.125, 1e13 + 0.0625]
+    edges = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-100, -1e100,
+             1.7976931348623157e308, -9.999999999999999e99, 1e23, 1e16, 1e17]
+    values = np.concatenate([ties, np.negative(ties), edges,
+                             _spread(rng, 1200 - 2 * len(ties) - len(edges))])
+    _csv_as_per_cell(rng.permutation(values).reshape(300, 4))
+    assert kernel_calls == [1200]
 
 
 def test_three_digit_exponent_thresholds():

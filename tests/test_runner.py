@@ -151,6 +151,41 @@ def test_every_key_rejects_a_non_finite_value(scenario, raw):
                     parse_config(f"scenario = {scenario}\nsweep = {key}:[{span}, 3]\n")
 
 
+# float() also reads these: 1_5 as 15, and digits of other scripts
+PYTHON_ONLY_NUMBERS = ["1_5", "1_0.5", "1e1_0", "\u0661.5", "\uff11.\uff15", "1.5\u0663"]
+
+
+@pytest.mark.parametrize("raw", PYTHON_ONLY_NUMBERS)
+@pytest.mark.parametrize("scenario", SCENARIO_NAMES)
+def test_every_key_rejects_a_python_only_spelling(scenario, raw):
+    record = runner._SCENARIOS[scenario]
+    message = re.escape(f"is not a number: {raw!r}")
+    for key in record.keys:
+        with pytest.raises(ConfigError, match=f"^value for '{key}' {message}$"):
+            parse_config(f"scenario = {scenario}\n{key} = {raw}\n")
+        if record.sweepable:
+            for end, span in (("lo", f"{raw}, 1"), ("hi", f"1, {raw}")):
+                with pytest.raises(ConfigError, match=f"^value for 'sweep {end}' {message}$"):
+                    parse_config(f"scenario = {scenario}\nsweep = {key}:[{span}, 3]\n")
+
+
+@pytest.mark.parametrize("raw", ["15", "1.5", "+1.5", ".5e1", "1E1", "1.5e+00", " 1.5  "])
+def test_plain_ascii_numbers_still_parse(raw):
+    req = parse_config(f"scenario = bec\nn = {raw}\nomega_rad_per_s = 1e15\n")
+    assert req.params["n"] == float(raw)
+
+
+def test_a_leading_byte_order_mark_is_dropped():
+    bec = "scenario = bec\nn = 1.5\nomega_rad_per_s = 1e15\n"
+    assert parse_config("\ufeff" + bec) == parse_config(bec)
+    assert parse_config("\ufeff" + MIRROR_CFG) == parse_config(MIRROR_CFG)
+    # one mark, at the start of the document: any other is part of a key
+    with pytest.raises(ConfigError, match="missing required key 'scenario'"):
+        parse_config("\ufeff\ufeff" + bec)
+    with pytest.raises(ConfigError, match="unknown key '\ufeffn'"):
+        parse_config(bec.replace("n = 1.5", "\ufeffn = 1.5"))
+
+
 def test_parse_sweep_count_up_to_the_bound():
     req = parse_config(MIRROR_SWEEPS_N + f"sweep = n:[1, 2, {MAX_SWEEP_COUNT}]\n")
     assert req.sweep.count == MAX_SWEEP_COUNT
