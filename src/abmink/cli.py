@@ -9,9 +9,10 @@ when the config cannot be read or parsed or the report cannot be written.
 ``check`` runs the built-in cross-check suite and exits nonzero if any
 residual exceeds its bound; the relative tolerance defaults to 1e-6 and can
 be overridden with --tol or the ABMINK_TOL environment variable.  It must be
-a finite number > 0; any other value exits with status 2.  ``--format json``
-prints one strict JSON document, ``{"checks": [...]}``, with the name,
-residual, bound and passed of each check in suite order.
+a finite number > 0, spelled as a config value is (ASCII, no '_'); any other
+value exits with status 2.  ``--format json`` prints one strict JSON
+document, ``{"checks": [...]}``, with the name, residual, bound and passed of
+each check in suite order.
 """
 
 from __future__ import annotations
@@ -112,8 +113,7 @@ def _parser() -> argparse.ArgumentParser:
     p_list.set_defaults(fn=_cmd_list)
 
     p_check = sub.add_parser("check", help="run the built-in cross-check suite")
-    p_check.add_argument("--tol", type=float, default=None,
-                         help="relative tolerance (default ABMINK_TOL or 1e-6)")
+    p_check.add_argument("--tol", help="relative tolerance (default ABMINK_TOL or 1e-6)")
     p_check.add_argument("--format", choices=("text", "json"), default="text")
     p_check.set_defaults(fn=_cmd_check)
     return parser

@@ -23,6 +23,7 @@ import functools
 import io
 import json
 import math
+import numbers
 import re
 from dataclasses import dataclass, field, fields
 from types import SimpleNamespace
@@ -592,21 +593,24 @@ def run(request: ScenarioRequest) -> ScenarioReport:
 # ---------------------------------------------------------------------------
 
 # Rows per block when a float table is rendered: it bounds the %-call's tuple
-# of Python floats and the %.16e kernel's arrays, whatever the sweep size.
+# of Python floats and the kernels' arrays, whatever the sweep size.
 _BLOCK_ROWS = 1024
-# A CSV block of fewer varying cells goes through %, cheaper than _e16's fixed cost
-_KERNEL_CELLS = 200
-_K0 = -300  # the least k of the 10**k in the kernel's table; 350 the most
+# A block of fewer varying cells goes through %, cheaper there than the kernel
+_KERNEL_CELLS = {"csv": 200, "json": 350, "table": 500}
+_K0 = -302  # the least k of the 10**k in the kernels' table; 350 the most
 _CELL = np.dtype([("head", "V3"), ("digits", "V16"), ("exp", "V5")])  # -d. dddd... e+ddd
+_CELL6 = np.dtype([("pad", "V2"), ("head", "V3"), ("digits", "V4"), ("last", "V2"),
+                   ("exp", "V5")])  # '  -d.dddddde+ddd'
+_DIGITS = np.dtype([("pad", "V2"), ("lead", "u1"), ("digits", "V16"), ("exp", "V5")])
 _GROUPS = 10 ** np.arange(12, -1, -4)  # N's four 4-digit groups after its leading digit
 
 
 @functools.cache
 def _e16_tables():
-    """The %.16e kernel's tables, built on first use (a few ms): the rows h,
-    h's Dekker halves, lo and b + 970 of 10**k = (h + lo) 2**b, h an integer
-    in [2**52, 2**53), for k in [-300, 350]; the texts of sign and leading
-    digit, of 0000 to 9999 and of the exponents -324 to 308, NUL-padded."""
+    """The kernels' tables, built on first use (a few ms): the rows h, h's
+    Dekker halves, lo and b + 970 of 10**k = (h + lo) 2**b, h an integer in
+    [2**52, 2**53), for k in [-302, 350]; the NUL-padded texts of sign and
+    leading digit, 0000..9999, e-324..e+308, 00..99 and 0..2 spaces; repr's layouts."""
     rows = []
     for k in range(_K0, 351):
         s = 52 - math.floor(k * math.log2(10))  # h = floor(10**k 2**s)
@@ -617,11 +621,23 @@ def _e16_tables():
     hh -= hh - h
     text = lambda cells: np.frombuffer("".join(cells).encode(), f"V{len(cells[0])}")
     digits = np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij")
+    # repr's layouts, for n digits with the point after digit p (fixed
+    # notation; p in -3..16) or scientific: each byte is a digit as it lies
+    # (a), a digit shifted (b), or itself
+    plans = [("\0b" + "."[:n > 1] + "a" * (n - 1)).ljust(19, "\0") + "a" * 5 if p is None
+             else "\0" + "b" * p + "." + "a" * (max(n, p + 1) - p) if p > 0
+             else "\0" + "0." + "0" * -p + "b" * n
+             for p in [*range(-3, 17), None] for n in range(1, 18)]
+    plan = np.frombuffer("".join(t.ljust(24, "\0") for t in plans).encode(), np.uint8)
+    layouts = np.stack([(plan == 97) * 255, (plan == 98) * 255, plan * (plan < 97)])
+    layouts = layouts.astype(np.uint8).view(np.uint64).reshape(3, -1, 3)
     return (np.array([h, hh, h - hh, lo, bias]),
             text([f"{sign}{d}." for sign in "\0-" for d in range(10)]),
             np.stack(digits, axis=-1).reshape(-1, 4).view("V4")[:, 0],  # 0000..9999
             text([f"e{'-' if q < 0 else '+'}{abs(q) // 100 or chr(0)}{abs(q) % 100:02d}"
-                  for q in range(-324, 309)]))
+                  for q in range(-324, 309)]),
+            text([f"{i:02d}" for i in range(100)]), text(["\0\0", " \0", "  "]),
+            layouts.transpose(0, 2, 1).copy())
 
 
 def _scaled(M, e, q):
@@ -637,33 +653,116 @@ def _scaled(M, e, q):
     return a + c, c - ((a + c) - a)
 
 
-def _e16(x: np.ndarray) -> np.ndarray:
-    """'%.16e' % v for each finite v of x, as (len(x), 24) uint8 text padded
-    with NUL.  |v| 10**(16 - q), q its decimal exponent, is rounded to the
-    nearest N in [1e16, 1e17) from a double-double good to about 2**-47; a v
-    whose N lies within 2**-30 of a tie goes through %.16e itself."""
-    zero = x == 0.0
-    mag = np.where(zero, 1.0, np.abs(x))  # a zero is written as 1.0 with N = 0
+def _decimal(x: np.ndarray, shift: int = 0):
+    """M and e of each |v| = M 2**(e - 53) of x, its decimal exponent q and
+    |v| 10**(16 - shift - q) as a + c in [10**(16 - shift), 10**(17 - shift)),
+    good to about 2**-47 of its last unit; a zero is taken as 1.0."""
+    mag = np.where(x == 0.0, 1.0, np.abs(x))
     m, e = np.frexp(mag)
     M, q = m * 2.0 ** 53, np.floor(np.log10(mag)).astype(np.int64)  # q one off at most
-    a, c = _scaled(M, e, q)
-    off = ((a - 1e17) + c >= 0).astype(np.int64) - ((a - 1e16) + c < 0)  # N's decade
+    a, c = _scaled(M, e, q + shift)
+    low = 10.0 ** (16 - shift)
+    off = ((a - 10 * low) + c >= 0).astype(np.int64) - ((a - low) + c < 0)  # the decade
     if (fix := np.flatnonzero(off)).size:
         q[fix] += off[fix]
-        a[fix], c[fix] = _scaled(M[fix], e[fix], q[fix])
-    r = np.rint(c)
-    N = a.astype(np.int64) + r.astype(np.int64)
-    carry = N == 10 ** 17  # rounded up into the next decade
-    N = np.where(zero, 0, N - 9 * 10 ** 16 * carry)
-    heads, digits, exps = _e16_tables()[1:]
+        a[fix], c[fix] = _scaled(M[fix], e[fix], q[fix] + shift)
+    return M, e, q, a, c
+
+
+def _rounded(x: np.ndarray, shift: int):
+    """|v| 10**(16 - shift - q) of _decimal rounded to the nearest integer N
+    (0 for a zero), q the exponent it is written with, and whether N lay
+    within 2**-30 of a tie, which the kernels hand back to %."""
+    *_, q, a, c = _decimal(x, shift)
+    whole = np.floor(a) if shift else a  # a >= 1e16 > 2**53 is whole already
+    r = np.rint(frac := (a - whole) + c if shift else c)
+    N = whole.astype(np.int64) + r.astype(np.int64)
+    carry = N == 10 ** (17 - shift)  # rounded up into the next decade
+    N = np.where(x == 0.0, 0, N - 9 * 10 ** (16 - shift) * carry)
+    return N, q + carry, np.abs(frac - r) > 0.5 - 2.0 ** -30
+
+
+def _fall_back(out: np.ndarray, unsure: np.ndarray, text) -> np.ndarray:
+    """out with row i, for each cell i a kernel is unsure of, the NUL-padded
+    text(i) that % or repr gives."""
+    for i in np.flatnonzero(unsure).tolist():
+        out[i] = np.frombuffer(text(i).encode().ljust(out.shape[1], b"\0"), np.uint8)
+    return out
+
+
+def _e16(x: np.ndarray) -> np.ndarray:
+    """'%.16e' % v for each finite v of x, as (len(x), 24) uint8 text padded
+    with NUL: |v| 10**(16 - q), q its decimal exponent, rounded to the nearest
+    N in [1e16, 1e17]; a tie goes through %.16e itself."""
+    N, q, tie = _rounded(x, 0)
+    _, heads, digits, exps, *_ = _e16_tables()
     cells = np.empty(len(x), _CELL)
     cells["head"] = heads[np.signbit(x) * 10 + N // 10 ** 16]
     cells["digits"] = digits[N[:, None] // _GROUPS % 10000].view("V16")[:, 0]
-    cells["exp"] = exps[q + carry + 324]
-    out = cells.view(np.uint8).reshape(-1, 24)
-    for i in np.flatnonzero(np.abs(c - r) > 0.5 - 2.0 ** -30).tolist():
-        out[i] = np.frombuffer((b"%.16e" % x[i]).ljust(24, b"\0"), np.uint8)
-    return out
+    cells["exp"] = exps[q + 324]
+    return _fall_back(cells.view(np.uint8).reshape(-1, 24), tie,
+                      lambda i: "%.16e" % x[i])
+
+
+def _e6(x: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """'%*.6e' % (w, v) for each finite v of x and w of width (12 to 14), as
+    (len(x), 16) uint8 text padded with NUL: _e16 at seven digits, N in
+    [1e6, 1e7], and NUL in place of each of the 14 - w pad bytes."""
+    N, q, tie = _rounded(x, 10)
+    sign = np.signbit(x)
+    _, heads, digits, exps, pairs, pads, *_ = _e16_tables()
+    cells = np.empty(len(x), _CELL6)
+    cells["pad"] = pads[width - 12 - sign - (np.abs(q) >= 100)]
+    cells["head"] = heads[sign * 10 + N // 10 ** 6]
+    cells["digits"], cells["last"] = digits[N // 100 % 10000], pairs[N % 100]
+    cells["exp"] = exps[q + 324]
+    return _fall_back(cells.view(np.uint8).reshape(-1, 16), tie,
+                      lambda i: "%*.6e" % (int(width[i]), x[i]))
+
+
+def _repr(x: np.ndarray) -> np.ndarray:
+    """repr(v) for each finite v of x, as (len(x), 24) uint8 text padded
+    with NUL.  Of the integers within half an ulp w of N = a + c (_decimal),
+    the nearest multiple of 100 (unique, as w < 11.2), else of 10, else the
+    nearest one is written without its trailing zeros: in fixed notation for
+    q in [-4, 15], else scientific.  A margin or a tie within 2**-20 (2**-30
+    for a 17-digit tie), a power of two (its gap below is half the gap
+    above), a subnormal and zero go through repr itself."""
+    M, _, q, a, c = _decimal(x)
+    w = a / (2.0 * M)  # N / 2M, half an ulp of |v| in N's units, good to 2**-48
+    floor = np.floor(c)
+    B, f = a.astype(np.int64) + floor.astype(np.int64), c - floor  # N = B + f
+    D, unsure, eps = B + (f > 0.5), np.abs(f - 0.5) < 2.0 ** -30, 2.0 ** -20
+    for unit in (10, 100):
+        rem = B % unit
+        mid = np.abs(rem + f - unit / 2)  # N from halfway between two multiples
+        margin = w - unit / 2 + mid  # w less N's distance to the nearest multiple
+        ok = margin > eps
+        D = np.where(ok, B - rem + unit * (rem + f > unit / 2), D)
+        unsure = np.where(ok, mid <= eps, unsure) | (np.abs(margin) <= eps)
+    unsure |= (M == 2.0 ** 52) | ~(np.abs(x) >= 2.2250738585072014e-308)
+    carry = D == 10 ** 17
+    D, q = D - 9 * 10 ** 16 * carry, q + carry
+    _, _, digits, exps, _, _, layouts = _e16_tables()
+    cells = np.zeros(len(x), _DIGITS)
+    cells["lead"] = 48 + D // 10 ** 16
+    cells["digits"] = digits[D[:, None] // _GROUPS % 10000].view("V16")[:, 0]
+    cells["exp"] = exps[q + 324]
+    n = 17 - (D % 10 == 0)  # the digits but trailing zeros, and the layout
+    if (short := np.flatnonzero(D % 100 == 0)).size:
+        text = cells.view(np.uint8).reshape(-1, 24)[short, 18:1:-1]
+        n[short] = 17 - np.argmax(text != 48, axis=1)
+    layout = np.where((q > -5) & (q < 16), (q + 4) * 17, 340) + n - 1
+    keep_a, keep_b, fixed = np.take(layouts, layout, axis=2)
+    s = np.where(layout < 68, 8 * (5 - layout // 17), 0).astype(np.uint64)  # 8 (2 - p)
+    a = cells.view(np.uint64).reshape(-1, 3).T.copy()  # the digits at bytes 2 to 18
+    b = a << s  # the 192 bits, then 8 bits down: digit 1 at byte 1, or 3 - p if p <= 0
+    b[1:] |= a[:-1] >> (64 - s)
+    b[:-1] = (b[:-1] >> 8) | (b[1:] << 56)
+    b[-1] >>= 8
+    out = (a & keep_a) | (b & keep_b) | fixed
+    out[0] |= np.signbit(x) * np.uint64(45)  # -
+    return _fall_back(out.T.copy().view(np.uint8), unsure, lambda i: repr(float(x[i])))
 
 
 def _least_written_as(power: str) -> float:
@@ -677,28 +776,38 @@ def _least_written_as(power: str) -> float:
 _E100, _E99 = _least_written_as("+100"), _least_written_as("-99")
 
 
-def _write_rows(out: io.BytesIO, table: np.ndarray, varying: list[int],
-                row: str, sep: str, csv: list[str] | None = None) -> None:
-    """Write the rows of ``table`` through the %-template ``row``, which takes
-    the cells of the ``varying`` columns, joined by ``sep``, one %-call per
-    block of _BLOCK_ROWS rows; with ``csv``, the texts of a CSV row's cells,
-    a block of _KERNEL_CELLS varying cells or more goes through _e16."""
-    templates = {}
+def _write_rows(out: io.BytesIO, table: np.ndarray, varying: list[int], texts: list[str],
+                form: tuple, sep: str, kernel: Callable, cut_off: int) -> None:
+    """Write the rows of ``table``, ``sep`` between them, each head +
+    glue.join(texts) + tail of ``form``: ``texts`` holds a %-spec for each of
+    the ``varying`` columns, the text of each constant one.  A block of
+    _BLOCK_ROWS rows goes through one %-call or, with ``cut_off`` varying
+    cells or more, through ``kernel``, whose NUL-padded cells take the specs'
+    places (their leading spaces kept) in equal slots; every NUL is dropped."""
+    head, glue, tail = form
+    row, line = head + glue.join(texts) + tail, None
     for start in range(0, len(table), _BLOCK_ROWS):
         block = table[start:start + _BLOCK_ROWS]
         rows = len(block)
         if start:
             out.write(sep.encode())
-        if csv is not None and rows * len(varying) >= _KERNEL_CELLS:
-            line = (",".join(t.ljust(24, "\0") for t in csv) + "\n").encode()
-            text = np.frombuffer(bytearray(line * rows), np.uint8).reshape(rows, -1, 25)
-            text[:, varying, :24] = _e16(block[:, varying].ravel()).reshape(rows, -1, 24)
-            out.write(text.tobytes().translate(None, b"\0"))
+        if rows * len(varying) < cut_off:  # one such block at most, the last
+            cells = block[:, varying].ravel().tolist() if varying else ()
+            out.write((sep.join([row] * rows) % tuple(cells)).encode())
             continue
-        if rows not in templates:
-            templates[rows] = sep.join([row] * rows)
-        cells = block[:, varying].ravel().tolist() if varying else ()
-        out.write((templates[rows] % tuple(cells)).encode())
+        cells = kernel(block[:, varying].ravel())
+        if line is None:  # each cell right-aligned in a slot of NUL, a cell's bytes last
+            width = cells.shape[1]
+            slots = [t.split("%")[0] + "\0" * width if "%" in t else t for t in texts]
+            size = max(map(len, slots))
+            line = (head + glue.join(t.rjust(size, "\0") for t in slots) + tail + sep
+                    + "\0" * len(glue)).encode()  # room for the last slot's glue
+        text = bytearray(line * rows)  # as (rows, columns, slot and glue) bytes:
+        grid = np.ndarray((rows, len(texts), size + len(glue)), np.uint8,
+                          text, len(head), (len(line), size + len(glue), 1))
+        grid[:, varying, size - width:size] = cells.reshape(rows, -1, width)
+        text = text.translate(None, b"\0")
+        out.write(memoryview(text)[:len(text) - len(sep)])
 
 
 def _widest(table: np.ndarray) -> list[int]:
@@ -710,10 +819,10 @@ def _widest(table: np.ndarray) -> list[int]:
 
 
 def _emit_table(report: ScenarioReport, table: np.ndarray, fmt: str) -> bytes:
-    """Render a float table block by block, through a %-template or, for
-    CSV, the %.16e kernel.  A column whose cells share one bit pattern (so
-    0.0 and -0.0 differ) is formatted once and spliced into each row as
-    text; the varying columns go through % or the kernel."""
+    """Render a float table block by block, through a %-template or the
+    format's kernel (_e16, _repr or _e6).  A column whose cells share one bit
+    pattern (so 0.0 and -0.0 differ) is formatted once and spliced into each
+    row as text; the varying columns go through % or the kernel."""
     bits = table.view(np.int64)
     vary = (bits[1:] != bits[0]).any(axis=0).tolist()
     varying = [j for j, v in enumerate(vary) if v]
@@ -723,30 +832,33 @@ def _emit_table(report: ScenarioReport, table: np.ndarray, fmt: str) -> bytes:
         text ``spec`` gives a constant one."""
         return [spec if v else spec % x for v, x in zip(vary, table[0].tolist())]
 
-    out = io.BytesIO()
+    out, end = io.BytesIO(), ""
     if fmt == "csv":
         # 17 significant digits: parses back to the identical double
         out.write(",".join(report.columns).encode() + b"\n")
-        texts = cells("%.16e")
-        _write_rows(out, table, varying, ",".join(texts) + "\n", "", texts)
+        texts, form, sep, kernel = cells("%.16e"), ("", ",", "\n"), "", _e16
     elif fmt == "json":
         # json writes a float as float.__repr__ (%r); the rows go where the
         # document holds an empty list, the only top-level key "rows"
         head, key, tail = _json(report, []).partition('\n  "rows": [')
         out.write(f"{head}{key}\n".encode())
-        _write_rows(out, table, varying,
-                    "    [\n      " + ",\n      ".join(cells("%r")) + "\n    ]", ",\n")
-        out.write(f"\n  {tail}\n".encode())
+        texts, sep, kernel, end = cells("%r"), ",\n", _repr, f"\n  {tail}\n"
+        form = ("    [\n      ", ",\n      ", "\n    ]")
     else:
         widest = iter(_widest(table[:, varying]) if varying else ())
         texts = cells("%.6e")
         widths = [max(len(name), next(widest) if v else len(text))
                   for name, v, text in zip(report.columns, vary, texts)]
         out.write("\n".join(_head(report, widths) + [""]).encode())
-        _write_rows(out, table, varying, "  ".join(
-            f"%{w}.6e" if v else text.rjust(w)
-            for v, text, w in zip(vary, texts, widths)), "\n")
-        out.write("".join(f"\n{line}" for line in _trailer(report)).encode() + b"\n")
+        # %{w}.6e as w - 14 spaces before %{min(w, 14)}.6e, whose pad _e6 writes
+        caps = np.array([min(w, 14) for v, w in zip(vary, widths) if v])
+        texts = [" " * (w - 14) + f"%{min(w, 14)}.6e" if v else text.rjust(w)
+                 for v, text, w in zip(vary, texts, widths)]
+        form, sep = ("", "  ", ""), "\n"
+        kernel = lambda x: _e6(x, np.resize(caps, len(x)))
+        end = "".join(f"\n{line}" for line in _trailer(report)) + "\n"
+    _write_rows(out, table, varying, texts, form, sep, kernel, _KERNEL_CELLS[fmt])
+    out.write(end.encode())
     return out.getvalue()
 
 
@@ -810,10 +922,13 @@ def emit(report: ScenarioReport, fmt: str = "table") -> bytes:
 # ---------------------------------------------------------------------------
 
 def parse_tolerance(tol) -> float:
-    """``tol`` as a float, which must be finite and > 0 (ValueError otherwise)."""
+    """``tol`` as a float, which must be finite and > 0 (ValueError
+    otherwise): a real number but a bool, or its text, which must be ASCII
+    without '_', as a config value's."""
+    real = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
     try:
-        value = float(tol)
-    except (TypeError, ValueError):
+        value = float(tol) if real else _parse_float("tol", str(tol))
+    except (ValueError, OverflowError):  # ConfigError among them
         value = math.nan
     if not (math.isfinite(value) and value > 0.0):
         raise ValueError(f"tolerance must be a finite number > 0, got {tol!r}")

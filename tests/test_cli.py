@@ -295,3 +295,49 @@ def test_check_rejects_a_bad_tolerance_naming_its_source(args, env_tol, source):
     assert proc.stdout == b""
     err = proc.stderr.decode()
     assert err.startswith(f"error: {source}: ") and "Traceback" not in err
+
+
+# --tol and ABMINK_TOL are read as text, by the rule a config value is read
+# by: ASCII, no '_' (float() alone takes 1_0 as 10 and other scripts' digits)
+@pytest.mark.parametrize("args, env_tol, source, raw", [
+    (["--tol", "1_0"], None, "--tol", "1_0"),
+    (["--tol", "１e-3"], None, "--tol", "１e-3"),  # a fullwidth 1
+    (["--tol", "١e-3"], "1e-3", "--tol", "١e-3"),  # an Arabic-Indic 1
+    (["--tol", "abc"], None, "--tol", "abc"),
+    (["--tol", "True"], None, "--tol", "True"),
+    (["--format", "json", "--tol", "1_0"], None, "--tol", "1_0"),
+    ([], "1_0", "ABMINK_TOL", "1_0"),
+    ([], "１e-3", "ABMINK_TOL", "１e-3"),
+    (["--format", "json"], "1e-0_3", "ABMINK_TOL", "1e-0_3"),
+])
+def test_check_rejects_a_python_only_tolerance(args, env_tol, source, raw):
+    env = _env_without_tol()
+    if env_tol is not None:
+        env["ABMINK_TOL"] = env_tol
+    proc = run_cli("check", *args, env=env)
+    assert proc.returncode == 2 and proc.stdout == b""
+    assert proc.stderr.decode() == (
+        f"error: {source}: tolerance must be a finite number > 0, got {raw!r}\n")
+
+
+@pytest.mark.parametrize("args, env_tol", [
+    (["--tol", " 1e-3 "], None), (["--tol", "0.001"], "1_0"), ([], "1E-3"), ([], "+.001")])
+def test_check_reads_an_ascii_tolerance(args, env_tol):
+    env = _env_without_tol()
+    if env_tol is not None:
+        env["ABMINK_TOL"] = env_tol
+    proc = run_cli("check", *args, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode() == CHECK_STDOUT.replace("1.000e-06", "1.000e-03")
+
+
+def test_parse_tolerance_takes_a_real_number_or_its_ascii_text():
+    import numpy as np
+
+    from abmink.runner import parse_tolerance
+    for tol in (1e-3, np.float64(1e-3), "1e-3", "0.001"):
+        assert parse_tolerance(tol) == 1e-3
+    assert parse_tolerance(2) == 2.0
+    for tol in (True, np.True_, "1_0", "１", b"1e-3", None, 10 ** 400, "nan", -1e-3):
+        with pytest.raises(ValueError, match="tolerance must be a finite number > 0"):
+            parse_tolerance(tol)

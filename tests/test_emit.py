@@ -2,8 +2,9 @@
 parser kept across calls.
 
 ``emit`` renders a report whose rows are a finite float table block by
-block, through a %-template or, for a CSV block of many varying cells, the
-vectorized %.16e kernel, formatting each constant column once;
+block, through a %-template or, for a block of many varying cells, the
+format's vectorized kernel (%.16e, repr or %.6e), formatting each constant
+column once;
 ``emit_per_cell`` below is the rendering it replaced, kept as the oracle
 (for rows as lists of cells):
 ``json.dumps(..., indent=2, allow_nan=False)`` for JSON, ``format(v,
@@ -222,14 +223,15 @@ def test_float_tables_render_the_same_in_any_block_size(report, block, fmt):
 
 
 @settings(max_examples=100, deadline=None)
-@given(_table_reports(max_rows=40), st.integers(1, 7), st.integers(1, 12))
-def test_csv_tables_render_the_same_through_the_kernel(report, block, cut_off):
+@given(_table_reports(max_rows=40), st.integers(1, 7), st.integers(1, 12),
+       st.sampled_from(FORMATS))
+def test_tables_render_the_same_through_the_kernels(report, block, cut_off, fmt):
     """With a small cell cut-off, blocks of either kind in one report."""
-    expected = emit_per_cell(_per_cell_copy(report), "csv")
+    expected = emit_per_cell(_per_cell_copy(report), fmt)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(runner, "_BLOCK_ROWS", block)
-        mp.setattr(runner, "_KERNEL_CELLS", cut_off)
-        assert emit(report, "csv") == expected
+        mp.setitem(runner._KERNEL_CELLS, fmt, cut_off)
+        assert emit(report, fmt) == expected
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
@@ -241,24 +243,33 @@ def test_signed_zeros_keep_a_column_varying(fmt):
     assert b"-0.0" in emit(report, fmt)
 
 
+# each format's kernel: %.16e for CSV, repr for JSON, %{w}.6e for the table
+KERNELS = {"csv": "_e16", "json": "_repr", "table": "_e6"}
+
+
+@pytest.fixture(params=FORMATS)
+def fmt(request):
+    return request.param
+
+
 @pytest.fixture
-def kernel_calls(monkeypatch):
-    """The sizes of the arrays emit hands to the %.16e kernel."""
-    calls, kernel = [], runner._e16
+def kernel_calls(monkeypatch, fmt):
+    """The sizes of the arrays emit hands to the format's kernel."""
+    calls, kernel = [], getattr(runner, KERNELS[fmt])
 
-    def counted(x):
+    def counted(x, *width):
         calls.append(len(x))
-        return kernel(x)
+        return kernel(x, *width)
 
-    monkeypatch.setattr(runner, "_e16", counted)
+    monkeypatch.setattr(runner, KERNELS[fmt], counted)
     return calls
 
 
-def _csv_as_per_cell(table: np.ndarray) -> None:
-    report = ScenarioReport(scenario="s", params={}, tag="both", sweep=None,
-                            provenance="", columns=[f"c{j}" for j in range(table.shape[1])],
+def _as_per_cell(table: np.ndarray, fmt: str, columns=None) -> None:
+    report = ScenarioReport(scenario="s", params={}, tag="both", sweep=None, provenance="",
+                            columns=columns or [f"c{j}" for j in range(table.shape[1])],
                             rows=table)
-    assert emit(report, "csv") == emit_per_cell(_per_cell_copy(report), "csv")
+    assert emit(report, fmt) == emit_per_cell(_per_cell_copy(report), fmt)
 
 
 def _spread(rng, m: int) -> np.ndarray:
@@ -266,47 +277,81 @@ def _spread(rng, m: int) -> np.ndarray:
     return rng.normal(size=m) * 10.0 ** rng.integers(-320, 300, m)
 
 
-@pytest.mark.parametrize("cells", [runner._KERNEL_CELLS - 1, runner._KERNEL_CELLS])
-def test_csv_cell_cut_off(cells, kernel_calls):
+@pytest.mark.parametrize("below", [1, 0])
+def test_cell_cut_off(below, fmt, kernel_calls):
+    cells = runner._KERNEL_CELLS[fmt] - below
     rng = np.random.default_rng(cells)
     # one varying column between constant ones: cells rows
-    _csv_as_per_cell(np.column_stack([np.full(cells, 1.5), _spread(rng, cells),
-                                      np.full(cells, -0.0)]))
-    assert kernel_calls == ([cells] if cells >= runner._KERNEL_CELLS else [])
+    _as_per_cell(np.column_stack([np.full(cells, 1.5), _spread(rng, cells),
+                                  np.full(cells, -0.0)]), fmt)
+    assert kernel_calls == ([cells] if cells >= runner._KERNEL_CELLS[fmt] else [])
 
 
 @pytest.mark.parametrize("rows", [1023, 1024, 1025, 2049])
-def test_csv_blocks_at_the_block_edges(rows, kernel_calls):
+def test_blocks_at_the_block_edges(rows, fmt, kernel_calls):
     rng = np.random.default_rng(rows)
     table = np.column_stack([_spread(rng, rows), np.full(rows, 2.5e-7),
                              _spread(rng, rows), np.linspace(1.0, 1.6, rows)])
-    _csv_as_per_cell(table)
+    _as_per_cell(table, fmt)
     blocks = [min(runner._BLOCK_ROWS, rows - start)
               for start in range(0, rows, runner._BLOCK_ROWS)]
     # a last block of one row has 3 varying cells: it goes through %
-    assert kernel_calls == [3 * b for b in blocks if 3 * b >= runner._KERNEL_CELLS]
+    assert kernel_calls == [3 * b for b in blocks if 3 * b >= runner._KERNEL_CELLS[fmt]]
 
 
-def test_csv_constant_columns_splice_into_kernel_blocks(kernel_calls):
-    rows = 2 * runner._KERNEL_CELLS
+def test_constant_columns_splice_into_kernel_blocks(fmt, kernel_calls):
+    rows = 2 * runner._KERNEL_CELLS[fmt]
     rng = np.random.default_rng(7)
-    _csv_as_per_cell(np.column_stack([np.full(rows, -0.0), _spread(rng, rows),
-                                      np.full(rows, 0.0), np.full(rows, -1.7976931348623157e308),
-                                      np.full(rows, 5e-324)]))
+    _as_per_cell(np.column_stack([np.full(rows, -0.0), _spread(rng, rows),
+                                  np.full(rows, 0.0), np.full(rows, -1.7976931348623157e308),
+                                  np.full(rows, 5e-324)]), fmt)
     assert kernel_calls == [rows]
     for value in (-0.0, 1e-300, -1e300):  # all columns constant: nothing varies
-        _csv_as_per_cell(np.full((2049, 3), value))
+        _as_per_cell(np.full((2049, 3), value), fmt)
     assert kernel_calls == [rows]
 
 
-def test_csv_kernel_block_with_signs_exponents_and_ties(kernel_calls):
+def test_signed_zero_columns_go_through_the_kernels(fmt, kernel_calls):
+    rows = runner._KERNEL_CELLS[fmt]
+    zeros = np.where(np.arange(rows) % 3 == 0, -0.0, 0.0)
+    _as_per_cell(np.column_stack([zeros, np.full(rows, 1.0), zeros[::-1]]), fmt)
+    assert kernel_calls == [2 * rows]
+
+
+@pytest.mark.parametrize("fmt", ["table"])
+@pytest.mark.parametrize("widest", [12, 13, 14])
+@pytest.mark.parametrize("name", ["v", "a_name_of_twenty_one"])
+def test_table_columns_right_justify_through_the_kernel(fmt, widest, name, kernel_calls):
+    """A varying column whose widest %.6e cell has 12, 13 or 14 characters
+    (a sign, a three-digit exponent, or both), under a short or a long name:
+    each cell is padded to the column's width."""
+    rows = runner._KERNEL_CELLS[fmt]
+    values = np.random.default_rng(widest).uniform(1.0, 9.0, rows)
+    if widest >= 13:
+        values[::2] *= -1.0
+    if widest == 14:
+        values[1::3] *= 1e-150
+    assert runner._widest(values[:, None]) == [widest]
+    _as_per_cell(np.column_stack([values, np.linspace(0.0, 1.0, rows)]), "table", [name, "x"])
+    assert kernel_calls == [2 * rows]
+
+
+# cells each kernel hands back to %: exact decimal ties of its rounding; for
+# repr also powers of two, a digit string on the rounding bound (2**54 + 4)
+# and a subnormal
+TIES = {"csv": [1e15 + 0.25, 1e15 + 0.75, 3e14 + 0.375, 1e14 + 0.125, 1e13 + 0.0625],
+        "table": [1234567.5, 12345675.0, 1500000.5, 10000005.0, 1e8 + 50.0],
+        "json": [2.0 ** 60, 2.0 ** -20, 2.0 ** 54 + 4.0, 1e23, 5e-324]}
+
+
+def test_kernel_block_with_signs_exponents_and_ties(fmt, kernel_calls):
     rng = np.random.default_rng(19)
-    ties = [1e15 + 0.25, 1e15 + 0.75, 3e14 + 0.375, 1e14 + 0.125, 1e13 + 0.0625]
+    ties = TIES[fmt]
     edges = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-100, -1e100,
              1.7976931348623157e308, -9.999999999999999e99, 1e23, 1e16, 1e17]
     values = np.concatenate([ties, np.negative(ties), edges,
                              _spread(rng, 1200 - 2 * len(ties) - len(edges))])
-    _csv_as_per_cell(rng.permutation(values).reshape(300, 4))
+    _as_per_cell(rng.permutation(values).reshape(300, 4), fmt)
     assert kernel_calls == [1200]
 
 
