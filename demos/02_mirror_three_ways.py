@@ -13,7 +13,7 @@ over 2 alpha, with no quadrature.
 import numpy as np
 
 from abmink import Medium
-from abmink.scenarios import MirrorConfig, metal_fields, mirror_batch
+from abmink.scenarios import MirrorConfig, metal_fields, mirror_pressures
 
 cfg = MirrorConfig(medium=Medium.from_index(1.33), E0=1e3, omega=3e15,
                    conductivity=5e7)
@@ -22,8 +22,8 @@ print(f"liquid n = {cfg.medium.n}, metal sigma = {cfg.conductivity:.1e} S/m, "
       f"omega = {cfg.omega:.2e} rad/s")
 print(f"  k/alpha = {cfg.k_over_alpha:.4f} (good conductor)")
 
-# one point: the three routes are three columns of the batch
-point = mirror_batch(cfg.medium.n, cfg.E0, cfg.omega, cfg.conductivity).columns
+# one point: the three routes are three of the report's columns, (1,) arrays
+point = mirror_pressures(cfg)
 print(f"  incident flux S_i = {point['incident_flux_W_per_m2'][0]:.4e} W/m^2")
 print(f"\n  route 1, momentum flux:    {point['pressure_flux_Pa'][0]:.9e} Pa "
       f"(R = {point['reflectance'][0]:.4f})")
@@ -37,11 +37,12 @@ for u in (0.0, 1.0, 2.0, 4.0):
     print(f"    alpha x = {u:3.1f}:  |E_y| = {abs(s.E_y):.3e} V/m   "
           f"|H_z| = {abs(s.H_z):.3e} A/m")
 
-# sweep the liquid index in one batch: pressure rises in proportion to n
+# sweep the liquid index as one config of seven media, checked at
+# construction: pressure rises in proportion to n
 print("\n  index sweep (sigma = 5e7 S/m, omega = 3e15 rad/s):")
-sweep = mirror_batch(np.linspace(1.0, 1.6, 7), cfg.E0, cfg.omega, cfg.conductivity)
-assert sweep.errors == (None,) * 7
-n, p, spread = (sweep.columns[name] for name in ("n", "pressure_flux_Pa", "max_rel_diff"))
+sweep = mirror_pressures(MirrorConfig(Medium.from_index(np.linspace(1.0, 1.6, 7)),
+                                      cfg.E0, cfg.omega, cfg.conductivity))
+n, p, spread = (sweep[name] for name in ("n", "pressure_flux_Pa", "max_rel_diff"))
 for i in range(n.size):
     print(f"    n = {n[i]:.2f}:  p = {p[i]:.4e} Pa   p/p(1) = {p[i] / p[0]:.4f}   "
           f"route spread = {spread[i]:.1e}")

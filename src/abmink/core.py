@@ -116,13 +116,14 @@ class MomentumTag(enum.Enum):
     MINKOWSKI = "minkowski"
 
 
-def _vec3(x) -> np.ndarray:
-    """Read-only 3-vector, or an (..., 3) stack that cross products broadcast over."""
-    v = np.array(x, dtype=float)
-    if v.shape[-1:] != (3,):
-        v = v.reshape(3)
-    v.flags.writeable = False
-    return v
+def _stack(a, shape: tuple = (3,)) -> np.ndarray:
+    """Read-only array of the given trailing shape, one item or a stack: by
+    default a 3-vector, or an (..., 3) stack that cross products broadcast over."""
+    m = np.array(a, dtype=float)
+    if m.shape[-len(shape):] != shape:
+        m = m.reshape(shape)
+    m.flags.writeable = False
+    return m
 
 
 def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -245,7 +246,7 @@ class FieldPoint:
 
     def __post_init__(self):
         for name in ("E", "D", "H", "B"):
-            object.__setattr__(self, name, _vec3(getattr(self, name)))
+            object.__setattr__(self, name, _stack(getattr(self, name)))
 
     @classmethod
     def from_EH(cls, medium: Medium, E, H) -> "FieldPoint":
@@ -254,8 +255,8 @@ class FieldPoint:
         With (m, 3) stacks of E and H the medium may hold (m,) arrays, one
         row per point.
         """
-        E = _vec3(E)
-        H = _vec3(H)
+        E = _stack(E)
+        H = _stack(H)
         return cls(E=E, D=_per_row(SI.eps0 * medium.eps_r) * E,
                    H=H, B=SI.mu0 * medium.mu_r * H)
 
@@ -273,7 +274,7 @@ class SourceDensities:
     J: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        object.__setattr__(self, "J", _vec3(self.J))
+        object.__setattr__(self, "J", _stack(self.J))
         if not (np.isfinite(self.rho) and np.all(np.isfinite(self.J))):
             raise ValueError("source densities must be finite")
 
@@ -316,9 +317,9 @@ class EMQuantities:
     stress: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "S", _vec3(self.S))
-        object.__setattr__(self, "g_A", _vec3(self.g_A))
-        object.__setattr__(self, "g_M", _vec3(self.g_M))
+        object.__setattr__(self, "S", _stack(self.S))
+        object.__setattr__(self, "g_A", _stack(self.g_A))
+        object.__setattr__(self, "g_M", _stack(self.g_M))
         st = np.array(self.stress, dtype=float).reshape(3, 3)
         st.flags.writeable = False
         object.__setattr__(self, "stress", st)
@@ -344,8 +345,8 @@ def minkowski_force_density(src: SourceDensities, fp: FieldPoint,
     rho E + J x B - (eps0/2) E^2 grad(eps_r) - (mu0/2) H^2 grad(mu_r).
     Electrostriction is not included.
     """
-    grad_eps = _vec3(grad_eps)
-    grad_mu = _vec3(grad_mu)
+    grad_eps = _stack(grad_eps)
+    grad_mu = _stack(grad_mu)
     E2 = float(fp.E @ fp.E)
     H2 = float(fp.H @ fp.H)
     return (src.rho * fp.E + cross(src.J, fp.B)
@@ -360,7 +361,7 @@ def abraham_term(medium: Medium, dS_dt) -> np.ndarray:
     frequency and averages to zero.  Nonmagnetic media only.
     """
     _require_nonmagnetic(medium, "the Abraham term")
-    return (medium.n**2 - 1.0) / SI.c**2 * _vec3(dS_dt)
+    return (medium.n**2 - 1.0) / SI.c**2 * _stack(dS_dt)
 
 
 def abraham_force_density(medium: Medium, fp: FieldPoint, grad_n2, dS_dt) -> np.ndarray:
@@ -372,7 +373,7 @@ def abraham_force_density(medium: Medium, fp: FieldPoint, grad_n2, dS_dt) -> np.
     """
     _require_nonmagnetic(medium, "the Abraham force density")
     E2 = float(fp.E @ fp.E)
-    shared = -0.5 * SI.eps0 * E2 * _vec3(grad_n2)
+    shared = -0.5 * SI.eps0 * E2 * _stack(grad_n2)
     return shared + abraham_term(medium, dS_dt)
 
 
@@ -458,8 +459,8 @@ class PlaneWave:
     medium: Medium
 
     def __post_init__(self):
-        object.__setattr__(self, "direction", _vec3(self.direction))
-        object.__setattr__(self, "polarization", _vec3(self.polarization))
+        object.__setattr__(self, "direction", _stack(self.direction))
+        object.__setattr__(self, "polarization", _stack(self.polarization))
         # each check is written so that NaN breaks it
         for name in ("direction", "polarization"):
             v = getattr(self, name)
@@ -480,7 +481,7 @@ class PlaneWave:
         return self.medium.n * self.E0 / (SI.mu0 * self.medium.mu_r * SI.c)
 
     def phase(self, x=None, t: float = 0.0) -> float:
-        kx = 0.0 if x is None else self.k * float(self.direction @ _vec3(x))
+        kx = 0.0 if x is None else self.k * float(self.direction @ _stack(x))
         return kx - self.omega * t
 
     def field_at(self, x=None, t: float = 0.0) -> FieldPoint:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SI, FieldPoint, MomentumTag, cross
+from .core import _REL_TOL, SI, FieldPoint, MomentumTag, _stack, cross
 
 __all__ = [
     "ETA",
@@ -53,8 +53,6 @@ __all__ = [
     "normalized_from_si",
 ]
 
-_REL_TOL = 1e-12
-
 ETA = np.diag([1.0, 1.0, 1.0, -1.0])
 ETA.flags.writeable = False
 
@@ -64,15 +62,6 @@ _AXIAL = (np.array([1, 2, 0]), np.array([2, 0, 1]))
 # the central-difference stencil: +x, +y, +z, +ct, then the same negated
 _STENCIL = np.vstack([np.eye(4), -np.eye(4)])
 _STENCIL.flags.writeable = False
-
-
-def _stack(a, shape: tuple) -> np.ndarray:
-    """Read-only array of the given trailing shape: one item or a stack."""
-    m = np.array(a, dtype=float)
-    if m.shape[-len(shape):] != shape:
-        m = m.reshape(shape)
-    m.flags.writeable = False
-    return m
 
 
 def _per_tensor(x) -> np.ndarray:

@@ -281,6 +281,13 @@ def _wgm_config(p):
                      omega0=p["omega0_rad_per_s"])
 
 
+def _mirror_config(p):
+    return unchecked(scenarios.MirrorConfig,
+                     medium=unchecked(Medium, eps_r=p["n"] * p["n"], n=p["n"]),
+                     E0=p["E0_V_per_m"], omega=p["omega_rad_per_s"],
+                     conductivity=p["sigma_S_per_m"], guard=p["guard_k_over_alpha"])
+
+
 def _sphere_config(p):
     # the two fluids are Medium.from_index(n, viscosity=...)
     return unchecked(
@@ -421,6 +428,24 @@ def _covariant_check_rows(n: float, mu_r: float, grid_step: float):
     return checks, residuals
 
 
+def _non_finite(columns: dict, m: int) -> tuple[np.ndarray, dict[int, str]]:
+    """The float columns, each an (m,) array or a value shared by all m
+    rows, as one (m, k) table, and row -> the message rejecting that row: it
+    names the row's first column whose value is not finite."""
+    names = list(columns)
+    table = np.empty((m, len(names)))
+    for j, column in enumerate(columns.values()):
+        table[:, j] = column
+    finite = np.isfinite(table)
+    errors = {}
+    if finite.all():  # the common case, without the per-row reduction
+        return table, errors
+    for i in np.flatnonzero(~finite.all(axis=1)):
+        j = np.argmin(finite[i])
+        errors[int(i)] = f"result '{names[j]}' is not finite: {float(table[i, j])}"
+    return table, errors
+
+
 def _evaluate_closed_form(form, p, tag, m):
     """All m points at once: the rules judge, and the closed-form functions
     evaluate, every array-valued parameter as an (m,) array, once per tag."""
@@ -433,7 +458,8 @@ def _evaluate_closed_form(form, p, tag, m):
     columns, table = {}, np.empty((0, 0))
     if ok.size:
         columns = form.columns(p, tag)
-        table, bad = scenarios._non_finite(columns)
+        # finite inputs can still overflow (E0^2 beyond the double range)
+        table, bad = _non_finite(columns, ok.size)
         errors.update((ok[j], message) for j, message in bad.items())
         if bad:
             table = np.delete(table, list(bad), axis=0)
@@ -441,13 +467,12 @@ def _evaluate_closed_form(form, p, tag, m):
 
 
 def _evaluate_mirror(form, p, tag, m):
-    """All m points in one batch; the three-way spread is the residual."""
-    b = scenarios.mirror_batch(p["n"], p["E0_V_per_m"], p["omega_rad_per_s"],
-                               p["sigma_S_per_m"], p["guard_k_over_alpha"])
-    errors = {i: str(exc) for i, exc in enumerate(b.errors) if exc is not None}
-    table = np.delete(b.table, list(errors), axis=0) if errors else b.table
-    residuals = {} if b.spread is None else {"three_way_max_rel_diff": b.spread}
-    return list(b.columns), table, residuals, errors
+    """_evaluate_closed_form's report; its residual is the largest
+    max_rel_diff, the three-way spread, of the kept rows (none if none is)."""
+    columns, table, _, errors = _evaluate_closed_form(form, p, tag, m)
+    residuals = {} if not len(table) else {
+        "three_way_max_rel_diff": float(table[:, columns.index("max_rel_diff")].max())}
+    return columns, table, residuals, errors
 
 
 def _evaluate_covariant(form, p, tag, m):
@@ -504,7 +529,9 @@ _SCENARIOS = {
         provenance=("sigma_x = (n/c)(1+R) S_i with R = 1 - 2 k/alpha; "
                     "Lorentz route (mu0 sigma/2) Re int E_y H_z* dx; "
                     "transport route c g_x / n plus n R S_i / c"),
-        evaluate=_evaluate_mirror),
+        evaluate=_evaluate_mirror, config=_mirror_config,
+        rules=scenarios.MirrorConfig.RULES,
+        columns=lambda p, tag: scenarios.mirror_pressures(_mirror_config(p))),
     "drag": _Scenario(
         keys={"intensity_W_per_m2": _REQUIRED, "sigma_a_m2": _REQUIRED,
               "omega_rad_per_s": _REQUIRED, "n": _REQUIRED},
@@ -966,13 +993,16 @@ def check_suite(tol: float = DEFAULT_TOL) -> list[CheckResult]:
     tol = parse_tolerance(tol)
     results = []
 
-    sweep = scenarios.mirror_three_way_sweep(
-        n_values=(1.0, 1.3, 1.6), sigma_values=(1e7, 1e8),
-        omega_values=(2.6e15, 4.0e15))
-    results.append(CheckResult(
-        name="three-way-mirror",
-        residual=max(pt["max_rel_diff"] for pt in sweep),
-        bound=tol))
+    # the 3 x 2 x 2 grid of n, sigma and omega, in one mirror evaluation
+    n, sigma, omega = (a.ravel() for a in np.meshgrid(
+        (1.0, 1.3, 1.6), (1e7, 1e8), (2.6e15, 4.0e15), indexing="ij"))
+    mirror = _SCENARIOS["mirror"]
+    p = {"n": n, "E0_V_per_m": np.float64(1e3), "omega_rad_per_s": omega,
+         "sigma_S_per_m": sigma, "guard_k_over_alpha": np.float64(0.2)}
+    with np.errstate(all="ignore"):
+        residuals = mirror.evaluate(mirror, p, None, n.size)[2]
+    results.append(CheckResult(name="three-way-mirror",
+                               residual=residuals["three_way_max_rel_diff"], bound=tol))
 
     *_, ratio_err = _divergence_ratios(n=1.5, mu_r=1.0, grid_step=1e-3)
     results.append(CheckResult(name="divergence-convergence",

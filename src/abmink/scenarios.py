@@ -13,10 +13,12 @@ bookkeeping:
   displacement-ratio comparison),
 * index-step surface pressure on a liquid interface (via em-core).
 
-The closed-form functions only read the fields of their config, so one
-config object carrying those fields as (m,) arrays evaluates m points at
-once, each row equal to the scalar call; the runner evaluates its sweeps
-this way.
+The closed-form functions (``mirror_pressures(cfg)``,
+``photon_drag_field(cfg, tag)``, ``wgm_torque(cfg, t, tag)``, ...) only
+read the fields of their config, so one config object carrying those
+fields as (m,) arrays evaluates m points at once, each row equal to the
+scalar call; the runner evaluates its sweeps this way, after judging the
+config's RULES row by row.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -34,21 +35,18 @@ from .core import (
     MomentumTag,
     RegimeError,
     check_rules,
-    unchecked,
 )
 
 __all__ = [
     "MirrorConfig",
     "MetalFieldSample",
-    "MirrorBatch",
     "DragConfig",
     "TorqueConfig",
     "WgmTorque",
     "SphereKickConfig",
     "pressure_from_reflectance",
     "metal_fields",
-    "mirror_batch",
-    "mirror_three_way_sweep",
+    "mirror_pressures",
     "photon_drag_field",
     "bec_recoil",
     "fiber_exit_impulse",
@@ -98,7 +96,7 @@ class MirrorConfig:
          "got k/alpha = {c.k_over_alpha:.6g}", RegimeError),
     )
 
-    # once per config: the rules, their messages and mirror_batch share it
+    # once per config: the rules, their messages and mirror_pressures share it
     @cached_property
     def k(self) -> float:
         return self.medium.n * self.omega / SI.c
@@ -121,41 +119,6 @@ class MetalFieldSample:
     x: float
 
 
-class MirrorBatch(NamedTuple):
-    """The mirror scenario's report columns at m points, as (m,) arrays.
-
-    ``errors[i]`` is None or the ValueError that rejects point i (a
-    RegimeError for the good-conductor guard, or a non-finite result); the
-    columns hold no meaningful value there.  ``spread`` is the largest
-    three-way disagreement over the accepted points, None when there are
-    none.  ``table`` is the columns side by side, (m, k), each column a view
-    of it.
-    """
-
-    columns: dict[str, np.ndarray]
-    errors: tuple[ValueError | None, ...]
-    spread: float | None
-    table: np.ndarray
-
-
-def _non_finite(columns: dict) -> tuple[np.ndarray, dict[int, str]]:
-    """The float columns, each an (m,) array or a value shared by all rows,
-    as one (m, k) table, and row -> the message rejecting that row: it
-    names the row's first column whose value is not finite."""
-    names = list(columns)
-    table = np.empty((np.broadcast(*columns.values()).size, len(names)))
-    for j, column in enumerate(columns.values()):
-        table[:, j] = column
-    finite = np.isfinite(table)
-    errors = {}
-    if finite.all():  # the common case, without the per-row reduction
-        return table, errors
-    for i in np.flatnonzero(~finite.all(axis=1)):
-        j = np.argmin(finite[i])
-        errors[int(i)] = f"result '{names[j]}' is not finite: {float(table[i, j])}"
-    return table, errors
-
-
 def _metal_fields(E0, omega, k, alpha, envelope):
     """E_y and H_z where the skin envelope exp((-1 + i) alpha x) is ``envelope``."""
     E_y = (k * E0 / alpha) * (1.0 - 1.0j) * envelope
@@ -164,11 +127,10 @@ def _metal_fields(E0, omega, k, alpha, envelope):
     return E_y, H_z
 
 
-def mirror_batch(n, E0, omega, conductivity, guard=0.2) -> MirrorBatch:
-    """Evaluate the three independent pressure routes at every point at once.
+def mirror_pressures(cfg: MirrorConfig) -> dict:
+    """The mirror's report columns, the three pressure routes among them.
 
-    The arguments broadcast against each other and are flattened to m
-    points.  Each route keeps its own physics, so their agreement is a check:
+    Each route keeps its own physics, so their agreement is a check:
     1. momentum flux (n/c)(1 + R) S_i with R = 1 - 2 k/alpha (phase_rad
        arctan(-k/alpha));
     2. Lorentz force (mu0 sigma / 2) Re integral of E_y H_z* over the metal
@@ -177,17 +139,17 @@ def mirror_batch(n, E0, omega, conductivity, guard=0.2) -> MirrorBatch:
        exp(-2 alpha x) and the integral is that value over 2 alpha;
     3. momentum transport: c g_x / n with the Minkowski momentum density of
        the incident plane wave, plus n R S_i / c for the reflected wave.
+    ``max_rel_diff`` is the routes' spread, relative to the largest.  Each
+    column is an (m,) array, m = 1 for a config of numbers: numpy rounds a
+    complex product of two scalars apart from its array loop, so a row
+    equals the one-point call only if both run on arrays.
     """
-    args = [np.asarray(v, dtype=float) for v in (n, E0, omega, conductivity, guard)]
-    # one broadcast copy each: a fifth of np.broadcast_arrays's per-call cost
-    points = np.empty((len(args),) + np.broadcast(*args).shape)
-    for j, arg in enumerate(args):
-        points[j] = arg
-    n, E0, omega, sigma, guard = points.reshape(len(args), -1)
-    with np.errstate(all="ignore"):  # rejected points may hold anything
-        cfg = unchecked(MirrorConfig, medium=unchecked(Medium, eps_r=n * n, n=n),
-                        E0=E0, omega=omega, conductivity=sigma, guard=guard)
-        k, alpha, r = cfg.k, cfg.alpha, cfg.k_over_alpha
+    # an unchecked config's rows may hold anything, and routes that are all
+    # zero divide 0 by 0
+    with np.errstate(all="ignore"):
+        k, alpha = cfg.k, cfg.alpha
+        n, E0, omega, sigma, r = np.atleast_1d(cfg.medium.n, cfg.E0, cfg.omega,
+                                               cfg.conductivity, cfg.k_over_alpha)
         R, phase = 1.0 - 2.0 * r, np.arctan(-r)
         flux = n * E0**2 / (2.0 * SI.mu0 * SI.c)
 
@@ -209,20 +171,11 @@ def mirror_batch(n, E0, omega, conductivity, guard=0.2) -> MirrorBatch:
         # routes that are all zero agree: 0/0 reads as no spread
         spread = np.where(scale != 0.0,
                           (routes.max(axis=0) - routes.min(axis=0)) / scale, 0.0)
-    errors = check_rules(MirrorConfig.RULES, cfg, n.size)
-    columns = {"n": n, "sigma_S_per_m": sigma, "omega_rad_per_s": omega,
-               "reflectance": R, "phase_rad": phase,
-               "incident_flux_W_per_m2": flux, "pressure_flux_Pa": routes[0],
-               "pressure_lorentz_Pa": p2, "pressure_divergence_Pa": routes[2],
-               "max_rel_diff": spread}
-    # finite inputs can still overflow (E0^2 beyond the double range)
-    table, bad = _non_finite(columns)
-    for i, message in bad.items():
-        errors.setdefault(i, ValueError(message))
-    kept = np.delete(spread, list(errors)) if errors else spread
-    return MirrorBatch(dict(zip(columns, table.T)),
-                       tuple(map(errors.get, range(n.size))),
-                       float(kept.max()) if kept.size else None, table)
+    return {"n": n, "sigma_S_per_m": sigma, "omega_rad_per_s": omega,
+            "reflectance": R, "phase_rad": phase,
+            "incident_flux_W_per_m2": flux, "pressure_flux_Pa": routes[0],
+            "pressure_lorentz_Pa": p2, "pressure_divergence_Pa": routes[2],
+            "max_rel_diff": spread}
 
 
 def pressure_from_reflectance(n: float, R: float, flux: float) -> float:
@@ -245,26 +198,6 @@ def metal_fields(cfg: MirrorConfig, x) -> MetalFieldSample:
     E_y, H_z = _metal_fields(cfg.E0, cfg.omega, cfg.k, cfg.alpha,
                              np.exp((-1.0 + 1.0j) * cfg.alpha * x))
     return MetalFieldSample(E_y=E_y, H_z=H_z, x=x)
-
-
-def mirror_three_way_sweep(n_values, sigma_values, omega_values,
-                           E0: float = 1e3, guard: float = 0.2):
-    """Evaluate all three pressure routes over a parameter grid.
-
-    Grid points outside the good-conductor regime are skipped; any other
-    rejection is raised.  Returns one dict per accepted point, keyed by the
-    columns of :func:`mirror_batch`.
-    """
-    n, sigma, omega = np.meshgrid(n_values, sigma_values, omega_values,
-                                  indexing="ij")
-    b = mirror_batch(n, E0, omega, sigma, guard)
-    out = []
-    for row, exc in zip(b.table.tolist(), b.errors):
-        if exc is None:
-            out.append(dict(zip(b.columns, row)))
-        elif not isinstance(exc, RegimeError):
-            raise exc
-    return out
 
 
 # ---------------------------------------------------------------------------

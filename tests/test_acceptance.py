@@ -24,11 +24,11 @@ from abmink import (
     time_average,
 )
 from abmink import covariant
+from abmink.runner import parse_config, run
 from abmink.scenarios import (
     TorqueConfig,
     displacement_correction,
     fiber_exit_impulse,
-    mirror_three_way_sweep,
     pressure_from_reflectance,
     wgm_torque,
 )
@@ -81,17 +81,20 @@ def test_criterion_3_fiber_impulse():
 
 
 def test_criterion_4_three_way_mirror_sweep():
+    # the 5x5x5 grid as 25 n-sweep requests, one per (sigma, omega)
     t0 = time.perf_counter()
-    points = mirror_three_way_sweep(
-        n_values=np.linspace(1.0, 1.6, 5),
-        sigma_values=np.logspace(6, 8, 5),
-        omega_values=2 * math.pi * SI.c / np.linspace(380e-9, 750e-9, 5))
+    reports = [run(parse_config(
+        f"scenario = mirror\nE0_V_per_m = 1e3\nsigma_S_per_m = {sigma!r}\n"
+        f"omega_rad_per_s = {omega!r}\nsweep = n:[1.0, 1.6, 5]\n"))
+        for sigma in np.logspace(6, 8, 5).tolist()
+        for omega in (2 * math.pi * SI.c / np.linspace(380e-9, 750e-9, 5)).tolist()]
     elapsed = time.perf_counter() - t0
-    worst = max(pt["max_rel_diff"] for pt in points)
+    points = sum(len(r.rows) for r in reports)
+    worst = max(r.residuals.get("three_way_max_rel_diff", 0.0) for r in reports)
     _verdict(4, "three mirror-pressure routes agree to 1e-6 over the 5x5x5 "
                 "in-regime sweep, under 5 s",
-             len(points) >= 50 and worst <= 1e-6 and elapsed < 5.0,
-             f"{len(points)} in-regime points, worst {worst:.2e}, "
+             points >= 50 and worst <= 1e-6 and elapsed < 5.0,
+             f"{points} in-regime points, worst {worst:.2e}, "
              f"{elapsed:.2f} s")
 
 

@@ -1,15 +1,13 @@
-"""The direct forms of the mirror transport route, the ledger's row maxima
-and the three-way sweep's rows against the formulations they replaced.
+"""The direct forms of the mirror transport route and the ledger's row
+maxima against the formulations they replaced, and the check suite's mirror
+grid, evaluated at once, against its points one by one.
 
 The former code is copied below verbatim as the oracle:
 
 * the transport route built a stack of plane-wave ``FieldPoint``s and took
-  the x components of the core momentum density and Poynting vector; the
-  batch now multiplies D_y B_z and E_y H_z directly;
-* the momentum ledger took each row's maximum with ``np.max(axis=1)``;
-* ``mirror_three_way_sweep`` built each row from the batch's columns (the
-  copy drops the ``quadrature_tol`` argument, which the batch no longer
-  takes).
+  the x components of the core momentum density and Poynting vector;
+  ``mirror_pressures`` now multiplies D_y B_z and E_y H_z directly;
+* the momentum ledger took each row's maximum with ``np.max(axis=1)``.
 
 Each must agree bit for bit.  The one input where the transport route's
 bits differ is pinned: when eps0 n^2 overflows, the former cross product's
@@ -22,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from abmink import SI, RegimeError, scenarios
+from abmink import SI, runner
 from abmink.core import (
     FieldPoint,
     Medium,
@@ -32,7 +30,7 @@ from abmink.core import (
     poynting,
 )
 from abmink.runner import _ledger_residual, parse_config, run
-from abmink.scenarios import mirror_batch
+from abmink.scenarios import mirror_pressures
 
 # ---------------------------------------------------------------------------
 # the former formulations, verbatim
@@ -64,22 +62,18 @@ def former_ledger_residual(n, E, H) -> float:
     return float(np.max(rel, initial=0.0))
 
 
-def former_three_way_sweep(n_values, sigma_values, omega_values,
-                           E0=1e3, guard=0.2):
-    n, sigma, omega = np.meshgrid(n_values, sigma_values, omega_values,
-                                  indexing="ij")
-    b = mirror_batch(n, E0, omega, sigma, guard)
-    out = []
-    for i, exc in enumerate(b.errors):
-        if exc is None:
-            out.append({name: float(column[i]) for name, column in b.columns.items()})
-        elif not isinstance(exc, RegimeError):
-            raise exc
-    return out
-
-
 def bits(x):
     return np.asarray(x, dtype=float).view(np.int64)
+
+
+def evaluate_mirror(n, E0, omega, sigma):
+    """The runner's one evaluation of the mirror at m points: (columns,
+    rows, residuals, row -> error), the guard at its default."""
+    p = {"n": n, "E0_V_per_m": E0, "omega_rad_per_s": omega, "sigma_S_per_m": sigma,
+         "guard_k_over_alpha": np.float64(0.2)}
+    form = runner._SCENARIOS["mirror"]
+    with np.errstate(all="ignore"):
+        return form.evaluate(form, p, None, n.size)
 
 
 # ---------------------------------------------------------------------------
@@ -97,31 +91,39 @@ def test_transport_route_equals_the_field_point_form(data):
     E0 = np.array(data.draw(st.lists(_E0, min_size=m, max_size=m)))
     omega = np.array(data.draw(st.lists(st.floats(1e14, 1e16), min_size=m, max_size=m)))
     sigma = np.array(data.draw(st.lists(st.floats(1e5, 1e9), min_size=m, max_size=m)))
-    b = mirror_batch(n, E0, omega, sigma)
-    c = b.columns
+    with np.errstate(all="ignore"):  # points beyond the guard evaluate too
+        c = mirror_pressures(runner._mirror_config(
+            {"n": n, "E0_V_per_m": E0, "omega_rad_per_s": omega, "sigma_S_per_m": sigma,
+             "guard_k_over_alpha": 0.2}))
     want = former_transport_route(n, E0, c["reflectance"])
     assert (bits(c["pressure_divergence_Pa"]) == bits(want)).all()
-    # the spread over the three routes, as the batch forms it
+    # the spread over the three routes, as mirror_pressures forms it
     routes = np.array([c["pressure_flux_Pa"], c["pressure_lorentz_Pa"], want])
     scale = np.abs(routes).max(axis=0)
     with np.errstate(invalid="ignore"):  # routes that are all zero agree
         spread = np.where(scale != 0.0,
                           (routes.max(axis=0) - routes.min(axis=0)) / scale, 0.0)
     assert (bits(c["max_rel_diff"]) == bits(spread)).all()
-    kept = [spread[i] for i, exc in enumerate(b.errors) if exc is None]
+    # the residual is the largest spread of the points the runner keeps
+    _, _, residuals, errors = evaluate_mirror(n, E0, omega, sigma)
+    kept = [spread[i] for i in range(m) if i not in errors]
     if kept:
-        assert bits(b.spread) == bits(max(kept))
+        assert bits(residuals["three_way_max_rel_diff"]) == bits(max(kept))
     else:
-        assert b.spread is None
+        assert residuals == {}
 
 
 def test_overflowing_eps0_n2_reports_an_infinite_transport_route():
-    b = mirror_batch(1e155, 1e3, 1e-300, 1e300)  # n, E0, omega, sigma
-    assert str(b.errors[0]) == "result 'pressure_divergence_Pa' is not finite: inf"
-    with np.errstate(all="ignore"):
+    n, E0, omega, sigma = (np.array([v]) for v in (1e155, 1e3, 1e-300, 1e300))
+    _, _, _, errors = evaluate_mirror(n, E0, omega, sigma)
+    assert errors == {0: "result 'pressure_divergence_Pa' is not finite: inf"}
+    with np.errstate(all="ignore"):  # eps0 n^2 overflows
+        c = mirror_pressures(runner._mirror_config(
+            {"n": n, "E0_V_per_m": E0, "omega_rad_per_s": omega, "sigma_S_per_m": sigma,
+             "guard_k_over_alpha": 0.2}))
+        assert c["pressure_divergence_Pa"][0] == np.inf
         # the former cross product read D_z B_y = (eps0 n^2 * 0) * 0 = nan
-        assert np.isnan(former_transport_route(np.array([1e155]), 1e3,
-                                               b.columns["reflectance"]))
+        assert np.isnan(former_transport_route(n, 1e3, c["reflectance"]))
     # the input passes the config boundary; the point is a report error
     report = run(parse_config(
         "scenario = mirror\nn = 1e155\nE0_V_per_m = 1e3\n"
@@ -161,15 +163,26 @@ def test_ledger_residual_of_the_check_suite_sample():
 
 
 # ---------------------------------------------------------------------------
-# the three-way sweep
+# a mirror grid in one evaluation, as the check suite takes it
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("grid", [
     ((1.0, 1.3, 1.6), (1e7, 1e8), (2.6e15, 4.0e15)),
     (np.linspace(1.0, 1.6, 4), np.logspace(5, 8, 4), np.linspace(2.6e15, 4.5e15, 3)),
 ])
-def test_three_way_sweep_rows_equal_the_former_rows(grid):
-    got = scenarios.mirror_three_way_sweep(*grid)
-    want = former_three_way_sweep(*grid)
-    assert [list(row.items()) for row in got] == [list(row.items()) for row in want]
-    assert all(type(v) is float for row in got for v in row.values())
+def test_a_grid_in_one_evaluation_equals_its_one_point_runs(grid):
+    n, sigma, omega = (a.ravel() for a in np.meshgrid(*grid, indexing="ij"))
+    columns, rows, residuals, errors = evaluate_mirror(n, np.float64(1e3), omega, sigma)
+    want_rows, want_errors = [], {}
+    for i, point in enumerate(zip(n.tolist(), sigma.tolist(), omega.tolist())):
+        report = run(parse_config(
+            "scenario = mirror\nn = %r\nsigma_S_per_m = %r\nomega_rad_per_s = %r\n"
+            "E0_V_per_m = 1e3\n" % point))
+        want_rows += report.rows.tolist()
+        want_errors.update((i, e) for e in report.errors)
+        if report.rows.size:
+            assert report.columns == columns
+    assert errors == want_errors
+    assert rows.shape == (n.size - len(errors), len(columns))
+    assert (bits(rows) == bits(want_rows)).all()
+    assert bits(residuals["three_way_max_rel_diff"]) == bits(np.max(rows[:, -1]))

@@ -1,4 +1,8 @@
-"""Differential tests of the batched immersed-mirror evaluator.
+"""Differential tests of the immersed mirror's m-point evaluation.
+
+``mirror_pressures`` gives the report columns of a config whose fields are
+numbers or (m,) arrays; the runner judges the config's rules and rejects
+non-finite rows around it, as for every closed-form scenario.
 
 The reference for the Lorentz route is the adaptive-quadrature integral the
 scenario used before it moved to fixed-order Gauss-Laguerre and then to the
@@ -17,15 +21,26 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from abmink import SI, Medium, RegimeError
-from abmink.runner import parse_config, run
-from abmink.scenarios import (
-    MirrorBatch,
-    MirrorConfig,
-    metal_fields,
-    mirror_batch,
-    mirror_three_way_sweep,
-)
+from abmink import SI, Medium, RegimeError, runner
+from abmink.core import check_rules, unchecked
+from abmink.runner import ConfigError, parse_config, run
+from abmink.scenarios import MirrorConfig, metal_fields, mirror_pressures
+
+
+def pressures(n, E0, omega, sigma, guard=0.2):
+    """The columns of a checked config: it raises where a point is rejected."""
+    return mirror_pressures(MirrorConfig(Medium.from_index(n), E0, omega, sigma, guard))
+
+
+def evaluate(n, E0, omega, sigma, guard=0.2):
+    """The runner's mirror evaluation of these np.float64 parameters, one
+    point or an (m,) array of n: (columns, rows, residuals, row -> error)."""
+    p = {"n": n, "E0_V_per_m": E0, "omega_rad_per_s": omega, "sigma_S_per_m": sigma,
+         "guard_k_over_alpha": guard}
+    p = {key: np.asarray(v, dtype=float)[()] for key, v in p.items()}
+    form = runner._SCENARIOS["mirror"]
+    with np.errstate(all="ignore"):
+        return form.evaluate(form, p, None, np.size(n))
 
 
 def lorentz_oracle(n, E0, omega, sigma, tol=1e-10):
@@ -60,9 +75,7 @@ def test_lorentz_route_matches_quad_oracle():
     E0 = 10.0 ** rng.uniform(0.0, 5.0, m)
     E0[-1] = 0.0
     sigma = sigma_for_ratio(n, omega, ratio)
-    batch = mirror_batch(n, E0, omega, sigma)
-    assert batch.errors == (None,) * m
-    got = batch.columns["pressure_lorentz_Pa"]
+    got = pressures(n, E0, omega, sigma)["pressure_lorentz_Pa"]
     for i in range(m - 1):
         want = lorentz_oracle(n[i], E0[i], omega[i], sigma[i])
         assert abs(got[i] - want) <= 1e-13 * abs(want)
@@ -76,11 +89,9 @@ def test_lorentz_route_matches_quad_oracle():
 def test_routes_agree_and_match_the_oracle_at_random_points(n, log_sigma, omega, E0):
     sigma = 10.0**log_sigma
     assume(n * omega / SI.c / math.sqrt(SI.mu0 * sigma * omega / 2.0) < 0.2)
-    batch = mirror_batch(n, E0, omega, sigma)
-    assert batch.errors == (None,)
-    assert batch.columns["max_rel_diff"][0] <= 1e-12
-    assert batch.spread <= 1e-12
-    got = batch.columns["pressure_lorentz_Pa"][0]
+    columns = pressures(n, E0, omega, sigma)
+    assert columns["max_rel_diff"][0] <= 1e-12
+    got = columns["pressure_lorentz_Pa"][0]
     want = lorentz_oracle(n, E0, omega, sigma)
     assert abs(got - want) <= 1e-13 * abs(want)
 
@@ -100,7 +111,7 @@ def test_lorentz_column_is_the_depth_integral_of_metal_fields(n, log_omega,
 
     value, _ = quad(integrand, 0.0, np.inf, epsabs=0.0, epsrel=1e-13, limit=200)
     want = 0.5 * SI.mu0 * sigma * value / cfg.alpha
-    got = mirror_batch(n, E0, omega, sigma).columns["pressure_lorentz_Pa"][0]
+    got = mirror_pressures(cfg)["pressure_lorentz_Pa"][0]
     assert abs(got - want) <= 1e-12 * abs(want)
 
 
@@ -111,21 +122,26 @@ def test_lorentz_column_is_the_algebraic_closed_form():
     m = 2000
     n, E0 = rng.uniform(1.0, 2.0, m), 10.0 ** rng.uniform(0.0, 6.0, m)
     omega, sigma = 10.0 ** rng.uniform(14.0, 16.0, m), 10.0 ** rng.uniform(6.0, 8.5, m)
-    batch = mirror_batch(n, E0, omega, sigma)
-    ok = np.array([exc is None for exc in batch.errors])
+    cfg = unchecked(MirrorConfig, medium=Medium.from_index(n), E0=E0, omega=omega,
+                    conductivity=sigma, guard=0.2)
+    ok = np.ones(m, dtype=bool)
+    ok[list(check_rules(MirrorConfig.RULES, cfg, m))] = False
     assert ok.sum() > m // 2
     k, alpha = n * omega / SI.c, np.sqrt(SI.mu0 * sigma * omega / 2.0)
     want = (SI.eps0 * n * n * E0**2 * (1.0 - k / alpha))[ok]
-    got = batch.columns["pressure_lorentz_Pa"][ok]
+    got = mirror_pressures(cfg)["pressure_lorentz_Pa"][ok]
     assert (np.abs(got - want) <= 1e-14 * np.abs(want)).all()
 
 
 def test_the_lorentz_route_has_no_quadrature_knob():
-    assert MirrorBatch._fields == ("columns", "errors", "spread", "table")
+    cfg = MirrorConfig(Medium.from_index(1.33), 1e3, 3e15, 5e7)
     with pytest.raises(TypeError, match="quadrature_tol"):
-        mirror_batch(1.33, 1e3, 3e15, 5e7, quadrature_tol=1e-8)
+        mirror_pressures(cfg, quadrature_tol=1e-8)
     with pytest.raises(TypeError, match="quadrature_tol"):
-        mirror_three_way_sweep([1.33], [5e7], [3e15], quadrature_tol=1e-8)
+        MirrorConfig(Medium.from_index(1.33), 1e3, 3e15, 5e7, quadrature_tol=1e-8)
+    with pytest.raises(ConfigError, match="^unknown key 'quadrature_tol'"):
+        parse_config("scenario = mirror\nn = 1.33\nE0_V_per_m = 1e3\n"
+                     "omega_rad_per_s = 3e15\nsigma_S_per_m = 5e7\nquadrature_tol = 1e-8\n")
 
 
 def test_zero_amplitude_point_reports_zero_pressures():
@@ -156,9 +172,8 @@ def test_sweep_rows_equal_scalar_api(sweep):
     assert len(report.rows)
     for values in report.rows.tolist():
         row = dict(zip(report.columns, values))
-        b = mirror_batch(row["n"], 2.5e3, row["omega_rad_per_s"], row["sigma_S_per_m"])
-        assert b.errors == (None,)
-        assert row == {name: float(column[0]) for name, column in b.columns.items()}
+        columns = pressures(row["n"], 2.5e3, row["omega_rad_per_s"], row["sigma_S_per_m"])
+        assert row == {name: float(column[0]) for name, column in columns.items()}
 
 
 @pytest.mark.parametrize("base, sweep", [
@@ -191,18 +206,19 @@ def test_sweep_errors_keep_the_per_point_form(base, sweep):
     assert len(report.rows) + len(report.errors) == s.count
 
 
-def test_long_sweep_matches_per_point_batches():
+def test_long_sweep_matches_per_point_configs():
     count = 4133
     report = run(parse_config(
         "scenario = mirror\nE0_V_per_m = 2.5e3\nomega_rad_per_s = 3e15\n"
         f"sigma_S_per_m = 5e7\nsweep = n:[8.0, 1.0, {count}]\n"))
     rows, errors = [], []  # in regime from n = 6.1 down, so across the seam
     for value in np.linspace(8.0, 1.0, count):
-        b = mirror_batch(float(value), 2.5e3, 3e15, 5e7)
-        if b.errors[0] is None:
-            rows.append([float(c[0]) for c in b.columns.values()])
+        try:
+            columns = pressures(float(value), 2.5e3, 3e15, 5e7)
+        except ValueError as exc:
+            errors.append(f"n={value:g}: {exc}")
         else:
-            errors.append(f"n={value:g}: {b.errors[0]}")
+            rows.append([float(c[0]) for c in columns.values()])
     assert errors and rows
     assert report.rows.tolist() == rows
     assert report.errors == errors
@@ -226,19 +242,26 @@ def test_long_sweep_matches_per_point_batches():
     (1.33, 1e3, math.nan, 5e7, 0.2),
     (1.33, 1e3, 3e15, math.nan, 0.2),
 ])
-def test_batch_rejects_exactly_what_the_config_rejects(n, E0, omega, sigma, guard):
+def test_run_rejects_exactly_what_the_config_rejects(n, E0, omega, sigma, guard):
     try:
         MirrorConfig(Medium.from_index(n), E0, omega, sigma, guard)
         want = None
     except ValueError as exc:
         want = (type(exc), str(exc))
-    batch = mirror_batch(n, E0, omega, sigma, guard)
-    got = batch.errors[0]
-    if want is None and not all(math.isfinite(c[0]) for c in batch.columns.values()):
-        # beyond the config's rules the batch rejects only non-finite results
-        assert type(got) is ValueError and "is not finite" in str(got)
+    with np.errstate(all="ignore"):
+        cfg = runner._mirror_config({"n": n, "E0_V_per_m": E0, "omega_rad_per_s": omega,
+                                     "sigma_S_per_m": sigma, "guard_k_over_alpha": guard})
+    rule = check_rules(MirrorConfig.RULES, cfg, 1).get(0)
+    assert (None if rule is None else (type(rule), str(rule))) == want
+    _, rows, residuals, errors = evaluate(n, E0, omega, sigma, guard)
+    if want is None and errors:
+        # beyond the config's rules the runner rejects only non-finite results
+        assert "is not finite" in errors[0]
+        columns = pressures(n, E0, omega, sigma, guard)
+        assert not all(math.isfinite(c[0]) for c in columns.values())
     else:
-        assert (None if got is None else (type(got), str(got))) == want
+        assert errors.get(0) == (None if want is None else want[1])
+    assert len(rows) == (not errors) and (residuals != {}) == (not errors)
 
 
 @pytest.mark.parametrize("guard", [math.nan, 0.0, -0.2])
@@ -247,8 +270,7 @@ def test_config_rejects_a_guard_not_above_zero(guard):
     with pytest.raises(ValueError, match=f"^guard must be > 0, got {guard}$") as err:
         MirrorConfig(Medium.from_index(1.33), 1e3, 3e15, 1e5, guard=guard)
     assert not isinstance(err.value, RegimeError)
-    batch = mirror_batch(1.33, 1e3, 3e15, 1e5, guard=guard)
-    assert str(batch.errors[0]) == str(err.value)
+    assert evaluate(1.33, 1e3, 3e15, 1e5, guard)[3] == {0: str(err.value)}
 
 
 @pytest.mark.parametrize("E0, omega, sigma, message", [
@@ -262,28 +284,44 @@ def test_a_nan_input_breaks_its_rule(E0, omega, sigma, message):
     with pytest.raises(ValueError, match=f"^{message}$") as err:
         MirrorConfig(Medium.from_index(1.33), E0, omega, sigma)
     assert not isinstance(err.value, RegimeError)
-    batch = mirror_batch(np.array([1.0, 1.33, 1.6]), E0, omega, sigma)
-    assert [type(e) for e in batch.errors] == [ValueError] * 3
-    assert [str(e) for e in batch.errors] == [message] * 3
-    assert batch.spread is None
+    n = np.array([1.0, 1.33, 1.6])
+    with np.errstate(all="ignore"):
+        cfg = runner._mirror_config({"n": n, "E0_V_per_m": E0, "omega_rad_per_s": omega,
+                                     "sigma_S_per_m": sigma, "guard_k_over_alpha": 0.2})
+    errors = check_rules(MirrorConfig.RULES, cfg, 3)
+    assert [type(e) for e in errors.values()] == [ValueError] * 3
+    columns, rows, residuals, errors = evaluate(n, E0, omega, sigma)
+    assert errors == {0: message, 1: message, 2: message}
+    assert (columns, rows.size, residuals) == ([], 0, {})
 
 
-def test_three_way_sweep_rows_are_the_batch_columns():
-    grid = (np.linspace(1.0, 1.6, 4), np.logspace(5, 8, 4), np.linspace(2.6e15, 4.5e15, 3))
-    points = mirror_three_way_sweep(*grid, E0=2e3)
-    n, sigma, omega = np.meshgrid(*grid, indexing="ij")
-    b = mirror_batch(n, 2e3, omega, sigma, 0.2)
-    accepted = [i for i, exc in enumerate(b.errors) if exc is None]
-    assert 0 < len(accepted) < n.size  # a part of the grid is beyond the guard
-    assert [list(pt) for pt in points] == [list(b.columns)] * len(accepted)
-    assert [list(pt.values()) for pt in points] == b.table[accepted].tolist()
+def test_a_guard_sweep_keeps_every_row_and_its_bits():
+    # no column reads the guard: each row is the one-point row, none rejected
+    text = ("scenario = mirror\nn = 1.33\nE0_V_per_m = 2.5e3\nomega_rad_per_s = 3e15\n"
+            "sigma_S_per_m = 5e7\n")
+    point = run(parse_config(text))
+    report = run(parse_config(text + "sweep = guard_k_over_alpha:[0.1, 0.9, 9]\n"))
+    assert report.errors == [] and report.rows.shape == (9, 10)
+    assert (report.rows.view(np.int64) == point.rows.view(np.int64)).all()
+    assert report.residuals == point.residuals
+    # a config of numbers gives (1,) columns, the bits of the (m,) rows
+    columns = pressures(1.33, 2.5e3, 3e15, 5e7)
+    assert {c.shape for c in columns.values()} == {(1,)}
+    assert np.array(list(columns.values())).T.tobytes() == point.rows.tobytes()
 
 
-def test_three_way_sweep_raises_rejections_other_than_the_guard():
-    with pytest.raises(ValueError, match="eps_r") as err:
-        mirror_three_way_sweep(n_values=[0.5], sigma_values=[1e8],
-                               omega_values=[3e15])
-    assert not isinstance(err.value, RegimeError)
+def test_one_point_columns_are_the_rows_of_a_stack():
+    # numpy rounds a complex product of scalars apart from its array loop;
+    # mirror_pressures keeps every point on the array loop
+    rng = np.random.default_rng(21)
+    n, E0 = rng.uniform(1.0, 2.0, 64), 10.0 ** rng.uniform(0.0, 6.0, 64)
+    omega = rng.uniform(2e15, 4e15, 64)
+    sigma = sigma_for_ratio(n, omega, rng.uniform(0.01, 0.19, 64))
+    stack = pressures(n, E0, omega, sigma)
+    for i in range(n.size):
+        point = pressures(n[i], E0[i], omega[i], sigma[i])
+        assert all(point[name].tobytes() == column[i:i + 1].tobytes()
+                   for name, column in stack.items())
 
 
 def test_magnetic_liquid_is_rejected():

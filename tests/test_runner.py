@@ -349,21 +349,21 @@ def test_a_report_without_rows_has_no_columns(text):
         assert emit(report, fmt) == emit(dataclasses.replace(report, rows=[]), fmt)
 
 
-def test_a_mirror_sweep_with_no_rejected_point_keeps_the_batch_table(monkeypatch):
-    batches, mirror_batch = [], runner.scenarios.mirror_batch
+def test_a_sweep_with_no_rejected_point_keeps_the_evaluated_table(monkeypatch):
+    tables, non_finite = [], runner._non_finite
 
-    def recording(*args):
-        batches.append(mirror_batch(*args))
-        return batches[-1]
+    def recording(columns, m):
+        tables.append(non_finite(columns, m))
+        return tables[-1]
 
-    monkeypatch.setattr(runner.scenarios, "mirror_batch", recording)
+    monkeypatch.setattr(runner, "_non_finite", recording)
     report = run(parse_config(MIRROR_SWEEPS_N + "sweep = n:[1.0,1.6,5]\n"))
-    assert report.errors == [] and report.rows is batches[0].table
+    assert report.errors == [] and report.rows is tables[0][0]
+    # the points the rules reject are never evaluated
     report = run(parse_config(MIRROR_SWEEPS_N + "sweep = n:[1.0,8.0,5]\n"))
-    b = batches[1]
-    assert report.errors and report.rows is not b.table
-    assert report.rows.tolist() == [row for row, exc in zip(b.table.tolist(), b.errors)
-                                    if exc is None]
+    table, bad = tables[1]
+    assert report.errors and bad == {} and report.rows is table
+    assert len(table) == 5 - len(report.errors)
 
 
 def test_run_tag_filters_columns():
@@ -664,6 +664,32 @@ def test_check_suite_takes_only_the_divergence_ratio_of_the_covariant_checks(
     # covariant-checks still computes the rows the suite skips
     with pytest.raises(AssertionError, match="not read"):
         run(parse_config("scenario = covariant-checks\n"))
+
+
+def test_check_suite_evaluates_its_mirror_grid_once_and_keeps_every_point(monkeypatch):
+    # an empty grid would give no residual: the check must not pass on one
+    calls, form = [], runner._SCENARIOS["mirror"]
+
+    def recording(*args):
+        calls.append((args[3], form.evaluate(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setitem(runner._SCENARIOS, "mirror", form._replace(evaluate=recording))
+    check_suite()
+    [(m, (columns, rows, residuals, errors))] = calls
+    assert m == 12 and errors == {} and rows.shape == (12, len(columns))
+
+
+def test_check_suite_mirror_residual_is_that_of_its_n_sweeps():
+    assert np.linspace(1.0, 1.6, 3).tolist() == [1.0, 1.3, 1.6]
+    reports = [run(parse_config(
+        f"scenario = mirror\nE0_V_per_m = 1e3\nsigma_S_per_m = {sigma!r}\n"
+        f"omega_rad_per_s = {omega!r}\nsweep = n:[1.0, 1.6, 3]\n"))
+        for sigma in (1e7, 1e8) for omega in (2.6e15, 4.0e15)]
+    assert all(r.errors == [] and len(r.rows) == 3 for r in reports)
+    want = max(r.residuals["three_way_max_rel_diff"] for r in reports)
+    got = {r.name: r.residual for r in check_suite()}["three-way-mirror"]
+    assert got.hex() == want.hex()
 
 
 def test_consecutive_check_suites_agree():

@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from abmink import SI, Medium, MomentumTag, RegimeError
+from abmink.runner import parse_config, run
 from abmink.scenarios import (
     DragConfig,
     MirrorConfig,
@@ -17,8 +18,7 @@ from abmink.scenarios import (
     displacement_ratio,
     fiber_exit_impulse,
     metal_fields,
-    mirror_batch,
-    mirror_three_way_sweep,
+    mirror_pressures,
     photon_drag_field,
     pressure_from_reflectance,
     sphere_kick_trajectory,
@@ -34,10 +34,8 @@ def mirror_cfg(n=1.33, sigma=5e7, omega=3e15, E0=1e3, **kw):
 
 
 def mirror_point(cfg):
-    """The columns of mirror_batch at the single point of cfg, as floats."""
-    b = mirror_batch(cfg.medium.n, cfg.E0, cfg.omega, cfg.conductivity, cfg.guard)
-    assert b.errors == (None,)
-    return {name: float(column[0]) for name, column in b.columns.items()}
+    """The columns of mirror_pressures at the single point of cfg, as floats."""
+    return {name: float(column[0]) for name, column in mirror_pressures(cfg).items()}
 
 
 def cfg_for_ratio(n, k_over_alpha, flux):
@@ -175,19 +173,21 @@ def test_divergence_route_incident_only_term():
     assert incident_part == pytest.approx(cfg.medium.n * flux / SI.c, rel=1e-12)
 
 
-def test_three_way_sweep_agreement():
-    points = mirror_three_way_sweep(
-        n_values=np.linspace(1.0, 1.6, 3),
-        sigma_values=np.logspace(7, 8, 3),
-        omega_values=np.linspace(2.6e15, 4.5e15, 3))
-    assert len(points) == 27
-    assert max(pt["max_rel_diff"] for pt in points) <= 1e-6
+def test_three_way_agreement_over_n_sweeps():
+    reports = [run(parse_config(f"scenario = mirror\nE0_V_per_m = 1e3\n"
+                                f"sigma_S_per_m = {sigma!r}\nomega_rad_per_s = {omega!r}\n"
+                                "sweep = n:[1.0, 1.6, 3]\n"))
+               for sigma in np.logspace(7, 8, 3).tolist()
+               for omega in np.linspace(2.6e15, 4.5e15, 3).tolist()]
+    assert [len(r.rows) for r in reports] == [3] * 9
+    assert max(r.residuals["three_way_max_rel_diff"] for r in reports) <= 1e-6
 
 
-def test_three_way_sweep_skips_out_of_regime():
-    points = mirror_three_way_sweep(
-        n_values=[1.6], sigma_values=[1e5], omega_values=[4.5e15])
-    assert points == []
+def test_out_of_regime_point_is_an_error_without_rows():
+    report = run(parse_config("scenario = mirror\nn = 1.6\nE0_V_per_m = 1e3\n"
+                              "sigma_S_per_m = 1e5\nomega_rad_per_s = 4.5e15\n"))
+    assert report.rows.size == 0 and report.residuals == {}
+    assert report.errors[0].startswith("good-conductor approximation requires k/alpha")
 
 
 # ---------------------------------------------------------------------------
