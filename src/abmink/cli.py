@@ -58,8 +58,7 @@ def _cmd_run(args) -> int:
         sys.stdout.buffer.write(payload)
         sys.stdout.buffer.flush()
     if report.errors:
-        for err in report.errors:
-            print(f"error: {err}", file=sys.stderr)
+        sys.stderr.write("".join(f"error: {err}\n" for err in report.errors))
         return 1
     return 0
 

@@ -61,26 +61,34 @@ def unchecked(cls, **fields):
 
 
 @functools.lru_cache(maxsize=None)
-def _parsed(message: str) -> tuple[str, tuple[str, ...]]:
-    """``message`` with each ``{c.name`` numbered by position, and the names."""
-    names = tuple(re.findall(r"\{c\.([\w.]+)", message))
-    place = iter(range(1, len(names) + 1))
-    return re.sub(r"\{c\.[\w.]+", lambda _: "{%d" % next(place), message), names
+def _parsed(message: str) -> tuple[list[str], list[str], list[str]]:
+    """``message`` split at its fields, ``{c.name}`` or ``{c.name:spec}``:
+    the texts around them (each % doubled), their names and their %-specs."""
+    parts = re.split(r"\{c\.([\w.]+)(?::([^}]*))?\}", message)
+    return ([text.replace("%", "%%") for text in parts[::3]], parts[1::3],
+            ["%" + (spec or "s") for spec in parts[2::3]])
 
 
 def _messages(message: str, config, rows: list[int]) -> list[str]:
-    """``message`` at each of ``rows`` of ``config``.  Each field it names
-    (``{c.name}``, dotted for a config held in a field) is read once, on the
-    whole arrays, as Python values, and the template is formatted by
-    position; place 0 takes the row number, which no field names."""
-    template, names = _parsed(message)
-    columns = [np.asarray(operator.attrgetter(name)(config)) for name in names]
-    columns = [column[rows].tolist() if column.size > 1 else [column.item()] * len(rows)
-               for column in columns]
-    return [template.format(*values) for values in zip(rows, *columns)]
+    """``message`` at each of ``rows`` of ``config`` as str.format writes it,
+    ``{c.name}`` as %s and ``{c.name:spec}`` as %spec.  Each field (dotted for
+    a config held in a field) is read once, on the whole arrays: a shared one
+    is written into the template, and every row's numbers go through one %."""
+    texts, names, specs = _parsed(message)
+    template, values = texts[0], []
+    for name, spec, text in zip(names, specs, texts[1:]):
+        column = np.asarray(operator.attrgetter(name)(config))
+        if column.size > 1:
+            values.append(column[rows].tolist())
+        else:
+            spec = (spec % (column.item(),)).replace("%", "%%")
+        template += spec + text
+    flat = values[0] if len(values) == 1 else [v for row in zip(*values) for v in row]
+    return ("\0".join([template] * len(rows)) % tuple(flat)).split("\0")
 
 
-def check_rules(rules, config, size: int | None = None) -> dict[int, ValueError]:
+def check_rules(rules, config, size: int | None = None,
+                text: bool = False) -> dict[int, ValueError | str]:
     """Judge each row of ``config`` by ``rules``, the configs held in its
     fields by their own RULES first.
 
@@ -88,14 +96,15 @@ def check_rules(rules, config, size: int | None = None) -> dict[int, ValueError]
     the rule is broken: a bool for every row, or an (m,) bool array when
     fields of ``config`` hold m rows.  ``message`` is a str.format template
     whose fields read attributes of ``c`` = that row of ``config`` (dotted
-    for a config it holds).  Returns row -> the error of the
-    first rule that row breaks, for ``size`` rows; without ``size`` (a
-    config checking itself), raises the first row's error instead.
+    for a config it holds).  Returns row -> the error of the first rule that
+    row breaks (with ``text``, its message, and no error is built), for
+    ``size`` rows; without ``size`` (a config checking itself), raises the
+    first row's error instead.
     """
-    errors: dict[int, ValueError] = {}
+    errors = {}
     for value in vars(config).values():
         if hasattr(value, "RULES"):
-            errors = check_rules(value.RULES, value, size or 1) | errors
+            errors = check_rules(value.RULES, value, size or 1, text) | errors
     with np.errstate(all="ignore"):  # rejected rows may hold anything
         for fails, message, kind in rules:
             bad = fails(config)
@@ -103,7 +112,8 @@ def check_rules(rules, config, size: int | None = None) -> dict[int, ValueError]
                     else range(size or 1) if bad else ())
             rows = [i for i in rows if i not in errors]
             if rows:
-                errors.update(zip(rows, map(kind, _messages(message, config, rows))))
+                messages = _messages(message, config, rows)
+                errors.update(zip(rows, messages if text else map(kind, messages)))
     if size is None and errors:
         raise errors[min(errors)]
     return errors
@@ -205,7 +215,7 @@ class Medium:
          "mu_r must be > 0, got {c.mu_r}", ValueError),
         (lambda m: m.viscosity is not None and np.logical_not(m.viscosity > 0.0),
          "viscosity must be > 0, got {c.viscosity}", ValueError),
-        (lambda m: np.logical_not(np.abs(m.n - m._root) <= _REL_TOL * m._root),
+        (lambda m: np.logical_not(np.abs(m.n - (root := m._root)) <= _REL_TOL * root),
          "n={c.n} inconsistent with sqrt(eps_r*mu_r)={c._root}", ValueError),
     )
 

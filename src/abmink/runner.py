@@ -428,41 +428,43 @@ def _covariant_check_rows(n: float, mu_r: float, grid_step: float):
     return checks, residuals
 
 
-def _non_finite(columns: dict, m: int) -> tuple[np.ndarray, dict[int, str]]:
-    """The float columns, each an (m,) array or a value shared by all m
-    rows, as one (m, k) table, and row -> the message rejecting that row: it
+def _non_finite(table: np.ndarray, names: list[str]) -> dict[int, str]:
+    """Row -> the message rejecting that row of the float ``table``: it
     names the row's first column whose value is not finite."""
-    names = list(columns)
-    table = np.empty((m, len(names)))
-    for j, column in enumerate(columns.values()):
-        table[:, j] = column
     finite = np.isfinite(table)
-    errors = {}
     if finite.all():  # the common case, without the per-row reduction
-        return table, errors
-    for i in np.flatnonzero(~finite.all(axis=1)):
-        j = np.argmin(finite[i])
-        errors[int(i)] = f"result '{names[j]}' is not finite: {float(table[i, j])}"
-    return table, errors
+        return {}
+    return {i: f"result '{names[j]}' is not finite: {float(table[i, j])}"
+            for i in np.flatnonzero(~finite.all(axis=1)).tolist()
+            for j in [np.argmin(finite[i])]}
 
 
 def _evaluate_closed_form(form, p, tag, m):
     """All m points at once: the rules judge, and the closed-form functions
-    evaluate, every array-valued parameter as an (m,) array, once per tag."""
+    evaluate, every array-valued parameter as an (m,) array, once per tag:
+    the kept rows, or all m of a ``judged`` scenario's config (the one its
+    rules judged), whose table gives the kept rows through one index."""
     config = form.config(p)
-    errors = {i: str(exc) for i, exc in check_rules(form.rules, config, m).items()}
-    ok = np.arange(m)
-    if errors:  # np.delete costs several us even with nothing to delete
-        ok = np.delete(ok, list(errors))
-        p = {key: v[ok] if isinstance(v, np.ndarray) else v for key, v in p.items()}
-    columns, table = {}, np.empty((0, 0))
-    if ok.size:
-        columns = form.columns(p, tag)
-        # finite inputs can still overflow (E0^2 beyond the double range)
-        table, bad = _non_finite(columns, ok.size)
-        errors.update((ok[j], message) for j, message in bad.items())
-        if bad:
-            table = np.delete(table, list(bad), axis=0)
+    errors = check_rules(form.rules, config, m, text=True)
+    keep = slice(None)
+    if errors:
+        if len(errors) == m:
+            return [], np.empty((0, 0)), {}, errors
+        keep = np.ones(m, bool)
+        keep[list(errors)] = False
+        if not form.judged:
+            p = {key: v[keep] if isinstance(v, np.ndarray) else v for key, v in p.items()}
+    columns = form.columns(config if form.judged else p, tag)
+    table = np.empty((m if form.judged else m - len(errors), len(columns)))
+    for j, column in enumerate(columns.values()):
+        table[:, j] = column  # an (m,) array or a value shared by all rows
+    if form.judged and errors:
+        table = table[keep]
+    # finite inputs can still overflow (E0^2 beyond the double range)
+    if bad := _non_finite(table, list(columns)):
+        rows = np.arange(m)[keep]
+        errors.update((int(rows[i]), message) for i, message in bad.items())
+        table = np.delete(table, list(bad), axis=0)
     return list(columns), table, {}, errors
 
 
@@ -509,7 +511,8 @@ class _Scenario(NamedTuple):
     parameters in the object that ``rules`` judge row by row (see
     core.check_rules; by default the parameters by key), and
     ``columns(p, tag)``, which maps the parameters of the accepted rows to
-    report columns, each an (m,) array or a value shared by all rows.
+    report columns, each an (m,) array or a value shared by all rows; a
+    ``judged`` scenario's ``columns(config, tag)`` reads the judged config.
     """
 
     keys: dict[str, object]
@@ -519,6 +522,7 @@ class _Scenario(NamedTuple):
     config: Callable = lambda p: SimpleNamespace(**p)
     rules: tuple = ()
     sweepable: bool = True
+    judged: bool = False
 
 
 _SCENARIOS = {
@@ -530,8 +534,8 @@ _SCENARIOS = {
                     "Lorentz route (mu0 sigma/2) Re int E_y H_z* dx; "
                     "transport route c g_x / n plus n R S_i / c"),
         evaluate=_evaluate_mirror, config=_mirror_config,
-        rules=scenarios.MirrorConfig.RULES,
-        columns=lambda p, tag: scenarios.mirror_pressures(_mirror_config(p))),
+        rules=scenarios.MirrorConfig.RULES, judged=True,
+        columns=lambda config, tag: scenarios.mirror_pressures(config)),
     "drag": _Scenario(
         keys={"intensity_W_per_m2": _REQUIRED, "sigma_a_m2": _REQUIRED,
               "omega_rad_per_s": _REQUIRED, "n": _REQUIRED},
@@ -595,13 +599,14 @@ def run(request: ScenarioRequest) -> ScenarioReport:
     # numpy scalars: a division by zero or an overflow gives inf or nan
     p = {key: np.float64(v) for key, v in request.params.items()}
     m = 1 if sweep is None else sweep.count
-    if sweep is not None:
-        p[sweep.param] = values = np.linspace(sweep.lo, sweep.hi, m)
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):  # linspace's step times m - 1 can overflow too
+        if sweep is not None:
+            p[sweep.param] = values = np.linspace(sweep.lo, sweep.hi, m)
         columns, rows, residuals, errors = scenario.evaluate(scenario, p, request.tag, m)
     bad = sorted(errors)
-    where = ([""] * len(bad) if sweep is None
-             else [f"{sweep.param}={v:g}: " for v in values[bad].tolist()])
+    where = ([""] * len(bad) if sweep is None or not bad else ("\0".join(
+        [sweep.param.replace("%", "%%") + "=%g: "] * len(bad)) % tuple(values[bad].tolist())
+    ).split("\0"))
     if isinstance(rows, np.ndarray):
         if not len(rows):  # no row kept, so no column either
             columns, rows = [], np.empty((0, 0))
@@ -625,19 +630,16 @@ _BLOCK_ROWS = 1024
 # A block of fewer varying cells goes through %, cheaper there than the kernel
 _KERNEL_CELLS = {"csv": 200, "json": 350, "table": 500}
 _K0 = -302  # the least k of the 10**k in the kernels' table; 350 the most
-_CELL = np.dtype([("head", "V3"), ("digits", "V16"), ("exp", "V5")])  # -d. dddd... e+ddd
-_CELL6 = np.dtype([("pad", "V2"), ("head", "V3"), ("digits", "V4"), ("last", "V2"),
-                   ("exp", "V5")])  # '  -d.dddddde+ddd'
-_DIGITS = np.dtype([("pad", "V2"), ("lead", "u1"), ("digits", "V16"), ("exp", "V5")])
-_GROUPS = 10 ** np.arange(12, -1, -4)  # N's four 4-digit groups after its leading digit
 
 
 @functools.cache
 def _e16_tables():
     """The kernels' tables, built on first use (a few ms): the rows h, h's
     Dekker halves, lo and b + 970 of 10**k = (h + lo) 2**b, h an integer in
-    [2**52, 2**53), for k in [-302, 350]; the NUL-padded texts of sign and
-    leading digit, 0000..9999, e-324..e+308, 00..99 and 0..2 spaces; repr's layouts."""
+    [2**52, 2**53), for k in [-302, 350]; as unsigned integers, the NUL-padded
+    texts of sign, leading digit and point, 0000..9999, e+000..e+308 then
+    e-324..e-001 (q indexes them) in the top 5 of 8 bytes, 00..99 and 0..2
+    spaces; repr's layouts."""
     rows = []
     for k in range(_K0, 351):
         s = 52 - math.floor(k * math.log2(10))  # h = floor(10**k 2**s)
@@ -646,7 +648,7 @@ def _e16_tables():
     h, lo, bias = np.array(rows, np.float64).T
     hh = 134217729.0 * h  # 2**27 + 1
     hh -= hh - h
-    text = lambda cells: np.frombuffer("".join(cells).encode(), f"V{len(cells[0])}")
+    text = lambda cells: np.frombuffer("".join(cells).encode(), f"u{len(cells[0])}")
     digits = np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij")
     # repr's layouts, for n digits with the point after digit p (fixed
     # notation; p in -3..16) or scientific: each byte is a digit as it lies
@@ -659,60 +661,76 @@ def _e16_tables():
     layouts = np.stack([(plan == 97) * 255, (plan == 98) * 255, plan * (plan < 97)])
     layouts = layouts.astype(np.uint8).view(np.uint64).reshape(3, -1, 3)
     return (np.array([h, hh, h - hh, lo, bias]),
-            text([f"{sign}{d}." for sign in "\0-" for d in range(10)]),
-            np.stack(digits, axis=-1).reshape(-1, 4).view("V4")[:, 0],  # 0000..9999
-            text([f"e{'-' if q < 0 else '+'}{abs(q) // 100 or chr(0)}{abs(q) % 100:02d}"
-                  for q in range(-324, 309)]),
+            text([f"{sign}{d}.\0" for sign in "\0-" for d in range(10)]),
+            np.stack(digits, axis=-1).reshape(-1, 4).view(np.uint32)[:, 0],  # 0000..9999
+            text([f"\0\0\0e{'-' if q < 0 else '+'}{abs(q) // 100 or chr(0)}{abs(q) % 100:02d}"
+                  for q in [*range(309), *range(-324, 0)]]),
             text([f"{i:02d}" for i in range(100)]), text(["\0\0", " \0", "  "]),
             layouts.transpose(0, 2, 1).copy())
 
 
-def _scaled(M, e, q):
-    """M 2**(e - 53) 10**(16 - q), M < 2**53 an integer, as a + c with
-    |c| <= ulp(a) / 2: Dekker's exact product of M and h, plus M lo."""
-    h, hh, hl, lo, bias = np.take(_e16_tables()[0], 16 - q - _K0, axis=1)
+def _scaled(M, e, q, shift: int = 0):
+    """M 2**(e - 53) 10**(16 - shift - q), M < 2**53 an integer, as a + c
+    with |c| <= ulp(a) / 2: Dekker's exact product of M and h, plus M lo."""
+    h, hh, hl, lo, bias = np.take(_e16_tables()[0], (16 - shift - _K0) - q, axis=1)
     scale = ((e + bias.astype(np.int64)) << 52).view(np.float64)  # 2**(e - 53 + b)
     p = M * h
     mh = 134217729.0 * M
     mh -= mh - M
-    err = ((mh * hh - p) + mh * hl + (M - mh) * hh) + (M - mh) * hl  # p + err = M h
+    ml = M - mh
+    err = ((mh * hh - p) + mh * hl + ml * hh) + ml * hl  # p + err = M h
     a, c = p * scale, (err + M * lo) * scale
-    return a + c, c - ((a + c) - a)
+    s = a + c
+    return s, c - (s - a)
 
 
 def _decimal(x: np.ndarray, shift: int = 0):
-    """M and e of each |v| = M 2**(e - 53) of x, its decimal exponent q and
-    |v| 10**(16 - shift - q) as a + c in [10**(16 - shift), 10**(17 - shift)),
-    good to about 2**-47 of its last unit; a zero is taken as 1.0."""
-    mag = np.where(x == 0.0, 1.0, np.abs(x))
+    """M of each |v| = M 2**(e - 53) of x, its decimal exponent q, |v|
+    10**(16 - shift - q) as a + c in [10**(16 - shift), 10**(17 - shift)), good
+    to about 2**-47 of its last unit, and the indices of x's zeros (taken as
+    1.0).  Only cells where log10's q can be one off are checked exactly."""
+    mag, zero = np.abs(x), (x == 0.0).nonzero()[0]
+    mag[zero] = 1.0
     m, e = np.frexp(mag)
     M, q = m * 2.0 ** 53, np.floor(np.log10(mag)).astype(np.int64)  # q one off at most
-    a, c = _scaled(M, e, q + shift)
+    a, c = _scaled(M, e, q, shift)
     low = 10.0 ** (16 - shift)
-    off = ((a - 10 * low) + c >= 0).astype(np.int64) - ((a - low) + c < 0)  # the decade
-    if (fix := np.flatnonzero(off)).size:
-        q[fix] += off[fix]
-        a[fix], c[fix] = _scaled(M[fix], e[fix], q[fix] + shift)
-    return M, e, q, a, c
+    if (fix := (((a - low) + c < 0) | (a >= 10 * low)).nonzero()[0]).size:
+        q[fix] += ((a[fix] - 10 * low) + c[fix] >= 0).astype(np.int64) - (
+            (a[fix] - low) + c[fix] < 0)
+        a[fix], c[fix] = _scaled(M[fix], e[fix], q[fix], shift)
+    return M, q, a, c, zero
 
 
 def _rounded(x: np.ndarray, shift: int):
     """|v| 10**(16 - shift - q) of _decimal rounded to the nearest integer N
     (0 for a zero), q the exponent it is written with, and whether N lay
     within 2**-30 of a tie, which the kernels hand back to %."""
-    *_, q, a, c = _decimal(x, shift)
+    _, q, a, c, zero = _decimal(x, shift)
     whole = np.floor(a) if shift else a  # a >= 1e16 > 2**53 is whole already
     r = np.rint(frac := (a - whole) + c if shift else c)
     N = whole.astype(np.int64) + r.astype(np.int64)
-    carry = N == 10 ** (17 - shift)  # rounded up into the next decade
-    N = np.where(x == 0.0, 0, N - 9 * 10 ** (16 - shift) * carry)
-    return N, q + carry, np.abs(frac - r) > 0.5 - 2.0 ** -30
+    if (carry := (N == 10 ** (17 - shift)).nonzero()[0]).size:
+        N[carry], q[carry] = 10 ** (16 - shift), q[carry] + 1
+    N[zero] = 0
+    return N, q, np.abs(frac - r) > 0.5 - 2.0 ** -30
+
+
+def _digits(N: np.ndarray):
+    """The leading digit of each N in [0, 10**17) and the (len(N), 16) uint8
+    text of the 16 digits after it, four 4-digit groups split off by scalars."""
+    groups = np.empty((len(N), 4), np.int64)
+    high, low = np.divmod(N, 10 ** 8)
+    np.divmod(low, 10 ** 4, out=(groups[:, 2], groups[:, 3]))
+    np.divmod(high, 10 ** 4, out=(high, groups[:, 1]))
+    np.divmod(high, 10 ** 4, out=(high, groups[:, 0]))
+    return high, _e16_tables()[2][groups].view(np.uint8)
 
 
 def _fall_back(out: np.ndarray, unsure: np.ndarray, text) -> np.ndarray:
     """out with row i, for each cell i a kernel is unsure of, the NUL-padded
     text(i) that % or repr gives."""
-    for i in np.flatnonzero(unsure).tolist():
+    for i in unsure.nonzero()[0].tolist():
         out[i] = np.frombuffer(text(i).encode().ljust(out.shape[1], b"\0"), np.uint8)
     return out
 
@@ -720,31 +738,34 @@ def _fall_back(out: np.ndarray, unsure: np.ndarray, text) -> np.ndarray:
 def _e16(x: np.ndarray) -> np.ndarray:
     """'%.16e' % v for each finite v of x, as (len(x), 24) uint8 text padded
     with NUL: |v| 10**(16 - q), q its decimal exponent, rounded to the nearest
-    N in [1e16, 1e17]; a tie goes through %.16e itself."""
+    N in [1e16, 1e17); a tie goes through %.16e itself.  Each piece is one
+    typed lookup, written as 8, 4 or 16 bytes, the later over the earlier."""
     N, q, tie = _rounded(x, 0)
-    _, heads, digits, exps, *_ = _e16_tables()
-    cells = np.empty(len(x), _CELL)
-    cells["head"] = heads[np.signbit(x) * 10 + N // 10 ** 16]
-    cells["digits"] = digits[N[:, None] // _GROUPS % 10000].view("V16")[:, 0]
-    cells["exp"] = exps[q + 324]
-    return _fall_back(cells.view(np.uint8).reshape(-1, 24), tie,
-                      lambda i: "%.16e" % x[i])
+    _, heads, _, exps, *_ = _e16_tables()
+    lead, digits = _digits(N)
+    out = np.empty((len(x), 24), np.uint8)
+    out[:, 16:].view(np.uint64)[:, 0] = exps[q]
+    out[:, :4].view(np.uint32)[:, 0] = heads[np.signbit(x) * 10 + lead]
+    out[:, 3:19] = digits
+    return _fall_back(out, tie, lambda i: "%.16e" % x[i])
 
 
 def _e6(x: np.ndarray, width: np.ndarray) -> np.ndarray:
     """'%*.6e' % (w, v) for each finite v of x and w of width (12 to 14), as
     (len(x), 16) uint8 text padded with NUL: _e16 at seven digits, N in
-    [1e6, 1e7], and NUL in place of each of the 14 - w pad bytes."""
+    [1e6, 1e7), and NUL in place of each of the 14 - w pad bytes."""
     N, q, tie = _rounded(x, 10)
     sign = np.signbit(x)
-    _, heads, digits, exps, pairs, pads, *_ = _e16_tables()
-    cells = np.empty(len(x), _CELL6)
-    cells["pad"] = pads[width - 12 - sign - (np.abs(q) >= 100)]
-    cells["head"] = heads[sign * 10 + N // 10 ** 6]
-    cells["digits"], cells["last"] = digits[N // 100 % 10000], pairs[N % 100]
-    cells["exp"] = exps[q + 324]
-    return _fall_back(cells.view(np.uint8).reshape(-1, 16), tie,
-                      lambda i: "%*.6e" % (int(width[i]), x[i]))
+    _, heads, digits, exps, pairs, pads, _ = _e16_tables()
+    high, last = np.divmod(N, 100)
+    lead, middle = np.divmod(high, 10 ** 4)
+    out = np.empty((len(x), 16), np.uint8)  # '  -d.dddddde+ddd', written as _e16's
+    out[:, 8:].view(np.uint64)[:, 0] = exps[q]
+    out[:, :2].view(np.uint16)[:, 0] = pads[width - 12 - sign - (np.abs(q) >= 100)]
+    out[:, 2:6].view(np.uint32)[:, 0] = heads[sign * 10 + lead]
+    out[:, 5:9].view(np.uint32)[:, 0] = digits[middle]
+    out[:, 9:11].view(np.uint16)[:, 0] = pairs[last]
+    return _fall_back(out, tie, lambda i: "%*.6e" % (int(width[i]), x[i]))
 
 
 def _repr(x: np.ndarray) -> np.ndarray:
@@ -754,9 +775,14 @@ def _repr(x: np.ndarray) -> np.ndarray:
     nearest one is written without its trailing zeros: in fixed notation for
     q in [-4, 15], else scientific.  A margin or a tie within 2**-20 (2**-30
     for a 17-digit tie), a power of two (its gap below is half the gap
-    above), a subnormal and zero go through repr itself."""
-    M, _, q, a, c = _decimal(x)
+    above), a subnormal and zero go through repr itself.  For 1e13 <= |v|
+    < 1e19, N and w are exact to far better than 2**-20 and a nonzero margin
+    is at least 2**-10: a multiple exactly w away rounds to v iff M is even
+    (half to even), so w moves 2**-19 up or down and the kernel decides."""
+    M, q, a, c, _ = _decimal(x)
     w = a / (2.0 * M)  # N / 2M, half an ulp of |v| in N's units, good to 2**-48
+    if (exact := ((q >= 13) & (q <= 18)).nonzero()[0]).size:
+        w[exact] += np.where(M[exact] % 2.0 == 0.0, 2.0 ** -19, -(2.0 ** -19))
     floor = np.floor(c)
     B, f = a.astype(np.int64) + floor.astype(np.int64), c - floor  # N = B + f
     D, unsure, eps = B + (f > 0.5), np.abs(f - 0.5) < 2.0 ** -30, 2.0 ** -20
@@ -768,21 +794,19 @@ def _repr(x: np.ndarray) -> np.ndarray:
         D = np.where(ok, B - rem + unit * (rem + f > unit / 2), D)
         unsure = np.where(ok, mid <= eps, unsure) | (np.abs(margin) <= eps)
     unsure |= (M == 2.0 ** 52) | ~(np.abs(x) >= 2.2250738585072014e-308)
-    carry = D == 10 ** 17
-    D, q = D - 9 * 10 ** 16 * carry, q + carry
-    _, _, digits, exps, _, _, layouts = _e16_tables()
-    cells = np.zeros(len(x), _DIGITS)
-    cells["lead"] = 48 + D // 10 ** 16
-    cells["digits"] = digits[D[:, None] // _GROUPS % 10000].view("V16")[:, 0]
-    cells["exp"] = exps[q + 324]
+    if (carry := (D == 10 ** 17).nonzero()[0]).size:
+        D[carry], q[carry] = 10 ** 16, q[carry] + 1
+    lead, digits = _digits(D)
+    out = np.zeros((len(x), 24), np.uint8)  # the digits at bytes 2 to 18
+    out[:, 16:].view(np.uint64)[:, 0] = _e16_tables()[3][q]
+    out[:, 2], out[:, 3:19] = 48 + lead, digits
     n = 17 - (D % 10 == 0)  # the digits but trailing zeros, and the layout
-    if (short := np.flatnonzero(D % 100 == 0)).size:
-        text = cells.view(np.uint8).reshape(-1, 24)[short, 18:1:-1]
-        n[short] = 17 - np.argmax(text != 48, axis=1)
+    if (short := (D % 100 == 0).nonzero()[0]).size:
+        n[short] = 17 - np.argmax(out[short, 18:1:-1] != 48, axis=1)
     layout = np.where((q > -5) & (q < 16), (q + 4) * 17, 340) + n - 1
-    keep_a, keep_b, fixed = np.take(layouts, layout, axis=2)
+    keep_a, keep_b, fixed = np.take(_e16_tables()[6], layout, axis=2)
     s = np.where(layout < 68, 8 * (5 - layout // 17), 0).astype(np.uint64)  # 8 (2 - p)
-    a = cells.view(np.uint64).reshape(-1, 3).T.copy()  # the digits at bytes 2 to 18
+    a = out.view(np.uint64).T.copy()
     b = a << s  # the 192 bits, then 8 bits down: digit 1 at byte 1, or 3 - p if p <= 0
     b[1:] |= a[:-1] >> (64 - s)
     b[:-1] = (b[:-1] >> 8) | (b[1:] << 56)

@@ -165,16 +165,17 @@ def mirror_pressures(cfg: MirrorConfig) -> dict:
         g_x = SI.eps0 * (n * n) * E0 * (SI.mu0 * H_z) / 2.0
         S_i = E0 * H_z / 2.0
 
-        routes = np.array([pressure_from_reflectance(n, R, flux), p2,
-                           SI.c * g_x / n + n * R * S_i / SI.c])
-        scale = np.abs(routes).max(axis=0)
+        p1, p3 = pressure_from_reflectance(n, R, flux), SI.c * g_x / n + n * R * S_i / SI.c
+        # the route-wise maxima and minima, the bits of max(axis=0) over the
+        # stacked routes without numpy's slow reduction along a length-3 axis
+        scale = np.maximum(np.maximum(np.abs(p1), np.abs(p2)), np.abs(p3))
+        top, low = np.maximum(np.maximum(p1, p2), p3), np.minimum(np.minimum(p1, p2), p3)
         # routes that are all zero agree: 0/0 reads as no spread
-        spread = np.where(scale != 0.0,
-                          (routes.max(axis=0) - routes.min(axis=0)) / scale, 0.0)
+        spread = np.where(scale != 0.0, (top - low) / scale, 0.0)
     return {"n": n, "sigma_S_per_m": sigma, "omega_rad_per_s": omega,
             "reflectance": R, "phase_rad": phase,
-            "incident_flux_W_per_m2": flux, "pressure_flux_Pa": routes[0],
-            "pressure_lorentz_Pa": p2, "pressure_divergence_Pa": routes[2],
+            "incident_flux_W_per_m2": flux, "pressure_flux_Pa": p1,
+            "pressure_lorentz_Pa": p2, "pressure_divergence_Pa": p3,
             "max_rel_diff": spread}
 
 

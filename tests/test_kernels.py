@@ -13,6 +13,7 @@ call, a power of two for repr, a subnormal, zero) it hands back to
 
 import math
 import struct
+from fractions import Fraction
 import subprocess
 import sys
 
@@ -135,15 +136,42 @@ def test_a_million_seeded_bit_patterns_render_as_repr():
 
 def test_repr_hands_back_only_its_stated_cells(undecided):
     # a power of two (the gap below is half the gap above), zero and the
-    # subnormals always; 2**54 + 4 lies exactly on the bound of 1.801439850948199e16
+    # subnormals always
     always = _both_signs([2.0 ** 60, 1.0, 2.0 ** -1022, 0.0, 5e-324,
-                          2.2250738585072009e-308, 2.0 ** 54 + 4.0])
+                          2.2250738585072009e-308])
     runner._repr(np.array(always))
     assert undecided.pop().all()
     ordinary = np.random.default_rng(8).normal(size=100_000) * 10.0 ** np.random.default_rng(
         9).integers(-300, 300, 100_000)
     runner._repr(ordinary)
     assert undecided.pop().mean() < 0.002  # about 0.1 %: the powers of ten scaled
+
+
+def _on_a_bound(v: float) -> bool:
+    """Whether a multiple of 10 or 100 of v's 17-digit N = |v| 10**(16 - q)
+    lies exactly half an ulp of v (in N's units) from N, in exact rationals."""
+    v = abs(v)
+    q = len(str(int(v))) - 1  # v >= 1
+    N = Fraction(v) * Fraction(10) ** (16 - q)
+    w = Fraction(math.ulp(v)) / 2 * Fraction(10) ** (16 - q)
+    return any(abs(N - j) == w for unit in (10, 100)
+               for j in (N // unit * unit, N // unit * unit + unit))
+
+
+def test_repr_decides_a_bound_at_exactly_half_an_ulp(undecided):
+    # 2**54 + 4 lies exactly w = 2 from ...990, which rounds to 2**54 + 8
+    # (half to even: M = 2**52 + 1 is odd); 2**54 + 8 lies exactly w from the
+    # same ...990, which rounds to it (M = 2**52 + 2 is even)
+    assert [repr(2.0 ** 54 + 4), repr(2.0 ** 54 + 8)] == [
+        "1.8014398509481988e+16", "1.801439850948199e+16"]
+    rng = np.random.default_rng(1354)
+    draws = 10.0 ** rng.uniform(13.0, 19.0, 40_000)
+    bound = [v for v in draws.tolist() if _on_a_bound(v)]
+    parity = [int(Fraction(v) / Fraction(math.ulp(v))) % 2 for v in bound]
+    assert 100 < parity.count(0) and 100 < parity.count(1)
+    cells = _both_signs([2.0 ** 54 + 4, 2.0 ** 54 + 8] + bound)
+    assert_renders_as_repr(cells)
+    assert not undecided.pop().any()  # the kernel decided every one of them
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ integral over the fields of ``metal_fields``.
 """
 
 import cmath
+import collections
+import functools
 import math
 import subprocess
 import sys
@@ -335,3 +337,71 @@ def test_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# one evaluation per request
+# ---------------------------------------------------------------------------
+
+MIRROR_TEXT = {"n": "1.33", "E0_V_per_m": "1e3", "omega_rad_per_s": "3e15",
+               "sigma_S_per_m": "5e7"}
+# k/alpha is about 0.043 at the base point and crosses the guard 0.2 near
+# n = 6.1, omega = 6.4e16 and sigma = 2.3e6: n and omega reject the high
+# end of their sweeps, sigma the low end
+GUARD_CROSSINGS = [("n", "1.0", "10.0", "tail"), ("omega_rad_per_s", "1e15", "1e17", "tail"),
+                   ("sigma_S_per_m", "1e6", "1e8", "head")]
+
+
+def mirror_text(swept=None, lo=None, hi=None, count=40, **values):
+    keys = {**MIRROR_TEXT, **values}
+    lines = [f"{k} = {v}" for k, v in keys.items() if k != swept]
+    if swept:
+        lines.append(f"sweep = {swept}:[{lo}, {hi}, {count}]")
+    return "scenario = mirror\n" + "\n".join(lines) + "\n"
+
+
+def test_a_mirror_request_builds_one_config_and_one_k_over_alpha(monkeypatch):
+    calls = collections.Counter()
+    build = runner._mirror_config
+
+    def config(p):
+        calls["config"] += 1
+        return build(p)
+
+    monkeypatch.setattr(runner, "_mirror_config", config)
+    monkeypatch.setitem(runner._SCENARIOS, "mirror",
+                        runner._SCENARIOS["mirror"]._replace(config=config))
+    for name in ("k", "alpha", "k_over_alpha"):
+        def counted(self, func=getattr(MirrorConfig, name).func, name=name):
+            calls[name] += 1
+            return func(self)
+        prop = functools.cached_property(counted)
+        prop.__set_name__(MirrorConfig, name)
+        monkeypatch.setattr(MirrorConfig, name, prop)
+    texts = [mirror_text(), mirror_text(sigma_S_per_m="1e5")] + [
+        mirror_text(*crossing[:3]) for crossing in GUARD_CROSSINGS]
+    for text in texts:
+        calls.clear()
+        report = run(parse_config(text))
+        assert calls == {"config": 1, "k": 1, "alpha": 1, "k_over_alpha": 1}, text
+    assert report.errors and len(report.rows)  # the last crosses the guard
+
+
+@pytest.mark.parametrize("param, lo, hi, rejected", GUARD_CROSSINGS)
+def test_kept_rows_are_the_rows_of_the_in_regime_points_alone(param, lo, hi, rejected):
+    report = run(parse_config(mirror_text(param, lo, hi)))
+    values = np.linspace(float(lo), float(hi), 40)
+    kept = report.rows[:, report.columns.index(param)]
+    assert 0 < len(report.errors) < 40 and len(kept) + len(report.errors) == 40
+    # the rejected points lie on one side of the guard, the kept on the other
+    assert (kept == (values[-len(kept):] if rejected == "head" else values[:len(kept)])).all()
+    rows = np.vstack([run(parse_config(mirror_text(**{param: repr(v)}))).rows
+                      for v in kept.tolist()])
+    assert rows.tobytes() == report.rows.tobytes()
+    # and so are the rows of one evaluation of the kept points as arrays
+    p = {key: np.float64(v) for key, v in report.params.items()} | {param: kept.copy()}
+    form = runner._SCENARIOS["mirror"]
+    with np.errstate(all="ignore"):
+        columns, table, residuals, errors = form.evaluate(form, p, None, len(kept))
+    assert errors == {} and table.tobytes() == report.rows.tobytes()
+    assert residuals == report.residuals

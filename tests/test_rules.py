@@ -15,6 +15,7 @@ Each rejecting config states its rules once, in a RULES tuple that
 """
 
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abmink import SI, RegimeError, runner, scenarios
+from abmink import SI, RegimeError, core, runner, scenarios
 from abmink.core import Medium, check_rules, unchecked
 from abmink.runner import parse_config, run
 from abmink.scenarios import DragConfig, MirrorConfig, SphereKickConfig, TorqueConfig
@@ -446,3 +447,67 @@ def test_report_errors_are_pinned(scenario, values, sweep, errors):
     assert report.errors == errors
     points = int(sweep.rsplit(",", 1)[1].rstrip("]")) if sweep else 1
     assert len(report.rows) == points - len(errors)
+
+
+# ---------------------------------------------------------------------------
+# the one-pass message formatter against str.format, row by row
+# ---------------------------------------------------------------------------
+
+RULE_SETS = {"Medium": Medium.RULES, "MirrorConfig": MirrorConfig.RULES,
+             "DragConfig": DragConfig.RULES, "TorqueConfig": TorqueConfig.RULES,
+             "SphereKickConfig": SphereKickConfig.RULES, "_L0_RULES": scenarios._L0_RULES,
+             "fiber": runner._SCENARIOS["fiber"].rules, "bec": runner._SCENARIOS["bec"].rules}
+TEMPLATES = sorted({message for rules in RULE_SETS.values() for _, message, _ in rules})
+_EDGE = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 0.2]
+_NUMBER = st.one_of(st.sampled_from(_EDGE), st.floats())
+
+
+def _nest(values: dict) -> SimpleNamespace:
+    """A namespace holding each value at its dotted name."""
+    root = SimpleNamespace()
+    for name, value in values.items():
+        *path, leaf = name.split(".")
+        node = root
+        for part in path:
+            node = node.__dict__.setdefault(part, SimpleNamespace())
+        setattr(node, leaf, value)
+    return root
+
+
+def test_every_rule_template_is_drawn():
+    assert len(TEMPLATES) == 20  # 4 + 5 + 4 + 1 + 3 + 1 + 1 + 1, none shared
+    assert any(":" in t for t in TEMPLATES) and any("{" not in t for t in TEMPLATES)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data(), st.sampled_from(TEMPLATES))
+def test_one_pass_messages_equal_str_format_row_by_row(data, template):
+    m = data.draw(st.integers(1, 6))
+    fields = {}
+    for name, spec in re.findall(r"\{c\.([\w.]+)(:[^}]*)?\}", template):
+        kind = data.draw(st.sampled_from(["rows", "shared"] + ["none"] * (not spec)))
+        fields[name] = (np.array([data.draw(_NUMBER) for _ in range(m)]) if kind == "rows"
+                        else None if kind == "none" else data.draw(_NUMBER))
+    rows = sorted(data.draw(st.sets(st.integers(0, m - 1), min_size=1)))
+    got = core._messages(template, _nest(fields), rows)
+    want = [template.format(c=_nest({name: float(v[i]) if isinstance(v, np.ndarray) else v
+                                     for name, v in fields.items()})) for i in rows]
+    assert got == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(*[st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, -1.0, 1.7e308])
+         | st.floats(allow_nan=False, allow_infinity=False)] * 2, st.integers(2, 12))
+def test_run_prefixes_each_error_with_the_swept_value_as_g(lo, hi, count):
+    # a fiber sweep of the pulse energy: a negative value breaks the rule, and
+    # a span beyond the double range (which only a request built in Python
+    # can hold) gives values that are not finite, a non-finite column
+    request = runner.ScenarioRequest(
+        "fiber", {"n": 1.5}, sweep=runner.SweepSpec("pulse_energy_J", lo, hi, count))
+    report = run(request)
+    with np.errstate(all="ignore"):  # a step times count - 1 can overflow
+        values = np.linspace(lo, hi, count)
+    want = [f"pulse_energy_J={v:g}: " + (f"pulse_energy_J must be >= 0, got {v}" if v < 0
+                                          else f"result 'pulse_energy_J' is not finite: {v}")
+            for v in values.tolist() if not (v >= 0 and math.isfinite(v))]
+    assert report.errors == want

@@ -352,14 +352,14 @@ def test_a_report_without_rows_has_no_columns(text):
 def test_a_sweep_with_no_rejected_point_keeps_the_evaluated_table(monkeypatch):
     tables, non_finite = [], runner._non_finite
 
-    def recording(columns, m):
-        tables.append(non_finite(columns, m))
-        return tables[-1]
+    def recording(table, names):
+        tables.append((table, non_finite(table, names)))
+        return tables[-1][1]
 
     monkeypatch.setattr(runner, "_non_finite", recording)
     report = run(parse_config(MIRROR_SWEEPS_N + "sweep = n:[1.0,1.6,5]\n"))
     assert report.errors == [] and report.rows is tables[0][0]
-    # the points the rules reject are never evaluated
+    # the points the rules reject are dropped before the finiteness check
     report = run(parse_config(MIRROR_SWEEPS_N + "sweep = n:[1.0,8.0,5]\n"))
     table, bad = tables[1]
     assert report.errors and bad == {} and report.rows is table
@@ -710,3 +710,11 @@ def test_cached_draws_are_read_only(cache):
         a = getattr(a, "M", a)  # the field tensor's matrix stack
         with pytest.raises(ValueError, match="read-only"):
             a.flat[0] = 0.0
+
+
+def test_a_sweep_whose_step_overflows_runs_without_a_warning():
+    # linspace multiplies its step by each point's index, and 6 (max / 6)
+    # overflows before the last value is set to hi; the span itself is finite
+    report = run(parse_config("scenario = fiber\nn = 1.5\n"
+                              "sweep = pulse_energy_J:[-0.0, 1.7976931348623157e308, 7]\n"))
+    assert report.errors == [] and report.rows[-1, 0] == 1.7976931348623157e308
