@@ -4,6 +4,9 @@
     abmink list
     abmink check [--tol X] [--format text|json]
 
+A plainly spelled command line is matched directly; argparse parses every
+other spelling, with the same help and errors.
+
 ``run`` exits with status 1 when the report has errors, and with status 2
 when the config cannot be read or parsed or the report cannot be written.
 ``check`` runs the built-in cross-check suite and exits nonzero if any
@@ -17,12 +20,11 @@ each check in suite order.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
 import sys
-from pathlib import Path
+from types import SimpleNamespace
 
 from .runner import (
     DEFAULT_TOL,
@@ -37,7 +39,8 @@ from .runner import (
 
 def _cmd_run(args) -> int:
     try:
-        text = Path(args.config).read_text(encoding="utf-8")
+        with open(args.config, "rb") as f:
+            text = f.read().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
@@ -50,7 +53,8 @@ def _cmd_run(args) -> int:
         return 2
     if args.out:
         try:
-            Path(args.out).write_bytes(payload)
+            with open(args.out, "wb") as f:
+                f.write(payload)
         except OSError as exc:
             print(f"error: cannot write report: {exc}", file=sys.stderr)
             return 2
@@ -91,35 +95,63 @@ def _cmd_check(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+# command -> handler, help, arguments (name, choices, default, help): read by both parsers
+_COMMANDS = {
+    "run": (_cmd_run, "evaluate a scenario config file",
+            ("config", None, None, "path to a key = value config document"),
+            ("--format", ("table", "csv", "json"), "table", None),
+            ("--out", None, None, "write the report here instead of stdout")),
+    "list": (_cmd_list, "list the scenario names"),
+    "check": (_cmd_check, "run the built-in cross-check suite",
+              ("--tol", None, None, "relative tolerance (default ABMINK_TOL or 1e-6)"),
+              ("--format", ("text", "json"), "text", None)),
+}
+
+
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
+def _parser():
     """The argument parser, built on first use and kept: parse_args returns
     a fresh namespace each call, so no option carries over."""
+    import argparse  # here alone: a plainly spelled command line never loads it
     parser = argparse.ArgumentParser(
         prog="abmink",
         description=("Abraham/Minkowski electromagnetic momentum toolkit: "
                      "scenario runner and cross-checks."))
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="evaluate a scenario config file")
-    p_run.add_argument("config", help="path to a key = value config document")
-    p_run.add_argument("--format", choices=("table", "csv", "json"),
-                       default="table")
-    p_run.add_argument("--out", help="write the report here instead of stdout")
-    p_run.set_defaults(fn=_cmd_run)
-
-    p_list = sub.add_parser("list", help="list the scenario names")
-    p_list.set_defaults(fn=_cmd_list)
-
-    p_check = sub.add_parser("check", help="run the built-in cross-check suite")
-    p_check.add_argument("--tol", help="relative tolerance (default ABMINK_TOL or 1e-6)")
-    p_check.add_argument("--format", choices=("text", "json"), default="text")
-    p_check.set_defaults(fn=_cmd_check)
+    for command, (fn, about, *arguments) in _COMMANDS.items():
+        p = sub.add_parser(command, help=about)
+        for name, choices, default, about in arguments:
+            p.add_argument(name, choices=choices, default=default, help=about)
+        p.set_defaults(fn=fn)
     return parser
 
 
+def _plain(argv):
+    """parse_args' namespace for a plain argv (the positionals, then exact flags,
+    each with a value that does not begin with '-'); None for any other argv."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    fn, _, *arguments = _COMMANDS[argv[0]]
+    args, choices, words = {"command": argv[0], "fn": fn}, {}, list(argv[1:])
+    for name, allowed, default, _ in arguments:
+        if name.startswith("--"):
+            args[name[2:]], choices[name] = default, allowed
+        elif words and not words[0].startswith("-"):
+            args[name] = words.pop(0)
+        else:
+            return None
+    if len(words) % 2:
+        return None
+    for flag, value in zip(words[::2], words[1::2]):  # a repeated flag keeps its last value
+        if (flag not in choices or value.startswith("-")
+                or choices[flag] and value not in choices[flag]):
+            return None
+        args[flag[2:]] = value
+    return SimpleNamespace(**args)
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _plain(sys.argv[1:] if argv is None else argv) or _parser().parse_args(argv)
     return args.fn(args)
 
 

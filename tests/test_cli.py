@@ -5,6 +5,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from abmink import cli
 
 CMD = [sys.executable, "-m", "abmink"]
 
@@ -122,6 +126,47 @@ def test_run_reads_a_config_saved_with_a_byte_order_mark(tmp_path):
         proc = run_cli("run", str(marked), "--format", fmt)
         assert proc.returncode == 0 and expected.returncode == 0
         assert proc.stdout == expected.stdout and proc.stderr == b""
+
+
+# In-process, through cli.main: reading the config as bytes must not change
+# a report where text mode translated \r\n and lone \r to \n.
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_run_reads_any_line_ending_with_or_without_a_byte_order_mark(tmp_path, fmt,
+                                                                     capsysbinary):
+    text = "# a bec sweep\n" + BEC_SWEEP_CFG.replace("\nsweep", "  # comment\nsweep")
+    configs = [text.encode(), text.replace("\n", "\r\n").encode(),
+               b"\xef\xbb\xbf" + text.replace("\n", "\r\n").encode(),
+               text.replace("\n", "\r").encode()]
+    reports = []
+    for i, data in enumerate(configs):
+        path = tmp_path / f"{i}.cfg"
+        path.write_bytes(data)
+        assert cli.main(["run", str(path), "--format", fmt]) == 0
+        reports.append(capsysbinary.readouterr())
+    assert reports[0].err == b"" and len(reports[0].out.splitlines()) > 300
+    assert reports == [reports[0]] * len(configs)
+
+
+def test_run_keeps_the_full_text_of_a_file_error(tmp_path, capsys):
+    config, latin1 = tmp_path / "bec.cfg", tmp_path / "latin1.cfg"
+    config.write_text(BEC_SWEEP_CFG)
+    # the bad byte lies past the first 8 KiB: its position is counted from
+    # the start of the file, not of a read chunk
+    latin1.write_bytes(b"#" * 9000 + b"\nscenario = bec\nn = 1.5\xff\n")
+    missing, report = tmp_path / "missing.cfg", tmp_path / "missing" / "report.csv"
+    for argv, err in [
+        ([str(missing)],
+         f"cannot read config: [Errno 2] No such file or directory: {str(missing)!r}"),
+        ([str(tmp_path)], f"cannot read config: [Errno 21] Is a directory: {str(tmp_path)!r}"),
+        ([str(latin1)], "cannot read config: 'utf-8' codec can't decode byte 0xff "
+                        "in position 9023: invalid start byte"),
+        ([str(config), "--out", str(report)],
+         f"cannot write report: [Errno 2] No such file or directory: {str(report)!r}"),
+        ([str(config), "--out", str(tmp_path)],
+         f"cannot write report: [Errno 21] Is a directory: {str(tmp_path)!r}"),
+    ]:
+        assert cli.main(["run", *argv, "--format", "csv"]) == 2
+        assert capsys.readouterr() == ("", f"error: {err}\n")
 
 
 @pytest.mark.parametrize("raw", ["1_5", "\u0661.5"])
@@ -341,3 +386,90 @@ def test_parse_tolerance_takes_a_real_number_or_its_ascii_text():
     for tol in (True, np.True_, "1_0", "１", b"1e-3", None, 10 ** 400, "nan", -1e-3):
         with pytest.raises(ValueError, match="tolerance must be a finite number > 0"):
             parse_tolerance(tol)
+
+
+# Words the parity test builds command lines from: the commands, the flags
+# and their choices, spellings only argparse takes, and odd values.
+ARGV_WORDS = ["run", "check", "list", "--format", "--out", "--tol", "table", "csv",
+              "json", "text", "xml", "-h", "--form", "--format=csv", "-", "--", "",
+              "-1", "1e-3", "a b", "report.csv"]
+
+
+@st.composite
+def _argvs(draw):
+    """Up to seven of ARGV_WORDS: any words, or a command, its positional and
+    (flag, value) pairs with seven in eight words well placed, so that the
+    matcher accepts a good share of them."""
+    if draw(st.booleans()):
+        return draw(st.lists(st.sampled_from(ARGV_WORDS), max_size=7))
+
+    def word(good):
+        return draw(st.sampled_from(good if draw(st.integers(0, 7)) else ARGV_WORDS))
+    command = draw(st.sampled_from(["run", "check", "list"]))
+    argv = [command, word(["report.csv", "a b", "", "1e-3"])] if command == "run" else [command]
+    for _ in range(draw(st.integers(0, (7 - len(argv)) // 2))):
+        argv += [word(["--format", "--out", "--tol"]),
+                 word(["table", "csv", "json", "text", "report.csv", "1e-3", "a b", ""])]
+    return argv
+
+
+@settings(max_examples=2000, deadline=None)
+@given(_argvs())
+def test_a_plainly_spelled_argv_parses_as_argparse_parses_it(argv):
+    plain = cli._plain(argv)
+    if plain is not None:
+        assert vars(plain) == vars(cli._parser().parse_args(argv))
+
+
+def _namespace(command, **args):
+    fn = {"run": cli._cmd_run, "check": cli._cmd_check, "list": cli._cmd_list}[command]
+    return {"command": command, **args, "fn": fn}
+
+
+@pytest.mark.parametrize("argv, parsed", [
+    (["list"], _namespace("list")),
+    (["check"], _namespace("check", tol=None, format="text")),
+    (["check", "--format", "json", "--tol", "1e-3"],
+     _namespace("check", tol="1e-3", format="json")),
+    (["run", "c.cfg"], _namespace("run", config="c.cfg", format="table", out=None)),
+    (["run", "c.cfg", "--out", "r", "--format", "csv"],
+     _namespace("run", config="c.cfg", format="csv", out="r")),
+    # argparse keeps the last of a repeated option, and so does the matcher
+    (["run", "c.cfg", "--format", "csv", "--format", "json"],
+     _namespace("run", config="c.cfg", format="json", out=None)),
+])
+def test_the_matcher_takes_a_plainly_spelled_argv(argv, parsed):
+    assert vars(cli._plain(argv)) == parsed == vars(cli._parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv, parsed", [
+    (["run", "c.cfg", "--format=csv"], _namespace("run", config="c.cfg", format="csv", out=None)),
+    (["run", "c.cfg", "--form", "csv"], _namespace("run", config="c.cfg", format="csv", out=None)),
+    (["run", "--format", "csv", "c.cfg"],
+     _namespace("run", config="c.cfg", format="csv", out=None)),
+    (["run", "-", "--out", "r"], _namespace("run", config="-", format="table", out="r")),
+    (["run", "--", "-x"], _namespace("run", config="-x", format="table", out=None)),
+    (["check", "--tol", "-1"], _namespace("check", tol="-1", format="text")),
+])
+def test_argparse_parses_what_the_matcher_declines(argv, parsed):
+    assert cli._plain(argv) is None
+    assert vars(cli._parser().parse_args(argv)) == parsed
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    (["-h"], 0, "usage: abmink [-h] {run,list,check} ...", ""),
+    (["run", "-h"], 0, "usage: abmink run [-h]", ""),
+    ([], 2, "", "abmink: error: the following arguments are required: command"),
+    (["run", "c.cfg", "--format", "xml"], 2, "",
+     "abmink run: error: argument --format: invalid choice: 'xml'"),
+    (["run", "c.cfg", "--out", "-x"], 2, "",
+     "abmink run: error: argument --out: expected one argument"),
+    (["list", "--format", "csv"], 2, "", "abmink: error: unrecognized arguments: --format csv"),
+])
+def test_argparse_answers_help_and_usage_errors(argv, code, out, err, capsys):
+    assert cli._plain(argv) is None
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == code
+    captured = capsys.readouterr()
+    assert out in captured.out and err in captured.err

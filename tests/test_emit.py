@@ -461,10 +461,17 @@ def test_successive_checks_leak_no_tolerance(monkeypatch, capsys):
     assert "(bound 1.000e-18)" in capsys.readouterr().out
 
 
-def test_the_parser_is_built_on_first_use_and_kept():
-    fresh = subprocess.run(
-        [sys.executable, "-c", "import abmink.cli as c; "
-         "print(c._parser.cache_info().currsize)"],
-        capture_output=True, text=True, check=True)
-    assert fresh.stdout == "0\n"  # importing does not build it
+def test_the_parser_is_built_on_first_use_and_kept(tmp_path):
+    config = tmp_path / "fiber.cfg"
+    config.write_text(FIBER_CFG)
+    out = tmp_path / "report.csv"
+    plain_run = f"c.main(['run', {str(config)!r}, '--format', 'csv', '--out', {str(out)!r}])"
+    for code in ("", plain_run):
+        fresh = subprocess.run(
+            [sys.executable, "-c", f"import abmink.cli as c; {code}\n"
+             "print(c._parser.cache_info().currsize)"],
+            capture_output=True, text=True, check=True)
+        # neither importing nor a plainly spelled run builds it
+        assert fresh.stdout == "0\n"
+    assert out.read_bytes().startswith(b"pulse_energy_J,")
     assert cli._parser() is cli._parser()

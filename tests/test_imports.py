@@ -80,24 +80,42 @@ def test_the_walk_finds_numpy_cross():
     assert _numpy_cross_calls(source) == [2, 3, 4]
 
 
-@pytest.mark.parametrize("code", [
+# Each runs in a fresh process; a run request reads CFG, a bec config, and
+# writes OUT (see _run_fresh).
+CODES = [
     "import abmink",
     "from abmink import cli; cli.main(['list'])",
-])
-def test_numpy_random_is_not_imported_before_a_draw(code):
+    "from abmink import cli; cli.main(['run', CFG, '--format', 'csv', '--out', OUT])",
+]
+
+
+def _loads(module, code, tmp_path):
+    """Whether a fresh process that runs code has module in sys.modules."""
+    cfg = tmp_path / "bec.cfg"
+    cfg.write_text("scenario = bec\nn = 1.5\nomega_rad_per_s = 1e15\n")
+    setup = f"CFG, OUT = {str(cfg)!r}, {str(tmp_path / 'out.csv')!r}"
+    check = f"{setup}\n{code}\nimport sys; print({module!r} in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1] == "True"
+
+
+@pytest.mark.parametrize("code", CODES)
+def test_numpy_random_is_not_imported_before_a_draw(code, tmp_path):
     # the seeded draws are made on first use: numpy.random costs 15-30 ms
-    check = f"{code}\nimport sys; sys.exit('numpy.random' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", check], capture_output=True)
-    assert proc.returncode == 0, proc.stderr.decode()
+    assert not _loads("numpy.random", code, tmp_path)
 
 
-@pytest.mark.parametrize("code", [
-    "import abmink",
-    "from abmink import cli; cli.main(['list'])",
-])
-def test_numpy_polynomial_is_not_imported(code):
+@pytest.mark.parametrize("code", CODES)
+def test_numpy_polynomial_is_not_imported(code, tmp_path):
     # the mirror's Lorentz route is closed: no quadrature rule is built, and
     # numpy.polynomial costs about 5 ms of a cold process
-    check = f"{code}\nimport sys; sys.exit('numpy.polynomial' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", check], capture_output=True)
-    assert proc.returncode == 0, proc.stderr.decode()
+    assert not _loads("numpy.polynomial", code, tmp_path)
+
+
+@pytest.mark.parametrize("code, loaded", [(code, False) for code in CODES] + [
+    (CODES[2].replace("'--format', 'csv'", "'--format=csv'"), True)])
+def test_argparse_is_imported_only_for_a_command_line_it_must_parse(code, loaded, tmp_path):
+    # a plainly spelled command line is matched without argparse, which
+    # costs 2-4 ms of a cold process with gettext
+    assert _loads("argparse", code, tmp_path) is loaded
