@@ -8,7 +8,8 @@ momentum bookkeepings are threaded through a single :class:`MomentumTag`:
 * Minkowski: g = D x B
 
 All types are immutable values and all operations are pure functions, so the
-module is safe to use from any number of threads.
+module is safe to use from any number of threads; a FieldPoint computes its
+E x H on first use and keeps it, and threads that race there compute it twice.
 """
 
 from __future__ import annotations
@@ -53,8 +54,8 @@ class RegimeError(ValueError):
 
 
 def unchecked(cls, **fields):
-    """A ``cls`` holding ``fields`` as given, not yet judged by its rules:
-    the form in which check_rules judges a config's (m,) rows one by one."""
+    """A ``cls`` holding ``fields`` as given, past its checks: the form in which
+    check_rules judges a config's (m,) rows, or a builder's own read-only fields."""
     config = cls.__new__(cls)
     config.__dict__.update(fields)
     return config
@@ -258,6 +259,13 @@ class FieldPoint:
         for name in ("E", "D", "H", "B"):
             object.__setattr__(self, name, _stack(getattr(self, name)))
 
+    @functools.cached_property
+    def _E_cross_H(self) -> np.ndarray:
+        """E x H, read-only, made once for poynting and both momenta that use it."""
+        s = cross(self.E, self.H)
+        s.flags.writeable = False
+        return s
+
     @classmethod
     def from_EH(cls, medium: Medium, E, H) -> "FieldPoint":
         """Build D and B from E and H through the linear constitutive relations.
@@ -265,10 +273,10 @@ class FieldPoint:
         With (m, 3) stacks of E and H the medium may hold (m,) arrays, one
         row per point.
         """
-        E = _stack(E)
-        H = _stack(H)
-        return cls(E=E, D=_per_row(SI.eps0 * medium.eps_r) * E,
-                   H=H, B=SI.mu0 * medium.mu_r * H)
+        E, H = _stack(E), _stack(H)
+        D, B = _per_row(SI.eps0 * medium.eps_r) * E, SI.mu0 * medium.mu_r * H
+        D.flags.writeable = B.flags.writeable = False
+        return unchecked(cls, E=E, D=D, H=H, B=B)
 
     @classmethod
     def zero(cls) -> "FieldPoint":
@@ -290,15 +298,15 @@ class SourceDensities:
 
 
 def poynting(fp: FieldPoint) -> np.ndarray:
-    """Energy flux E x H [W/m^2] (shared by both momentum bookkeepings)."""
-    return cross(fp.E, fp.H)
+    """Energy flux E x H [W/m^2] (shared by both momentum bookkeepings), read-only."""
+    return fp._E_cross_H
 
 
 def momentum_density(fp: FieldPoint, tag: MomentumTag) -> np.ndarray:
     """Field momentum density [kg m^-2 s^-1] under the chosen bookkeeping."""
     if tag is MomentumTag.MINKOWSKI:
         return cross(fp.D, fp.B)
-    return cross(fp.E, fp.H) / SI.c**2
+    return fp._E_cross_H / SI.c**2
 
 
 def energy_density(fp: FieldPoint) -> float:
@@ -399,7 +407,7 @@ def mechanical_momentum_density(medium: Medium, fp: FieldPoint) -> np.ndarray:
     # equals the scalar call; numpy's ** 2 multiplies, which rounds n^2 to
     # the other neighbour now and then
     n2 = np.float_power(medium.n, 2)
-    return _per_row((n2 - 1.0) / SI.c**2) * cross(fp.E, fp.H)
+    return _per_row((n2 - 1.0) / SI.c**2) * fp._E_cross_H
 
 
 def time_average(samples, period: float):

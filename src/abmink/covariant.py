@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _REL_TOL, SI, FieldPoint, MomentumTag, _stack, cross
+from .core import _REL_TOL, SI, FieldPoint, MomentumTag, _stack, cross, unchecked
 
 __all__ = [
     "ETA",
@@ -55,6 +55,8 @@ __all__ = [
 
 ETA = np.diag([1.0, 1.0, 1.0, -1.0])
 ETA.flags.writeable = False
+_SIGN = ETA.diagonal()  # eta is diagonal: M eta scales M's columns by these signs
+_SIGNS = np.outer(_SIGN, _SIGN)  # and eta M eta scales M's entries by these
 
 # (row, column) of the cyclic rule m[i][k] = v_l, for l = 0, 1, 2
 _AXIAL = (np.array([1, 2, 0]), np.array([2, 0, 1]))
@@ -77,6 +79,7 @@ def _antisym_from_vectors(row4, spatial_axial) -> np.ndarray:
     m[..., _AXIAL[1], _AXIAL[0]] = -v
     m[..., 3, :3] = row
     m[..., :3, 3] = -m[..., 3, :3]
+    m.flags.writeable = False  # antisymmetric by construction: the builders skip the check
     return m
 
 
@@ -184,12 +187,12 @@ class FourMomentum:
 
 def field_tensor_from_EB(E, B) -> FieldTensor4:
     """Pack E into the fourth row (scaled by 1/c) and B into the spatial block."""
-    return FieldTensor4(M=_antisym_from_vectors(E, B))
+    return unchecked(FieldTensor4, M=_antisym_from_vectors(E, B))
 
 
 def excitation_from_DH(D, H) -> ExcitationTensor4:
     """Pack D into the fourth row (scaled by 1/c) and H into the spatial block."""
-    return ExcitationTensor4(M=_antisym_from_vectors(D, H))
+    return unchecked(ExcitationTensor4, M=_antisym_from_vectors(D, H))
 
 
 def excitation_from_constitutive(F: FieldTensor4, V: FourVelocity,
@@ -212,8 +215,8 @@ def minkowski_tensor4(F: FieldTensor4, H: ExcitationTensor4) -> EMTensor4:
     S = F.eta.H^T - (1/4) eta tr(F.eta.H.eta), whose rest-frame pieces are
     the stress tensor, E x H, D x B and (E.D + H.B)/2.
     """
-    contraction = F.M @ ETA @ np.swapaxes(H.M, -1, -2)
-    invariant = np.sum(F.M * (ETA @ H.M @ ETA), axis=(-2, -1))
+    contraction = (F.M * _SIGN) @ np.swapaxes(H.M, -1, -2)
+    invariant = np.add.reduce(F.M * (H.M * _SIGNS), axis=(-2, -1))
     return EMTensor4(M=contraction - 0.25 * ETA * _per_tensor(invariant))
 
 
@@ -232,7 +235,7 @@ def divergence_residual(field_sampler, x, t: float, grid_step) -> np.ndarray:
     vanishes; the estimate converges to it at second order in grid_step.
     """
     h = np.asarray(grid_step, dtype=float)
-    if np.any(h <= 0.0):
+    if (h <= 0.0).any():
         raise ValueError(f"grid_step must be > 0, got {grid_step}")
     x = np.asarray(x, dtype=float).reshape(3)
     h = h[..., None, None]
@@ -270,7 +273,7 @@ def _unit(v, key: str) -> np.ndarray:
     """A 3-vector or a (w, 3) stack, each row scaled to unit length."""
     v = np.asarray(v, dtype=float)
     norm = np.sqrt(np.vecdot(v, v))[..., None]  # np.linalg.norm, bit for bit
-    if not np.all((norm > 0.0) & (norm < math.inf)):  # a NaN breaks it
+    if not ((norm > 0.0) & (norm < math.inf)).all():  # a NaN breaks it
         raise ValueError(f"{key} must be finite and nonzero, got {v.tolist()}")
     return v / norm
 
@@ -296,7 +299,7 @@ def plane_wave_sampler(n, mu_r, omega: float, E0,
         if not np.isfinite(value).all():
             raise ValueError(f"{name} must be finite, got {value}")
     d, p = _unit(direction, "direction"), _unit(polarization, "polarization")
-    if np.any(np.abs(np.vecdot(d, p)) > _REL_TOL):
+    if (np.abs(np.vecdot(d, p)) > _REL_TOL).any():
         raise ValueError("direction and polarization must be orthogonal")
     # a trailing axis against the waves' axis
     n, mu_r = (np.asarray(v, dtype=float)[..., None] for v in (n, mu_r))
@@ -308,8 +311,8 @@ def plane_wave_sampler(n, mu_r, omega: float, E0,
         # (..., w): a phase per point and wave; the waves sum elementwise
         cos = np.cos(k * np.vecdot(np.asarray(x, dtype=float)[..., None, :], d)
                      - omega * np.asarray(t, dtype=float)[..., None])
-        E = np.sum((E0 * cos)[..., None] * p, axis=-2)
-        B = np.sum((n * E0 * cos)[..., None] * b_hat, axis=-2)
+        E = np.add.reduce((E0 * cos)[..., None] * p, -2)
+        B = np.add.reduce((n * E0 * cos)[..., None] * b_hat, -2)
         return field_tensor_from_EB(E, B), excitation_from_DH(eps_r * E, B / mu_r)
 
     return sample

@@ -1003,6 +1003,12 @@ def _ledger_residual(n, E, H) -> float:
     return float(np.max([d[kept] / scale[kept] for d in misses], initial=0.0))
 
 
+# check_suite's 3 x 2 x 2 grid of n, sigma and omega, one contiguous row each
+_MIRROR_GRID = np.array(np.meshgrid((1.0, 1.3, 1.6), (1e7, 1e8), (2.6e15, 4.0e15),
+                                    indexing="ij")).reshape(3, -1)
+_MIRROR_GRID.flags.writeable = False
+
+
 def check_suite(tol: float = DEFAULT_TOL) -> list[CheckResult]:
     """Three structural cross-checks on the whole stack.
 
@@ -1017,9 +1023,7 @@ def check_suite(tol: float = DEFAULT_TOL) -> list[CheckResult]:
     tol = parse_tolerance(tol)
     results = []
 
-    # the 3 x 2 x 2 grid of n, sigma and omega, in one mirror evaluation
-    n, sigma, omega = (a.ravel() for a in np.meshgrid(
-        (1.0, 1.3, 1.6), (1e7, 1e8), (2.6e15, 4.0e15), indexing="ij"))
+    n, sigma, omega = _MIRROR_GRID  # in one mirror evaluation
     mirror = _SCENARIOS["mirror"]
     p = {"n": n, "E0_V_per_m": np.float64(1e3), "omega_rad_per_s": omega,
          "sigma_S_per_m": sigma, "guard_k_over_alpha": np.float64(0.2)}

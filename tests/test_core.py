@@ -5,9 +5,12 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import abmink
-from abmink import core
+from abmink import core, runner
 from abmink import (
     SI,
     FieldPoint,
@@ -193,6 +196,83 @@ def test_stacked_field_points_match_one_by_one():
                                           momentum_density(fp, tag))
     with pytest.raises(ValueError):
         FieldPoint.from_EH(medium, np.zeros((2, 2)), np.zeros((2, 2)))
+
+
+# ---------------------------------------------------------------------------
+# E x H, computed once per FieldPoint
+# ---------------------------------------------------------------------------
+
+def test_em_quantities_and_the_ledger_form_e_cross_h_once(monkeypatch):
+    calls, cross = [], core.cross
+
+    def spy(a, b):
+        calls.append(1)
+        return cross(a, b)
+
+    monkeypatch.setattr(core, "cross", spy)
+    em_quantities(random_nonmagnetic_fieldpoint(np.random.default_rng(4))[1])
+    assert len(calls) == 2  # E x H and D x B
+    calls.clear()
+    runner._ledger_residual(*runner._ledger_sample())
+    assert len(calls) == 2
+
+
+_ENTRY = st.one_of(st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
+                   st.floats(-1e3, 1e3))
+
+
+def _field(data, mu_r=1.0):
+    """A medium and the E and H of a single point or an (m, 3) stack, whose
+    rows the medium's index may vary over."""
+    shape = data.draw(st.sampled_from([(), (1,), (5,)]))
+    index = st.floats(1.0, 3.0)
+    n = data.draw(index if not shape else st.one_of(index, arrays(float, shape, elements=index)))
+    E, H = (data.draw(arrays(float, shape + (3,), elements=_ENTRY)) for _ in range(2))
+    return Medium.from_index(n, mu_r), E, H
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_the_e_cross_h_kernels_keep_the_bits_of_their_formulas(data):
+    medium, E, H = _field(data)
+    with np.errstate(all="ignore"):  # inf and nan inputs make invalid products
+        fp = FieldPoint.from_EH(medium, E, H)
+        got = [mechanical_momentum_density(medium, fp), poynting(fp),
+               momentum_density(fp, MomentumTag.ABRAHAM),
+               momentum_density(fp, MomentumTag.MINKOWSKI)]
+        S = core.cross(fp.E, fp.H)
+        want = [core._per_row((np.float_power(medium.n, 2) - 1.0) / SI.c**2) * S,
+                S, S / SI.c**2, core.cross(fp.D, fp.B)]
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+def test_the_shared_e_cross_h_cannot_be_written():
+    _, fp = random_nonmagnetic_fieldpoint(np.random.default_rng(6))
+    S = poynting(fp)
+    with pytest.raises(ValueError, match="read-only"):
+        S[0] = 1.0
+    g = momentum_density(fp, MomentumTag.ABRAHAM)
+    g[0] = 1.0  # a derived array is the caller's own
+    np.testing.assert_array_equal(poynting(fp), core.cross(fp.E, fp.H))
+    np.testing.assert_array_equal(momentum_density(fp, MomentumTag.ABRAHAM),
+                                  core.cross(fp.E, fp.H) / SI.c**2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_from_eh_builds_what_the_checked_constructor_builds(data):
+    medium, E, H = _field(data, data.draw(st.sampled_from([1.0, 0.5])))
+    with np.errstate(all="ignore"):
+        fp = FieldPoint.from_EH(medium, E, H)
+        want = FieldPoint(E=E, D=core._per_row(SI.eps0 * medium.eps_r) * E,
+                          H=H, B=SI.mu0 * medium.mu_r * H)
+    for name in "EDHB":
+        got = getattr(fp, name)
+        assert got.shape == getattr(want, name).shape
+        assert got.tobytes() == getattr(want, name).tobytes()
+        assert not got.flags.writeable
+        assert not np.shares_memory(got, E) and not np.shares_memory(got, H)
 
 
 def test_abraham_momentum_hand_value():

@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from abmink import SI, FieldPoint, Medium, MomentumTag
+from abmink import SI, FieldPoint, Medium, MomentumTag, cli, covariant
 from abmink.core import em_quantities
 from abmink.covariant import (
     ETA,
+    EMTensor4,
     ExcitationTensor4,
     FieldTensor4,
     FourMomentum,
@@ -19,10 +23,21 @@ from abmink.covariant import (
     excitation_from_DH,
     field_tensor_from_EB,
     minkowski_tensor4,
+    _antisym_from_vectors,
+    _per_tensor,
     normalized_from_si,
     plane_wave_sampler,
     pulse_four_momentum,
 )
+
+_FINITE = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3))
+_ANY = st.one_of(_FINITE, st.sampled_from([math.nan, math.inf, -math.inf]))
+
+
+def _vector_stacks(data, entries, count=2):
+    """``count`` (..., 3) stacks of one drawn shape: a single vector or a stack."""
+    shape = data.draw(st.sampled_from([(), (1,), (4,), (2, 3)])) + (3,)
+    return [data.draw(arrays(float, shape, elements=entries)) for _ in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +79,32 @@ def test_constructors_reject_non_antisymmetric():
         FieldTensor4(M=np.eye(4))
     with pytest.raises(ValueError):
         ExcitationTensor4(M=np.ones((4, 4)))
+
+
+def test_constructors_copy_a_callers_array():
+    m = np.array(_antisym_from_vectors([1.0, -2.0, 0.5], [0.3, 4.0, -1.0]))
+    for kind in (FieldTensor4, ExcitationTensor4):
+        t = kind(M=m)
+        assert not np.shares_memory(t.M, m) and not t.M.flags.writeable
+        np.testing.assert_array_equal(t.M, m)
+        m[0, 1] += 1.0  # the caller's array stays the caller's to change
+        assert t.M[0, 1] != m[0, 1]
+        m[0, 1] -= 1.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_builders_give_the_checked_tensor_read_only(data):
+    # the builders skip the constructor's copy and antisymmetry check, which
+    # their M passes by construction, non-finite entries included
+    a, b = _vector_stacks(data, _ANY)
+    for build, kind in ((field_tensor_from_EB, FieldTensor4),
+                        (excitation_from_DH, ExcitationTensor4)):
+        got, want = build(a, b), kind(M=_antisym_from_vectors(a, b))
+        assert type(got) is kind and got.M.shape == want.M.shape
+        assert got.M.tobytes() == want.M.tobytes()
+        assert not got.M.flags.writeable
+        assert not np.shares_memory(got.M, a) and not np.shares_memory(got.M, b)
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +164,60 @@ def test_minkowski_tensor_zero():
     F = field_tensor_from_EB(np.zeros(3), np.zeros(3))
     H = excitation_from_DH(np.zeros(3), np.zeros(3))
     np.testing.assert_array_equal(minkowski_tensor4(F, H).M, np.zeros((4, 4)))
+
+
+def _eta_matmul_oracle(F, H):
+    """minkowski_tensor4 as written with the eta matmuls, which tests keep as
+    the reference for its sign products."""
+    contraction = F.M @ ETA @ np.swapaxes(H.M, -1, -2)
+    invariant = np.sum(F.M * (ETA @ H.M @ ETA), axis=(-2, -1))
+    return contraction - 0.25 * ETA * _per_tensor(invariant)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_minkowski_tensor_matches_the_eta_matmuls_bit_for_bit(data):
+    E, B, D, H = _vector_stacks(data, _FINITE, 4)
+    with np.errstate(all="ignore"):  # products of 1e3 entries stay finite
+        got = minkowski_tensor4(field_tensor_from_EB(E, B), excitation_from_DH(D, H)).M
+        want = _eta_matmul_oracle(field_tensor_from_EB(E, B), excitation_from_DH(D, H))
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_minkowski_tensor_differs_from_the_eta_matmuls_only_where_they_give_nan(data):
+    # the matmuls turn inf * 0 into nan where a sign product keeps inf: the
+    # same entries are finite, the finite ones keep their bits, and an entry
+    # that differs is nan there and nan or +-inf (the diagonal only) here
+    E, B, D, H = _vector_stacks(data, _ANY, 4)
+    F, H = field_tensor_from_EB(E, B), excitation_from_DH(D, H)
+    with np.errstate(all="ignore"):
+        got, want = minkowski_tensor4(F, H).M, _eta_matmul_oracle(F, H)
+    np.testing.assert_array_equal(np.isfinite(got), np.isfinite(want))
+    differs = got.view(np.uint64) != want.view(np.uint64)
+    assert np.isnan(want[differs]).all()
+    diagonal = np.broadcast_to(np.eye(4, dtype=bool), got.shape)
+    assert (np.isnan(got[differs]) | (np.isinf(got[differs]) & diagonal[differs])).all()
+
+
+@pytest.mark.parametrize("key", ["mu_r = 1e-300", "n = 1e200", "grid_step = 1", "n = 1"])
+def test_covariant_check_reports_keep_their_bytes_and_errors_under_the_eta_matmuls(
+        key, tmp_path, monkeypatch, capsysbinary):
+    # the non-finite configs of the CLI tests, a nan convergence ratio, and the vacuum
+    path = tmp_path / "covariant.cfg"
+    path.write_text(f"scenario = covariant-checks\n{key}\n")
+
+    def reports():
+        return [(cli.main(["run", str(path), "--format", fmt]), capsysbinary.readouterr())
+                for fmt in ("csv", "json", "table")]
+
+    got = reports()
+    with monkeypatch.context() as patch:
+        patch.setattr(covariant, "minkowski_tensor4",
+                      lambda F, H: EMTensor4(M=_eta_matmul_oracle(F, H)))
+        assert reports() == got
+    assert {code for code, _ in got} == {0 if key == "n = 1" else 1}
 
 
 def test_tensor_momentum_column_is_DxB():

@@ -3,7 +3,8 @@
 Every scenario under every tag, at one point and (where it sweeps) over a
 swept key, plus a mirror sweep that crosses the good-conductor guard, a fiber
 sweep that crosses pulse_energy_J = 0 and a sweep longer than one block of
-emitted rows, goes through ``run`` and ``emit`` in all three formats.  The
+emitted rows, goes through ``run`` and ``emit`` in all three formats; the
+built-in check suite goes through ``cli.main`` in both of its formats.  The
 digests were taken from the emission this module was written against; a
 change to report bytes shows up here as a failing case.
 """
@@ -12,6 +13,7 @@ import hashlib
 
 import pytest
 
+from abmink import cli
 from abmink.runner import emit, parse_config, run
 
 # scenario -> (parameters, a sweep over one of them)
@@ -305,3 +307,20 @@ def test_report_bytes_are_pinned(name):
     got = {fmt: hashlib.sha256(emit(report, fmt)).hexdigest()
            for fmt in ("table", "csv", "json")}
     assert got == DIGESTS[name]
+
+
+# argv -> the output of ``abmink check`` at the default tolerance
+CHECK_DIGESTS = {
+    ("check", "--format", "json"):
+        "c4205cc89b2de5dbb1847f6e7c175761646127d9a4692b4c18f9e39ec9d36f4a",
+    ("check",): "ddad9d5a44c6658e049991a7ada1170d415cfc63a14e5856baeeb72e6b462c01",
+}
+
+
+@pytest.mark.parametrize("argv", list(CHECK_DIGESTS))
+def test_check_bytes_are_pinned(argv, monkeypatch, capsysbinary):
+    monkeypatch.delenv("ABMINK_TOL", raising=False)
+    assert cli.main(list(argv)) == 0
+    out, err = capsysbinary.readouterr()
+    assert err == b""
+    assert hashlib.sha256(out).hexdigest() == CHECK_DIGESTS[argv]
