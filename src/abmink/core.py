@@ -88,8 +88,7 @@ def _messages(message: str, config, rows: list[int]) -> list[str]:
     return ("\0".join([template] * len(rows)) % tuple(flat)).split("\0")
 
 
-def check_rules(rules, config, size: int | None = None,
-                text: bool = False) -> dict[int, ValueError | str]:
+def check_rules(rules, config, size: int | None = None) -> dict[int, str]:
     """Judge each row of ``config`` by ``rules``, the configs held in its
     fields by their own RULES first.
 
@@ -97,26 +96,26 @@ def check_rules(rules, config, size: int | None = None,
     the rule is broken: a bool for every row, or an (m,) bool array when
     fields of ``config`` hold m rows.  ``message`` is a str.format template
     whose fields read attributes of ``c`` = that row of ``config`` (dotted
-    for a config it holds).  Returns row -> the error of the first rule that
-    row breaks (with ``text``, its message, and no error is built), for
-    ``size`` rows; without ``size`` (a config checking itself), raises the
-    first row's error instead.
+    for a config it holds).  Returns row -> the message of the first rule
+    that row breaks, for ``size`` rows.  Without ``size`` (a config checking
+    itself) it raises instead, with the rule's error type: a held config's
+    first error, else the first rejected row's.
     """
-    errors = {}
+    errors, kinds = {}, {}
     for value in vars(config).values():
         if hasattr(value, "RULES"):
-            errors = check_rules(value.RULES, value, size or 1, text) | errors
+            errors = check_rules(value.RULES, value, size) | errors
     with np.errstate(all="ignore"):  # rejected rows may hold anything
         for fails, message, kind in rules:
             bad = fails(config)
             rows = (bad.ravel().nonzero()[0].tolist() if isinstance(bad, _ndarray)
                     else range(size or 1) if bad else ())
             rows = [i for i in rows if i not in errors]
-            if rows:
-                messages = _messages(message, config, rows)
-                errors.update(zip(rows, messages if text else map(kind, messages)))
+            if rows:  # rows ascend: the first rejected row is some rule's rows[0]
+                errors.update(zip(rows, _messages(message, config, rows)))
+                kinds[rows[0]] = kind
     if size is None and errors:
-        raise errors[min(errors)]
+        raise kinds[min(errors)](errors[min(errors)])
     return errors
 
 
@@ -214,6 +213,7 @@ class Medium:
          "eps_r must be >= 1, got {c.eps_r}", ValueError),
         (lambda m: np.logical_not(m.mu_r > 0.0),
          "mu_r must be > 0, got {c.mu_r}", ValueError),
+        (lambda m: m.mu_r == math.inf, "mu_r must be finite, got {c.mu_r}", ValueError),
         (lambda m: m.viscosity is not None and np.logical_not(m.viscosity > 0.0),
          "viscosity must be > 0, got {c.viscosity}", ValueError),
         (lambda m: np.logical_not(np.abs(m.n - (root := m._root)) <= _REL_TOL * root),
@@ -228,8 +228,8 @@ class Medium:
     @classmethod
     def from_index(cls, n: float, mu_r: float = 1.0, **kw) -> "Medium":
         """Medium of refractive index n, nonmagnetic unless mu_r is given."""
-        # eps_r = inf where the mu_r rule fails, so that this rule words the error
-        return cls(n * n / mu_r if mu_r > 0.0 else math.inf, mu_r, n, **kw)
+        # eps_r = inf where a mu_r rule fails, so that the mu_r rule words the error
+        return cls(n * n / mu_r if 0.0 < mu_r < math.inf else math.inf, mu_r, n, **kw)
 
     @property
     def nonmagnetic(self) -> bool:
@@ -454,7 +454,8 @@ def interface_pressure(E_t: float, n_from: float, n_to: float) -> float:
     depend on the smoothing profile.  Positive sign means the surface is
     pushed toward the ``n_to`` side; light entering a denser medium pulls the
     interface back toward the rarer side.  The arguments may be arrays; a
-    field beyond the double range gives an infinite pressure.
+    field beyond the double range gives an infinite pressure.  Judges
+    nothing: the runner's parse-time bounds judge its inputs.
     """
     # float_power: C pow, as a Python float's ** (see mechanical_momentum_density)
     return 0.5 * SI.eps0 * np.float_power(E_t, 2) \

@@ -300,8 +300,7 @@ def _sphere_config(p):
                                   viscosity=p["viscosity0_Pa_s"]))
 
 
-def _drag_columns(p, tag):
-    cfg = _drag_config(p)
+def _drag_columns(cfg, p, tag):
     cols = {key: p[key] for key in ("n", "intensity_W_per_m2", "sigma_a_m2",
                                     "omega_rad_per_s")}
     for t in _tags(tag):
@@ -312,8 +311,7 @@ def _drag_columns(p, tag):
     return cols
 
 
-def _wgm_columns(p, tag):
-    cfg = _wgm_config(p)
+def _wgm_columns(cfg, p, tag):
     cols = {key: p[key] for key in ("n", "a_m", "P0_W", "omega0_rad_per_s", "t_s")}
     for t in _tags(tag):
         res = scenarios.wgm_torque(cfg, p["t_s"], t)
@@ -322,37 +320,32 @@ def _wgm_columns(p, tag):
     return cols
 
 
-def _sphere_columns(p, tag):
-    cfg = _sphere_config(p)
+def _sphere_columns(cfg, p, tag):
     cols = {key: p[key] for key in ("M_kg", "a_m", "deltaG_kg_m_per_s",
                                     "pulse_energy_J", "n", "viscosity_Pa_s",
                                     "L0_m")}
     for t in _tags(tag):
         cols[f"vmax_{t.value}_m_per_s"] = scenarios.sphere_kick_vmax(cfg, t)
         cols[f"L_{t.value}_m"] = scenarios.sphere_total_displacement(cfg, t)
-        cols[f"ratio_{t.value}"] = scenarios.displacement_ratio(cfg, t)
+        cols[f"ratio_{t.value}"] = scenarios._displacement_ratio(cfg, t)
     cols["correction_magnitude"] = scenarios.displacement_correction(
         p["pulse_energy_J"], p["a_m"], p["L0_m"], p["viscosity0_Pa_s"])
     return cols
 
 
-def _fiber_columns(p, tag):
+def _fiber_columns(cfg, p, tag):
     return {"pulse_energy_J": p["pulse_energy_J"], "n": p["n"],
-            "impulse_N_s": scenarios.fiber_exit_impulse(p["pulse_energy_J"],
-                                                        p["n"])}
+            "impulse_N_s": scenarios.fiber_exit_impulse(cfg.pulse_energy_J, cfg.n)}
 
 
-def _bec_columns(p, tag):
+def _bec_columns(cfg, p, tag):
     return {"n": p["n"], "omega_rad_per_s": p["omega_rad_per_s"],
-            "recoil_kg_m_per_s": scenarios.bec_recoil(p["n"],
-                                                      p["omega_rad_per_s"])}
+            "recoil_kg_m_per_s": scenarios.bec_recoil(cfg.n, cfg.omega_rad_per_s)}
 
 
-def _interface_columns(p, tag):
-    return {"E_t_V_per_m": p["E_t_V_per_m"], "n_from": p["n_from"],
-            "n_to": p["n_to"],
-            "pressure_Pa": interface_pressure(p["E_t_V_per_m"], p["n_from"],
-                                              p["n_to"])}
+def _interface_columns(cfg, p, tag):
+    return {"E_t_V_per_m": p["E_t_V_per_m"], "n_from": p["n_from"], "n_to": p["n_to"],
+            "pressure_Pa": interface_pressure(cfg.E_t_V_per_m, cfg.n_from, cfg.n_to)}
 
 
 @functools.cache
@@ -440,26 +433,22 @@ def _non_finite(table: np.ndarray, names: list[str]) -> dict[int, str]:
 
 
 def _evaluate_closed_form(form, p, tag, m):
-    """All m points at once: the rules judge, and the closed-form functions
-    evaluate, every array-valued parameter as an (m,) array, once per tag:
-    the kept rows, or all m of a ``judged`` scenario's config (the one its
-    rules judged), whose table gives the kept rows through one index."""
+    """All m points at once: the rules judge all m rows of one config, its
+    array-valued parameters (m,) arrays, the closed-form functions evaluate
+    that same config once per tag, and one index keeps the accepted rows."""
     config = form.config(p)
-    errors = check_rules(form.rules, config, m, text=True)
+    errors = check_rules(form.rules, config, m)
     keep = slice(None)
     if errors:
         if len(errors) == m:
             return [], np.empty((0, 0)), {}, errors
         keep = np.ones(m, bool)
         keep[list(errors)] = False
-        if not form.judged:
-            p = {key: v[keep] if isinstance(v, np.ndarray) else v for key, v in p.items()}
-    columns = form.columns(config if form.judged else p, tag)
-    table = np.empty((m if form.judged else m - len(errors), len(columns)))
+    columns = form.columns(config, p, tag)
+    table = np.empty((m, len(columns)))
     for j, column in enumerate(columns.values()):
         table[:, j] = column  # an (m,) array or a value shared by all rows
-    if form.judged and errors:
-        table = table[keep]
+    table = table[keep]
     # finite inputs can still overflow (E0^2 beyond the double range)
     if bad := _non_finite(table, list(columns)):
         rows = np.arange(m)[keep]
@@ -507,12 +496,11 @@ class _Scenario(NamedTuple):
     an (m,) array) and the point count m to the report's (columns, rows,
     residuals, {row: error message}), the rows an (m, k) float table or
     lists of cells.  A closed-form scenario, evaluated by
-    _evaluate_closed_form, also has ``config(p)``, which holds the
-    parameters in the object that ``rules`` judge row by row (see
-    core.check_rules; by default the parameters by key), and
-    ``columns(p, tag)``, which maps the parameters of the accepted rows to
-    report columns, each an (m,) array or a value shared by all rows; a
-    ``judged`` scenario's ``columns(config, tag)`` reads the judged config.
+    _evaluate_closed_form, also has ``config(p)``, the parameters held in
+    the object that ``rules`` judge row by row (see core.check_rules; by
+    default the parameters by key), and ``columns(config, p, tag)``, which
+    maps that config and ``p``, all m rows, to report columns, each an (m,)
+    array or a value shared by all rows.
     """
 
     keys: dict[str, object]
@@ -522,7 +510,6 @@ class _Scenario(NamedTuple):
     config: Callable = lambda p: SimpleNamespace(**p)
     rules: tuple = ()
     sweepable: bool = True
-    judged: bool = False
 
 
 _SCENARIOS = {
@@ -534,8 +521,8 @@ _SCENARIOS = {
                     "Lorentz route (mu0 sigma/2) Re int E_y H_z* dx; "
                     "transport route c g_x / n plus n R S_i / c"),
         evaluate=_evaluate_mirror, config=_mirror_config,
-        rules=scenarios.MirrorConfig.RULES, judged=True,
-        columns=lambda config, tag: scenarios.mirror_pressures(config)),
+        rules=scenarios.MirrorConfig.RULES,
+        columns=lambda config, p, tag: scenarios.mirror_pressures(config)),
     "drag": _Scenario(
         keys={"intensity_W_per_m2": _REQUIRED, "sigma_a_m2": _REQUIRED,
               "omega_rad_per_s": _REQUIRED, "n": _REQUIRED},

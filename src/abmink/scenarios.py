@@ -1,24 +1,25 @@
-"""Desk-scale predictions for the eight experiment scenarios.
+"""Desk-scale predictions for five existing experiments and two proposals.
 
 Each operation evaluates a closed-form estimate for one experimental
 situation, tagged (where momentum enters) with the Abraham or Minkowski
-bookkeeping:
+bookkeeping.  These are seven of the CLI's scenarios; its eighth,
+``covariant-checks``, runs the ``covariant`` layer's self-checks.
 
 * immersed-mirror radiation pressure, computed three independent ways,
 * photon-drag field in a semiconductor rod,
 * photon recoil of atoms in a Bose-Einstein condensate,
 * exit impulse of a pulse leaving a hanging fiber,
-* modulated whispering-gallery torque on a microcylinder,
-* ablation-kicked microsphere in a viscous fluid (with the two-fluid
-  displacement-ratio comparison),
-* index-step surface pressure on a liquid interface (via em-core).
+* index-step surface pressure on a liquid interface (in ``core``),
+* proposed: modulated whispering-gallery torque on a microcylinder,
+* proposed: ablation-kicked microsphere in a viscous fluid (with the
+  two-fluid displacement-ratio comparison).
 
 The closed-form functions (``mirror_pressures(cfg)``,
 ``photon_drag_field(cfg, tag)``, ``wgm_torque(cfg, t, tag)``, ...) only
 read the fields of their config, so one config object carrying those
 fields as (m,) arrays evaluates m points at once, each row equal to the
-scalar call; the runner evaluates its sweeps this way, after judging the
-config's RULES row by row.
+scalar call; the runner judges a config's RULES row by row and evaluates
+that same config.
 """
 
 from __future__ import annotations
@@ -237,7 +238,8 @@ def photon_drag_field(cfg: DragConfig, tag: MomentumTag) -> float:
 
 
 def bec_recoil(n: float, omega: float) -> float:
-    """Atomic recoil momentum hbar n omega / c [kg m/s] from photon absorption."""
+    """Atomic recoil momentum hbar n omega / c [kg m/s] from photon absorption.
+    Judges nothing: the runner's rules judge its inputs."""
     return SI.hbar * n * omega / SI.c
 
 
@@ -246,7 +248,8 @@ def fiber_exit_impulse(pulse_energy: float, n: float) -> float:
 
     A pulse of energy H carries traveling momentum n H / c inside the fiber
     and H / c in vacuum; full transmission leaves the difference with the
-    fiber tip, directed along the propagation direction.
+    fiber tip, directed along the propagation direction.  Judges nothing:
+    the runner's rules judge its inputs.
     """
     return (n - 1.0) * pulse_energy / SI.c
 
@@ -400,6 +403,11 @@ def displacement_ratio(cfg: SphereKickConfig, tag: MomentumTag) -> float:
     negative.
     """
     check_rules(_L0_RULES, cfg)
+    return _displacement_ratio(cfg, tag)
+
+
+def _displacement_ratio(cfg: SphereKickConfig, tag: MomentumTag) -> float:
+    """displacement_ratio past its L0 check, which the runner's rules make."""
     mu = cfg.fluid.viscosity
     mu0 = cfg.reference_fluid.viscosity
     corr = displacement_correction(cfg.pulse_energy, cfg.a, cfg.L0, mu0)

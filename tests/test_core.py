@@ -89,6 +89,19 @@ def test_medium_from_index_rejects_zero_mu_r_by_its_rule(mu_r):
         Medium.from_index(np.array([1.5, 2.0]), mu_r=mu_r)
 
 
+@pytest.mark.parametrize("build", [
+    # inf <= inf once passed the n check, and from_index's eps_r = n * n / inf
+    # = 0 broke the eps_r rule, which names a key the caller never set
+    lambda: Medium(eps_r=2.25, mu_r=math.inf, n=1.5),
+    lambda: Medium(eps_r=2.25, mu_r=math.inf),
+    lambda: Medium.from_index(1.5, mu_r=math.inf),
+    lambda: Medium.from_index(np.array([1.5, 2.0]), mu_r=math.inf),
+])
+def test_medium_rejects_an_infinite_mu_r_by_its_rule(build):
+    with pytest.raises(ValueError, match="^mu_r must be finite, got inf$"):
+        build()
+
+
 @pytest.mark.parametrize("kwargs, message", [
     # a row-major reading of these names the wrong row or indexes past it
     (dict(eps_r=np.array([[2.0, 0.5], [3.0, 4.0]])), "eps_r must have shape () or (m,), "

@@ -254,7 +254,14 @@ def test_run_rejects_exactly_what_the_config_rejects(n, E0, omega, sigma, guard)
         cfg = runner._mirror_config({"n": n, "E0_V_per_m": E0, "omega_rad_per_s": omega,
                                      "sigma_S_per_m": sigma, "guard_k_over_alpha": guard})
     rule = check_rules(MirrorConfig.RULES, cfg, 1).get(0)
-    assert (None if rule is None else (type(rule), str(rule))) == want
+    assert rule == (None if want is None else want[1])
+    # the raising path gives the runner's config the rule's own error type
+    try:
+        check_rules(MirrorConfig.RULES, cfg)
+        raised = None
+    except ValueError as exc:
+        raised = (type(exc), str(exc))
+    assert raised == want
     _, rows, residuals, errors = evaluate(n, E0, omega, sigma, guard)
     if want is None and errors:
         # beyond the config's rules the runner rejects only non-finite results
@@ -290,8 +297,11 @@ def test_a_nan_input_breaks_its_rule(E0, omega, sigma, message):
     with np.errstate(all="ignore"):
         cfg = runner._mirror_config({"n": n, "E0_V_per_m": E0, "omega_rad_per_s": omega,
                                      "sigma_S_per_m": sigma, "guard_k_over_alpha": 0.2})
-    errors = check_rules(MirrorConfig.RULES, cfg, 3)
-    assert [type(e) for e in errors.values()] == [ValueError] * 3
+    assert check_rules(MirrorConfig.RULES, cfg, 3) == {0: message, 1: message, 2: message}
+    for v in n.tolist():  # each row's scalar config raises the rule's own type
+        with pytest.raises(ValueError, match=f"^{message}$") as row:
+            MirrorConfig(Medium.from_index(v), E0, omega, sigma)
+        assert type(row.value) is ValueError
     columns, rows, residuals, errors = evaluate(n, E0, omega, sigma)
     assert errors == {0: message, 1: message, 2: message}
     assert (columns, rows.size, residuals) == ([], 0, {})
@@ -360,31 +370,71 @@ def mirror_text(swept=None, lo=None, hi=None, count=40, **values):
     return "scenario = mirror\n" + "\n".join(lines) + "\n"
 
 
+# the other closed-form scenarios: the keys they keep, the key they vary, a
+# value in range, one a rule rejects (interface has no rule: one whose result
+# overflows) and a sweep across the two
+OTHER_REQUESTS = {
+    "drag": ("sigma_a_m2 = 1e-19\nomega_rad_per_s = 1.6e13\nn = 3.5\n",
+             "intensity_W_per_m2", "1e4", "-1", "[-1, 1e4, 5]"),
+    "wgm": ("P0_W = 100\nomega0_rad_per_s = 1e3\n", "a_m", "1e-4", "0", "[-1e-4, 1e-4, 5]"),
+    "sphere-kick": ("M_kg = 1e-10\na_m = 25e-6\ndeltaG_kg_m_per_s = 8.1e-12\n"
+                    "pulse_energy_J = 5.9e-6\nn = 1.33\nviscosity_Pa_s = 1e-3\n",
+                    "L0_m", "300e-6", "0", "[-1e-4, 3e-4, 5]"),
+    "fiber": ("n = 1.45\n", "pulse_energy_J", "1e-6", "-5", "[-5, 5, 5]"),
+    "bec": ("n = 1.33\n", "omega_rad_per_s", "3e15", "-3", "[-3, 3, 5]"),
+    "interface": ("n_from = 1.0\nn_to = 1.33\n", "E_t_V_per_m", "1e3", "1e200",
+                  "[1e3, 1e200, 5]"),
+}
+
+
+def closed_form_texts(scenario):
+    """A point, a rejected point and sweeps that keep some points and reject
+    the others; the last is such a sweep."""
+    if scenario == "mirror":
+        return [mirror_text(), mirror_text(sigma_S_per_m="1e5")] + [
+            mirror_text(*crossing[:3]) for crossing in GUARD_CROSSINGS]
+    keys, key, point, rejected, span = OTHER_REQUESTS[scenario]
+    head = f"scenario = {scenario}\n{keys}"
+    return [f"{head}{key} = {point}\n", f"{head}{key} = {rejected}\n",
+            f"{head}sweep = {key}:{span}\n"]
+
+
 def test_a_mirror_request_builds_one_config_and_one_k_over_alpha(monkeypatch):
+    # and a request of any closed-form scenario builds one config: the one
+    # its rules judge is the one its columns evaluate
     calls = collections.Counter()
-    build = runner._mirror_config
 
-    def config(p):
-        calls["config"] += 1
-        return build(p)
+    def counted(build):
+        def config(p):
+            calls["config"] += 1
+            return build(p)
+        return config
 
-    monkeypatch.setattr(runner, "_mirror_config", config)
-    monkeypatch.setitem(runner._SCENARIOS, "mirror",
-                        runner._SCENARIOS["mirror"]._replace(config=config))
+    closed_form = [name for name, form in runner._SCENARIOS.items() if form.columns]
+    assert len(closed_form) == 7
+    for name in closed_form:
+        # a columns function that builds its config again calls this name
+        builder = f"_{name.split('-')[0]}_config"
+        if hasattr(runner, builder):
+            monkeypatch.setattr(runner, builder, counted(getattr(runner, builder)))
+        monkeypatch.setitem(runner._SCENARIOS, name,
+                            runner._SCENARIOS[name]._replace(
+                                config=counted(runner._SCENARIOS[name].config)))
     for name in ("k", "alpha", "k_over_alpha"):
-        def counted(self, func=getattr(MirrorConfig, name).func, name=name):
+        def counted_property(self, func=getattr(MirrorConfig, name).func, name=name):
             calls[name] += 1
             return func(self)
-        prop = functools.cached_property(counted)
+        prop = functools.cached_property(counted_property)
         prop.__set_name__(MirrorConfig, name)
         monkeypatch.setattr(MirrorConfig, name, prop)
-    texts = [mirror_text(), mirror_text(sigma_S_per_m="1e5")] + [
-        mirror_text(*crossing[:3]) for crossing in GUARD_CROSSINGS]
-    for text in texts:
-        calls.clear()
-        report = run(parse_config(text))
-        assert calls == {"config": 1, "k": 1, "alpha": 1, "k_over_alpha": 1}, text
-    assert report.errors and len(report.rows)  # the last crosses the guard
+    for scenario in closed_form:
+        want = {"config": 1} | ({"k": 1, "alpha": 1, "k_over_alpha": 1}
+                                if scenario == "mirror" else {})
+        for text in closed_form_texts(scenario):
+            calls.clear()
+            report = run(parse_config(text))
+            assert calls == want, text
+        assert report.errors and len(report.rows), text
 
 
 @pytest.mark.parametrize("param, lo, hi, rejected", GUARD_CROSSINGS)

@@ -2,7 +2,9 @@
 
 Each rejecting config states its rules once, in a RULES tuple that
 ``core.check_rules`` evaluates on scalars (raising) and on (m,) rows
-(returning row -> error).  Two guards hold that to the former behaviour:
+(returning row -> message).  A row's message must be the former error's
+text, and the scalar config built for that row must raise the former
+error's type.  Two guards hold that to the former behaviour:
 
 * a property test against the scalar ``__post_init__`` bodies
   and the ``displacement_ratio`` L0 check as they were before the rules
@@ -23,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abmink import SI, RegimeError, core, runner, scenarios
+from abmink import SI, MomentumTag, RegimeError, core, runner, scenarios
 from abmink.core import Medium, check_rules, unchecked
 from abmink.runner import parse_config, run
 from abmink.scenarios import DragConfig, MirrorConfig, SphereKickConfig, TorqueConfig
@@ -45,6 +47,9 @@ def _medium(self):
         raise ValueError(f"eps_r must be >= 1, got {eps_r}")
     if not self.mu_r > 0.0:
         raise ValueError(f"mu_r must be > 0, got {self.mu_r}")
+    # not in the former checks: an infinite mu_r passed the n check, inf <= inf
+    if self.mu_r == math.inf:
+        raise ValueError(f"mu_r must be finite, got {self.mu_r}")
     if self.viscosity is not None and not self.viscosity > 0.0:
         raise ValueError(f"viscosity must be > 0, got {self.viscosity}")
     if not abs(n - expect) <= _REL_TOL * expect:
@@ -122,16 +127,33 @@ def _first_error(*checks):
     return None
 
 
-def assert_same_error(got, want):
+def _raised(build):
+    """The error that ``build()`` raises, or None."""
+    try:
+        build()
+    except ValueError as exc:
+        return exc
+    return None
+
+
+def assert_same_message(got, want):
+    """``got``, a row's message from check_rules, is the text of ``want``."""
     if want is None:
         assert got is None
     elif str(want) == "math domain error":
         # the former Medium took sqrt(eps_r mu_r) before its checks, so a
         # negative product raised this; the rules name the field at fault
-        assert type(got) is ValueError
-        assert str(got).startswith(("eps_r must be >= 1", "mu_r must be > 0"))
+        assert got.startswith(("eps_r must be >= 1", "mu_r must be > 0"))
     else:
-        assert (type(got), str(got)) == (type(want), str(want))
+        assert got == str(want)
+
+
+def assert_same_error(got, want):
+    if want is None:
+        assert got is None
+    else:
+        assert type(got) is type(want)
+        assert_same_message(str(got), want)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +213,9 @@ def test_medium_rows_match_the_former_checks(data):
         exc = _first_error((_medium, _medium_ns(float(eps_r[i]), mu_r, float(n[i]), v)))
         if exc is not None:
             want[i] = exc
-        assert_same_error(got.get(i), want.get(i))
+        assert_same_message(got.get(i), want.get(i))
+        assert_same_error(_raised(lambda: Medium(float(eps_r[i]), mu_r, float(n[i]), v)),
+                          want.get(i))
     # the (m,) constructor raises the error of the first rejected row
     try:
         Medium(eps_r, mu_r, n, viscosity)
@@ -244,9 +268,12 @@ def test_mirror_points_match_the_former_checks(data):
                                       omega=float(omega[i]),
                                       conductivity=float(sigma[i]),
                                       guard=float(guard[i]), constants=SI)))
-        assert_same_error(got.get(i), want)
+        assert_same_message(got.get(i), want)
+        assert_same_error(_raised(lambda: MirrorConfig(
+            Medium(v * v, 1.0, v), float(E0[i]), float(omega[i]), float(sigma[i]),
+            float(guard[i]))), want)
         if want is not None:  # the runner keeps the message
-            assert errors[i] == str(got[i])
+            assert errors[i] == got[i]
 
 
 @pytest.mark.parametrize("mu_r", [1.0, 2.0, 0.5])
@@ -300,13 +327,8 @@ def test_drag_and_torque_rows_match_the_former_checks(data, kind):
     got = check_rules(cls.RULES, unchecked(cls, **fields), m)
     for i in range(m):
         want = _first_error((oracle, SimpleNamespace(**_at(fields, i))))
-        assert_same_error(got.get(i), want)
-        try:
-            cls(**_at(fields, i))
-            one = None
-        except ValueError as exc:
-            one = exc
-        assert_same_error(one, want)
+        assert_same_message(got.get(i), want)
+        assert_same_error(_raised(lambda: cls(**_at(fields, i))), want)
 
 
 @settings(max_examples=300, deadline=None)
@@ -332,7 +354,15 @@ def test_sphere_kick_rows_match_the_former_checks(data):
                               fluid=fluid, reference_fluid=reference, L0=p["L0"])
         want = _first_error((_medium, fluid), (_medium, reference), (_sphere, cfg),
                             (_l0, cfg))
-        assert_same_error(got.get(i), want)
+        assert_same_message(got.get(i), want)
+        # the scalar config raises its fluids' errors and its own, and
+        # displacement_ratio the L0 error
+        assert_same_error(_raised(lambda: scenarios.displacement_ratio(SphereKickConfig(
+            M=p["M"], a=p["a"], deltaG=1e-18, pulse_energy=p["pulse_energy"],
+            fluid=Medium(p["n"] * p["n"], n=p["n"], viscosity=p["viscosity"]),
+            L0=p["L0"], reference_fluid=Medium(p["n0"] * p["n0"], n=p["n0"],
+                                               viscosity=p["viscosity0"])),
+            MomentumTag.MINKOWSKI)), want)
 
 
 def test_sphere_kick_needs_both_viscosities():
@@ -475,7 +505,7 @@ def _nest(values: dict) -> SimpleNamespace:
 
 
 def test_every_rule_template_is_drawn():
-    assert len(TEMPLATES) == 20  # 4 + 5 + 4 + 1 + 3 + 1 + 1 + 1, none shared
+    assert len(TEMPLATES) == 21  # 5 + 5 + 4 + 1 + 3 + 1 + 1 + 1, none shared
     assert any(":" in t for t in TEMPLATES) and any("{" not in t for t in TEMPLATES)
 
 

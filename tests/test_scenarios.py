@@ -384,6 +384,15 @@ def test_displacement_ratio_signs_and_identity():
     assert r_m - r_a == pytest.approx(mu_ratio * corr * (n - 1.0 / n), rel=1e-12)
 
 
+@pytest.mark.parametrize("tag", list(MomentumTag))
+def test_displacement_ratio_checks_l0_for_a_library_caller(tag):
+    # the runner's rules judge L0 for a request; a library call has only this
+    cfg = sphere_cfg(L0=0.0)
+    with pytest.raises(ValueError,
+                       match=r"^reference displacement L0 must be > 0, got 0\.0$"):
+        displacement_ratio(cfg, tag)
+
+
 def test_displacement_ratio_no_index_contrast():
     cfg = sphere_cfg(n=1.0, mu=1.0e-3)
     mu_ratio = cfg.reference_fluid.viscosity / cfg.fluid.viscosity
