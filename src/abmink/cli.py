@@ -89,9 +89,8 @@ def _cmd_check(args) -> int:
                    "passed": r.passed} for r in results]
         print(json.dumps({"checks": checks}, allow_nan=False))
     else:
-        for r in results:
-            print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: "
-                  f"residual {r.residual:.3e} (bound {r.bound:.3e})")
+        print("\n".join(f"{'PASS' if r.passed else 'FAIL'} {r.name}: "
+                        f"residual {r.residual:.3e} (bound {r.bound:.3e})" for r in results))
     return 0 if all(r.passed for r in results) else 1
 
 

@@ -296,7 +296,8 @@ def plane_wave_sampler(n, mu_r, omega: float, E0,
     the key.
     """
     for name, value in (("omega", omega), ("E0", E0), ("n", n), ("mu_r", mu_r)):
-        if not np.isfinite(value).all():
+        if not (math.isfinite(value) if isinstance(value, float)
+                else np.isfinite(value).all()):
             raise ValueError(f"{name} must be finite, got {value}")
     d, p = _unit(direction, "direction"), _unit(polarization, "polarization")
     if (np.abs(np.vecdot(d, p)) > _REL_TOL).any():

@@ -4,8 +4,9 @@
 ``'%.16e' % v``, padded with NUL to 24 bytes; CSV emission renders its
 large float tables through it.  Every cell must be byte-identical to
 Python's own formatting: random bit patterns, every power of ten and its
-neighbours, subnormals, signed zeros and the exact decimal ties, which the
-kernel hands back to ``%`` rather than decide itself.
+neighbours, subnormals, signed zeros and the exact decimal ties.  The kernel
+decides a tie whose decimal exponent lies in [-6, 16] itself, half to even
+as ``%`` does, and hands one elsewhere back to ``%``.
 """
 
 import math
@@ -14,6 +15,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -75,15 +77,54 @@ def _distance_from_an_integer(values) -> np.ndarray:
     return np.abs(c - np.rint(c))
 
 
-def test_exact_ties_take_the_percent_fallback():
-    # within 2**-30 of a half: _e16 writes these cells with %.16e itself
-    assert (_distance_from_an_integer(TIES) > 0.5 - 2.0 ** -30).all()
+@pytest.fixture
+def handed_back(monkeypatch):
+    """The number of cells each _fall_back call hands back to %."""
+    counts, fall_back = [], runner._fall_back
+
+    def spy(out, unsure, text):
+        counts.append(int(unsure.sum()))
+        return fall_back(out, unsure, text)
+
+    monkeypatch.setattr(runner, "_fall_back", spy)
+    return counts
+
+
+def test_exact_ties_are_decided_by_the_kernel(handed_back):
+    # exactly a half: with q in [-6, 16], rint rounds it half to even, as %
     assert (_distance_from_an_integer(TIES) == 0.5).all()
     assert_renders_as_percent(TIES)
     assert_renders_as_percent([-v for v in TIES])
-    # ordinary values stay well clear of the band
+    assert handed_back == [0, 0]
+    # ordinary values stay well clear of the 2**-30 band
     ordinary = np.random.default_rng(19).uniform(1.0, 10.0, 1000)
     assert (_distance_from_an_integer(ordinary) < 0.5 - 2.0 ** -30).all()
+
+
+def _exact_ties(rng, per_k: int) -> np.ndarray:
+    """Exact 17-digit ties of either sign: J / 2**(k + 1) for odd J < 2**53
+    with J 5**k / 2 in [1e16, 1e17), whose q is 16 - k, for k in [1, 22]."""
+    ties = []
+    for k in range(1, 23):
+        lo, hi = -(-2 * 10 ** 16 // 5 ** k), min(2 * 10 ** 17 // 5 ** k, 2 ** 53)
+        J = 2 * rng.integers(lo // 2, hi // 2, per_k) + 1
+        ties.append(rng.choice([-1.0, 1.0], per_k) * J * 2.0 ** -(k + 1))
+    return np.concatenate(ties)
+
+
+def test_a_tie_heavy_corpus_renders_as_percent(handed_back):
+    rng = np.random.default_rng(20261020)
+    ties = _exact_ties(rng, 2000)
+    assert (_distance_from_an_integer(ties) == 0.5).all()
+    assert_renders_as_percent(ties)
+    assert handed_back == [0]
+    # small-integer mantissas over q in [-10, 19], where ties cluster, and
+    # uniform draws over the same decades
+    small = np.ldexp.outer(np.arange(1.0, 512.0), np.arange(-40, 70)).ravel()
+    small = small[(small >= 1e-10) & (small < 1e20)]
+    assert_renders_as_percent(np.concatenate([small, -small]))
+    uniform = rng.uniform(1.0, 10.0, (30, 1000)) * 10.0 ** np.arange(-10, 20)[:, None]
+    assert_renders_as_percent(uniform.ravel() * rng.choice([-1.0, 1.0], uniform.size))
 
 
 def test_a_million_seeded_bit_patterns_render_as_percent():
@@ -103,3 +144,5 @@ def test_the_tables_are_built_on_first_use():
     h, hh, hl, lo, _ = pow10
     assert ((h >= 2.0 ** 52) & (h < 2.0 ** 53)).all() and (hh + hl == h).all()
     assert (np.abs(lo) < 1.0).all()
+    # 10**k for k in [0, 22] is exact, which lets _e16 decide ties there
+    assert (lo[-runner._K0:-runner._K0 + 23] == 0.0).all()

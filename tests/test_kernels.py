@@ -226,8 +226,9 @@ def test_e6_hands_back_only_its_ties(undecided):
 # ---------------------------------------------------------------------------
 
 def test_importing_abmink_builds_no_table():
+    # nor the check suite's wave pair
     fresh = subprocess.run(
-        [sys.executable, "-c", "import abmink; "
-         "print(abmink.runner._e16_tables.cache_info().currsize)"],
+        [sys.executable, "-c", "import abmink; print(*(getattr(abmink.runner, f)"
+         ".cache_info().currsize for f in ('_e16_tables', '_check_waves')))"],
         capture_output=True, text=True, check=True)
-    assert fresh.stdout == "0\n"
+    assert fresh.stdout == "0 0\n"

@@ -652,6 +652,35 @@ def test_check_suite_divergence_residual_is_the_covariant_checks_one():
     assert got.hex() == want.hex()
 
 
+@pytest.fixture
+def sampler_builds(monkeypatch):
+    """The (n, mu_r) of each covariant.plane_wave_sampler call."""
+    builds, build = [], covariant.plane_wave_sampler
+
+    def spy(n, mu_r, *args, **kwargs):
+        builds.append((n, mu_r))
+        return build(n, mu_r, *args, **kwargs)
+
+    monkeypatch.setattr(covariant, "plane_wave_sampler", spy)
+    return builds
+
+
+def test_check_suite_builds_its_wave_pair_once_per_process(sampler_builds):
+    runner._check_waves.cache_clear()
+    results = [check_suite() for _ in range(3)]
+    assert sampler_builds == [(1.5, 1.0)]
+    assert results[0] == results[1] == results[2]
+
+
+def test_covariant_checks_build_their_samplers_from_each_request(sampler_builds):
+    coarse = [dict(run(parse_config(f"scenario = covariant-checks\nn = {n}\n")).rows)[
+        "divergence_ratio_coarse"] for n in (1.4, 1.6)]
+    # the wave pair, then the single wave in the medium and in vacuum
+    assert sampler_builds == [(1.4, 1.0), ([1.4, 1.0], [1.0, 1.0]),
+                              (1.6, 1.0), ([1.6, 1.0], [1.0, 1.0])]
+    assert coarse[0] != coarse[1]
+
+
 @pytest.mark.parametrize("skipped", ["classify_four_momentum",
                                      "excitation_from_constitutive"])
 def test_check_suite_takes_only_the_divergence_ratio_of_the_covariant_checks(
