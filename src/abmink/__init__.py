@@ -3,9 +3,9 @@
 A small numpy toolkit: instantaneous 3+1 field quantities and force
 densities (:mod:`abmink.core`), the four-tensor formalism with its
 conservation and classification checks (:mod:`abmink.covariant`), desk-scale
-predictions for eight radiation-pressure experiments
-(:mod:`abmink.scenarios`), and a config-driven scenario runner
-(:mod:`abmink.runner`, CLI ``abmink``).
+predictions for five existing radiation-pressure experiments and two proposals
+(:mod:`abmink.scenarios`), and a config-driven runner (:mod:`abmink.runner`,
+CLI ``abmink``) whose eighth scenario runs the covariant self-checks.
 """
 
 from . import covariant, runner, scenarios

@@ -64,6 +64,7 @@ _AXIAL = (np.array([1, 2, 0]), np.array([2, 0, 1]))
 # the central-difference stencil: +x, +y, +z, +ct, then the same negated
 _STENCIL = np.vstack([np.eye(4), -np.eye(4)])
 _STENCIL.flags.writeable = False
+_NULL_TOL = 1e-9  # classify_four_momentum's relative tolerance for 'null'
 
 
 def _per_tensor(x) -> np.ndarray:
@@ -247,11 +248,11 @@ def divergence_residual(field_sampler, x, t: float, grid_step) -> np.ndarray:
     return (d[..., 0] + d[..., 1] + d[..., 2] + d[..., 3]) / (2.0 * h[..., 0])
 
 
-def classify_four_momentum(p: FourMomentum, rel_tol: float = 1e-9):
+def classify_four_momentum(p: FourMomentum):
     """Classify (G, W) as 'spacelike', 'timelike' or 'null'; a stack gives
     an array of classes.
 
-    The discriminant is c^2 |G|^2 - W^2, compared against rel_tol times the
+    The discriminant is c^2 |G|^2 - W^2, compared against _NULL_TOL times the
     magnitude scale c^2 |G|^2 + W^2.  Both are taken of (c G, W) divided by
     its largest magnitude, so that squaring cannot overflow; a four-momentum
     with a component that is not finite is 'undecidable'.
@@ -263,7 +264,7 @@ def classify_four_momentum(p: FourMomentum, rel_tol: float = 1e-9):
     g2, w2 = np.vecdot(g, g), np.square(w)
     disc = g2 - w2
     cls = np.where(np.isfinite(disc),
-                   np.where(np.abs(disc) <= rel_tol * (g2 + w2), "null",
+                   np.where(np.abs(disc) <= _NULL_TOL * (g2 + w2), "null",
                             np.where(disc > 0.0, "spacelike", "timelike")),
                    "undecidable")
     return cls if cls.ndim else str(cls)

@@ -26,7 +26,7 @@ import math
 import numbers
 import re
 from dataclasses import dataclass, field, fields
-from types import SimpleNamespace
+from types import MappingProxyType, SimpleNamespace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -358,17 +358,6 @@ def _constitutive_draws():
     return draws, covariant.field_tensor_from_EB(draws[:, 0], draws[:, 1]), scale
 
 
-@functools.cache
-def _ledger_sample():
-    """The momentum ledger's seeded sample (index n, E and c mu0 H), drawn
-    on first use, as above, and read-only."""
-    rng = np.random.default_rng(7)
-    n = rng.uniform(1.0, 2.0, 1000)
-    EH = rng.normal(size=(2, n.size, 3))
-    n.flags.writeable = EH.flags.writeable = False
-    return n, *EH
-
-
 _PROBE = (0.123, 0.0, 0.0)  # the point x where the covariant checks sample waves
 _REST = covariant.FourVelocity.rest()  # the constitutive check's frame
 
@@ -380,12 +369,6 @@ def _two_waves(n: float, mu_r: float):
     return covariant.plane_wave_sampler(
         n, mu_r, 2.0 * math.pi, [1.0, 0.7], polarization=[[0, 1, 0], [0, 0, 1]],
         direction=[[1, 0, 0], [0.5, math.sqrt(0.75), 0]])
-
-
-@functools.cache
-def _check_waves():
-    """check_suite's wave pair (n = 1.5, mu_r = 1), built on first use as above."""
-    return _two_waves(1.5, 1.0)
 
 
 def _divergence_ratios(two_waves, grid_step: float):
@@ -523,11 +506,12 @@ class _Scenario(NamedTuple):
     sweepable: bool = True
 
 
+_AIR = scenarios.SphereKickConfig.reference_fluid  # sphere-kick's default n0 and viscosity0
 _SCENARIOS = {
     "mirror": _Scenario(
         keys={"n": _REQUIRED, "E0_V_per_m": _REQUIRED,
               "omega_rad_per_s": _REQUIRED, "sigma_S_per_m": _REQUIRED,
-              "guard_k_over_alpha": 0.2},
+              "guard_k_over_alpha": scenarios.MirrorConfig.guard},
         provenance=("sigma_x = (n/c)(1+R) S_i with R = 1 - 2 k/alpha; "
                     "Lorentz route (mu0 sigma/2) Re int E_y H_z* dx; "
                     "transport route c g_x / n plus n R S_i / c"),
@@ -552,7 +536,7 @@ _SCENARIOS = {
         keys={"M_kg": _REQUIRED, "a_m": _REQUIRED,
               "deltaG_kg_m_per_s": _REQUIRED, "pulse_energy_J": _REQUIRED,
               "n": _REQUIRED, "viscosity_Pa_s": _REQUIRED, "L0_m": _REQUIRED,
-              "n0": 1.0, "viscosity0_Pa_s": 1.8e-5},
+              "n0": _AIR.n, "viscosity0_Pa_s": _AIR.viscosity},
         provenance=("M v_max = deltaG + p_pulse with p_pulse = n H / c "
                     "(minkowski) or H / (n c) (abraham); "
                     "v(t) = v_max exp(-6 pi mu a t / M); "
@@ -988,15 +972,15 @@ def parse_tolerance(tol) -> float:
     return value
 
 
-def _ledger_residual(n, E, H) -> float:
+def _ledger_residual(medium: Medium, E, H) -> float:
     """Worst relative miss of g_A + g_mech = g_M and of g_M = n^2 g_A over
-    nonmagnetic points: index n an (m,) stack, E and c mu0 H (both in V/m)
+    nonmagnetic points: ``medium`` of (m,) indices n, E (V/m) and H (A/m)
     (m, 3) stacks.  Points where g_M is zero are skipped."""
-    medium = Medium.from_index(n)
-    fp = FieldPoint.from_EH(medium, E, H / SI.mu0 / SI.c)
+    fp = FieldPoint.from_EH(medium, E, H)
     g_a = momentum_density(fp, MomentumTag.ABRAHAM)
     g_m = momentum_density(fp, MomentumTag.MINKOWSKI)
     g_mech = mechanical_momentum_density(medium, fp)
+    n = medium.n
     # each row's largest |component|, the bits of np.max(axis=1) without
     # numpy's slow reduction along a length-3 axis
     scale, *misses = [np.maximum(np.maximum(a[:, 0], a[:, 1]), a[:, 2]) for a in map(
@@ -1005,10 +989,27 @@ def _ledger_residual(n, E, H) -> float:
     return float(np.max([d[kept] / scale[kept] for d in misses], initial=0.0))
 
 
-# check_suite's 3 x 2 x 2 grid of n, sigma and omega, one contiguous row each
-_MIRROR_GRID = np.array(np.meshgrid((1.0, 1.3, 1.6), (1e7, 1e8), (2.6e15, 4.0e15),
-                                    indexing="ij")).reshape(3, -1)
-_MIRROR_GRID.flags.writeable = False
+@functools.cache
+def _check_inputs():
+    """check_suite's fixed inputs, built and validated on first use (as
+    _constitutive_draws) and read-only: the mirror's parameters over a
+    3 x 2 x 2 grid of n, sigma and omega, one contiguous row each, at the
+    mirror's default guard; the divergence check's wave pair at the
+    covariant-checks defaults; and the momentum ledger's Medium, E and H
+    over 1000 seeded points."""
+    grid = np.array(np.meshgrid((1.0, 1.3, 1.6), (1e7, 1e8), (2.6e15, 4.0e15),
+                                indexing="ij")).reshape(3, -1)
+    rng = np.random.default_rng(7)
+    n = rng.uniform(1.0, 2.0, 1000)
+    E, H = rng.normal(size=(2, n.size, 3))
+    H = H / SI.mu0 / SI.c  # drawn as c mu0 H, in V/m
+    grid.flags.writeable = E.flags.writeable = H.flags.writeable = False
+    guard = _SCENARIOS["mirror"].keys["guard_k_over_alpha"]
+    mirror = MappingProxyType({
+        "n": grid[0], "E0_V_per_m": np.float64(1e3), "omega_rad_per_s": grid[2],
+        "sigma_S_per_m": grid[1], "guard_k_over_alpha": np.float64(guard)})
+    defaults = _SCENARIOS["covariant-checks"].keys
+    return mirror, _two_waves(defaults["n"], defaults["mu_r"]), (Medium.from_index(n), E, H)
 
 
 def check_suite(tol: float = DEFAULT_TOL) -> list[CheckResult]:
@@ -1023,21 +1024,15 @@ def check_suite(tol: float = DEFAULT_TOL) -> list[CheckResult]:
        which is n^2 times the Abraham momentum.
     """
     tol = parse_tolerance(tol)
-    results = []
-
-    n, sigma, omega = _MIRROR_GRID  # in one mirror evaluation
+    p, two_waves, ledger = _check_inputs()
     mirror = _SCENARIOS["mirror"]
-    p = {"n": n, "E0_V_per_m": np.float64(1e3), "omega_rad_per_s": omega,
-         "sigma_S_per_m": sigma, "guard_k_over_alpha": np.float64(0.2)}
-    with np.errstate(all="ignore"):
-        residuals = mirror.evaluate(mirror, p, None, n.size)[2]
-    results.append(CheckResult(name="three-way-mirror",
-                               residual=residuals["three_way_max_rel_diff"], bound=tol))
-
-    *_, ratio_err = _divergence_ratios(_check_waves(), grid_step=1e-3)
-    results.append(CheckResult(name="divergence-convergence",
-                               residual=ratio_err, bound=_RATIO_ERR_BOUND))
-
-    results.append(CheckResult(name="momentum-ledger",
-                               residual=_ledger_residual(*_ledger_sample()), bound=tol))
-    return results
+    with np.errstate(all="ignore"):  # the whole grid in one mirror evaluation
+        residuals = mirror.evaluate(mirror, p, None, p["n"].size)[2]
+    *_, ratio_err = _divergence_ratios(
+        two_waves, _SCENARIOS["covariant-checks"].keys["grid_step"])
+    return [CheckResult(name="three-way-mirror",
+                        residual=residuals["three_way_max_rel_diff"], bound=tol),
+            CheckResult(name="divergence-convergence",
+                        residual=ratio_err, bound=_RATIO_ERR_BOUND),
+            CheckResult(name="momentum-ledger", residual=_ledger_residual(*ledger),
+                        bound=tol)]

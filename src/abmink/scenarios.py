@@ -25,7 +25,7 @@ that same config.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -322,8 +322,7 @@ class SphereKickConfig:
     pulse_energy: float
     fluid: Medium
     L0: float = 0.0
-    reference_fluid: Medium = field(
-        default_factory=lambda: Medium.from_index(1.0, viscosity=1.8e-5))
+    reference_fluid: Medium = Medium.from_index(1.0, viscosity=1.8e-5)
 
     def __post_init__(self):
         check_rules(self.RULES, self)

@@ -226,7 +226,7 @@ def test_em_quantities_and_the_ledger_form_e_cross_h_once(monkeypatch):
     em_quantities(random_nonmagnetic_fieldpoint(np.random.default_rng(4))[1])
     assert len(calls) == 2  # E x H and D x B
     calls.clear()
-    runner._ledger_residual(*runner._ledger_sample())
+    runner._ledger_residual(*runner._check_inputs()[2])
     assert len(calls) == 2
 
 

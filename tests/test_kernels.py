@@ -226,9 +226,9 @@ def test_e6_hands_back_only_its_ties(undecided):
 # ---------------------------------------------------------------------------
 
 def test_importing_abmink_builds_no_table():
-    # nor the check suite's wave pair
+    # nor the check suite's inputs
     fresh = subprocess.run(
         [sys.executable, "-c", "import abmink; print(*(getattr(abmink.runner, f)"
-         ".cache_info().currsize for f in ('_e16_tables', '_check_waves')))"],
+         ".cache_info().currsize for f in ('_e16_tables', '_check_inputs')))"],
         capture_output=True, text=True, check=True)
     assert fresh.stdout == "0 0\n"

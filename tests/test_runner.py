@@ -1,5 +1,6 @@
 """Tests for config parsing, scenario dispatch and report emission."""
 
+import collections
 import dataclasses
 import json
 import math
@@ -9,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from abmink import MomentumTag, covariant, runner
+from abmink import SI, FieldPoint, Medium, MomentumTag, covariant, runner
 from abmink.runner import (
     MAX_SWEEP_COUNT,
     SCENARIO_NAMES,
@@ -665,10 +666,26 @@ def sampler_builds(monkeypatch):
     return builds
 
 
-def test_check_suite_builds_its_wave_pair_once_per_process(sampler_builds):
-    runner._check_waves.cache_clear()
+def test_check_suite_builds_its_inputs_once_and_its_results_every_call(
+        monkeypatch, sampler_builds):
+    calls, form = collections.Counter(), runner._SCENARIOS["mirror"]
+
+    def counted(name, fn):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return spy
+
+    for owner, name in ((Medium, "from_index"), (FieldPoint, "from_EH"),
+                        (covariant, "divergence_residual")):
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    monkeypatch.setitem(runner._SCENARIOS, "mirror",
+                        form._replace(evaluate=counted("mirror", form.evaluate)))
+    runner._check_inputs.cache_clear()
     results = [check_suite() for _ in range(3)]
-    assert sampler_builds == [(1.5, 1.0)]
+    # the wave pair and the ledger's medium once; every result on each call
+    assert sampler_builds == [(1.5, 1.0)] and calls["from_index"] == 1
+    assert [calls[name] for name in ("mirror", "divergence_residual", "from_EH")] == [3] * 3
     assert results[0] == results[1] == results[2]
 
 
@@ -730,13 +747,22 @@ def test_check_suite_ledger_is_that_of_a_fresh_draw():
     n = rng.uniform(1.0, 2.0, 1000)
     E, H = rng.normal(size=(2, n.size, 3))
     got = {r.name: r.residual for r in check_suite()}["momentum-ledger"]
-    assert got.hex() == runner._ledger_residual(n, E, H).hex()
+    want = runner._ledger_residual(Medium.from_index(n), E, H / SI.mu0 / SI.c)
+    assert got.hex() == want.hex()
 
 
-@pytest.mark.parametrize("cache", ["_ledger_sample", "_constitutive_draws"])
+@pytest.mark.parametrize("cache", ["_check_inputs", "_constitutive_draws"])
 def test_cached_draws_are_read_only(cache):
-    for a in getattr(runner, cache)():
-        a = getattr(a, "M", a)  # the field tensor's matrix stack
+    if cache == "_check_inputs":
+        mirror, _, (medium, E, H) = runner._check_inputs()
+        with pytest.raises(TypeError):  # the mirror's parameters, a read-only mapping
+            mirror["n"] = mirror["n"]
+        cached = [mirror["n"], mirror["sigma_S_per_m"], mirror["omega_rad_per_s"],
+                  medium.eps_r, medium.n, E, H]
+    else:
+        draws, F, scale = runner._constitutive_draws()
+        cached = [draws, F.M, scale]  # the field tensor's matrix stack
+    for a in cached:
         with pytest.raises(ValueError, match="read-only"):
             a.flat[0] = 0.0
 

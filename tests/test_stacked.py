@@ -69,7 +69,8 @@ def test_stacked_ledger_over_the_interleaved_stream_keeps_its_residual():
         n[i] = rng.uniform(1.0, 2.0)
         E[i] = rng.normal(size=3)
         H[i] = rng.normal(size=3)
-    assert _ledger_residual(n, E, H) == 1.1269238985414805e-15
+    got = _ledger_residual(Medium.from_index(n), E, H / SI.mu0 / SI.c)
+    assert got == 1.1269238985414805e-15
     assert ledger_residual_point_by_point() == 1.1269238985414805e-15
 
 
