@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from abmink import SI, FieldPoint, Medium, MomentumTag, cli, covariant
+from abmink import SI, FieldPoint, Medium, MomentumTag, cli, core, covariant
 from abmink.core import em_quantities
 from abmink.covariant import (
     ETA,
@@ -234,6 +234,24 @@ def test_tensor_row_column_asymmetry_ratio():
     S = minkowski_tensor4(F, H)
     # along propagation (x): momentum column over Poynting row = n^2
     assert S.M[0, 3] / S.M[3, 0] == pytest.approx(1.5**2, rel=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(1e-3, 1e3), st.floats(1.0, 3.0), st.floats(1.0, 3.0))
+def test_stress_jump_across_an_index_step_is_the_interface_pressure(E_t, n_from, n_to):
+    # a tangential E = (0, E_t, 0), continuous across the step, with D = n^2 E
+    # (mu_r = 1, B = H = 0) on each side: the jump in S_xx is the pressure
+    # that interface reports, here in reduced units (eps0 = 1, so the SI
+    # field is E_t / sqrt(eps0))
+    E, zero = np.array([0.0, E_t, 0.0]), np.zeros(3)
+
+    def S_xx(n):
+        return minkowski_tensor4(field_tensor_from_EB(E, zero),
+                                 excitation_from_DH(n * n * E, zero)).stress[0, 0]
+
+    got = -(S_xx(n_to) - S_xx(n_from))
+    want = core.interface_pressure(E_t / math.sqrt(SI.eps0), n_from, n_to)
+    assert abs(got - want) <= 1e-13 * (E_t**2 / 2) * (n_from**2 + n_to**2)
 
 
 def test_rest_frame_pipeline_matches_si_quantities():

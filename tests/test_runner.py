@@ -10,7 +10,8 @@ import warnings
 import numpy as np
 import pytest
 
-from abmink import SI, FieldPoint, Medium, MomentumTag, covariant, runner
+from abmink import (SI, FieldPoint, Medium, MomentumTag, RegimeError, covariant,
+                    runner, scenarios)
 from abmink.runner import (
     MAX_SWEEP_COUNT,
     SCENARIO_NAMES,
@@ -676,16 +677,25 @@ def test_check_suite_builds_its_inputs_once_and_its_results_every_call(
             return fn(*args, **kwargs)
         return spy
 
+    check_rules = runner.check_rules
+
+    def judged(rules, config, size=None):
+        calls["mirror rules"] += rules is form.rules
+        return check_rules(rules, config, size)
+
     for owner, name in ((Medium, "from_index"), (FieldPoint, "from_EH"),
-                        (covariant, "divergence_residual")):
+                        (covariant, "divergence_residual"),
+                        (scenarios, "mirror_pressures")):
         monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
-    monkeypatch.setitem(runner._SCENARIOS, "mirror",
-                        form._replace(evaluate=counted("mirror", form.evaluate)))
+    monkeypatch.setattr(runner, "check_rules", judged)
     runner._check_inputs.cache_clear()
     results = [check_suite() for _ in range(3)]
-    # the wave pair and the ledger's medium once; every result on each call
+    # the wave pair, the ledger's medium and the mirror grid's rules once;
+    # every result, the three mirror routes among them, on each call
     assert sampler_builds == [(1.5, 1.0)] and calls["from_index"] == 1
-    assert [calls[name] for name in ("mirror", "divergence_residual", "from_EH")] == [3] * 3
+    assert calls["mirror rules"] == 1
+    assert [calls[name] for name in ("mirror_pressures", "divergence_residual",
+                                     "from_EH")] == [3] * 3
     assert results[0] == results[1] == results[2]
 
 
@@ -714,16 +724,49 @@ def test_check_suite_takes_only_the_divergence_ratio_of_the_covariant_checks(
 
 def test_check_suite_evaluates_its_mirror_grid_once_and_keeps_every_point(monkeypatch):
     # an empty grid would give no residual: the check must not pass on one
-    calls, form = [], runner._SCENARIOS["mirror"]
+    calls, pressures = [], scenarios.mirror_pressures
 
-    def recording(*args):
-        calls.append((args[3], form.evaluate(*args)))
-        return calls[-1][1]
+    def recording(config):
+        calls.append(pressures(config))
+        return calls[-1]
 
-    monkeypatch.setitem(runner._SCENARIOS, "mirror", form._replace(evaluate=recording))
+    monkeypatch.setattr(scenarios, "mirror_pressures", recording)
     check_suite()
-    [(m, (columns, rows, residuals, errors))] = calls
-    assert m == 12 and errors == {} and rows.shape == (12, len(columns))
+    [columns] = calls
+    assert {key: np.shape(column) for key, column in columns.items()} == dict.fromkeys(
+        columns, (12,))
+
+
+@pytest.fixture
+def mirror_guard(monkeypatch):
+    """Sets the mirror's default guard that check_suite's grid is built at;
+    the grid is rebuilt on the next use, and again after the test."""
+    def set_guard(guard):
+        monkeypatch.setitem(runner._SCENARIOS["mirror"].keys, "guard_k_over_alpha", guard)
+        runner._check_inputs.cache_clear()
+
+    yield set_guard
+    monkeypatch.undo()
+    runner._check_inputs.cache_clear()
+
+
+@pytest.mark.parametrize("guard", [0.05, 1e-3])
+def test_check_suite_fails_on_a_grid_row_beyond_the_guard_instead_of_dropping_it(
+        mirror_guard, guard):
+    # 0.05 rejects 6 of the 12 rows and 1e-3 all of them: either way the
+    # first check_suite raises the first rejected row's error
+    mirror_guard(guard)
+    with pytest.raises(RegimeError, match=re.escape(f"requires k/alpha < {guard}")):
+        check_suite()
+
+
+def test_check_suite_mirror_residual_is_that_of_the_mirror_evaluator():
+    # the runner's evaluation path stays the reference for the direct call
+    p, form = runner._check_inputs()[0], runner._SCENARIOS["mirror"]
+    _, rows, residuals, errors = form.evaluate(form, p, None, 12)
+    assert errors == {} and len(rows) == 12
+    got = {r.name: r.residual for r in check_suite()}["three-way-mirror"]
+    assert got.hex() == residuals["three_way_max_rel_diff"].hex()
 
 
 def test_check_suite_mirror_residual_is_that_of_its_n_sweeps():
