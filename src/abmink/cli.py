@@ -21,7 +21,6 @@ each check in suite order.
 from __future__ import annotations
 
 import functools
-import json
 import os
 import sys
 from types import SimpleNamespace
@@ -85,6 +84,7 @@ def _cmd_check(args) -> int:
         return 2
     results = check_suite(tol)
     if args.format == "json":
+        import json  # here alone: a text report never loads it
         checks = [{"name": r.name, "residual": r.residual, "bound": r.bound,
                    "passed": r.passed} for r in results]
         print(json.dumps({"checks": checks}, allow_nan=False))

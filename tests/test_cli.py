@@ -211,7 +211,7 @@ def test_covariant_checks_failing_the_ratio_bound_exit_one(tmp_path):
 CHECK_STDOUT = (
     "PASS three-way-mirror: residual 5.866e-16 (bound 1.000e-06)\n"
     "PASS divergence-convergence: residual 1.922e-05 (bound 2.000e-01)\n"
-    "PASS momentum-ledger: residual 1.660e-15 (bound 1.000e-06)\n"
+    "PASS momentum-ledger: residual 1.277e-15 (bound 1.000e-06)\n"
 )
 
 

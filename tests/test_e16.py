@@ -1,6 +1,6 @@
 """The vectorized ``%.16e`` kernel against ``'%.16e' % v`` itself.
 
-``runner._e16`` writes each finite float64 of an array as the bytes of
+``emission._e16`` writes each finite float64 of an array as the bytes of
 ``'%.16e' % v``, padded with NUL to 24 bytes; CSV emission renders its
 large float tables through it.  Every cell must be byte-identical to
 Python's own formatting: random bit patterns, every power of ten and its
@@ -19,13 +19,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abmink import runner
+from abmink import emission
 
 
 def assert_renders_as_percent(values):
     """Each cell of ``_e16(values)``, NUL bytes dropped, is '%.16e' % v."""
     x = np.asarray(values, dtype=np.float64)
-    cells = runner._e16(x)
+    cells = emission._e16(x)
     assert cells.shape == (x.size, 24) and cells.dtype == np.uint8
     lines = np.hstack([cells, np.full((x.size, 1), ord("\n"), np.uint8)])
     got = lines.tobytes().translate(None, b"\0").decode().splitlines()
@@ -72,7 +72,7 @@ def _distance_from_an_integer(values) -> np.ndarray:
     x = np.abs(np.asarray(values, dtype=np.float64))
     m, e = np.frexp(x)
     q = np.floor(np.log10(x)).astype(np.int64)
-    a, c = runner._scaled(m * 2.0 ** 53, e, q)
+    a, c = emission._scaled(m * 2.0 ** 53, e, q)
     assert ((a >= 1e16) & (a < 1e17)).all()  # q is the decimal exponent here
     return np.abs(c - np.rint(c))
 
@@ -80,13 +80,13 @@ def _distance_from_an_integer(values) -> np.ndarray:
 @pytest.fixture
 def handed_back(monkeypatch):
     """The number of cells each _fall_back call hands back to %."""
-    counts, fall_back = [], runner._fall_back
+    counts, fall_back = [], emission._fall_back
 
     def spy(out, unsure, text):
         counts.append(int(unsure.sum()))
         return fall_back(out, unsure, text)
 
-    monkeypatch.setattr(runner, "_fall_back", spy)
+    monkeypatch.setattr(emission, "_fall_back", spy)
     return counts
 
 
@@ -136,13 +136,13 @@ def test_a_million_seeded_bit_patterns_render_as_percent():
 
 def test_the_tables_are_built_on_first_use():
     fresh = subprocess.run(
-        [sys.executable, "-c", "import abmink.runner as r; "
-         "print(r._e16_tables.cache_info().currsize)"],
+        [sys.executable, "-c", "import abmink.emission as e; "
+         "print(e._e16_tables.cache_info().currsize)"],
         capture_output=True, text=True, check=True)
     assert fresh.stdout == "0\n"  # importing does not build them
-    pow10 = runner._e16_tables()[0]
+    pow10 = emission._e16_tables()[0]
     h, hh, hl, lo, _ = pow10
     assert ((h >= 2.0 ** 52) & (h < 2.0 ** 53)).all() and (hh + hl == h).all()
     assert (np.abs(lo) < 1.0).all()
     # 10**k for k in [0, 22] is exact, which lets _e16 decide ties there
-    assert (lo[-runner._K0:-runner._K0 + 23] == 0.0).all()
+    assert (lo[-emission._K0:-emission._K0 + 23] == 0.0).all()

@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abmink import cli, runner
+from abmink import cli, emission, runner
 from abmink.runner import ScenarioReport, emit
 
 
@@ -163,7 +163,7 @@ def test_csv_json_csv_round_trip_is_bit_exact(report):
 # float tables: constant columns formatted once, varying ones through %
 # ---------------------------------------------------------------------------
 
-_E100, _E99 = runner._E100, runner._E99
+_E100, _E99 = emission._E100, emission._E99
 # where a cell's text changes length: sign, three-digit exponents, rounding
 # up to the next decade, subnormals and the ends of the double range
 _TABLE_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
@@ -218,7 +218,7 @@ def test_float_tables_render_as_per_cell(report, fmt):
 def test_float_tables_render_the_same_in_any_block_size(report, block, fmt):
     expected = emit_per_cell(_per_cell_copy(report), fmt)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(runner, "_BLOCK_ROWS", block)
+        mp.setattr(emission, "_BLOCK_ROWS", block)
         assert emit(report, fmt) == expected
 
 
@@ -229,9 +229,35 @@ def test_tables_render_the_same_through_the_kernels(report, block, cut_off, fmt)
     """With a small cell cut-off, blocks of either kind in one report."""
     expected = emit_per_cell(_per_cell_copy(report), fmt)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(runner, "_BLOCK_ROWS", block)
-        mp.setitem(runner._KERNEL_CELLS, fmt, cut_off)
+        mp.setattr(emission, "_BLOCK_ROWS", block)
+        mp.setitem(emission._KERNEL_CELLS, fmt, cut_off)
         assert emit(report, fmt) == expected
+
+
+def _one_row_paths(report, fmt):
+    """The bytes of the float-table path and of the cell path for a one-row
+    report, which must be equal, and those of emit, which takes the cell path."""
+    assert report.rows.shape[0] == 1
+    cells = emission._emit_cells(report, report.rows.tolist(), fmt)
+    assert emission._emit_table(report, report.rows, fmt) == cells
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(emission, "_emit_table", None)  # emit must not reach it
+        assert emit(report, fmt) == cells
+
+
+@settings(max_examples=300, deadline=None)
+@given(_table_reports(max_rows=1), st.sampled_from(FORMATS))
+def test_one_row_tables_render_the_same_through_either_path(report, fmt):
+    _one_row_paths(report, fmt)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("config", [
+    "scenario = wgm\na_m = 100e-6\nP0_W = 100\nomega0_rad_per_s = 1000\nt_s = 1e-3\n",
+    "scenario = mirror\nn = 1.33\nE0_V_per_m = 1e3\nomega_rad_per_s = 3e15\n"
+    "sigma_S_per_m = 5e7\n"])
+def test_one_row_reports_render_the_same_through_either_path(config, fmt):
+    _one_row_paths(runner.run(runner.parse_config(config)), fmt)
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
@@ -255,13 +281,13 @@ def fmt(request):
 @pytest.fixture
 def kernel_calls(monkeypatch, fmt):
     """The sizes of the arrays emit hands to the format's kernel."""
-    calls, kernel = [], getattr(runner, KERNELS[fmt])
+    calls, kernel = [], getattr(emission, KERNELS[fmt])
 
     def counted(x, *width):
         calls.append(len(x))
         return kernel(x, *width)
 
-    monkeypatch.setattr(runner, KERNELS[fmt], counted)
+    monkeypatch.setattr(emission, KERNELS[fmt], counted)
     return calls
 
 
@@ -279,12 +305,12 @@ def _spread(rng, m: int) -> np.ndarray:
 
 @pytest.mark.parametrize("below", [1, 0])
 def test_cell_cut_off(below, fmt, kernel_calls):
-    cells = runner._KERNEL_CELLS[fmt] - below
+    cells = emission._KERNEL_CELLS[fmt] - below
     rng = np.random.default_rng(cells)
     # one varying column between constant ones: cells rows
     _as_per_cell(np.column_stack([np.full(cells, 1.5), _spread(rng, cells),
                                   np.full(cells, -0.0)]), fmt)
-    assert kernel_calls == ([cells] if cells >= runner._KERNEL_CELLS[fmt] else [])
+    assert kernel_calls == ([cells] if cells >= emission._KERNEL_CELLS[fmt] else [])
 
 
 @pytest.mark.parametrize("rows", [1023, 1024, 1025, 2049])
@@ -293,14 +319,14 @@ def test_blocks_at_the_block_edges(rows, fmt, kernel_calls):
     table = np.column_stack([_spread(rng, rows), np.full(rows, 2.5e-7),
                              _spread(rng, rows), np.linspace(1.0, 1.6, rows)])
     _as_per_cell(table, fmt)
-    blocks = [min(runner._BLOCK_ROWS, rows - start)
-              for start in range(0, rows, runner._BLOCK_ROWS)]
+    blocks = [min(emission._BLOCK_ROWS, rows - start)
+              for start in range(0, rows, emission._BLOCK_ROWS)]
     # a last block of one row has 3 varying cells: it goes through %
-    assert kernel_calls == [3 * b for b in blocks if 3 * b >= runner._KERNEL_CELLS[fmt]]
+    assert kernel_calls == [3 * b for b in blocks if 3 * b >= emission._KERNEL_CELLS[fmt]]
 
 
 def test_constant_columns_splice_into_kernel_blocks(fmt, kernel_calls):
-    rows = 2 * runner._KERNEL_CELLS[fmt]
+    rows = 2 * emission._KERNEL_CELLS[fmt]
     rng = np.random.default_rng(7)
     _as_per_cell(np.column_stack([np.full(rows, -0.0), _spread(rng, rows),
                                   np.full(rows, 0.0), np.full(rows, -1.7976931348623157e308),
@@ -312,7 +338,7 @@ def test_constant_columns_splice_into_kernel_blocks(fmt, kernel_calls):
 
 
 def test_signed_zero_columns_go_through_the_kernels(fmt, kernel_calls):
-    rows = runner._KERNEL_CELLS[fmt]
+    rows = emission._KERNEL_CELLS[fmt]
     zeros = np.where(np.arange(rows) % 3 == 0, -0.0, 0.0)
     _as_per_cell(np.column_stack([zeros, np.full(rows, 1.0), zeros[::-1]]), fmt)
     assert kernel_calls == [2 * rows]
@@ -325,13 +351,13 @@ def test_table_columns_right_justify_through_the_kernel(fmt, widest, name, kerne
     """A varying column whose widest %.6e cell has 12, 13 or 14 characters
     (a sign, a three-digit exponent, or both), under a short or a long name:
     each cell is padded to the column's width."""
-    rows = runner._KERNEL_CELLS[fmt]
+    rows = emission._KERNEL_CELLS[fmt]
     values = np.random.default_rng(widest).uniform(1.0, 9.0, rows)
     if widest >= 13:
         values[::2] *= -1.0
     if widest == 14:
         values[1::3] *= 1e-150
-    assert runner._widest(values[:, None]) == [widest]
+    assert emission._widest(values[:, None]) == [widest]
     _as_per_cell(np.column_stack([values, np.linspace(0.0, 1.0, rows)]), "table", [name, "x"])
     assert kernel_calls == [2 * rows]
 

@@ -86,6 +86,7 @@ CODES = [
     "import abmink",
     "from abmink import cli; cli.main(['list'])",
     "from abmink import cli; cli.main(['run', CFG, '--format', 'csv', '--out', OUT])",
+    "from abmink import cli; cli.main(['check'])",
 ]
 
 
@@ -102,7 +103,8 @@ def _loads(module, code, tmp_path):
 
 @pytest.mark.parametrize("code", CODES)
 def test_numpy_random_is_not_imported_before_a_draw(code, tmp_path):
-    # the seeded draws are made on first use: numpy.random costs 15-30 ms
+    # covariant-checks makes its seeded draws on first use, and check's ledger
+    # sample is a Weyl sequence: numpy.random costs 10-30 ms of a cold process
     assert not _loads("numpy.random", code, tmp_path)
 
 
@@ -119,3 +121,17 @@ def test_argparse_is_imported_only_for_a_command_line_it_must_parse(code, loaded
     # a plainly spelled command line is matched without argparse, which
     # costs 2-4 ms of a cold process with gettext
     assert _loads("argparse", code, tmp_path) is loaded
+
+
+@pytest.mark.parametrize("code", CODES)
+def test_emission_is_imported_only_by_a_run(code, tmp_path):
+    # runner.emit imports it on its first call: importing abmink, list and
+    # check never compile its ~350 lines (about 5 ms without a bytecode cache)
+    assert _loads("abmink.emission", code, tmp_path) is ("'run'" in code)
+
+
+@pytest.mark.parametrize("code, loaded", [(code, "'run'" in code) for code in CODES] + [
+    (CODES[3].replace("['check']", "['check', '--format', 'json']"), True)])
+def test_json_is_imported_only_to_write_a_report_or_json(code, loaded, tmp_path):
+    # a text check prints its lines itself; emission and a JSON check load json
+    assert _loads("json", code, tmp_path) is loaded

@@ -1,10 +1,10 @@
 """The vectorized ``repr`` and ``%.6e`` kernels against Python's own.
 
-``runner._repr`` writes each finite float64 of an array as the bytes of
+``emission._repr`` writes each finite float64 of an array as the bytes of
 ``repr(v)`` (the shortest digits that parse back to v, in float.__repr__'s
-layout) and ``runner._e6`` as those of ``'%*.6e' % (w, v)`` for a width w
+layout) and ``emission._e6`` as those of ``'%*.6e' % (w, v)`` for a width w
 of 12 to 14, each padded with NUL; JSON and table emission render their
-large float tables through them, as CSV does through ``runner._e16``
+large float tables through them, as CSV does through ``emission._e16``
 (``tests/test_e16.py``).  Every cell must be byte-identical to Python's own
 formatting.  The cells a kernel cannot decide (a tie, a margin too close to
 call, a power of two for repr, a subnormal, zero) it hands back to
@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abmink import runner
+from abmink import emission
 
 
 def _texts(cells: np.ndarray) -> list[str]:
@@ -39,7 +39,7 @@ def _same(x: np.ndarray, got: list[str], expected: list[str]) -> None:
 def assert_renders_as_repr(values) -> None:
     """Each cell of ``_repr(values)``, NUL bytes dropped, is repr(v)."""
     x = np.asarray(values, dtype=np.float64)
-    cells = runner._repr(x)
+    cells = emission._repr(x)
     assert cells.shape == (x.size, 24) and cells.dtype == np.uint8
     _same(x, _texts(cells), [repr(v) for v in x.tolist()])
 
@@ -51,7 +51,7 @@ def assert_renders_as_percent_e6(values, seed: int = 0) -> None:
     own = np.array([len("%.6e" % v) for v in x.tolist()], np.int64)
     for width in (np.full(x.size, 14), own,
                   np.random.default_rng(seed).integers(own, 15)):
-        cells = runner._e6(x, width)
+        cells = emission._e6(x, width)
         assert cells.shape == (x.size, 16) and cells.dtype == np.uint8
         _same(x, _texts(cells), ["%*.6e" % (w, v) for w, v in zip(width.tolist(), x.tolist())])
 
@@ -72,13 +72,13 @@ def _both_signs(values) -> list[float]:
 def undecided(monkeypatch):
     """The cells each kernel call handed back to repr or %, as a list of
     boolean masks."""
-    masks, fall_back = [], runner._fall_back
+    masks, fall_back = [], emission._fall_back
 
     def spy(out, cells, text):
         masks.append(np.asarray(cells, bool).copy())
         return fall_back(out, cells, text)
 
-    monkeypatch.setattr(runner, "_fall_back", spy)
+    monkeypatch.setattr(emission, "_fall_back", spy)
     return masks
 
 
@@ -139,11 +139,11 @@ def test_repr_hands_back_only_its_stated_cells(undecided):
     # subnormals always
     always = _both_signs([2.0 ** 60, 1.0, 2.0 ** -1022, 0.0, 5e-324,
                           2.2250738585072009e-308])
-    runner._repr(np.array(always))
+    emission._repr(np.array(always))
     assert undecided.pop().all()
     ordinary = np.random.default_rng(8).normal(size=100_000) * 10.0 ** np.random.default_rng(
         9).integers(-300, 300, 100_000)
-    runner._repr(ordinary)
+    emission._repr(ordinary)
     assert undecided.pop().mean() < 0.002  # about 0.1 %: the powers of ten scaled
 
 
@@ -182,7 +182,7 @@ def test_repr_decides_a_bound_at_exactly_half_an_ulp(undecided):
 # neighbours; the least values written with a three-digit exponent
 E6_TIES = [1234567.5, 12345675.0, 1500000.5, 9999999.5, 99999995.0] + [
     10.0 ** k * 1.0000005 for k in range(6, 23)]
-E6_EDGES = (_neighbours(runner._E100) + _neighbours(runner._E99) + [9.9999996e99, 1e100,
+E6_EDGES = (_neighbours(emission._E100) + _neighbours(emission._E99) + [9.9999996e99, 1e100,
             1e-99, 9.9999995e-100, 0.0, -0.0, 5e-324, 1.7976931348623157e308])
 
 
@@ -214,10 +214,10 @@ def test_a_million_seeded_bit_patterns_render_as_percent_e6():
 
 def test_e6_hands_back_only_its_ties(undecided):
     ties = _both_signs([1234567.5, 12345675.0, 1500000.5, 99999995.0, 1e8 + 50.0])
-    runner._e6(np.array(ties), np.full(len(ties), 14))
+    emission._e6(np.array(ties), np.full(len(ties), 14))
     assert undecided.pop().all()
     ordinary = np.random.default_rng(6).uniform(1.0, 10.0, 100_000)
-    runner._e6(ordinary, np.full(ordinary.size, 14))
+    emission._e6(ordinary, np.full(ordinary.size, 14))
     assert not undecided.pop().any()
 
 
@@ -226,9 +226,10 @@ def test_e6_hands_back_only_its_ties(undecided):
 # ---------------------------------------------------------------------------
 
 def test_importing_abmink_builds_no_table():
-    # nor the check suite's inputs
+    # nor the check suite's inputs; emission itself is imported by emit alone
     fresh = subprocess.run(
-        [sys.executable, "-c", "import abmink; print(*(getattr(abmink.runner, f)"
-         ".cache_info().currsize for f in ('_e16_tables', '_check_inputs')))"],
+        [sys.executable, "-c", "import abmink; from abmink import emission; "
+         "print(emission._e16_tables.cache_info().currsize, "
+         "abmink.runner._check_inputs.cache_info().currsize)"],
         capture_output=True, text=True, check=True)
     assert fresh.stdout == "0 0\n"

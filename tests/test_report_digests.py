@@ -312,8 +312,8 @@ def test_report_bytes_are_pinned(name):
 # argv -> the output of ``abmink check`` at the default tolerance
 CHECK_DIGESTS = {
     ("check", "--format", "json"):
-        "c4205cc89b2de5dbb1847f6e7c175761646127d9a4692b4c18f9e39ec9d36f4a",
-    ("check",): "ddad9d5a44c6658e049991a7ada1170d415cfc63a14e5856baeeb72e6b462c01",
+        "b0506a060f61b78ad0ebc57d9ab8ea414dd35af3c069662862ec867a7e0d46ed",
+    ("check",): "0e791745a2c3dc15bd23c0f7dc2783d2d866320500caa7463907c021651e9170",
 }
 
 

@@ -785,13 +785,29 @@ def test_consecutive_check_suites_agree():
     assert check_suite() == check_suite()
 
 
-def test_check_suite_ledger_is_that_of_a_fresh_draw():
-    rng = np.random.default_rng(7)
-    n = rng.uniform(1.0, 2.0, 1000)
-    E, H = rng.normal(size=(2, n.size, 3))
+def test_check_suite_ledger_is_that_of_its_weyl_sample():
+    # u = k sqrt(p) mod 1 for k = 1..1000 and the primes p = 2..17, cell by
+    # cell in Python floats: *, % and sqrt round correctly, as numpy's do
+    u = np.array([[k * math.sqrt(p) % 1.0 for p in (2, 3, 5, 7, 11, 13, 17)]
+                  for k in range(1, 1001)])
+    n, E, H = 1.0 + u[:, 0], 2.0 * u[:, 1:4] - 1.0, 2.0 * u[:, 4:] - 1.0
+    H = H / SI.mu0 / SI.c  # c mu0 H in [-1, 1), in V/m
+    assert 1.0 <= n.min() < 1.001 and 1.999 < n.max() < 2.0  # n spans [1, 2)
+    medium, got_E, got_H = runner._check_inputs()[2]
+    for got, want in ((medium.n, n), (got_E, E), (got_H, H)):
+        assert got.tobytes() == want.tobytes()
     got = {r.name: r.residual for r in check_suite()}["momentum-ledger"]
-    want = runner._ledger_residual(Medium.from_index(n), E, H / SI.mu0 / SI.c)
+    want = runner._ledger_residual(Medium.from_index(n), E, H)
     assert got.hex() == want.hex()
+
+
+def test_check_suite_ledger_fails_on_a_mechanical_momentum_off_by_1e_5(monkeypatch):
+    # a negative control: the sample's points make a 1e-5 miss visible
+    g_mech = runner.mechanical_momentum_density
+    monkeypatch.setattr(runner, "mechanical_momentum_density",
+                        lambda medium, fp: g_mech(medium, fp) * (1.0 + 1e-5))
+    ledger = {r.name: r for r in check_suite()}["momentum-ledger"]
+    assert ledger.bound == runner.DEFAULT_TOL and not ledger.passed
 
 
 @pytest.mark.parametrize("cache", ["_check_inputs", "_constitutive_draws"])
