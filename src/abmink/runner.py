@@ -601,7 +601,7 @@ def run(request: ScenarioRequest) -> ScenarioReport:
 
 
 def emit(report: ScenarioReport, fmt: str = "table") -> bytes:
-    """emission.emit, its module imported on the first call: check never loads it."""
+    """Render a report as table, CSV or JSON bytes (emission.emit, loaded on first use)."""
     from . import emission
     return emission.emit(report, fmt)
 
