@@ -12,14 +12,12 @@ over 2 alpha, with no quadrature.
 
 import numpy as np
 
-from abmink import Medium
 from abmink.scenarios import MirrorConfig, metal_fields, mirror_pressures
 
-cfg = MirrorConfig(medium=Medium.from_index(1.33), E0=1e3, omega=3e15,
-                   conductivity=5e7)
+cfg = MirrorConfig(n=1.33, E0_V_per_m=1e3, omega_rad_per_s=3e15, sigma_S_per_m=5e7)
 
-print(f"liquid n = {cfg.medium.n}, metal sigma = {cfg.conductivity:.1e} S/m, "
-      f"omega = {cfg.omega:.2e} rad/s")
+print(f"liquid n = {cfg.n}, metal sigma = {cfg.sigma_S_per_m:.1e} S/m, "
+      f"omega = {cfg.omega_rad_per_s:.2e} rad/s")
 print(f"  k/alpha = {cfg.k_over_alpha:.4f} (good conductor)")
 
 # one point: the three routes are three of the report's columns, (1,) arrays
@@ -37,11 +35,11 @@ for u in (0.0, 1.0, 2.0, 4.0):
     print(f"    alpha x = {u:3.1f}:  |E_y| = {abs(s.E_y):.3e} V/m   "
           f"|H_z| = {abs(s.H_z):.3e} A/m")
 
-# sweep the liquid index as one config of seven media, checked at
+# sweep the liquid index as one config of seven indices, checked at
 # construction: pressure rises in proportion to n
 print("\n  index sweep (sigma = 5e7 S/m, omega = 3e15 rad/s):")
-sweep = mirror_pressures(MirrorConfig(Medium.from_index(np.linspace(1.0, 1.6, 7)),
-                                      cfg.E0, cfg.omega, cfg.conductivity))
+sweep = mirror_pressures(MirrorConfig(np.linspace(1.0, 1.6, 7), cfg.E0_V_per_m,
+                                      cfg.omega_rad_per_s, cfg.sigma_S_per_m))
 n, p, spread = (sweep[name] for name in ("n", "pressure_flux_Pa", "max_rel_diff"))
 for i in range(n.size):
     print(f"    n = {n[i]:.2f}:  p = {p[i]:.4e} Pa   p/p(1) = {p[i] / p[0]:.4f}   "

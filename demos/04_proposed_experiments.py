@@ -12,7 +12,7 @@
 
 import numpy as np
 
-from abmink import Medium, MomentumTag
+from abmink import MomentumTag
 from abmink.scenarios import (
     SphereKickConfig,
     TorqueConfig,
@@ -25,22 +25,22 @@ from abmink.scenarios import (
 )
 
 # --- whispering-gallery torque ---------------------------------------------
-cfg = TorqueConfig(n=1.45, a=100e-6, P0=100.0, omega0=1000.0)
+cfg = TorqueConfig(n=1.45, a_m=100e-6, P0_W=100.0, omega0_rad_per_s=1000.0)
 amp = wgm_torque(cfg, 0.0).amplitude
 print("whispering-gallery cylinder (fused silica):")
-print(f"  a = {cfg.a * 1e6:.0f} um, P0 = {cfg.P0:.0f} W, "
-      f"omega0 = {cfg.omega0:.0f} 1/s")
+print(f"  a = {cfg.a_m * 1e6:.0f} um, P0 = {cfg.P0_W:.0f} W, "
+      f"omega0 = {cfg.omega0_rad_per_s:.0f} 1/s")
 print(f"  Abraham torque amplitude = {amp:.3e} N m")
 print(f"  Minkowski prediction     = "
       f"{wgm_torque(cfg, 1e-4, MomentumTag.MINKOWSKI).torque:.1f}")
-for t in np.linspace(0.0, 2 * np.pi / cfg.omega0, 5):
+for t in np.linspace(0.0, 2 * np.pi / cfg.omega0_rad_per_s, 5):
     print(f"    t = {t * 1e3:5.2f} ms:  N_z = {wgm_torque(cfg, t).torque:+.3e} N m")
 
 # --- microsphere kick --------------------------------------------------------
 print("\nablation-kicked microsphere:")
-water_like = Medium.from_index(1.33, viscosity=1.0e-3)
-kick = SphereKickConfig(M=1e-10, a=25e-6, deltaG=8.1e-12,
-                        pulse_energy=5.9e-6, fluid=water_like, L0=300e-6)
+kick = SphereKickConfig(M_kg=1e-10, a_m=25e-6, deltaG_kg_m_per_s=8.1e-12,
+                        pulse_energy_J=5.9e-6, n=1.33, viscosity_Pa_s=1.0e-3,
+                        L0_m=300e-6)
 
 for tag in (MomentumTag.MINKOWSKI, MomentumTag.ABRAHAM):
     v = sphere_kick_vmax(kick, tag)
@@ -48,14 +48,14 @@ for tag in (MomentumTag.MINKOWSKI, MomentumTag.ABRAHAM):
     print(f"  {tag.value:9s}: v_max = {v:.6e} m/s, total travel = "
           f"{L * 1e6:.4f} um, L/L0 = {displacement_ratio(kick, tag):.6f}")
 
-tau = kick.M / kick.stokes_coefficient
+tau = kick.M_kg / kick.stokes_coefficient
 print(f"  Stokes time constant tau = {tau * 1e6:.2f} us")
 for t in (0.0, tau, 3 * tau, 10 * tau):
     v, x = sphere_kick_trajectory(kick, MomentumTag.MINKOWSKI, t)
     print(f"    t = {t * 1e6:7.2f} us:  v = {v:.3e} m/s, x = {x * 1e6:.3f} um")
 
-corr = displacement_correction(kick.pulse_energy, kick.a, kick.L0,
-                               kick.reference_fluid.viscosity)
+corr = displacement_correction(kick.pulse_energy_J, kick.a_m, kick.L0_m,
+                               kick.viscosity0_Pa_s)
 print(f"  photon correction scale H/(6 pi a c L0 mu0) = {corr:.3e}")
 print("  the two bookkeepings differ by corr * (n - 1/n) = "
-      f"{corr * (water_like.n - 1 / water_like.n):.3e} in L/L0")
+      f"{corr * (kick.n - 1 / kick.n):.3e} in L/L0")

@@ -14,7 +14,7 @@ from abmink.scenarios import (
 from abmink import MomentumTag
 
 # photon drag in a germanium-like rod, far infrared
-drag = DragConfig(intensity=1e4, sigma_a=1e-19, omega=1.6e12, n=4.0)
+drag = DragConfig(intensity_W_per_m2=1e4, sigma_a_m2=1e-19, omega_rad_per_s=1.6e12, n=4.0)
 e_m = photon_drag_field(drag, MomentumTag.MINKOWSKI)
 e_a = photon_drag_field(drag, MomentumTag.ABRAHAM)
 print("photon drag (open-circuit longitudinal field):")

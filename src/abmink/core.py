@@ -17,7 +17,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-import operator
 import re
 from dataclasses import dataclass, field
 
@@ -65,20 +64,20 @@ def unchecked(cls, **fields):
 def _parsed(message: str) -> tuple[list[str], list[str], list[str]]:
     """``message`` split at its fields, ``{c.name}`` or ``{c.name:spec}``:
     the texts around them (each % doubled), their names and their %-specs."""
-    parts = re.split(r"\{c\.([\w.]+)(?::([^}]*))?\}", message)
+    parts = re.split(r"\{c\.(\w+)(?::([^}]*))?\}", message)
     return ([text.replace("%", "%%") for text in parts[::3]], parts[1::3],
             ["%" + (spec or "s") for spec in parts[2::3]])
 
 
 def _messages(message: str, config, rows: list[int]) -> list[str]:
     """``message`` at each of ``rows`` of ``config`` as str.format writes it,
-    ``{c.name}`` as %s and ``{c.name:spec}`` as %spec.  Each field (dotted for
-    a config held in a field) is read once, on the whole arrays: a shared one
-    is written into the template, and every row's numbers go through one %."""
+    ``{c.name}`` as %s and ``{c.name:spec}`` as %spec.  Each field is read
+    once, on the whole arrays: a shared one is written into the template, and
+    every row's numbers go through one %."""
     texts, names, specs = _parsed(message)
     template, values = texts[0], []
     for name, spec, text in zip(names, specs, texts[1:]):
-        column = np.asarray(operator.attrgetter(name)(config))
+        column = np.asarray(getattr(config, name))
         if column.size > 1:
             values.append(column[rows].tolist())
         else:
@@ -89,22 +88,17 @@ def _messages(message: str, config, rows: list[int]) -> list[str]:
 
 
 def check_rules(rules, config, size: int | None = None) -> dict[int, str]:
-    """Judge each row of ``config`` by ``rules``, the configs held in its
-    fields by their own RULES first.
+    """Judge each row of ``config`` by ``rules``.
 
     A rule is (fails, message, error type).  ``fails(config)`` is true where
     the rule is broken: a bool for every row, or an (m,) bool array when
     fields of ``config`` hold m rows.  ``message`` is a str.format template
-    whose fields read attributes of ``c`` = that row of ``config`` (dotted
-    for a config it holds).  Returns row -> the message of the first rule
-    that row breaks, for ``size`` rows.  Without ``size`` (a config checking
-    itself) it raises instead, with the rule's error type: a held config's
-    first error, else the first rejected row's.
+    whose fields read attributes of ``c`` = that row of ``config``.  Returns
+    row -> the message of the first rule that row breaks, for ``size`` rows.
+    Without ``size`` (a config checking itself) it raises the first rejected
+    row's error instead, with its rule's error type.
     """
     errors, kinds = {}, {}
-    for value in vars(config).values():
-        if hasattr(value, "RULES"):
-            errors = check_rules(value.RULES, value, size) | errors
     with np.errstate(all="ignore"):  # rejected rows may hold anything
         for fails, message, kind in rules:
             bad = fails(config)
@@ -176,9 +170,7 @@ SI = _SIConstants()
 class Medium:
     """Isotropic lossless medium: relative permittivity, permeability and index.
 
-    ``mu_r`` is the relative magnetic permeability; ``viscosity`` is the
-    dynamic viscosity of a fluid medium (a different physical mu, kept as a
-    separate field to avoid the symbol clash).
+    ``mu_r`` is the relative magnetic permeability.
 
     ``eps_r`` and ``n`` may also be (m,) arrays describing m media that
     share the other fields; each row is validated as a scalar Medium would
@@ -189,7 +181,6 @@ class Medium:
     eps_r: float | np.ndarray
     mu_r: float = 1.0
     n: float | np.ndarray = 0.0  # filled from sqrt(eps_r * mu_r) when left at 0
-    viscosity: float | None = None
 
     def __post_init__(self):
         for name in ("eps_r", "n"):
@@ -214,8 +205,6 @@ class Medium:
         (lambda m: np.logical_not(m.mu_r > 0.0),
          "mu_r must be > 0, got {c.mu_r}", ValueError),
         (lambda m: m.mu_r == math.inf, "mu_r must be finite, got {c.mu_r}", ValueError),
-        (lambda m: m.viscosity is not None and np.logical_not(m.viscosity > 0.0),
-         "viscosity must be > 0, got {c.viscosity}", ValueError),
         (lambda m: np.logical_not(np.abs(m.n - (root := m._root)) <= _REL_TOL * root),
          "n={c.n} inconsistent with sqrt(eps_r*mu_r)={c._root}", ValueError),
     )
@@ -226,14 +215,10 @@ class Medium:
         return np.sqrt(self.eps_r * self.mu_r)
 
     @classmethod
-    def from_index(cls, n: float, mu_r: float = 1.0, **kw) -> "Medium":
+    def from_index(cls, n: float, mu_r: float = 1.0) -> "Medium":
         """Medium of refractive index n, nonmagnetic unless mu_r is given."""
         # eps_r = inf where a mu_r rule fails, so that the mu_r rule words the error
-        return cls(n * n / mu_r if 0.0 < mu_r < math.inf else math.inf, mu_r, n, **kw)
-
-    @property
-    def nonmagnetic(self) -> bool:
-        return self.mu_r == 1.0
+        return cls(n * n / mu_r if 0.0 < mu_r < math.inf else math.inf, mu_r, n)
 
 
 def _require_nonmagnetic(medium: Medium, what: str):

@@ -3,7 +3,6 @@ abmink, ``abmink list`` and ``abmink check`` never compile or load it."""
 
 import functools
 import io
-import json
 import math
 from typing import Callable
 
@@ -306,6 +305,8 @@ def _emit_table(report: ScenarioReport, table: np.ndarray, fmt: str) -> bytes:
 
 def _json(report: ScenarioReport, rows: list) -> str:
     """The JSON document of the report's fields, in their order, with ``rows``."""
+    import json  # here, so that table and CSV output never load it
+
     return json.dumps({name: rows if name == "rows" else getattr(report, name)
                        for name in _FIELDS}, indent=2, allow_nan=False)
 

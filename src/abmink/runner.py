@@ -266,38 +266,6 @@ def _tags(tag: MomentumTag | None):
     return (tag,)
 
 
-# A scenario's config from its parameters: the object its rules judge and
-# its columns function evaluates, one row per sweep point.
-
-def _drag_config(p):
-    return unchecked(scenarios.DragConfig, intensity=p["intensity_W_per_m2"],
-                     sigma_a=p["sigma_a_m2"], omega=p["omega_rad_per_s"], n=p["n"])
-
-
-def _wgm_config(p):
-    return unchecked(scenarios.TorqueConfig, n=p["n"], a=p["a_m"], P0=p["P0_W"],
-                     omega0=p["omega0_rad_per_s"])
-
-
-def _mirror_config(p):
-    return unchecked(scenarios.MirrorConfig,
-                     medium=unchecked(Medium, eps_r=p["n"] * p["n"], n=p["n"]),
-                     E0=p["E0_V_per_m"], omega=p["omega_rad_per_s"],
-                     conductivity=p["sigma_S_per_m"], guard=p["guard_k_over_alpha"])
-
-
-def _sphere_config(p):
-    # the two fluids are Medium.from_index(n, viscosity=...)
-    return unchecked(
-        scenarios.SphereKickConfig, M=p["M_kg"], a=p["a_m"],
-        deltaG=p["deltaG_kg_m_per_s"], pulse_energy=p["pulse_energy_J"],
-        fluid=unchecked(Medium, eps_r=p["n"] * p["n"], n=p["n"],
-                        viscosity=p["viscosity_Pa_s"]),
-        L0=p["L0_m"],
-        reference_fluid=unchecked(Medium, eps_r=p["n0"] * p["n0"], n=p["n0"],
-                                  viscosity=p["viscosity0_Pa_s"]))
-
-
 def _drag_columns(cfg, p, tag):
     cols = {key: p[key] for key in ("n", "intensity_W_per_m2", "sigma_a_m2",
                                     "omega_rad_per_s")}
@@ -428,8 +396,8 @@ def _evaluate_closed_form(form, p, tag, m):
     """All m points at once: the rules judge all m rows of one config, its
     array-valued parameters (m,) arrays, the closed-form functions evaluate
     that same config once per tag, and one index keeps the accepted rows."""
-    config = form.config(p)
-    errors = check_rules(form.rules, config, m)
+    config = unchecked(form.config, **p)
+    errors = check_rules(getattr(form.config, "RULES", ()) + form.rules, config, m)
     keep = slice(None)
     if errors:
         if len(errors) == m:
@@ -488,59 +456,57 @@ class _Scenario(NamedTuple):
     an (m,) array) and the point count m to the report's (columns, rows,
     residuals, {row: error message}), the rows an (m, k) float table or
     lists of cells.  A closed-form scenario, evaluated by
-    _evaluate_closed_form, also has ``config(p)``, the parameters held in
-    the object that ``rules`` judge row by row (see core.check_rules; by
-    default the parameters by key), and ``columns(config, p, tag)``, which
-    maps that config and ``p``, all m rows, to report columns, each an (m,)
-    array or a value shared by all rows.
+    _evaluate_closed_form, also has ``config``, the class whose fields are
+    its keys (by default SimpleNamespace, which holds any): the runner holds
+    ``p`` in one, unchecked, and judges all its rows by the class's RULES and
+    then by ``rules`` (see core.check_rules); and ``columns(config, p,
+    tag)``, which maps that config and ``p``, all m rows, to report columns,
+    each an (m,) array or a value shared by all rows.
     """
 
     keys: dict[str, object]
     provenance: str
     evaluate: Callable = _evaluate_closed_form
     columns: Callable | None = None
-    config: Callable = lambda p: SimpleNamespace(**p)
+    config: type = SimpleNamespace
     rules: tuple = ()
     sweepable: bool = True
 
 
-_AIR = scenarios.SphereKickConfig.reference_fluid  # sphere-kick's default n0 and viscosity0
 _SCENARIOS = {
     "mirror": _Scenario(
         keys={"n": _REQUIRED, "E0_V_per_m": _REQUIRED,
               "omega_rad_per_s": _REQUIRED, "sigma_S_per_m": _REQUIRED,
-              "guard_k_over_alpha": scenarios.MirrorConfig.guard},
+              "guard_k_over_alpha": scenarios.MirrorConfig.guard_k_over_alpha},
         provenance=("sigma_x = (n/c)(1+R) S_i with R = 1 - 2 k/alpha; "
                     "Lorentz route (mu0 sigma/2) Re int E_y H_z* dx; "
                     "transport route c g_x / n plus n R S_i / c"),
-        evaluate=_evaluate_mirror, config=_mirror_config,
-        rules=scenarios.MirrorConfig.RULES,
+        evaluate=_evaluate_mirror, config=scenarios.MirrorConfig,
         columns=lambda config, p, tag: scenarios.mirror_pressures(config)),
     "drag": _Scenario(
         keys={"intensity_W_per_m2": _REQUIRED, "sigma_a_m2": _REQUIRED,
               "omega_rad_per_s": _REQUIRED, "n": _REQUIRED},
         provenance=("I sigma_a p / (hbar omega) = e E with p = hbar n omega / c "
                     "(minkowski) or hbar omega / (n c) (abraham)"),
-        columns=_drag_columns, config=_drag_config,
-        rules=scenarios.DragConfig.RULES),
+        columns=_drag_columns, config=scenarios.DragConfig),
     "wgm": _Scenario(
         keys={"a_m": _REQUIRED, "P0_W": _REQUIRED,
               "omega0_rad_per_s": _REQUIRED, "n": 1.45, "t_s": 0.0},
         provenance=("N_z = -((n^2-1)/c^2) 2 pi a^2 omega0 P0 sin(omega0 t); "
                     "identically zero under minkowski"),
-        columns=_wgm_columns, config=_wgm_config,
-        rules=scenarios.TorqueConfig.RULES),
+        columns=_wgm_columns, config=scenarios.TorqueConfig),
     "sphere-kick": _Scenario(
         keys={"M_kg": _REQUIRED, "a_m": _REQUIRED,
               "deltaG_kg_m_per_s": _REQUIRED, "pulse_energy_J": _REQUIRED,
               "n": _REQUIRED, "viscosity_Pa_s": _REQUIRED, "L0_m": _REQUIRED,
-              "n0": _AIR.n, "viscosity0_Pa_s": _AIR.viscosity},
+              "n0": scenarios.SphereKickConfig.n0,
+              "viscosity0_Pa_s": scenarios.SphereKickConfig.viscosity0_Pa_s},
         provenance=("M v_max = deltaG + p_pulse with p_pulse = n H / c "
                     "(minkowski) or H / (n c) (abraham); "
                     "v(t) = v_max exp(-6 pi mu a t / M); "
                     "L/L0 correction scale H / (6 pi a c L0 mu0)"),
-        columns=_sphere_columns, config=_sphere_config,
-        rules=scenarios.SphereKickConfig.RULES + scenarios._L0_RULES),
+        columns=_sphere_columns, config=scenarios.SphereKickConfig,
+        rules=scenarios._L0_RULES),
     "fiber": _Scenario(
         keys={"pulse_energy_J": _REQUIRED, "n": _REQUIRED},
         provenance="J = (n - 1) H / c along propagation", columns=_fiber_columns,
@@ -662,7 +628,7 @@ def _check_inputs():
         "n": grid[0], "E0_V_per_m": np.float64(1e3), "omega_rad_per_s": grid[2],
         "sigma_S_per_m": grid[1],
         "guard_k_over_alpha": np.float64(form.keys["guard_k_over_alpha"])})
-    check_rules(form.rules, _mirror_config(mirror))
+    check_rules(form.config.RULES, unchecked(form.config, **mirror))
     defaults = _SCENARIOS["covariant-checks"].keys
     return mirror, _two_waves(defaults["n"], defaults["mu_r"]), (Medium.from_index(n), E, H)
 
@@ -681,7 +647,8 @@ def check_suite(tol: float = DEFAULT_TOL) -> list[CheckResult]:
     tol = parse_tolerance(tol)
     p, two_waves, ledger = _check_inputs()
     # the grid's rows were judged once, in _check_inputs: here only its routes run
-    spread = scenarios.mirror_pressures(_mirror_config(p))["max_rel_diff"].max()
+    spread = scenarios.mirror_pressures(
+        unchecked(scenarios.MirrorConfig, **p))["max_rel_diff"].max()
     *_, ratio_err = _divergence_ratios(
         two_waves, _SCENARIOS["covariant-checks"].keys["grid_step"])
     return [CheckResult(name="three-way-mirror", residual=float(spread), bound=tol),

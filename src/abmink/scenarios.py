@@ -14,12 +14,13 @@ bookkeeping.  These are seven of the CLI's scenarios; its eighth,
 * proposed: ablation-kicked microsphere in a viscous fluid (with the
   two-fluid displacement-ratio comparison).
 
-The closed-form functions (``mirror_pressures(cfg)``,
-``photon_drag_field(cfg, tag)``, ``wgm_torque(cfg, t, tag)``, ...) only
-read the fields of their config, so one config object carrying those
-fields as (m,) arrays evaluates m points at once, each row equal to the
-scalar call; the runner judges a config's RULES row by row and evaluates
-that same config.
+Each config's fields are its scenario's config-file keys, units in the
+names (``omega_rad_per_s``).  The closed-form functions
+(``mirror_pressures(cfg)``, ``photon_drag_field(cfg, tag)``,
+``wgm_torque(cfg, t, tag)``, ...) only read the fields of their config, so
+one config object carrying those fields as (m,) arrays evaluates m points at
+once, each row equal to the scalar call; the runner builds that object from
+a request's parameters, judges its RULES row by row and evaluates it.
 """
 
 from __future__ import annotations
@@ -30,13 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import (
-    SI,
-    Medium,
-    MomentumTag,
-    RegimeError,
-    check_rules,
-)
+from .core import SI, MomentumTag, RegimeError, check_rules
 
 __all__ = [
     "MirrorConfig",
@@ -68,43 +63,44 @@ __all__ = [
 class MirrorConfig:
     """Normally incident wave in a liquid, reflecting off a metal wall.
 
-    ``conductivity`` is the metal's; the liquid is the lossless, nonmagnetic
-    ``medium``.  The good-conductor approximation needs the wavenumber in the
-    liquid to be small against the metal's attenuation constant alpha =
-    sqrt(mu0 sigma omega / 2); construction rejects k/alpha >= ``guard``.
+    ``n`` is the index of the lossless, nonmagnetic liquid and
+    ``sigma_S_per_m`` the metal's conductivity.  The good-conductor
+    approximation needs the wavenumber in the liquid to be small against the
+    metal's attenuation constant alpha = sqrt(mu0 sigma omega / 2);
+    construction rejects k/alpha >= ``guard_k_over_alpha``.
     """
 
-    medium: Medium
-    E0: float
-    omega: float
-    conductivity: float
-    guard: float = 0.2
+    n: float
+    E0_V_per_m: float
+    omega_rad_per_s: float
+    sigma_S_per_m: float
+    guard_k_over_alpha: float = 0.2
 
     def __post_init__(self):
         check_rules(self.RULES, self)
 
     RULES = (
-        (lambda c: not c.medium.nonmagnetic, "the mirror routes are derived for a "
-         "nonmagnetic liquid; got mu_r={c.medium.mu_r}", RegimeError),
-        (lambda c: np.logical_not(c.E0 >= 0.0),  # NaN breaks this and the next two
-         "E0 must be >= 0, got {c.E0}", ValueError),
-        (lambda c: np.logical_not((c.omega > 0.0) & (c.conductivity > 0.0)),
-         "omega and conductivity must be > 0", ValueError),
-        (lambda c: np.logical_not(c.guard > 0.0),
-         "guard must be > 0, got {c.guard}", ValueError),
-        (lambda c: c.k_over_alpha >= c.guard,
-         "good-conductor approximation requires k/alpha < {c.guard}, "
+        (lambda c: np.logical_not(c.n >= 1.0),  # NaN breaks this and the next three
+         "n must be >= 1, got {c.n}", ValueError),
+        (lambda c: np.logical_not(c.E0_V_per_m >= 0.0),
+         "E0_V_per_m must be >= 0, got {c.E0_V_per_m}", ValueError),
+        (lambda c: np.logical_not((c.omega_rad_per_s > 0.0) & (c.sigma_S_per_m > 0.0)),
+         "omega_rad_per_s and sigma_S_per_m must be > 0", ValueError),
+        (lambda c: np.logical_not(c.guard_k_over_alpha > 0.0),
+         "guard_k_over_alpha must be > 0, got {c.guard_k_over_alpha}", ValueError),
+        (lambda c: c.k_over_alpha >= c.guard_k_over_alpha,
+         "good-conductor approximation requires k/alpha < {c.guard_k_over_alpha}, "
          "got k/alpha = {c.k_over_alpha:.6g}", RegimeError),
     )
 
     # once per config: the rules, their messages and mirror_pressures share it
     @cached_property
     def k(self) -> float:
-        return self.medium.n * self.omega / SI.c
+        return self.n * self.omega_rad_per_s / SI.c
 
     @cached_property
     def alpha(self) -> float:
-        return np.sqrt(SI.mu0 * self.conductivity * self.omega / 2.0)
+        return np.sqrt(SI.mu0 * self.sigma_S_per_m * self.omega_rad_per_s / 2.0)
 
     @cached_property
     def k_over_alpha(self) -> float:
@@ -149,8 +145,8 @@ def mirror_pressures(cfg: MirrorConfig) -> dict:
     # zero divide 0 by 0
     with np.errstate(all="ignore"):
         k, alpha = cfg.k, cfg.alpha
-        n, E0, omega, sigma, r = np.atleast_1d(cfg.medium.n, cfg.E0, cfg.omega,
-                                               cfg.conductivity, cfg.k_over_alpha)
+        n, E0, omega, sigma, r = np.atleast_1d(cfg.n, cfg.E0_V_per_m, cfg.omega_rad_per_s,
+                                               cfg.sigma_S_per_m, cfg.k_over_alpha)
         R, phase = 1.0 - 2.0 * r, np.arctan(-r)
         flux = n * E0**2 / (2.0 * SI.mu0 * SI.c)
 
@@ -197,7 +193,7 @@ def metal_fields(cfg: MirrorConfig, x) -> MetalFieldSample:
     """
     if not np.all(np.asarray(x) >= 0.0):  # so that NaN breaks it
         raise ValueError(f"depth x must be >= 0, got {x}")
-    E_y, H_z = _metal_fields(cfg.E0, cfg.omega, cfg.k, cfg.alpha,
+    E_y, H_z = _metal_fields(cfg.E0_V_per_m, cfg.omega_rad_per_s, cfg.k, cfg.alpha,
                              np.exp((-1.0 + 1.0j) * cfg.alpha * x))
     return MetalFieldSample(E_y=E_y, H_z=H_z, x=x)
 
@@ -210,9 +206,9 @@ def metal_fields(cfg: MirrorConfig, x) -> MetalFieldSample:
 class DragConfig:
     """Long-wavelength photon drag in a semiconductor rod."""
 
-    intensity: float
-    sigma_a: float
-    omega: float
+    intensity_W_per_m2: float
+    sigma_a_m2: float
+    omega_rad_per_s: float
     n: float
 
     def __post_init__(self):
@@ -220,7 +216,7 @@ class DragConfig:
 
     RULES = tuple((lambda c, name=name: getattr(c, name) <= 0.0,
                    f"{name} must be > 0", ValueError)
-                  for name in ("intensity", "sigma_a", "omega", "n"))
+                  for name in ("intensity_W_per_m2", "sigma_a_m2", "omega_rad_per_s", "n"))
 
 
 def photon_drag_field(cfg: DragConfig, tag: MomentumTag) -> float:
@@ -230,11 +226,12 @@ def photon_drag_field(cfg: DragConfig, tag: MomentumTag) -> float:
     hbar omega / (n c) under the Abraham tag; the measured fields match the
     Minkowski choice.
     """
+    omega = cfg.omega_rad_per_s
     if tag is MomentumTag.MINKOWSKI:
-        p = SI.hbar * cfg.n * cfg.omega / SI.c
+        p = SI.hbar * cfg.n * omega / SI.c
     else:
-        p = SI.hbar * cfg.omega / (cfg.n * SI.c)
-    return cfg.intensity * cfg.sigma_a * p / (SI.hbar * cfg.omega * SI.e_charge)
+        p = SI.hbar * omega / (cfg.n * SI.c)
+    return cfg.intensity_W_per_m2 * cfg.sigma_a_m2 * p / (SI.hbar * omega * SI.e_charge)
 
 
 def bec_recoil(n: float, omega: float) -> float:
@@ -263,15 +260,16 @@ class TorqueConfig:
     """Intensity-modulated circulating mode near the rim of a cylinder."""
 
     n: float
-    a: float
-    P0: float
-    omega0: float
+    a_m: float
+    P0_W: float
+    omega0_rad_per_s: float
 
     def __post_init__(self):
         check_rules(self.RULES, self)
 
-    RULES = ((lambda c: (c.a <= 0.0) | (c.omega0 <= 0.0) | (c.P0 < 0.0) | (c.n < 1.0),
-              "require a > 0, omega0 > 0, P0 >= 0, n >= 1", ValueError),)
+    RULES = ((lambda c: (c.a_m <= 0.0) | (c.omega0_rad_per_s <= 0.0) | (c.P0_W < 0.0)
+              | (c.n < 1.0),
+              "require a_m > 0, omega0_rad_per_s > 0, P0_W >= 0, n >= 1", ValueError),)
 
 
 @dataclass(frozen=True)
@@ -297,9 +295,10 @@ def wgm_torque(cfg: TorqueConfig, t: float,
     if tag is MomentumTag.MINKOWSKI:
         return WgmTorque(torque=0.0, amplitude=0.0)
     # float_power: C pow, as a Python float's ** (see mechanical_momentum_density)
+    omega0 = cfg.omega0_rad_per_s
     prefactor = (np.float_power(cfg.n, 2) - 1.0) / SI.c**2 * 2.0 * math.pi \
-        * np.float_power(cfg.a, 2) * cfg.omega0 * cfg.P0
-    return WgmTorque(torque=-prefactor * np.sin(cfg.omega0 * t) + 0.0,
+        * np.float_power(cfg.a_m, 2) * omega0 * cfg.P0_W
+    return WgmTorque(torque=-prefactor * np.sin(omega0 * t) + 0.0,
                      amplitude=prefactor)
 
 
@@ -311,46 +310,54 @@ def wgm_torque(cfg: TorqueConfig, t: float,
 class SphereKickConfig:
     """Microsphere kicked by ablation recoil plus an absorbed light pulse.
 
-    ``deltaG`` is the ablation recoil momentum, treated as an opaque measured
-    input.  ``reference_fluid`` (defaults to air) is the medium the reference
-    displacement ``L0`` was measured in.
+    ``deltaG_kg_m_per_s`` is the ablation recoil momentum, treated as an
+    opaque measured input.  The working fluid has index ``n`` and dynamic
+    viscosity ``viscosity_Pa_s``; the reference displacement ``L0_m`` was
+    measured in a fluid of index ``n0`` and viscosity ``viscosity0_Pa_s``
+    (air by default).
     """
 
-    M: float
-    a: float
-    deltaG: float
-    pulse_energy: float
-    fluid: Medium
-    L0: float = 0.0
-    reference_fluid: Medium = Medium.from_index(1.0, viscosity=1.8e-5)
+    M_kg: float
+    a_m: float
+    deltaG_kg_m_per_s: float
+    pulse_energy_J: float
+    n: float
+    viscosity_Pa_s: float
+    L0_m: float = 0.0
+    n0: float = 1.0
+    viscosity0_Pa_s: float = 1.8e-5
 
     def __post_init__(self):
         check_rules(self.RULES, self)
 
-    # the two fluids are judged first, by their own rules
     RULES = (
-        (lambda c: (c.M <= 0.0) | (c.a <= 0.0), "require M > 0 and a > 0",
+        (lambda c: np.logical_not(c.n >= 1.0),  # NaN breaks this and the next three
+         "n must be >= 1, got {c.n}", ValueError),
+        (lambda c: np.logical_not(c.viscosity_Pa_s > 0.0),
+         "viscosity_Pa_s must be > 0, got {c.viscosity_Pa_s}", ValueError),
+        (lambda c: np.logical_not(c.n0 >= 1.0), "n0 must be >= 1, got {c.n0}", ValueError),
+        (lambda c: np.logical_not(c.viscosity0_Pa_s > 0.0),
+         "viscosity0_Pa_s must be > 0, got {c.viscosity0_Pa_s}", ValueError),
+        (lambda c: (c.M_kg <= 0.0) | (c.a_m <= 0.0), "require M_kg > 0 and a_m > 0",
          ValueError),
-        (lambda c: c.pulse_energy < 0.0,
-         "pulse_energy must be >= 0, got {c.pulse_energy}", ValueError),
-        (lambda c: c.fluid.viscosity is None or c.reference_fluid.viscosity is None,
-         "both fluids need a dynamic viscosity", ValueError),
+        (lambda c: c.pulse_energy_J < 0.0,
+         "pulse_energy_J must be >= 0, got {c.pulse_energy_J}", ValueError),
     )
 
     def pulse_momentum(self, tag: MomentumTag) -> float:
         if tag is MomentumTag.MINKOWSKI:
-            return self.fluid.n * self.pulse_energy / SI.c
-        return self.pulse_energy / (self.fluid.n * SI.c)
+            return self.n * self.pulse_energy_J / SI.c
+        return self.pulse_energy_J / (self.n * SI.c)
 
     @property
     def stokes_coefficient(self) -> float:
         """Drag force per velocity, 6 pi mu a."""
-        return 6.0 * math.pi * self.fluid.viscosity * self.a
+        return 6.0 * math.pi * self.viscosity_Pa_s * self.a_m
 
 
 def sphere_kick_vmax(cfg: SphereKickConfig, tag: MomentumTag) -> float:
     """Peak velocity (deltaG + pulse momentum) / M, assuming full absorption."""
-    return (cfg.deltaG + cfg.pulse_momentum(tag)) / cfg.M
+    return (cfg.deltaG_kg_m_per_s + cfg.pulse_momentum(tag)) / cfg.M_kg
 
 
 def sphere_kick_trajectory(cfg: SphereKickConfig, tag: MomentumTag,
@@ -363,14 +370,14 @@ def sphere_kick_trajectory(cfg: SphereKickConfig, tag: MomentumTag,
     if t < 0.0:
         raise ValueError(f"t must be >= 0, got {t}")
     v_max = sphere_kick_vmax(cfg, tag)
-    decay = math.exp(-cfg.stokes_coefficient * t / cfg.M)
-    L = cfg.M * v_max / cfg.stokes_coefficient
+    decay = math.exp(-cfg.stokes_coefficient * t / cfg.M_kg)
+    L = cfg.M_kg * v_max / cfg.stokes_coefficient
     return v_max * decay, L * (1.0 - decay)
 
 
 def sphere_total_displacement(cfg: SphereKickConfig, tag: MomentumTag) -> float:
     """Total travel L = M v_max / (6 pi mu a) = (deltaG + p_pulse) / (6 pi mu a)."""
-    return cfg.M * sphere_kick_vmax(cfg, tag) / cfg.stokes_coefficient
+    return cfg.M_kg * sphere_kick_vmax(cfg, tag) / cfg.stokes_coefficient
 
 
 def displacement_correction(pulse_energy: float, a: float, L0: float,
@@ -384,8 +391,8 @@ def displacement_correction(pulse_energy: float, a: float, L0: float,
 
 
 # the rule displacement_ratio adds to those of its config
-_L0_RULES = ((lambda c: c.L0 <= 0.0,
-              "reference displacement L0 must be > 0, got {c.L0}", ValueError),)
+_L0_RULES = ((lambda c: c.L0_m <= 0.0,
+              "reference displacement L0_m must be > 0, got {c.L0_m}", ValueError),)
 
 
 def displacement_ratio(cfg: SphereKickConfig, tag: MomentumTag) -> float:
@@ -407,10 +414,9 @@ def displacement_ratio(cfg: SphereKickConfig, tag: MomentumTag) -> float:
 
 def _displacement_ratio(cfg: SphereKickConfig, tag: MomentumTag) -> float:
     """displacement_ratio past its L0 check, which the runner's rules make."""
-    mu = cfg.fluid.viscosity
-    mu0 = cfg.reference_fluid.viscosity
-    corr = displacement_correction(cfg.pulse_energy, cfg.a, cfg.L0, mu0)
-    n, n0 = cfg.fluid.n, cfg.reference_fluid.n
+    mu, mu0 = cfg.viscosity_Pa_s, cfg.viscosity0_Pa_s
+    corr = displacement_correction(cfg.pulse_energy_J, cfg.a_m, cfg.L0_m, mu0)
+    n, n0 = cfg.n, cfg.n0
     if tag is MomentumTag.MINKOWSKI:
         return (mu0 / mu) * (1.0 + corr * (n - n0))
     return (mu0 / mu) * (1.0 + corr * (1.0 / n - 1.0 / n0))

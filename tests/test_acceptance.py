@@ -52,7 +52,7 @@ def _best_runtime(fn, repeats: int = 7) -> float:
 
 
 def test_criterion_1_wgm_torque_amplitude():
-    cfg = TorqueConfig(n=1.45, a=100e-6, P0=100.0, omega0=1000.0)
+    cfg = TorqueConfig(n=1.45, a_m=100e-6, P0_W=100.0, omega0_rad_per_s=1000.0)
     amp = wgm_torque(cfg, 0.0).amplitude
     ok_value = math.isclose(amp, 0.7e-19, rel_tol=0.10)
     runtime = _best_runtime(lambda: wgm_torque(cfg, 0.0))

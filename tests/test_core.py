@@ -72,7 +72,6 @@ def test_medium_index_consistency():
 @pytest.mark.parametrize("kwargs", [
     dict(eps_r=0.5),
     dict(eps_r=2.0, mu_r=0.0),
-    dict(eps_r=2.0, viscosity=0.0),
 ])
 def test_medium_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
@@ -136,15 +135,12 @@ NAN = math.nan
     (lambda: Medium.from_index(NAN), "eps_r must be >= 1, got nan"),
     (lambda: Medium(eps_r=NAN), "eps_r must be >= 1, got nan"),
     (lambda: Medium(eps_r=2.0, mu_r=NAN), "mu_r must be > 0, got nan"),
-    (lambda: Medium(eps_r=2.0, viscosity=NAN), "viscosity must be > 0, got nan"),
     (lambda: Medium(eps_r=2.25, n=NAN), "n=nan inconsistent"),
     # the array path: the first row the scalar rules reject
     (lambda: Medium.from_index(np.array([1.5, NAN])), "eps_r must be >= 1, got nan"),
     (lambda: Medium(eps_r=np.array([2.25, NAN])), "eps_r must be >= 1, got nan"),
     (lambda: Medium(eps_r=np.array([2.25, 4.0]), n=np.array([1.5, NAN])),
      "n=nan inconsistent"),
-    (lambda: Medium.from_index(np.array([1.5, 2.0]), viscosity=NAN),
-     "viscosity must be > 0, got nan"),
 ])
 def test_medium_rejects_nan(build, message):
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -28,9 +28,10 @@ from abmink.core import (
     mechanical_momentum_density,
     momentum_density,
     poynting,
+    unchecked,
 )
 from abmink.runner import _ledger_residual, parse_config, run
-from abmink.scenarios import mirror_pressures
+from abmink.scenarios import MirrorConfig, mirror_pressures
 
 # ---------------------------------------------------------------------------
 # the former formulations, verbatim
@@ -92,9 +93,9 @@ def test_transport_route_equals_the_field_point_form(data):
     omega = np.array(data.draw(st.lists(st.floats(1e14, 1e16), min_size=m, max_size=m)))
     sigma = np.array(data.draw(st.lists(st.floats(1e5, 1e9), min_size=m, max_size=m)))
     with np.errstate(all="ignore"):  # points beyond the guard evaluate too
-        c = mirror_pressures(runner._mirror_config(
-            {"n": n, "E0_V_per_m": E0, "omega_rad_per_s": omega, "sigma_S_per_m": sigma,
-             "guard_k_over_alpha": 0.2}))
+        c = mirror_pressures(unchecked(
+            MirrorConfig, n=n, E0_V_per_m=E0, omega_rad_per_s=omega, sigma_S_per_m=sigma,
+            guard_k_over_alpha=0.2))
     want = former_transport_route(n, E0, c["reflectance"])
     assert (bits(c["pressure_divergence_Pa"]) == bits(want)).all()
     # the spread over the three routes, as mirror_pressures forms it
@@ -118,9 +119,9 @@ def test_overflowing_eps0_n2_reports_an_infinite_transport_route():
     _, _, _, errors = evaluate_mirror(n, E0, omega, sigma)
     assert errors == {0: "result 'pressure_divergence_Pa' is not finite: inf"}
     with np.errstate(all="ignore"):  # eps0 n^2 overflows
-        c = mirror_pressures(runner._mirror_config(
-            {"n": n, "E0_V_per_m": E0, "omega_rad_per_s": omega, "sigma_S_per_m": sigma,
-             "guard_k_over_alpha": 0.2}))
+        c = mirror_pressures(unchecked(
+            MirrorConfig, n=n, E0_V_per_m=E0, omega_rad_per_s=omega, sigma_S_per_m=sigma,
+            guard_k_over_alpha=0.2))
         assert c["pressure_divergence_Pa"][0] == np.inf
         # the former cross product read D_z B_y = (eps0 n^2 * 0) * 0 = nan
         assert np.isnan(former_transport_route(n, 1e3, c["reflectance"]))

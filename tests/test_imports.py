@@ -130,8 +130,10 @@ def test_emission_is_imported_only_by_a_run(code, tmp_path):
     assert _loads("abmink.emission", code, tmp_path) is ("'run'" in code)
 
 
-@pytest.mark.parametrize("code, loaded", [(code, "'run'" in code) for code in CODES] + [
+@pytest.mark.parametrize("code, loaded", [(code, False) for code in CODES] + [
+    (CODES[2].replace("'csv'", "'json'"), True),
     (CODES[3].replace("['check']", "['check', '--format', 'json']"), True)])
-def test_json_is_imported_only_to_write_a_report_or_json(code, loaded, tmp_path):
-    # a text check prints its lines itself; emission and a JSON check load json
+def test_json_is_imported_only_to_write_json(code, loaded, tmp_path):
+    # a text check prints its lines itself, and a table or CSV report is
+    # written without json; a JSON report and a JSON check load it
     assert _loads("json", code, tmp_path) is loaded

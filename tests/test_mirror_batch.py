@@ -23,7 +23,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from abmink import SI, Medium, RegimeError, runner
+from abmink import SI, RegimeError, runner
 from abmink.core import check_rules, unchecked
 from abmink.runner import ConfigError, parse_config, run
 from abmink.scenarios import MirrorConfig, metal_fields, mirror_pressures
@@ -31,7 +31,7 @@ from abmink.scenarios import MirrorConfig, metal_fields, mirror_pressures
 
 def pressures(n, E0, omega, sigma, guard=0.2):
     """The columns of a checked config: it raises where a point is rejected."""
-    return mirror_pressures(MirrorConfig(Medium.from_index(n), E0, omega, sigma, guard))
+    return mirror_pressures(MirrorConfig(n, E0, omega, sigma, guard))
 
 
 def evaluate(n, E0, omega, sigma, guard=0.2):
@@ -105,7 +105,7 @@ def test_lorentz_column_is_the_depth_integral_of_metal_fields(n, log_omega,
                                                               log_sigma, log_E0):
     omega, sigma, E0 = 10.0**log_omega, 10.0**log_sigma, 10.0**log_E0
     assume(n * omega / SI.c / math.sqrt(SI.mu0 * sigma * omega / 2.0) < 0.2)
-    cfg = MirrorConfig(Medium.from_index(n), E0, omega, sigma)
+    cfg = MirrorConfig(n, E0, omega, sigma)
 
     def integrand(u):  # u = alpha x, the depth in skin depths
         s = metal_fields(cfg, u / cfg.alpha)
@@ -124,8 +124,8 @@ def test_lorentz_column_is_the_algebraic_closed_form():
     m = 2000
     n, E0 = rng.uniform(1.0, 2.0, m), 10.0 ** rng.uniform(0.0, 6.0, m)
     omega, sigma = 10.0 ** rng.uniform(14.0, 16.0, m), 10.0 ** rng.uniform(6.0, 8.5, m)
-    cfg = unchecked(MirrorConfig, medium=Medium.from_index(n), E0=E0, omega=omega,
-                    conductivity=sigma, guard=0.2)
+    cfg = unchecked(MirrorConfig, n=n, E0_V_per_m=E0, omega_rad_per_s=omega,
+                    sigma_S_per_m=sigma, guard_k_over_alpha=0.2)
     ok = np.ones(m, dtype=bool)
     ok[list(check_rules(MirrorConfig.RULES, cfg, m))] = False
     assert ok.sum() > m // 2
@@ -136,11 +136,11 @@ def test_lorentz_column_is_the_algebraic_closed_form():
 
 
 def test_the_lorentz_route_has_no_quadrature_knob():
-    cfg = MirrorConfig(Medium.from_index(1.33), 1e3, 3e15, 5e7)
+    cfg = MirrorConfig(1.33, 1e3, 3e15, 5e7)
     with pytest.raises(TypeError, match="quadrature_tol"):
         mirror_pressures(cfg, quadrature_tol=1e-8)
     with pytest.raises(TypeError, match="quadrature_tol"):
-        MirrorConfig(Medium.from_index(1.33), 1e3, 3e15, 5e7, quadrature_tol=1e-8)
+        MirrorConfig(1.33, 1e3, 3e15, 5e7, quadrature_tol=1e-8)
     with pytest.raises(ConfigError, match="^unknown key 'quadrature_tol'"):
         parse_config("scenario = mirror\nn = 1.33\nE0_V_per_m = 1e3\n"
                      "omega_rad_per_s = 3e15\nsigma_S_per_m = 5e7\nquadrature_tol = 1e-8\n")
@@ -197,7 +197,7 @@ def test_sweep_errors_keep_the_per_point_form(base, sweep):
     for value in np.linspace(s.lo, s.hi, s.count):
         point = {**p, s.param: float(value)}
         try:
-            MirrorConfig(Medium.from_index(point["n"]), point["E0_V_per_m"],
+            MirrorConfig(point["n"], point["E0_V_per_m"],
                          point["omega_rad_per_s"], point["sigma_S_per_m"],
                          point["guard_k_over_alpha"])
         except ValueError as exc:
@@ -246,13 +246,13 @@ def test_long_sweep_matches_per_point_configs():
 ])
 def test_run_rejects_exactly_what_the_config_rejects(n, E0, omega, sigma, guard):
     try:
-        MirrorConfig(Medium.from_index(n), E0, omega, sigma, guard)
+        MirrorConfig(n, E0, omega, sigma, guard)
         want = None
     except ValueError as exc:
         want = (type(exc), str(exc))
     with np.errstate(all="ignore"):
-        cfg = runner._mirror_config({"n": n, "E0_V_per_m": E0, "omega_rad_per_s": omega,
-                                     "sigma_S_per_m": sigma, "guard_k_over_alpha": guard})
+        cfg = unchecked(MirrorConfig, n=n, E0_V_per_m=E0, omega_rad_per_s=omega,
+                        sigma_S_per_m=sigma, guard_k_over_alpha=guard)
     rule = check_rules(MirrorConfig.RULES, cfg, 1).get(0)
     assert rule == (None if want is None else want[1])
     # the raising path gives the runner's config the rule's own error type
@@ -276,31 +276,32 @@ def test_run_rejects_exactly_what_the_config_rejects(n, E0, omega, sigma, guard)
 @pytest.mark.parametrize("guard", [math.nan, 0.0, -0.2])
 def test_config_rejects_a_guard_not_above_zero(guard):
     # a NaN guard once passed the k/alpha rule, which compares against it
-    with pytest.raises(ValueError, match=f"^guard must be > 0, got {guard}$") as err:
-        MirrorConfig(Medium.from_index(1.33), 1e3, 3e15, 1e5, guard=guard)
+    with pytest.raises(ValueError,
+                       match=f"^guard_k_over_alpha must be > 0, got {guard}$") as err:
+        MirrorConfig(1.33, 1e3, 3e15, 1e5, guard_k_over_alpha=guard)
     assert not isinstance(err.value, RegimeError)
     assert evaluate(1.33, 1e3, 3e15, 1e5, guard)[3] == {0: str(err.value)}
 
 
 @pytest.mark.parametrize("E0, omega, sigma, message", [
-    (math.nan, 3e15, 5e7, "E0 must be >= 0, got nan"),
-    (1e3, math.nan, 5e7, "omega and conductivity must be > 0"),
-    (1e3, 3e15, math.nan, "omega and conductivity must be > 0"),
+    (math.nan, 3e15, 5e7, "E0_V_per_m must be >= 0, got nan"),
+    (1e3, math.nan, 5e7, "omega_rad_per_s and sigma_S_per_m must be > 0"),
+    (1e3, 3e15, math.nan, "omega_rad_per_s and sigma_S_per_m must be > 0"),
 ])
 def test_a_nan_input_breaks_its_rule(E0, omega, sigma, message):
     # a NaN E0, omega or conductivity once passed every rule, and the batch
     # rejected the point only for a result that is not finite
     with pytest.raises(ValueError, match=f"^{message}$") as err:
-        MirrorConfig(Medium.from_index(1.33), E0, omega, sigma)
+        MirrorConfig(1.33, E0, omega, sigma)
     assert not isinstance(err.value, RegimeError)
     n = np.array([1.0, 1.33, 1.6])
     with np.errstate(all="ignore"):
-        cfg = runner._mirror_config({"n": n, "E0_V_per_m": E0, "omega_rad_per_s": omega,
-                                     "sigma_S_per_m": sigma, "guard_k_over_alpha": 0.2})
+        cfg = unchecked(MirrorConfig, n=n, E0_V_per_m=E0, omega_rad_per_s=omega,
+                        sigma_S_per_m=sigma, guard_k_over_alpha=0.2)
     assert check_rules(MirrorConfig.RULES, cfg, 3) == {0: message, 1: message, 2: message}
     for v in n.tolist():  # each row's scalar config raises the rule's own type
         with pytest.raises(ValueError, match=f"^{message}$") as row:
-            MirrorConfig(Medium.from_index(v), E0, omega, sigma)
+            MirrorConfig(v, E0, omega, sigma)
         assert type(row.value) is ValueError
     columns, rows, residuals, errors = evaluate(n, E0, omega, sigma)
     assert errors == {0: message, 1: message, 2: message}
@@ -336,9 +337,10 @@ def test_one_point_columns_are_the_rows_of_a_stack():
                    for name, column in stack.items())
 
 
-def test_magnetic_liquid_is_rejected():
-    with pytest.raises(RegimeError, match="nonmagnetic"):
-        MirrorConfig(Medium.from_index(1.5, mu_r=1.2), 1e3, 3e15, 5e7)
+def test_a_magnetic_liquid_cannot_be_set():
+    # the liquid is nonmagnetic by construction: the config holds its index alone
+    with pytest.raises(TypeError, match="mu_r"):
+        MirrorConfig(1.5, 1e3, 3e15, 5e7, mu_r=1.2)
 
 
 def test_import_loads_no_scipy():
@@ -404,22 +406,14 @@ def test_a_mirror_request_builds_one_config_and_one_k_over_alpha(monkeypatch):
     # its rules judge is the one its columns evaluate
     calls = collections.Counter()
 
-    def counted(build):
-        def config(p):
-            calls["config"] += 1
-            return build(p)
-        return config
+    def config(cls, **p):
+        calls["config"] += 1
+        return unchecked(cls, **p)
 
     closed_form = [name for name, form in runner._SCENARIOS.items() if form.columns]
     assert len(closed_form) == 7
-    for name in closed_form:
-        # a columns function that builds its config again calls this name
-        builder = f"_{name.split('-')[0]}_config"
-        if hasattr(runner, builder):
-            monkeypatch.setattr(runner, builder, counted(getattr(runner, builder)))
-        monkeypatch.setitem(runner._SCENARIOS, name,
-                            runner._SCENARIOS[name]._replace(
-                                config=counted(runner._SCENARIOS[name].config)))
+    # the runner builds each config, unchecked, through this name
+    monkeypatch.setattr(runner, "unchecked", config)
     for name in ("k", "alpha", "k_over_alpha"):
         def counted_property(self, func=getattr(MirrorConfig, name).func, name=name):
             calls[name] += 1

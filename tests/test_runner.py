@@ -680,7 +680,7 @@ def test_check_suite_builds_its_inputs_once_and_its_results_every_call(
     check_rules = runner.check_rules
 
     def judged(rules, config, size=None):
-        calls["mirror rules"] += rules is form.rules
+        calls["mirror rules"] += rules is form.config.RULES
         return check_rules(rules, config, size)
 
     for owner, name in ((Medium, "from_index"), (FieldPoint, "from_EH"),

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from abmink import SI, Medium, MomentumTag, RegimeError
+from abmink import SI, MomentumTag, RegimeError
 from abmink.runner import parse_config, run
 from abmink.scenarios import (
     DragConfig,
@@ -29,8 +29,8 @@ from abmink.scenarios import (
 
 
 def mirror_cfg(n=1.33, sigma=5e7, omega=3e15, E0=1e3, **kw):
-    return MirrorConfig(medium=Medium.from_index(n), E0=E0, omega=omega,
-                        conductivity=sigma, **kw)
+    return MirrorConfig(n=n, E0_V_per_m=E0, omega_rad_per_s=omega, sigma_S_per_m=sigma,
+                        **kw)
 
 
 def mirror_point(cfg):
@@ -70,7 +70,7 @@ def test_mirror_flux_hand_value():
 def test_mirror_flux_perfect_reflection_limit():
     cfg = mirror_cfg(sigma=1e12)  # k/alpha ~ 1e-3
     res = mirror_point(cfg)
-    ideal = 2.0 * cfg.medium.n * res["incident_flux_W_per_m2"] / SI.c
+    ideal = 2.0 * cfg.n * res["incident_flux_W_per_m2"] / SI.c
     assert res["pressure_flux_Pa"] == pytest.approx(ideal, rel=5e-3)
     assert res["reflectance"] > 0.998
 
@@ -93,15 +93,16 @@ def test_metal_fields_surface_values():
     cfg = mirror_cfg()
     s0 = metal_fields(cfg, 0.0)
     r = cfg.k_over_alpha
-    assert abs(s0.E_y) == pytest.approx(math.sqrt(2.0) * cfg.k * cfg.E0 / cfg.alpha,
-                                        rel=1e-12)
-    expect_h = cfg.k * cfg.E0 / (SI.mu0 * cfg.omega) * abs(2.0 + (1j - 1.0) * r)
+    assert abs(s0.E_y) == pytest.approx(
+        math.sqrt(2.0) * cfg.k * cfg.E0_V_per_m / cfg.alpha, rel=1e-12)
+    expect_h = (cfg.k * cfg.E0_V_per_m / (SI.mu0 * cfg.omega_rad_per_s)
+                * abs(2.0 + (1j - 1.0) * r))
     assert abs(s0.H_z) == pytest.approx(expect_h, rel=1e-12)
     # perfect-conductor limit of the magnetic amplitude
     cfg2 = mirror_cfg(sigma=1e12)
     s2 = metal_fields(cfg2, 0.0)
-    assert abs(s2.H_z) == pytest.approx(2.0 * cfg2.k * cfg2.E0 / (SI.mu0 * cfg2.omega),
-                                        rel=1e-3)
+    assert abs(s2.H_z) == pytest.approx(
+        2.0 * cfg2.k * cfg2.E0_V_per_m / (SI.mu0 * cfg2.omega_rad_per_s), rel=1e-3)
 
 
 def test_metal_fields_decay():
@@ -141,8 +142,9 @@ def test_lorentz_integral_closed_form():
     res = mirror_point(cfg)
     flux = res["pressure_flux_Pa"]
     k, alpha = cfg.k, cfg.alpha
-    closed = (0.5 * SI.mu0 * cfg.conductivity
-              * (k * cfg.E0 / alpha) * (k * cfg.E0 / (SI.mu0 * cfg.omega))
+    closed = (0.5 * SI.mu0 * cfg.sigma_S_per_m
+              * (k * cfg.E0_V_per_m / alpha)
+              * (k * cfg.E0_V_per_m / (SI.mu0 * cfg.omega_rad_per_s))
               * (1.0 + res["reflectance"]) / (2.0 * alpha))
     numeric = res["pressure_lorentz_Pa"]
     assert closed == pytest.approx(flux, rel=1e-12)
@@ -169,8 +171,8 @@ def test_divergence_route_incident_only_term():
     res = mirror_point(cfg)
     flux = res["incident_flux_W_per_m2"]
     incident_part = res["pressure_divergence_Pa"] \
-        - cfg.medium.n * res["reflectance"] * flux / SI.c
-    assert incident_part == pytest.approx(cfg.medium.n * flux / SI.c, rel=1e-12)
+        - cfg.n * res["reflectance"] * flux / SI.c
+    assert incident_part == pytest.approx(cfg.n * flux / SI.c, rel=1e-12)
 
 
 def test_three_way_agreement_over_n_sweeps():
@@ -195,14 +197,16 @@ def test_out_of_regime_point_is_an_error_without_rows():
 # ---------------------------------------------------------------------------
 
 def test_drag_field_tags_and_ratio():
-    cfg = DragConfig(intensity=1e4, sigma_a=1e-19, omega=1.6e12, n=4.0)
+    cfg = DragConfig(intensity_W_per_m2=1e4, sigma_a_m2=1e-19, omega_rad_per_s=1.6e12,
+                     n=4.0)
     e_m = photon_drag_field(cfg, MomentumTag.MINKOWSKI)
     e_a = photon_drag_field(cfg, MomentumTag.ABRAHAM)
     assert e_m / e_a == pytest.approx(cfg.n**2, rel=1e-12)
     # Minkowski: E = I sigma_a n / (c e)
     assert e_m == pytest.approx(
-        cfg.intensity * cfg.sigma_a * cfg.n / (SI.c * SI.e_charge), rel=1e-12)
-    vac = DragConfig(intensity=1e4, sigma_a=1e-19, omega=1.6e12, n=1.0)
+        cfg.intensity_W_per_m2 * cfg.sigma_a_m2 * cfg.n / (SI.c * SI.e_charge), rel=1e-12)
+    vac = DragConfig(intensity_W_per_m2=1e4, sigma_a_m2=1e-19, omega_rad_per_s=1.6e12,
+                     n=1.0)
     assert photon_drag_field(vac, MomentumTag.MINKOWSKI) == pytest.approx(
         photon_drag_field(vac, MomentumTag.ABRAHAM), rel=1e-15)
 
@@ -231,9 +235,10 @@ def test_minkowski_scaling_shared_across_scenarios():
     omega, energy = 2e15, 5.9e-6
     photons = energy / (SI.hbar * omega)
     for n in (1.0, 1.33, 1.5):
-        cfg = DragConfig(intensity=2e4, sigma_a=3e-20, omega=2e12, n=n)
+        cfg = DragConfig(intensity_W_per_m2=2e4, sigma_a_m2=3e-20, omega_rad_per_s=2e12,
+                         n=n)
         e_m = photon_drag_field(cfg, MomentumTag.MINKOWSKI)
-        assert e_m * SI.e_charge * SI.c / (cfg.intensity * cfg.sigma_a) \
+        assert e_m * SI.e_charge * SI.c / (cfg.intensity_W_per_m2 * cfg.sigma_a_m2) \
             == pytest.approx(n, rel=1e-12)
         assert bec_recoil(n, 2e15) / bec_recoil(1.0, 2e15) == pytest.approx(
             n, rel=1e-12)
@@ -244,7 +249,7 @@ def test_minkowski_scaling_shared_across_scenarios():
         # absorbed-pulse momentum = photons x in-medium recoil
         kick = sphere_cfg(n=n)
         assert kick.pulse_momentum(MomentumTag.MINKOWSKI) == pytest.approx(
-            (kick.pulse_energy / (SI.hbar * omega)) * bec_recoil(n, omega),
+            (kick.pulse_energy_J / (SI.hbar * omega)) * bec_recoil(n, omega),
             rel=1e-12)
 
 
@@ -253,47 +258,47 @@ def test_minkowski_scaling_shared_across_scenarios():
 # ---------------------------------------------------------------------------
 
 def test_wgm_amplitude_default_silica():
-    cfg = TorqueConfig(n=1.45, a=100e-6, P0=100.0, omega0=1000.0)
+    cfg = TorqueConfig(n=1.45, a_m=100e-6, P0_W=100.0, omega0_rad_per_s=1000.0)
     res = wgm_torque(cfg, 0.0)
     assert res.amplitude == pytest.approx(7.707562598862076e-20, rel=1e-12)
     assert res.torque == 0.0  # sin(0)
 
 
 def test_wgm_zero_cases():
-    cfg = TorqueConfig(n=1.0, a=100e-6, P0=100.0, omega0=1000.0)
+    cfg = TorqueConfig(n=1.0, a_m=100e-6, P0_W=100.0, omega0_rad_per_s=1000.0)
     for t in (0.0, 1e-4, 3e-3):
         assert wgm_torque(cfg, t).torque == 0.0
 
 
 def test_wgm_minkowski_variant_is_null():
-    cfg = TorqueConfig(n=1.45, a=100e-6, P0=100.0, omega0=1000.0)
+    cfg = TorqueConfig(n=1.45, a_m=100e-6, P0_W=100.0, omega0_rad_per_s=1000.0)
     res = wgm_torque(cfg, 7e-4, MomentumTag.MINKOWSKI)
     assert res.torque == 0.0 and res.amplitude == 0.0
 
 
 def test_wgm_time_dependence():
-    cfg = TorqueConfig(n=1.45, a=100e-6, P0=100.0, omega0=1000.0)
+    cfg = TorqueConfig(n=1.45, a_m=100e-6, P0_W=100.0, omega0_rad_per_s=1000.0)
     t = 0.4e-3
     res = wgm_torque(cfg, t)
-    assert res.torque == pytest.approx(-res.amplitude * math.sin(cfg.omega0 * t),
-                                       rel=1e-15)
+    assert res.torque == pytest.approx(
+        -res.amplitude * math.sin(cfg.omega0_rad_per_s * t), rel=1e-15)
 
 
 def test_wgm_amplitude_matches_volume_integral():
     # independent oracle: integrate r * f_phi over the volume with the
     # circulating flux concentrated in a narrow radial band at the rim
-    cfg = TorqueConfig(n=1.45, a=100e-6, P0=100.0, omega0=1000.0)
-    width = 1e-4 * cfg.a
+    cfg = TorqueConfig(n=1.45, a_m=100e-6, P0_W=100.0, omega0_rad_per_s=1000.0)
+    width = 1e-4 * cfg.a_m
     norm = 1.0 / (width * math.sqrt(2.0 * math.pi))
 
     def radial_profile(r):
-        return norm * math.exp(-0.5 * ((r - cfg.a) / width) ** 2)
+        return norm * math.exp(-0.5 * ((r - cfg.a_m) / width) ** 2)
 
     moment, _ = quad(lambda r: r * r * radial_profile(r),
-                     cfg.a - 10 * width, cfg.a + 10 * width,
+                     cfg.a_m - 10 * width, cfg.a_m + 10 * width,
                      epsabs=0.0, epsrel=1e-12)
-    numeric = (cfg.n**2 - 1.0) / SI.c**2 * cfg.omega0 * 2.0 * math.pi \
-        * cfg.P0 * moment
+    numeric = (cfg.n**2 - 1.0) / SI.c**2 * cfg.omega0_rad_per_s * 2.0 * math.pi \
+        * cfg.P0_W * moment
     assert wgm_torque(cfg, 0.0).amplitude == pytest.approx(numeric, rel=1e-6)
 
 
@@ -302,14 +307,14 @@ def test_wgm_amplitude_matches_volume_integral():
 # ---------------------------------------------------------------------------
 
 def sphere_cfg(n=1.33, mu=1.0e-3, **kw):
-    defaults = dict(M=1e-10, a=25e-6, deltaG=8.1e-12, pulse_energy=5.9e-6,
-                    fluid=Medium.from_index(n, viscosity=mu), L0=300e-6)
+    defaults = dict(M_kg=1e-10, a_m=25e-6, deltaG_kg_m_per_s=8.1e-12,
+                    pulse_energy_J=5.9e-6, n=n, viscosity_Pa_s=mu, L0_m=300e-6)
     defaults.update(kw)
     return SphereKickConfig(**defaults)
 
 
 def test_sphere_vmax_zero_inputs():
-    cfg = sphere_cfg(deltaG=0.0, pulse_energy=0.0)
+    cfg = sphere_cfg(deltaG_kg_m_per_s=0.0, pulse_energy_J=0.0)
     assert sphere_kick_vmax(cfg, MomentumTag.MINKOWSKI) == 0.0
 
 
@@ -318,15 +323,15 @@ def test_sphere_vmax_tags_agree_in_vacuum_index():
     vm = sphere_kick_vmax(cfg, MomentumTag.MINKOWSKI)
     va = sphere_kick_vmax(cfg, MomentumTag.ABRAHAM)
     assert vm == pytest.approx(va, rel=1e-15)
-    assert vm == pytest.approx((cfg.deltaG + cfg.pulse_energy / SI.c) / cfg.M,
-                               rel=1e-15)
+    assert vm == pytest.approx(
+        (cfg.deltaG_kg_m_per_s + cfg.pulse_energy_J / SI.c) / cfg.M_kg, rel=1e-15)
 
 
 def test_sphere_vmax_recoil_dominated():
     cfg = sphere_cfg(n=1.0)
     v = sphere_kick_vmax(cfg, MomentumTag.MINKOWSKI)
-    photon = cfg.pulse_energy / SI.c
-    assert photon / cfg.deltaG == pytest.approx(2.4297e-3, rel=1e-4)
+    photon = cfg.pulse_energy_J / SI.c
+    assert photon / cfg.deltaG_kg_m_per_s == pytest.approx(2.4297e-3, rel=1e-4)
     assert v == pytest.approx(0.08119680281616691, rel=1e-12)
 
 
@@ -337,11 +342,11 @@ def test_sphere_trajectory_boundaries():
     assert v0 == pytest.approx(v_max, rel=1e-15) and x0 == 0.0
     L = sphere_total_displacement(cfg, MomentumTag.MINKOWSKI)
     v_inf, x_inf = sphere_kick_trajectory(cfg, MomentumTag.MINKOWSKI,
-                                          60.0 * cfg.M / cfg.stokes_coefficient)
+                                          60.0 * cfg.M_kg / cfg.stokes_coefficient)
     assert v_inf <= 1e-20 * v_max
     assert x_inf == pytest.approx(L, rel=1e-12)
     # L * 6 pi mu a = M v_max
-    assert L * cfg.stokes_coefficient == pytest.approx(cfg.M * v_max, rel=1e-12)
+    assert L * cfg.stokes_coefficient == pytest.approx(cfg.M_kg * v_max, rel=1e-12)
     with pytest.raises(ValueError):
         sphere_kick_trajectory(cfg, MomentumTag.MINKOWSKI, -1e-6)
 
@@ -350,7 +355,7 @@ def test_sphere_trajectory_matches_explicit_integration():
     cfg = sphere_cfg()
     tag = MomentumTag.MINKOWSKI
     v = sphere_kick_vmax(cfg, tag)
-    tau = cfg.M / cfg.stokes_coefficient
+    tau = cfg.M_kg / cfg.stokes_coefficient
     t_end, steps = 3.0 * tau, 30000
     dt = t_end / steps
     x = 0.0
@@ -374,28 +379,28 @@ def test_displacement_correction_magnitude():
 
 def test_displacement_ratio_signs_and_identity():
     cfg = sphere_cfg(n=1.33, mu=1.0e-3)
-    corr = displacement_correction(cfg.pulse_energy, cfg.a, cfg.L0,
-                                   cfg.reference_fluid.viscosity)
+    corr = displacement_correction(cfg.pulse_energy_J, cfg.a_m, cfg.L0_m,
+                                   cfg.viscosity0_Pa_s)
     r_m = displacement_ratio(cfg, MomentumTag.MINKOWSKI)
     r_a = displacement_ratio(cfg, MomentumTag.ABRAHAM)
-    mu_ratio = cfg.reference_fluid.viscosity / cfg.fluid.viscosity
+    mu_ratio = cfg.viscosity0_Pa_s / cfg.viscosity_Pa_s
     assert r_m > mu_ratio > r_a  # Minkowski correction positive, Abraham negative
-    n = cfg.fluid.n
+    n = cfg.n
     assert r_m - r_a == pytest.approx(mu_ratio * corr * (n - 1.0 / n), rel=1e-12)
 
 
 @pytest.mark.parametrize("tag", list(MomentumTag))
 def test_displacement_ratio_checks_l0_for_a_library_caller(tag):
     # the runner's rules judge L0 for a request; a library call has only this
-    cfg = sphere_cfg(L0=0.0)
+    cfg = sphere_cfg(L0_m=0.0)
     with pytest.raises(ValueError,
-                       match=r"^reference displacement L0 must be > 0, got 0\.0$"):
+                       match=r"^reference displacement L0_m must be > 0, got 0\.0$"):
         displacement_ratio(cfg, tag)
 
 
 def test_displacement_ratio_no_index_contrast():
     cfg = sphere_cfg(n=1.0, mu=1.0e-3)
-    mu_ratio = cfg.reference_fluid.viscosity / cfg.fluid.viscosity
+    mu_ratio = cfg.viscosity0_Pa_s / cfg.viscosity_Pa_s
     assert displacement_ratio(cfg, MomentumTag.MINKOWSKI) == pytest.approx(
         mu_ratio, rel=1e-15)
     assert displacement_ratio(cfg, MomentumTag.ABRAHAM) == pytest.approx(

@@ -88,8 +88,6 @@ def test_medium_stack_rejects_a_row_with_the_scalar_message():
         Medium.from_index(np.array([1.2, 0.5]))
     with pytest.raises(ValueError, match=r"n=2\.1 inconsistent"):
         Medium(eps_r=np.array([2.25, 4.0]), n=np.array([1.5, 2.1]))
-    with pytest.raises(ValueError, match="viscosity must be > 0"):
-        Medium.from_index(np.array([1.2, 1.5]), viscosity=0.0)
 
 
 def test_medium_stack_fills_and_freezes_its_index():

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from test_emit import emit_per_cell
 
 from abmink import MomentumTag, interface_pressure, scenarios
-from abmink.core import SI, Medium
+from abmink.core import SI
 from abmink.runner import emit, parse_config, run
 
 
@@ -28,9 +28,9 @@ def _tags(tag):
 
 
 def _point_drag(p, tag):
-    cfg = scenarios.DragConfig(intensity=p["intensity_W_per_m2"],
-                               sigma_a=p["sigma_a_m2"],
-                               omega=p["omega_rad_per_s"], n=p["n"])
+    cfg = scenarios.DragConfig(intensity_W_per_m2=p["intensity_W_per_m2"],
+                               sigma_a_m2=p["sigma_a_m2"],
+                               omega_rad_per_s=p["omega_rad_per_s"], n=p["n"])
     row = {"n": p["n"], "intensity_W_per_m2": p["intensity_W_per_m2"],
            "sigma_a_m2": p["sigma_a_m2"], "omega_rad_per_s": p["omega_rad_per_s"]}
     for t in _tags(tag):
@@ -42,8 +42,8 @@ def _point_drag(p, tag):
 
 
 def _point_wgm(p, tag):
-    cfg = scenarios.TorqueConfig(n=p["n"], a=p["a_m"], P0=p["P0_W"],
-                                 omega0=p["omega0_rad_per_s"])
+    cfg = scenarios.TorqueConfig(n=p["n"], a_m=p["a_m"], P0_W=p["P0_W"],
+                                 omega0_rad_per_s=p["omega0_rad_per_s"])
     row = {"n": p["n"], "a_m": p["a_m"], "P0_W": p["P0_W"],
            "omega0_rad_per_s": p["omega0_rad_per_s"], "t_s": p["t_s"]}
     for t in _tags(tag):
@@ -55,12 +55,10 @@ def _point_wgm(p, tag):
 
 def _point_sphere(p, tag):
     cfg = scenarios.SphereKickConfig(
-        M=p["M_kg"], a=p["a_m"], deltaG=p["deltaG_kg_m_per_s"],
-        pulse_energy=p["pulse_energy_J"],
-        fluid=Medium.from_index(p["n"], viscosity=p["viscosity_Pa_s"]),
-        L0=p["L0_m"],
-        reference_fluid=Medium.from_index(p["n0"],
-                                          viscosity=p["viscosity0_Pa_s"]))
+        M_kg=p["M_kg"], a_m=p["a_m"], deltaG_kg_m_per_s=p["deltaG_kg_m_per_s"],
+        pulse_energy_J=p["pulse_energy_J"], n=p["n"],
+        viscosity_Pa_s=p["viscosity_Pa_s"], L0_m=p["L0_m"], n0=p["n0"],
+        viscosity0_Pa_s=p["viscosity0_Pa_s"])
     row = {"M_kg": p["M_kg"], "a_m": p["a_m"],
            "deltaG_kg_m_per_s": p["deltaG_kg_m_per_s"],
            "pulse_energy_J": p["pulse_energy_J"], "n": p["n"],
@@ -241,12 +239,12 @@ def test_scalar_wgm_torque_equals_the_python_pow_formula():
     ns = _pow_differs_from_multiply(20000, 5)
     assert ns
     for n in ns:
-        cfg = scenarios.TorqueConfig(n=n, a=n * 1e-4, P0=100.0, omega0=1e3)
+        cfg = scenarios.TorqueConfig(n=n, a_m=n * 1e-4, P0_W=100.0, omega0_rad_per_s=1e3)
         res = scenarios.wgm_torque(cfg, 3e-4)
-        amplitude = ((n**2 - 1.0) / SI.c**2 * 2.0 * math.pi * cfg.a**2
-                     * cfg.omega0 * cfg.P0)
+        amplitude = ((n**2 - 1.0) / SI.c**2 * 2.0 * math.pi * cfg.a_m**2
+                     * cfg.omega0_rad_per_s * cfg.P0_W)
         assert res.amplitude == amplitude
-        assert res.torque == -amplitude * math.sin(cfg.omega0 * 3e-4) + 0.0
+        assert res.torque == -amplitude * math.sin(cfg.omega0_rad_per_s * 3e-4) + 0.0
 
 
 def test_scalar_interface_pressure_equals_the_python_pow_formula():
@@ -258,11 +256,13 @@ def test_scalar_interface_pressure_equals_the_python_pow_formula():
 
 def test_array_rows_equal_the_scalar_calls_where_pow_and_multiply_round_apart():
     ns = np.array(_pow_differs_from_multiply(20000, 7))
-    fields = SimpleNamespace(n=ns, a=ns * 1e-4, P0=100.0, omega0=1e3, constants=SI)
+    fields = SimpleNamespace(n=ns, a_m=ns * 1e-4, P0_W=100.0, omega0_rad_per_s=1e3,
+                             constants=SI)
     res = scenarios.wgm_torque(fields, 3e-4)
     pressure = interface_pressure(ns, ns[::-1], ns * 1e3)
     for i, n in enumerate(ns.tolist()):
         one = scenarios.wgm_torque(
-            scenarios.TorqueConfig(n=n, a=n * 1e-4, P0=100.0, omega0=1e3), 3e-4)
+            scenarios.TorqueConfig(n=n, a_m=n * 1e-4, P0_W=100.0, omega0_rad_per_s=1e3),
+            3e-4)
         assert (res.amplitude[i], res.torque[i]) == (one.amplitude, one.torque)
         assert pressure[i] == interface_pressure(n, float(ns[::-1][i]), n * 1e3)
