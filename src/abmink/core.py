@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 
@@ -113,6 +114,27 @@ def check_rules(rules, config, size: int | None = None) -> dict[int, str]:
     return errors
 
 
+_MEETS = {">": operator.gt, ">=": operator.ge}
+
+
+def bounds(**limits) -> tuple:
+    """check_rules' rules for ``key="> b"`` or ``key=">= b"``, in order: NaN
+    breaks each, and its message reads "<key> must be <limit>, got <value>"."""
+    return tuple((lambda c, key=key, meets=_MEETS[op], b=float(b):
+                  np.logical_not(meets(getattr(c, key), b)),
+                  f"{key} must be {limit}, got {{c.{key}}}", ValueError)
+                 for key, limit in limits.items() for op, b in [limit.split()])
+
+
+class Checked:
+    """Base of a config dataclass: building one judges it by its RULES."""
+
+    RULES = ()
+
+    def __post_init__(self):
+        check_rules(self.RULES, self)
+
+
 class MomentumTag(enum.Enum):
     """Which electromagnetic momentum bookkeeping to use."""
 
@@ -167,7 +189,7 @@ SI = _SIConstants()
 
 
 @dataclass(frozen=True)
-class Medium:
+class Medium(Checked):
     """Isotropic lossless medium: relative permittivity, permeability and index.
 
     ``mu_r`` is the relative magnetic permeability.
@@ -196,14 +218,10 @@ class Medium:
                     np.array(self.eps_r, dtype=float), np.array(self.n, dtype=float))):
                 value.flags.writeable = False
                 object.__setattr__(self, name, value)
-        check_rules(self.RULES, self)
+        super().__post_init__()
 
     # each rule is written so that NaN breaks it
-    RULES = (
-        (lambda m: np.logical_not(m.eps_r >= 1.0),
-         "eps_r must be >= 1, got {c.eps_r}", ValueError),
-        (lambda m: np.logical_not(m.mu_r > 0.0),
-         "mu_r must be > 0, got {c.mu_r}", ValueError),
+    RULES = bounds(eps_r=">= 1", mu_r="> 0") + (
         (lambda m: m.mu_r == math.inf, "mu_r must be finite, got {c.mu_r}", ValueError),
         (lambda m: np.logical_not(np.abs(m.n - (root := m._root)) <= _REL_TOL * root),
          "n={c.n} inconsistent with sqrt(eps_r*mu_r)={c._root}", ValueError),

@@ -35,6 +35,7 @@ from .core import (
     FieldPoint,
     Medium,
     MomentumTag,
+    bounds,
     check_rules,
     interface_pressure,
     mechanical_momentum_density,
@@ -74,18 +75,10 @@ class ConfigError(ValueError):
 
 _REQUIRED = object()
 
-# key -> (lower bound, whether the bound itself is allowed); finiteness is
-# required of every number.  n, n0, n_from and n_to are refractive indices in
-# every scenario that has them, and no medium is optically rarer than vacuum.
-_LOWER_BOUNDS = {
-    "guard_k_over_alpha": (0.0, False),
-    "n": (1.0, True),
-    "n0": (1.0, True),
-    "n_from": (1.0, True),
-    "n_to": (1.0, True),
-    "mu_r": (0.0, False),
-    "grid_step": (0.0, False),
-}
+# parse-time bounds, for each scenario that has the key (every number must also
+# be finite): no medium, whatever its index key, is optically rarer than vacuum
+_LOWER_BOUNDS = bounds(guard_k_over_alpha="> 0", n=">= 1", n0=">= 1", n_from=">= 1",
+                       n_to=">= 1", mu_r="> 0", grid_step="> 0")
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -247,11 +240,11 @@ def parse_config(text: str) -> ScenarioRequest:
         params[key] = float(default)  # type: ignore[arg-type]
 
     swept = {} if sweep is None else {sweep.param: min(sweep.lo, sweep.hi)}
-    for key, (bound, inclusive) in _LOWER_BOUNDS.items():
-        value = params.get(key, swept.get(key, math.inf))
-        if value < bound or (value == bound and not inclusive):
-            raise ConfigError(f"'{key}' must be {'>=' if inclusive else '>'} "
-                              f"{bound:g}, got {value!r}")
+    values = SimpleNamespace(**params, **swept)
+    for fails, message, _ in _LOWER_BOUNDS:
+        key, text = message.split(" ", 1)  # each message starts with its key
+        if hasattr(values, key) and fails(values):
+            raise ConfigError(f"'{key}' " + text.format(c=values))
 
     return ScenarioRequest(scenario=scenario, params=params, tag=tag, sweep=sweep)
 
@@ -314,11 +307,17 @@ def _interface_columns(cfg, p, tag):
             "pressure_Pa": interface_pressure(cfg.E_t_V_per_m, cfg.n_from, cfg.n_to)}
 
 
+def _weyl(count, dims):
+    """(count, dims) points k sqrt(p) mod 1, k = 1..count, p the first dims
+    primes: correctly rounded, so every SIMD level gives the same bits."""
+    return np.arange(1.0, count + 1)[:, None] * np.sqrt([2.0, 3, 5, 7, 11, 13, 17][:dims]) % 1
+
+
 @functools.cache
 def _constitutive_draws():
-    """The constitutive check's 16 seeded (E, B) draws, field tensor and
-    scales, made on first use: at import, numpy.random would cost ~15 ms."""
-    draws = np.random.default_rng(20240811).normal(size=(16, 2, 3))
+    """The constitutive check's 16 (E, B) pairs, each component in [-1, 1),
+    with their field tensor and scales, made on first use."""
+    draws = (2.0 * _weyl(16, 6) - 1.0).reshape(16, 2, 3)
     scale = np.maximum(np.max(np.abs(draws), axis=(1, 2)), 1e-300)
     draws.flags.writeable = scale.flags.writeable = False
     return draws, covariant.field_tensor_from_EB(draws[:, 0], draws[:, 1]), scale
@@ -510,13 +509,11 @@ _SCENARIOS = {
     "fiber": _Scenario(
         keys={"pulse_energy_J": _REQUIRED, "n": _REQUIRED},
         provenance="J = (n - 1) H / c along propagation", columns=_fiber_columns,
-        rules=((lambda c: c.pulse_energy_J < 0.0,
-                "pulse_energy_J must be >= 0, got {c.pulse_energy_J}", ValueError),)),
+        rules=bounds(pulse_energy_J=">= 0")),
     "bec": _Scenario(
         keys={"n": _REQUIRED, "omega_rad_per_s": _REQUIRED},
         provenance="p = hbar n omega / c", columns=_bec_columns,
-        rules=((lambda c: c.omega_rad_per_s <= 0.0,
-                "omega_rad_per_s must be > 0, got {c.omega_rad_per_s}", ValueError),)),
+        rules=bounds(omega_rad_per_s="> 0")),
     "interface": _Scenario(
         keys={"E_t_V_per_m": _REQUIRED, "n_from": _REQUIRED, "n_to": _REQUIRED},
         provenance="P = (eps0/2) E_t^2 (n_from^2 - n_to^2), positive toward n_to",
@@ -618,9 +615,7 @@ def _check_inputs():
     [1, 2), each component of E (V/m) and of c mu0 H in [-1, 1)."""
     grid = np.array(np.meshgrid((1.0, 1.3, 1.6), (1e7, 1e8), (2.6e15, 4.0e15),
                                 indexing="ij")).reshape(3, -1)
-    # Weyl sequences k sqrt(p) mod 1, k = 1..1000, p the primes 2 to 17: *, %
-    # and sqrt are correctly rounded, so every SIMD level gives the same bits
-    u = np.arange(1.0, 1001.0)[:, None] * np.sqrt([2.0, 3, 5, 7, 11, 13, 17]) % 1.0
+    u = _weyl(1000, 7)
     n, E, H = 1.0 + u[:, 0], 2.0 * u[:, 1:4] - 1.0, (2.0 * u[:, 4:] - 1.0) / SI.mu0 / SI.c
     grid.flags.writeable = E.flags.writeable = H.flags.writeable = False
     form = _SCENARIOS["mirror"]

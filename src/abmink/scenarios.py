@@ -31,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import SI, MomentumTag, RegimeError, check_rules
+from .core import SI, Checked, MomentumTag, RegimeError, bounds, check_rules
 
 __all__ = [
     "MirrorConfig",
@@ -60,7 +60,7 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class MirrorConfig:
+class MirrorConfig(Checked):
     """Normally incident wave in a liquid, reflecting off a metal wall.
 
     ``n`` is the index of the lossless, nonmagnetic liquid and
@@ -76,22 +76,12 @@ class MirrorConfig:
     sigma_S_per_m: float
     guard_k_over_alpha: float = 0.2
 
-    def __post_init__(self):
-        check_rules(self.RULES, self)
-
-    RULES = (
-        (lambda c: np.logical_not(c.n >= 1.0),  # NaN breaks this and the next three
-         "n must be >= 1, got {c.n}", ValueError),
-        (lambda c: np.logical_not(c.E0_V_per_m >= 0.0),
-         "E0_V_per_m must be >= 0, got {c.E0_V_per_m}", ValueError),
-        (lambda c: np.logical_not((c.omega_rad_per_s > 0.0) & (c.sigma_S_per_m > 0.0)),
-         "omega_rad_per_s and sigma_S_per_m must be > 0", ValueError),
-        (lambda c: np.logical_not(c.guard_k_over_alpha > 0.0),
-         "guard_k_over_alpha must be > 0, got {c.guard_k_over_alpha}", ValueError),
-        (lambda c: c.k_over_alpha >= c.guard_k_over_alpha,
+    RULES = bounds(n=">= 1", E0_V_per_m=">= 0", omega_rad_per_s="> 0", sigma_S_per_m="> 0",
+                   guard_k_over_alpha="> 0") + (
+        # NaN breaks the guard too: an infinite omega and sigma give k/alpha = nan
+        (lambda c: np.logical_not(c.k_over_alpha < c.guard_k_over_alpha),
          "good-conductor approximation requires k/alpha < {c.guard_k_over_alpha}, "
-         "got k/alpha = {c.k_over_alpha:.6g}", RegimeError),
-    )
+         "got k/alpha = {c.k_over_alpha:.6g}", RegimeError),)
 
     # once per config: the rules, their messages and mirror_pressures share it
     @cached_property
@@ -203,7 +193,7 @@ def metal_fields(cfg: MirrorConfig, x) -> MetalFieldSample:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class DragConfig:
+class DragConfig(Checked):
     """Long-wavelength photon drag in a semiconductor rod."""
 
     intensity_W_per_m2: float
@@ -211,12 +201,8 @@ class DragConfig:
     omega_rad_per_s: float
     n: float
 
-    def __post_init__(self):
-        check_rules(self.RULES, self)
-
-    RULES = tuple((lambda c, name=name: getattr(c, name) <= 0.0,
-                   f"{name} must be > 0", ValueError)
-                  for name in ("intensity_W_per_m2", "sigma_a_m2", "omega_rad_per_s", "n"))
+    RULES = bounds(intensity_W_per_m2="> 0", sigma_a_m2="> 0", omega_rad_per_s="> 0",
+                   n=">= 1")
 
 
 def photon_drag_field(cfg: DragConfig, tag: MomentumTag) -> float:
@@ -256,7 +242,7 @@ def fiber_exit_impulse(pulse_energy: float, n: float) -> float:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class TorqueConfig:
+class TorqueConfig(Checked):
     """Intensity-modulated circulating mode near the rim of a cylinder."""
 
     n: float
@@ -264,12 +250,7 @@ class TorqueConfig:
     P0_W: float
     omega0_rad_per_s: float
 
-    def __post_init__(self):
-        check_rules(self.RULES, self)
-
-    RULES = ((lambda c: (c.a_m <= 0.0) | (c.omega0_rad_per_s <= 0.0) | (c.P0_W < 0.0)
-              | (c.n < 1.0),
-              "require a_m > 0, omega0_rad_per_s > 0, P0_W >= 0, n >= 1", ValueError),)
+    RULES = bounds(a_m="> 0", omega0_rad_per_s="> 0", P0_W=">= 0", n=">= 1")
 
 
 @dataclass(frozen=True)
@@ -307,7 +288,7 @@ def wgm_torque(cfg: TorqueConfig, t: float,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SphereKickConfig:
+class SphereKickConfig(Checked):
     """Microsphere kicked by ablation recoil plus an absorbed light pulse.
 
     ``deltaG_kg_m_per_s`` is the ablation recoil momentum, treated as an
@@ -327,22 +308,8 @@ class SphereKickConfig:
     n0: float = 1.0
     viscosity0_Pa_s: float = 1.8e-5
 
-    def __post_init__(self):
-        check_rules(self.RULES, self)
-
-    RULES = (
-        (lambda c: np.logical_not(c.n >= 1.0),  # NaN breaks this and the next three
-         "n must be >= 1, got {c.n}", ValueError),
-        (lambda c: np.logical_not(c.viscosity_Pa_s > 0.0),
-         "viscosity_Pa_s must be > 0, got {c.viscosity_Pa_s}", ValueError),
-        (lambda c: np.logical_not(c.n0 >= 1.0), "n0 must be >= 1, got {c.n0}", ValueError),
-        (lambda c: np.logical_not(c.viscosity0_Pa_s > 0.0),
-         "viscosity0_Pa_s must be > 0, got {c.viscosity0_Pa_s}", ValueError),
-        (lambda c: (c.M_kg <= 0.0) | (c.a_m <= 0.0), "require M_kg > 0 and a_m > 0",
-         ValueError),
-        (lambda c: c.pulse_energy_J < 0.0,
-         "pulse_energy_J must be >= 0, got {c.pulse_energy_J}", ValueError),
-    )
+    RULES = bounds(n=">= 1", viscosity_Pa_s="> 0", n0=">= 1", viscosity0_Pa_s="> 0",
+                   M_kg="> 0", a_m="> 0", pulse_energy_J=">= 0")
 
     def pulse_momentum(self, tag: MomentumTag) -> float:
         if tag is MomentumTag.MINKOWSKI:
@@ -391,8 +358,7 @@ def displacement_correction(pulse_energy: float, a: float, L0: float,
 
 
 # the rule displacement_ratio adds to those of its config
-_L0_RULES = ((lambda c: c.L0_m <= 0.0,
-              "reference displacement L0_m must be > 0, got {c.L0_m}", ValueError),)
+_L0_RULES = bounds(L0_m="> 0")
 
 
 def displacement_ratio(cfg: SphereKickConfig, tag: MomentumTag) -> float:

@@ -80,8 +80,8 @@ def test_the_walk_finds_numpy_cross():
     assert _numpy_cross_calls(source) == [2, 3, 4]
 
 
-# Each runs in a fresh process; a run request reads CFG, a bec config, and
-# writes OUT (see _run_fresh).
+# Each runs in a fresh process; a run request reads CFG, a bec config, or
+# COV, a covariant-checks config, and writes OUT (see _loads).
 CODES = [
     "import abmink",
     "from abmink import cli; cli.main(['list'])",
@@ -92,19 +92,20 @@ CODES = [
 
 def _loads(module, code, tmp_path):
     """Whether a fresh process that runs code has module in sys.modules."""
-    cfg = tmp_path / "bec.cfg"
+    cfg, cov = tmp_path / "bec.cfg", tmp_path / "cov.cfg"
     cfg.write_text("scenario = bec\nn = 1.5\nomega_rad_per_s = 1e15\n")
-    setup = f"CFG, OUT = {str(cfg)!r}, {str(tmp_path / 'out.csv')!r}"
+    cov.write_text("scenario = covariant-checks\n")
+    setup = f"CFG, COV, OUT = {str(cfg)!r}, {str(cov)!r}, {str(tmp_path / 'out.csv')!r}"
     check = f"{setup}\n{code}\nimport sys; print({module!r} in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1] == "True"
 
 
-@pytest.mark.parametrize("code", CODES)
+@pytest.mark.parametrize("code", CODES + [CODES[2].replace("CFG", "COV")])
 def test_numpy_random_is_not_imported_before_a_draw(code, tmp_path):
-    # covariant-checks makes its seeded draws on first use, and check's ledger
-    # sample is a Weyl sequence: numpy.random costs 10-30 ms of a cold process
+    # covariant-checks' constitutive sample and check's ledger sample are Weyl
+    # sequences, so nothing draws: numpy.random costs 10-30 ms of a cold process
     assert not _loads("numpy.random", code, tmp_path)
 
 

@@ -285,8 +285,8 @@ def test_config_rejects_a_guard_not_above_zero(guard):
 
 @pytest.mark.parametrize("E0, omega, sigma, message", [
     (math.nan, 3e15, 5e7, "E0_V_per_m must be >= 0, got nan"),
-    (1e3, math.nan, 5e7, "omega_rad_per_s and sigma_S_per_m must be > 0"),
-    (1e3, 3e15, math.nan, "omega_rad_per_s and sigma_S_per_m must be > 0"),
+    (1e3, math.nan, 5e7, "omega_rad_per_s must be > 0, got nan"),
+    (1e3, 3e15, math.nan, "sigma_S_per_m must be > 0, got nan"),
 ])
 def test_a_nan_input_breaks_its_rule(E0, omega, sigma, message):
     # a NaN E0, omega or conductivity once passed every rule, and the batch

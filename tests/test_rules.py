@@ -8,10 +8,13 @@ error's type.  Two guards hold that to the former behaviour:
 
 * a property test against the scalar ``__post_init__`` bodies
   and the ``displacement_ratio`` L0 check as they were before the rules
-  existed, copied verbatim but for two later changes: each field and
-  message now carries its config-file key, and the ``n >= 1`` and
+  existed, copied verbatim but for three later changes: each field and
+  message now carries its config-file key; the ``n >= 1`` and
   ``viscosity > 0`` checks of the key itself stand where a ``Medium`` held in
-  the config was checked;
+  the config was checked; and every one-key bound is now written as
+  ``core.bounds`` declares it (NaN breaks it, its message is "<key> must be
+  <limit>, got <value>", and a check of several keys is split into one per
+  key, in its former order), as is the k/alpha guard (NaN breaks it);
 * the literal ``report.errors`` of one request per rule that a config can
   reach, as a single point and as a sweep across the bound, captured from
   the runner before the change (the fiber and bec bounds are new).  The
@@ -68,12 +71,14 @@ def _mirror(self):
     # conductivity passed them, and a NaN guard the k/alpha comparison
     if not self.E0_V_per_m >= 0.0:
         raise ValueError(f"E0_V_per_m must be >= 0, got {self.E0_V_per_m}")
-    if not (self.omega_rad_per_s > 0.0 and self.sigma_S_per_m > 0.0):
-        raise ValueError("omega_rad_per_s and sigma_S_per_m must be > 0")
+    if not self.omega_rad_per_s > 0.0:
+        raise ValueError(f"omega_rad_per_s must be > 0, got {self.omega_rad_per_s}")
+    if not self.sigma_S_per_m > 0.0:
+        raise ValueError(f"sigma_S_per_m must be > 0, got {self.sigma_S_per_m}")
     if not self.guard_k_over_alpha > 0.0:
         raise ValueError(f"guard_k_over_alpha must be > 0, got {self.guard_k_over_alpha}")
     r = self.k_over_alpha
-    if r >= self.guard_k_over_alpha:
+    if not r < self.guard_k_over_alpha:  # a NaN k/alpha (inf/inf) once passed
         raise RegimeError(
             f"good-conductor approximation requires k/alpha < {self.guard_k_over_alpha}, "
             f"got k/alpha = {r:.6g}"
@@ -81,14 +86,22 @@ def _mirror(self):
 
 
 def _drag(self):
-    for name in ("intensity_W_per_m2", "sigma_a_m2", "omega_rad_per_s", "n"):
-        if getattr(self, name) <= 0.0:
-            raise ValueError(f"{name} must be > 0")
+    for name in ("intensity_W_per_m2", "sigma_a_m2", "omega_rad_per_s"):
+        if not getattr(self, name) > 0.0:
+            raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+    if not self.n >= 1.0:  # once n > 0, as if an index could be below 1
+        raise ValueError(f"n must be >= 1, got {self.n}")
 
 
 def _torque(self):
-    if self.a_m <= 0.0 or self.omega0_rad_per_s <= 0.0 or self.P0_W < 0.0 or self.n < 1.0:
-        raise ValueError("require a_m > 0, omega0_rad_per_s > 0, P0_W >= 0, n >= 1")
+    if not self.a_m > 0.0:
+        raise ValueError(f"a_m must be > 0, got {self.a_m}")
+    if not self.omega0_rad_per_s > 0.0:
+        raise ValueError(f"omega0_rad_per_s must be > 0, got {self.omega0_rad_per_s}")
+    if not self.P0_W >= 0.0:
+        raise ValueError(f"P0_W must be >= 0, got {self.P0_W}")
+    if not self.n >= 1.0:
+        raise ValueError(f"n must be >= 1, got {self.n}")
 
 
 def _sphere(self):
@@ -101,15 +114,17 @@ def _sphere(self):
         raise ValueError(f"n0 must be >= 1, got {self.n0}")
     if not self.viscosity0_Pa_s > 0.0:
         raise ValueError(f"viscosity0_Pa_s must be > 0, got {self.viscosity0_Pa_s}")
-    if self.M_kg <= 0.0 or self.a_m <= 0.0:
-        raise ValueError("require M_kg > 0 and a_m > 0")
-    if self.pulse_energy_J < 0.0:
+    if not self.M_kg > 0.0:
+        raise ValueError(f"M_kg must be > 0, got {self.M_kg}")
+    if not self.a_m > 0.0:
+        raise ValueError(f"a_m must be > 0, got {self.a_m}")
+    if not self.pulse_energy_J >= 0.0:
         raise ValueError(f"pulse_energy_J must be >= 0, got {self.pulse_energy_J}")
 
 
 def _l0(cfg):  # the head of displacement_ratio
-    if np.any(cfg.L0_m <= 0.0):
-        raise ValueError(f"reference displacement L0_m must be > 0, got {cfg.L0_m}")
+    if not np.all(cfg.L0_m > 0.0):
+        raise ValueError(f"L0_m must be > 0, got {cfg.L0_m}")
 
 
 def _medium_ns(eps_r, mu_r=1.0, n=0.0):
@@ -362,50 +377,64 @@ BASES = {"mirror": MIRROR, "drag": DRAG, "wgm": WGM, "sphere-kick": SPHERE,
          "fiber": FIBER, "bec": BEC}
 
 GUARD = "good-conductor approximation requires k/alpha < 0.2, got k/alpha = 0.969397"
-OMEGA_SIGMA = "omega_rad_per_s and sigma_S_per_m must be > 0"
-TORQUE = "require a_m > 0, omega0_rad_per_s > 0, P0_W >= 0, n >= 1"
-M_A = "require M_kg > 0 and a_m > 0"
 
 # (scenario, the value or values set, sweep or None, report.errors)
 PINNED = [
     ("mirror", {"E0_V_per_m": "-1"}, None, ["E0_V_per_m must be >= 0, got -1.0"]),
     ("mirror", {}, "E0_V_per_m:[-2, 2, 3]",
      ["E0_V_per_m=-2: E0_V_per_m must be >= 0, got -2.0"]),
-    ("mirror", {"omega_rad_per_s": "0"}, None, [OMEGA_SIGMA]),
+    ("mirror", {"omega_rad_per_s": "0"}, None, ["omega_rad_per_s must be > 0, got 0.0"]),
     ("mirror", {}, "omega_rad_per_s:[-3e15, 3e15, 3]",
-     [f"omega_rad_per_s=-3e+15: {OMEGA_SIGMA}", f"omega_rad_per_s=0: {OMEGA_SIGMA}"]),
-    ("mirror", {"sigma_S_per_m": "-5e7"}, None, [OMEGA_SIGMA]),
+     ["omega_rad_per_s=-3e+15: omega_rad_per_s must be > 0, got -3000000000000000.0",
+      "omega_rad_per_s=0: omega_rad_per_s must be > 0, got 0.0"]),
+    ("mirror", {"sigma_S_per_m": "-5e7"}, None,
+     ["sigma_S_per_m must be > 0, got -50000000.0"]),
     ("mirror", {}, "sigma_S_per_m:[-5e7, 5e7, 3]",
-     [f"sigma_S_per_m=-5e+07: {OMEGA_SIGMA}", f"sigma_S_per_m=0: {OMEGA_SIGMA}"]),
+     ["sigma_S_per_m=-5e+07: sigma_S_per_m must be > 0, got -50000000.0",
+      "sigma_S_per_m=0: sigma_S_per_m must be > 0, got 0.0"]),
     ("mirror", {"sigma_S_per_m": "1e5"}, None, [GUARD]),
     ("mirror", {}, "sigma_S_per_m:[1e5, 1e8, 4]", [f"sigma_S_per_m=100000: {GUARD}"]),
     ("mirror", {"E0_V_per_m": "-1", "sigma_S_per_m": "1e5"}, None,
      ["E0_V_per_m must be >= 0, got -1.0"]),
-    ("mirror", {"omega_rad_per_s": "-1", "sigma_S_per_m": "1e5"}, None, [OMEGA_SIGMA]),
-    ("drag", {"intensity_W_per_m2": "-1"}, None, ["intensity_W_per_m2 must be > 0"]),
+    ("mirror", {"omega_rad_per_s": "-1", "sigma_S_per_m": "1e5"}, None,
+     ["omega_rad_per_s must be > 0, got -1.0"]),
+    ("drag", {"intensity_W_per_m2": "-1"}, None, ["intensity_W_per_m2 must be > 0, got -1.0"]),
     ("drag", {}, "intensity_W_per_m2:[-1, 1, 3]",
-     ["intensity_W_per_m2=-1: intensity_W_per_m2 must be > 0",
-      "intensity_W_per_m2=0: intensity_W_per_m2 must be > 0"]),
-    ("drag", {"sigma_a_m2": "0"}, None, ["sigma_a_m2 must be > 0"]),
+     ["intensity_W_per_m2=-1: intensity_W_per_m2 must be > 0, got -1.0",
+      "intensity_W_per_m2=0: intensity_W_per_m2 must be > 0, got 0.0"]),
+    ("drag", {"sigma_a_m2": "0"}, None, ["sigma_a_m2 must be > 0, got 0.0"]),
     ("drag", {}, "sigma_a_m2:[-1e-19, 1e-19, 3]",
-     ["sigma_a_m2=-1e-19: sigma_a_m2 must be > 0", "sigma_a_m2=0: sigma_a_m2 must be > 0"]),
-    ("drag", {"omega_rad_per_s": "-1.6e13"}, None, ["omega_rad_per_s must be > 0"]),
+     ["sigma_a_m2=-1e-19: sigma_a_m2 must be > 0, got -1e-19",
+      "sigma_a_m2=0: sigma_a_m2 must be > 0, got 0.0"]),
+    ("drag", {"omega_rad_per_s": "-1.6e13"}, None,
+     ["omega_rad_per_s must be > 0, got -16000000000000.0"]),
     ("drag", {}, "omega_rad_per_s:[-1.6e13, 1.6e13, 3]",
-     ["omega_rad_per_s=-1.6e+13: omega_rad_per_s must be > 0", "omega_rad_per_s=0: omega_rad_per_s must be > 0"]),
+     ["omega_rad_per_s=-1.6e+13: omega_rad_per_s must be > 0, got -16000000000000.0",
+      "omega_rad_per_s=0: omega_rad_per_s must be > 0, got 0.0"]),
     ("drag", {"intensity_W_per_m2": "-1", "omega_rad_per_s": "-1"}, None,
-     ["intensity_W_per_m2 must be > 0"]),
-    ("drag", {"sigma_a_m2": "-1", "omega_rad_per_s": "-1"}, None, ["sigma_a_m2 must be > 0"]),
-    ("wgm", {"a_m": "0"}, None, [TORQUE]),
-    ("wgm", {}, "a_m:[-1e-4, 1e-4, 3]", [f"a_m=-0.0001: {TORQUE}", f"a_m=0: {TORQUE}"]),
-    ("wgm", {"P0_W": "-1"}, None, [TORQUE]),
-    ("wgm", {}, "P0_W:[-50, 50, 3]", [f"P0_W=-50: {TORQUE}"]),
-    ("wgm", {"omega0_rad_per_s": "-1e3"}, None, [TORQUE]),
+     ["intensity_W_per_m2 must be > 0, got -1.0"]),
+    ("drag", {"sigma_a_m2": "-1", "omega_rad_per_s": "-1"}, None,
+     ["sigma_a_m2 must be > 0, got -1.0"]),
+    ("wgm", {"a_m": "0"}, None, ["a_m must be > 0, got 0.0"]),
+    ("wgm", {}, "a_m:[-1e-4, 1e-4, 3]",
+     ["a_m=-0.0001: a_m must be > 0, got -0.0001", "a_m=0: a_m must be > 0, got 0.0"]),
+    ("wgm", {"P0_W": "-1"}, None, ["P0_W must be >= 0, got -1.0"]),
+    ("wgm", {}, "P0_W:[-50, 50, 3]", ["P0_W=-50: P0_W must be >= 0, got -50.0"]),
+    ("wgm", {"omega0_rad_per_s": "-1e3"}, None, ["omega0_rad_per_s must be > 0, got -1000.0"]),
     ("wgm", {}, "omega0_rad_per_s:[-1e3, 1e3, 3]",
-     [f"omega0_rad_per_s=-1000: {TORQUE}", f"omega0_rad_per_s=0: {TORQUE}"]),
-    ("sphere-kick", {"M_kg": "0"}, None, [M_A]),
-    ("sphere-kick", {}, "M_kg:[-1e-10, 1e-10, 3]", [f"M_kg=-1e-10: {M_A}", f"M_kg=0: {M_A}"]),
-    ("sphere-kick", {"a_m": "-25e-6"}, None, [M_A]),
-    ("sphere-kick", {}, "a_m:[-25e-6, 25e-6, 3]", [f"a_m=-2.5e-05: {M_A}", f"a_m=0: {M_A}"]),
+     ["omega0_rad_per_s=-1000: omega0_rad_per_s must be > 0, got -1000.0",
+      "omega0_rad_per_s=0: omega0_rad_per_s must be > 0, got 0.0"]),
+    # the former combined rules, split per key in their former order
+    ("wgm", {"a_m": "0", "P0_W": "-1"}, None, ["a_m must be > 0, got 0.0"]),
+    ("wgm", {"omega0_rad_per_s": "0", "P0_W": "-1"}, None,
+     ["omega0_rad_per_s must be > 0, got 0.0"]),
+    ("sphere-kick", {"M_kg": "0"}, None, ["M_kg must be > 0, got 0.0"]),
+    ("sphere-kick", {}, "M_kg:[-1e-10, 1e-10, 3]",
+     ["M_kg=-1e-10: M_kg must be > 0, got -1e-10", "M_kg=0: M_kg must be > 0, got 0.0"]),
+    ("sphere-kick", {"a_m": "-25e-6"}, None, ["a_m must be > 0, got -2.5e-05"]),
+    ("sphere-kick", {}, "a_m:[-25e-6, 25e-6, 3]",
+     ["a_m=-2.5e-05: a_m must be > 0, got -2.5e-05", "a_m=0: a_m must be > 0, got 0.0"]),
+    ("sphere-kick", {"M_kg": "-1", "a_m": "0"}, None, ["M_kg must be > 0, got -1.0"]),
     ("sphere-kick", {"pulse_energy_J": "-1e-6"}, None,
      ["pulse_energy_J must be >= 0, got -1e-06"]),
     ("sphere-kick", {}, "pulse_energy_J:[-1e-6, 1e-6, 3]",
@@ -420,16 +449,16 @@ PINNED = [
     ("sphere-kick", {}, "viscosity0_Pa_s:[-1e-5, 1e-5, 3]",
      ["viscosity0_Pa_s=-1e-05: viscosity0_Pa_s must be > 0, got -1e-05",
       "viscosity0_Pa_s=0: viscosity0_Pa_s must be > 0, got 0.0"]),
-    ("sphere-kick", {"L0_m": "0"}, None, ["reference displacement L0_m must be > 0, got 0.0"]),
+    ("sphere-kick", {"L0_m": "0"}, None, ["L0_m must be > 0, got 0.0"]),
     ("sphere-kick", {}, "L0_m:[-1e-4, 1e-4, 3]",
-     ["L0_m=-0.0001: reference displacement L0_m must be > 0, got -0.0001",
-      "L0_m=0: reference displacement L0_m must be > 0, got 0.0"]),
+     ["L0_m=-0.0001: L0_m must be > 0, got -0.0001", "L0_m=0: L0_m must be > 0, got 0.0"]),
     # the fluids' keys are judged before the sphere's, the L0 check last
     ("sphere-kick", {"M_kg": "0", "viscosity_Pa_s": "-1e-3"}, None,
      ["viscosity_Pa_s must be > 0, got -0.001"]),
     ("sphere-kick", {"pulse_energy_J": "-1", "L0_m": "0", "viscosity0_Pa_s": "0"}, None,
      ["viscosity0_Pa_s must be > 0, got 0.0"]),
-    ("sphere-kick", {"a_m": "0", "pulse_energy_J": "-1", "L0_m": "-1"}, None, [M_A]),
+    ("sphere-kick", {"a_m": "0", "pulse_energy_J": "-1", "L0_m": "-1"}, None,
+     ["a_m must be > 0, got 0.0"]),
     # new bounds
     ("fiber", {"pulse_energy_J": "-5"}, None, ["pulse_energy_J must be >= 0, got -5.0"]),
     ("fiber", {}, "pulse_energy_J:[-5, 5, 3]",
@@ -467,14 +496,17 @@ _NUMBER = st.one_of(st.sampled_from(_EDGE), st.floats())
 
 
 def test_every_rule_template_is_drawn():
-    # 4 + 5 + 4 + 1 + 6 + 1 + 1 + 1: the mirror and sphere-kick share the n
-    # rule's template, sphere-kick and fiber the pulse_energy_J rule's
+    # 4 + 6 + 2 + 3 + 5 + 1: the mirror, drag, torque and sphere-kick share
+    # the n rule's template, drag and bec the mirror's omega_rad_per_s one,
+    # sphere-kick the torque's a_m one, and fiber sphere-kick's pulse_energy_J one
     assert len(TEMPLATES) == 21
-    assert any(":" in t for t in TEMPLATES) and any("{" not in t for t in TEMPLATES)
+    # every rule now names its value; the formatter test draws a template
+    # without fields as well
+    assert any(":" in t for t in TEMPLATES) and all("{" in t for t in TEMPLATES)
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.data(), st.sampled_from(TEMPLATES))
+@given(st.data(), st.sampled_from(TEMPLATES + ["a rule without fields"]))
 def test_one_pass_messages_equal_str_format_row_by_row(data, template):
     m = data.draw(st.integers(1, 6))
     fields = {}
@@ -502,7 +534,9 @@ def test_run_prefixes_each_error_with_the_swept_value_as_g(lo, hi, count):
     report = run(request)
     with np.errstate(all="ignore"):  # a step times count - 1 can overflow
         values = np.linspace(lo, hi, count)
-    want = [f"pulse_energy_J={v:g}: " + (f"pulse_energy_J must be >= 0, got {v}" if v < 0
+    # NaN breaks the rule; an infinite value meets it, and its result is not finite
+    want = [f"pulse_energy_J={v:g}: " + (f"pulse_energy_J must be >= 0, got {v}"
+                                          if not v >= 0
                                           else f"result 'pulse_energy_J' is not finite: {v}")
             for v in values.tolist() if not (v >= 0 and math.isfinite(v))]
     assert report.errors == want

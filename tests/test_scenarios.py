@@ -394,7 +394,7 @@ def test_displacement_ratio_checks_l0_for_a_library_caller(tag):
     # the runner's rules judge L0 for a request; a library call has only this
     cfg = sphere_cfg(L0_m=0.0)
     with pytest.raises(ValueError,
-                       match=r"^reference displacement L0_m must be > 0, got 0\.0$"):
+                       match=r"^L0_m must be > 0, got 0\.0$"):
         displacement_ratio(cfg, tag)
 
 
